@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test cover race bench bench-json bench-alloc chaos crash fuzz fmt vet ci server server-smoke
+.PHONY: all build test cover race bench bench-smoke bench-alloc chaos crash fuzz fmt vet ci server server-smoke
 
 all: build
 
@@ -53,40 +53,17 @@ fuzz:
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' .
 
-# Machine-readable record of the scan-path and hash-path benchmarks
-# (test2json streams): the perf trajectory one point per PR. Commit the
-# refreshed BENCH_scan.json / BENCH_hash.json alongside changes to the
-# respective paths. The hash benchmarks carry their own map-based
-# reference arms (*/mapref), so BENCH_hash.json always contains the
-# flat-vs-map comparison measured on the same machine.
-bench-json:
-	$(GO) test -json -run='^$$' -benchmem -benchtime=5x \
-		-bench='^(BenchmarkSelectiveFilterSweep|BenchmarkZoneMapPruning|BenchmarkParallelFilteredAgg)$$' \
-		. > BENCH_scan.json
-	$(GO) test -json -run='^$$' -benchmem -benchtime=5x \
-		-bench='^(BenchmarkGroupByHash|BenchmarkHashJoinProbe|BenchmarkHashJoinBuild|BenchmarkHashJoinEngine)$$' \
-		. > BENCH_hash.json
-	$(GO) test -json -run='^$$' -benchmem -benchtime=5x \
-		-bench='^BenchmarkBoundedQuery$$' \
-		. > BENCH_impression.json
-	$(GO) test -json -run='^$$' -benchmem -benchtime=5x \
-		-bench='^BenchmarkRecyclerRepeatedQuery$$' \
-		. > BENCH_recycler.json
-	$(GO) test -json -run='^$$' -benchmem -benchtime=5x \
-		-bench='^(BenchmarkParseCold|BenchmarkPlanCacheWarmHit|BenchmarkPlanCacheShapeBind|BenchmarkExecPlanCache)$$' \
-		. > BENCH_parse.json
-	$(GO) test -json -run='^$$' -benchmem -benchtime=5x \
-		-bench='^BenchmarkPanicGuardOverhead$$' \
-		./internal/engine > BENCH_resilience.json
-	$(GO) test -json -run='^$$' -benchmem -benchtime=5x \
-		-bench='^(BenchmarkWireEncode|BenchmarkJSONEncode|BenchmarkWireStream)$$' \
-		./internal/wire > BENCH_wire.json
-	$(GO) test -json -run='^$$' -benchmem -benchtime=5x \
-		-bench='^BenchmarkSegmentScan$$' \
-		./internal/segment > BENCH_storage.json
+# The client-observed benchmark (bench/, its own module, what
+# BENCHMARK.json runs) compiles against the product's API and boots the
+# real stack: vet it, run its tests, and run one short pass of every
+# workload, so the instrument cannot rot behind an API change.
+bench-smoke:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
+	bash bench/run.sh -smoke
 
 # Allocation regression gate for the cached-statement front end: a warm
-# plan-cache hit (alias probe + catalog version check) must stay at
+# plan-cache hit (map probe + catalog version check) must stay at
 # exactly 0 allocs/op, asserted via testing.AllocsPerRun at both the
 # package level (plancache.TestLookupZeroAlloc) and end to end through
 # DB.CheckSQL (TestFrontEndZeroAlloc).
@@ -121,4 +98,4 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-ci: build vet fmt test race bench bench-alloc chaos crash fuzz
+ci: build vet fmt test race bench bench-smoke bench-alloc chaos crash fuzz

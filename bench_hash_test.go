@@ -5,10 +5,8 @@ package sciborq
 // that reproduce the pre-hashtab implementation. The */mapref arms ARE
 // the old engine's algorithm — per-row string keys into
 // map[string][]stats.Moments for GROUP BY, map[int64][]int32 build with
-// per-key slice appends for joins — so BENCH_hash.json always records
-// the map baseline next to the flat path on the same machine and data.
-//
-// Refresh the committed record with `make bench-json`.
+// per-key slice appends for joins — so every run measures the map
+// baseline next to the flat path on the same machine and data.
 
 import (
 	"fmt"

@@ -1,7 +1,6 @@
 package sciborq
 
 import (
-	"fmt"
 	"testing"
 
 	"sciborq/internal/sqlparse"
@@ -9,10 +8,8 @@ import (
 )
 
 // Front-end benchmarks: the cost of turning SQL text into an executable
-// plan, cold and cached. The companion numbers live in BENCH_parse.json
-// (refresh via `make bench-json`); the acceptance bar is that the warm
-// plan-cache hit is <5% of the ~138µs warm recycler hit measured by
-// BenchmarkRecyclerRepeatedQuery/repeat/warm.
+// plan, cold and cached. The client-observed counterparts are
+// sqlparse.parse_us and plancache.lookup_us in bench/baseline.json.
 
 const parseBenchSQL = "SELECT COUNT(*), AVG(r) AS m FROM T WHERE ra BETWEEN 10 AND 14 AND dec > 20 LIMIT 100"
 
@@ -52,8 +49,8 @@ func parseBenchDB(b *testing.B, extra ...Option) *DB {
 }
 
 // BenchmarkPlanCacheWarmHit measures the cached-statement front end in
-// isolation: an alias-tier lookup (map probe + identity check + LRU
-// stamp) replacing the cold parse entirely. This is the path asserted
+// isolation: a lookup (map probe + identity check + LRU stamp)
+// replacing the cold parse entirely. This is the path asserted
 // allocation-free by TestFrontEndZeroAlloc / `make bench-alloc`.
 func BenchmarkPlanCacheWarmHit(b *testing.B) {
 	db := parseBenchDB(b)
@@ -70,33 +67,9 @@ func BenchmarkPlanCacheWarmHit(b *testing.B) {
 	}
 }
 
-// BenchmarkPlanCacheShapeBind measures the literal-rebinding tier: the
-// statement differs from the cached one only in literal values, so the
-// front end fingerprints it and replays the cached template instead of
-// planning from scratch.
-func BenchmarkPlanCacheShapeBind(b *testing.B) {
-	db := parseBenchDB(b)
-	if _, err := db.Exec(parseBenchSQL); err != nil {
-		b.Fatal(err)
-	}
-	variants := make([]string, 16)
-	for i := range variants {
-		variants[i] = fmt.Sprintf(
-			"SELECT COUNT(*), AVG(r) AS m FROM T WHERE ra BETWEEN %d AND %d AND dec > %d LIMIT 100",
-			i, i+4, i+15)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := db.plans.BindShape("", variants[i%len(variants)]); !ok {
-			b.Fatal("literal variant did not bind against the cached shape")
-		}
-	}
-}
-
 // BenchmarkExecPlanCache is the end-to-end comparison over the same
 // 1M-row base as BenchmarkRecyclerRepeatedQuery: the identical repeated
-// statement through a DB with the plan cache ("cached", alias-tier hit
+// statement through a DB with the plan cache ("cached", a plan hit
 // feeding a warm recycler hit) and one with it disabled ("uncached",
 // full parse + canonicalisation every iteration). Both arms keep the
 // recycler, so the difference isolates the front end.
@@ -167,7 +140,7 @@ func BenchmarkExecPlanCache(b *testing.B) {
 // TestFrontEndZeroAlloc is the end-to-end half of the allocation gate
 // (`make bench-alloc`; the package-local half is
 // plancache.TestLookupZeroAlloc): once a statement's plan is cached,
-// re-validating that exact spelling — the alias probe plus the
+// re-validating that exact spelling — the map probe plus the
 // catalog-backed table-version check — must allocate zero bytes.
 func TestFrontEndZeroAlloc(t *testing.T) {
 	db := Open(testCost())

@@ -92,36 +92,27 @@ func (r *Result) String() string {
 // aggregate statements run through the layer-escalation executor, other
 // statements run exactly on base data.
 func (db *DB) Exec(sql string) (*Result, error) {
-	return db.ExecContext(context.Background(), sql)
+	return db.ExecTenant(context.Background(), "", sql)
 }
 
-// ExecContext is Exec with a per-query context: cancelling it (client
-// disconnect, deadline) aborts the underlying morsel scans
-// cooperatively, freeing the worker pool within one morsel boundary and
-// returning ctx.Err().
-func (db *DB) ExecContext(ctx context.Context, sql string) (*Result, error) {
-	return db.ExecTenant(ctx, "", sql)
-}
-
-// ExecTenant is ExecContext on behalf of a named tenant: the query's
-// WHERE selection is cached in (and served from) the tenant's own
-// recycler partition, so concurrent tenants cannot evict each other's
-// warm working sets. The empty tenant uses the shared default
-// partition, making ExecTenant(ctx, "", sql) ≡ ExecContext(ctx, sql).
+// ExecTenant is Exec under a per-query context and on behalf of a named
+// tenant. Cancelling ctx (client disconnect, deadline) aborts the
+// underlying morsel scans cooperatively, freeing the worker pool within
+// one morsel boundary and returning ctx.Err(). The query's WHERE
+// selection is cached in (and served from) the tenant's own recycler
+// partition, so concurrent tenants cannot evict each other's warm
+// working sets; the empty tenant uses the shared default partition.
 //
-// The statement runs through the plan cache first: a repeated spelling
-// skips the whole front end (parse, canonicalisation, predicate key
-// encoding) with zero allocation, a literal variant of a cached shape
-// replays only its literal values, and only genuinely new statements
-// pay a full parse. Results are bit-identical on every path — the plan
-// holds exactly the Statement a fresh parse would produce.
+// The front end is lookup → parse → admit: a statement spelling the
+// plan cache has seen (for the table's current version) skips parsing
+// and predicate key encoding with zero allocation; anything else pays
+// one parse and is cached under its spelling. Results are bit-identical
+// either way — the plan holds exactly the Statement a fresh parse
+// produces.
 func (db *DB) ExecTenant(ctx context.Context, tenant, sql string) (*Result, error) {
 	if db.plans != nil {
 		if pl := db.plans.Lookup(tenant, sql); pl != nil {
 			return db.execStatement(ctx, tenant, pl.Statement, sql, &pl.Prep)
-		}
-		if st, ok := db.plans.BindShape(tenant, sql); ok {
-			return db.execParsed(ctx, tenant, st, sql, true)
 		}
 	}
 	st, err := sqlparse.Parse(sql)
@@ -131,30 +122,19 @@ func (db *DB) ExecTenant(ctx context.Context, tenant, sql string) (*Result, erro
 	if db.plans == nil {
 		return db.execStatement(ctx, tenant, st, sql, nil)
 	}
-	return db.execParsed(ctx, tenant, st, sql, false)
-}
-
-// execParsed admits a plan for a freshly parsed (or shape-bound)
-// statement, then executes it with the plan's prepared predicate.
-func (db *DB) execParsed(ctx context.Context, tenant string, st *sqlparse.Statement, sql string, shapeHit bool) (*Result, error) {
 	base, err := db.catalog.Get(st.Query.Table)
 	if err != nil {
 		return nil, err
 	}
-	pl := db.plans.Admit(tenant, sql, st, base.ID(), base.Version(), shapeHit)
+	pl := db.plans.Admit(tenant, sql, st, base.ID(), base.Version())
 	return db.execStatement(ctx, tenant, pl.Statement, sql, &pl.Prep)
-}
-
-// ExecStatement executes a pre-parsed statement.
-func (db *DB) ExecStatement(st *sqlparse.Statement, sql string) (*Result, error) {
-	return db.execStatement(context.Background(), "", st, sql, nil)
 }
 
 // ExecStatementTenant executes a pre-parsed statement for a tenant,
 // bypassing the plan cache entirely. This is the execution path for
 // wire-protocol prepared statements re-bound with fresh literals: the
 // rebound AST must not be admitted to the cache under the statement's
-// representative SQL spelling, or the alias tier would replay the wrong
+// representative SQL spelling, or the cache would replay the wrong
 // literals for every later client sending that exact text.
 func (db *DB) ExecStatementTenant(ctx context.Context, tenant string, st *sqlparse.Statement, sql string) (*Result, error) {
 	return db.execStatement(ctx, tenant, st, sql, nil)

@@ -8,9 +8,9 @@ import (
 	"sciborq/internal/xrand"
 )
 
-// govFixture builds a DB under a global memory governor with all three
-// cache tiers populated: distinct statement spellings fill the plan and
-// shape tiers, and their WHERE selections fill the recycler.
+// govFixture builds a DB under a global memory governor with both
+// in-memory cache tiers populated: distinct statement spellings fill
+// the plan cache, and their WHERE selections fill the recycler.
 func govFixture(t *testing.T) *DB {
 	t.Helper()
 	db := Open(testCost(), WithSeed(5), WithMemoryBudget(1<<20))
@@ -39,8 +39,8 @@ func govFixture(t *testing.T) *DB {
 
 // TestGovernorShedsRealTiersInOrder drives the acceptance criterion
 // end to end against the real caches: under an injected pressure
-// signal the governor sheds shape → plan → recycler — cheapest
-// replacement cost first — and every tier reports empty afterwards.
+// signal the governor sheds plans → recycler — cheapest replacement
+// cost first — and every tier reports empty afterwards.
 func TestGovernorShedsRealTiersInOrder(t *testing.T) {
 	db := govFixture(t)
 	g := db.Governor()
@@ -49,7 +49,11 @@ func TestGovernorShedsRealTiersInOrder(t *testing.T) {
 	}
 
 	s := g.Stats()
-	for _, tier := range []string{"plancache.shapes", "plancache.plans", "recycler"} {
+	want := []string{"plancache.plans", "recycler"}
+	if len(s.TierUsages) != len(want) {
+		t.Fatalf("registered tiers = %v, want exactly %v", s.TierUsages, want)
+	}
+	for _, tier := range want {
 		if s.TierUsages[tier] <= 0 {
 			t.Fatalf("tier %s empty before pressure: %+v", tier, s.TierUsages)
 		}
@@ -63,10 +67,9 @@ func TestGovernorShedsRealTiersInOrder(t *testing.T) {
 		t.Fatalf("forced critical left %d bytes across tiers", u)
 	}
 	log := g.ShedLog()
-	if len(log) != 3 {
+	if len(log) != len(want) {
 		t.Fatalf("shed log = %v, want one event per tier", log)
 	}
-	want := []string{"plancache.shapes", "plancache.plans", "recycler"}
 	for i, ev := range log {
 		if ev.Tier != want[i] || ev.Freed <= 0 {
 			t.Fatalf("shed[%d] = %+v, want tier %s with freed > 0", i, ev, want[i])
@@ -99,5 +102,23 @@ func TestGovernorLoadPathCheck(t *testing.T) {
 	}
 	if after := g.Stats().Checks; after <= before {
 		t.Fatalf("Load did not run a governor check: %d -> %d", before, after)
+	}
+}
+
+// TestGovernorTiersWithDataDir pins the whole registration: a durable
+// DB adds the granule cache to the two in-memory tiers, and nothing
+// else is registered.
+func TestGovernorTiersWithDataDir(t *testing.T) {
+	db := Open(testCost(), WithMemoryBudget(1<<20), WithDataDir(t.TempDir()))
+	defer db.Close()
+	got := db.Governor().Stats().TierUsages
+	want := []string{"plancache.plans", "storage.granules", "recycler"}
+	if len(got) != len(want) {
+		t.Fatalf("registered tiers = %v, want exactly %v", got, want)
+	}
+	for _, tier := range want {
+		if _, ok := got[tier]; !ok {
+			t.Fatalf("tier %s not registered: %v", tier, got)
+		}
 	}
 }

@@ -35,15 +35,6 @@ func photoTable(t *testing.T) *table.Table {
 	return tb
 }
 
-func catalogWith(t *testing.T, tb *table.Table) *table.Catalog {
-	t.Helper()
-	cat := table.NewCatalog()
-	if err := cat.Add(tb); err != nil {
-		t.Fatal(err)
-	}
-	return cat
-}
-
 func TestQueryValidate(t *testing.T) {
 	cases := []Query{
 		{},           // no table
@@ -79,8 +70,7 @@ func TestAggSpecName(t *testing.T) {
 
 func TestCountAndAvg(t *testing.T) {
 	tb := photoTable(t)
-	ex := NewExecutor(catalogWith(t, tb))
-	res, err := ex.Run(Query{
+	res, err := RunOnOpts(tb, Query{
 		Table: "PhotoObjAll",
 		Where: expr.StrEq{Col: "type", Value: "GALAXY"},
 		Aggs: []AggSpec{
@@ -90,7 +80,7 @@ func TestCountAndAvg(t *testing.T) {
 			{Func: Min, Arg: expr.ColRef{Name: "rmag"}, Alias: "min_r"},
 			{Func: Max, Arg: expr.ColRef{Name: "rmag"}, Alias: "max_r"},
 		},
-	})
+	}, DefaultExecOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,14 +273,6 @@ func TestGroupByWithWhere(t *testing.T) {
 	n, _ := res.Float64Col("n")
 	if !reflect.DeepEqual(n, []float64{3, 1}) { // GALAXY 3, STAR 1
 		t.Fatalf("filtered group counts = %v", n)
-	}
-}
-
-func TestRunUnknownTable(t *testing.T) {
-	ex := NewExecutor(table.NewCatalog())
-	_, err := ex.Run(Query{Table: "missing", Aggs: []AggSpec{{Func: Count}}})
-	if err == nil {
-		t.Fatal("unknown table accepted")
 	}
 }
 

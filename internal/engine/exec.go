@@ -43,33 +43,6 @@ func (r *Result) Scalar(name string) (float64, error) {
 	return col[0], nil
 }
 
-// Executor evaluates queries against a catalog.
-type Executor struct {
-	cat  *table.Catalog
-	opts ExecOptions
-}
-
-// NewExecutor returns an executor over the given catalog with default
-// (parallel) execution options.
-func NewExecutor(cat *table.Catalog) *Executor { return &Executor{cat: cat} }
-
-// NewExecutorOpts returns an executor with explicit execution options.
-func NewExecutorOpts(cat *table.Catalog, opts ExecOptions) *Executor {
-	return &Executor{cat: cat, opts: opts}
-}
-
-// Run evaluates q against its table in the catalog.
-func (e *Executor) Run(q Query) (*Result, error) {
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	t, err := e.cat.Get(q.Table)
-	if err != nil {
-		return nil, err
-	}
-	return RunOnOpts(t, q, e.opts)
-}
-
 // RunOn evaluates q against an explicit table — the hook the bounded
 // executor uses to aim one logical query at different impression layers.
 // It uses the default execution options (parallel, one worker per CPU).

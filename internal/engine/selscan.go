@@ -223,17 +223,12 @@ func EstimateSelScanRows(t *table.Table, pred expr.Predicate, positions vec.Sel,
 	return scanned
 }
 
-// RunOnSel evaluates q against the rows of t listed in positions with
-// default execution options — the hook that aims one logical query at
-// an impression layer without materialising it. Aggregates are computed
-// exactly over the selected subset (the estimate package turns them
-// into population estimates); projections return the matching rows.
-func RunOnSel(t *table.Table, positions vec.Sel, q Query) (*Result, error) {
-	return RunOnSelOpts(t, positions, q, DefaultExecOptions())
-}
-
-// RunOnSelOpts is RunOnSel with explicit execution options. The whole
-// query runs over a snapshot of t taken here.
+// RunOnSelOpts evaluates q against the rows of t listed in positions —
+// the hook that aims one logical query at an impression layer without
+// materialising it. Aggregates are computed exactly over the selected
+// subset (the estimate package turns them into population estimates);
+// projections return the matching rows. The whole query runs over a
+// snapshot of t taken here.
 func RunOnSelOpts(t *table.Table, positions vec.Sel, q Query, opts ExecOptions) (*Result, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err

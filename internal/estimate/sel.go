@@ -62,14 +62,8 @@ func (sl SelLayer) Validate() error {
 	return nil
 }
 
-// AggregateOnSel evaluates the aggregates of q against the selection
-// layer with default (parallel) execution options.
-func AggregateOnSel(sl SelLayer, q engine.Query, level float64) ([]Estimate, error) {
-	return AggregateOnSelOpts(sl, q, level, engine.DefaultExecOptions())
-}
-
-// AggregateOnSelOpts is AggregateOnSel with explicit execution options.
-// The predicate scan runs the engine's selection-vector morsel path, so
+// AggregateOnSelOpts evaluates the aggregates of q against the selection
+// layer. The predicate scan runs the engine's selection-vector morsel path, so
 // bounded execution over an impression pays |impression| rows — pruned
 // further by zone maps — at the configured parallelism, never a layer
 // materialisation.

@@ -203,30 +203,30 @@ func TestAggregateOnSelValidation(t *testing.T) {
 	q := allAggsQuery(nil)
 	bad := sl
 	bad.Base = nil
-	if _, err := AggregateOnSel(bad, q, 0.95); err == nil {
+	if _, err := AggregateOnSelOpts(bad, q, 0.95, engine.DefaultExecOptions()); err == nil {
 		t.Error("nil base accepted")
 	}
 	bad = sl
 	bad.Weights = bad.Weights[:1]
-	if _, err := AggregateOnSel(bad, q, 0.95); err == nil {
+	if _, err := AggregateOnSelOpts(bad, q, 0.95, engine.DefaultExecOptions()); err == nil {
 		t.Error("misaligned weights accepted")
 	}
 	bad = sl
 	bad.Positions = vec.Sel{9, 3}
 	bad.Weights, bad.CountWeights = nil, nil
-	if _, err := AggregateOnSel(bad, q, 0.95); err == nil {
+	if _, err := AggregateOnSelOpts(bad, q, 0.95, engine.DefaultExecOptions()); err == nil {
 		t.Error("unsorted positions accepted")
 	}
-	if _, err := AggregateOnSel(sl, engine.Query{Table: "base", Select: []string{"x"}}, 0.95); err == nil {
+	if _, err := AggregateOnSelOpts(sl, engine.Query{Table: "base", Select: []string{"x"}}, 0.95, engine.DefaultExecOptions()); err == nil {
 		t.Error("aggregate-less query accepted")
 	}
-	if _, err := AggregateOnSel(sl, engine.Query{Table: "base", GroupBy: "g",
-		Aggs: []engine.AggSpec{{Func: engine.Count}}}, 0.95); err == nil {
+	if _, err := AggregateOnSelOpts(sl, engine.Query{Table: "base", GroupBy: "g",
+		Aggs: []engine.AggSpec{{Func: engine.Count}}}, 0.95, engine.DefaultExecOptions()); err == nil {
 		t.Error("grouped query accepted on the ungrouped entry point")
 	}
 	// Empty layer: infinite intervals, no error.
 	empty := SelLayer{Name: "e", Base: sl.Base, Positions: vec.Sel{}, BaseRows: sl.BaseRows}
-	ests, err := AggregateOnSel(empty, q, 0.95)
+	ests, err := AggregateOnSelOpts(empty, q, 0.95, engine.DefaultExecOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,14 +39,14 @@ const (
 	// lookup; an injected error degrades that query to the uncached
 	// scan path (the cache is an optimisation, never a dependency).
 	PointRecycler = "recycler.lookup"
-	// PointPlanCache fires at the top of every plan-cache alias
-	// lookup; an injected error degrades to a full parse.
+	// PointPlanCache fires at the top of every plan-cache lookup; an
+	// injected error degrades to a full parse.
 	PointPlanCache = "plancache.lookup"
 	// PointAdmission fires at the top of every admission Acquire.
 	PointAdmission = "server.admission"
-	// PointQuery fires in the HTTP query handler with an admission slot
-	// held and its release deferred — the point that proves a handler
-	// panic cannot leak a slot.
+	// PointQuery fires in server.Serve — the one pipeline both transports
+	// run — with an admission slot held and its release deferred: the
+	// point that proves a handler panic cannot leak a slot.
 	PointQuery = "server.query"
 	// PointLoad fires at the top of every DB.Load batch.
 	PointLoad = "db.load"

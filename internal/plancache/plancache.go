@@ -1,40 +1,26 @@
-// Package plancache caches the query front-end's work — parse,
-// canonicalisation, predicate key encoding — so the repeated statement
-// shapes of an exploratory workload (the SkyServer pattern the paper
-// targets: the same dashboard and zoom queries arriving over and over)
-// go straight to the morsel executor.
+// Package plancache caches the query front-end's work — parse and
+// predicate key encoding — so the repeated statements of an exploratory
+// workload (the SkyServer pattern the paper targets: the same dashboard
+// and zoom queries arriving over and over) go straight to the morsel
+// executor.
 //
-// Three tiers serve a lookup:
-//
-//  1. Alias tier: the raw SQL string, byte for byte, maps to its plan.
-//     This is the zero-allocation path — one read-locked map probe, an
-//     atomic access stamp, a table identity check — and it is what a
-//     serving workload hits in steady state.
-//  2. Canonical tier: plans are keyed by (canonical rendered statement,
-//     table ID, table version). Statements that differ in spelling but
-//     not meaning — whitespace, keyword case, commuted conjuncts — remap
-//     to one plan; the new spelling is registered as another alias.
-//  3. Shape tier: sqlparse.Fingerprint collapses parameterisable numeric
-//     literals, so "WHERE x > 5" and "WHERE x > 7" share one shape
-//     entry. A shape hit replays the cached template through
-//     sqlparse.ParseBound with the new literal values — same byte-exact
-//     AST a full parse would build, without re-deriving the statement
-//     structure — and admits the result as a new plan.
+// There is one tier: the raw SQL string, byte for byte, maps to its
+// plan. A hit is the zero-allocation path — one read-locked map probe,
+// an atomic access stamp, a table identity check. Any other spelling,
+// however close, is a miss and pays one sqlparse.Parse: about a
+// microsecond, under 0.2 % of a request in the benchmark's per-stage
+// budget, which is why nothing cleverer sits here.
 //
 // Identity discipline follows the recycler's: plans embed the table's
 // (ID, Version) pair. A version bump (every load) makes every plan for
-// that table stale; staleness is caught lazily at lookup by comparing
-// against the live table and eagerly by Invalidate/InvalidateTable from
-// the load path. Memory is bounded by an LRU-by-bytes budget over plan
-// cost (SQL strings + a fixed AST estimate); shape templates have their
-// own smaller LRU byte bound so a flood of distinct shapes can neither
-// grow without limit nor starve the plan tier of its budget. Access
-// recency comes from an atomic logical clock so the hit path never
-// takes the write lock.
+// that table stale; staleness is caught lazily, at lookup, by comparing
+// against the live table. Stale plans nobody asks for again age out
+// through the LRU-by-bytes budget over plan cost (SQL string + a fixed
+// AST estimate). Access recency comes from an atomic logical clock so
+// the hit path never takes the write lock.
 package plancache
 
 import (
-	"encoding/binary"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -49,27 +35,13 @@ import (
 const DefaultBudget = 8 << 20
 
 // planOverhead is the charged estimate for a plan's AST, prepared
-// predicate, and bookkeeping beyond its strings.
+// predicate, and bookkeeping beyond its SQL string.
 const planOverhead = 512
-
-// shapeOverhead is the charged estimate for a shape template's
-// bookkeeping beyond its key and SQL strings.
-const shapeOverhead = 64
-
-// shapeBudgetDivisor sizes the shape tier's own byte bound as a
-// fraction of the plan budget (floored at shapeBudgetMin so tiny plan
-// budgets still hold a useful set of templates).
-const (
-	shapeBudgetDivisor = 8
-	shapeBudgetMin     = 64 << 10
-)
 
 // Plan is one cached, immutable execution plan: the parsed statement
 // plus every front-end derivation execution needs. All fields are
 // read-only after Admit; the statement is shared by concurrent queries.
 type Plan struct {
-	// SQL is the canonical rendered form (canonical-tier key part).
-	SQL string
 	// Table is the target table name; TableID/TableVer the identity the
 	// plan was built against.
 	Table    string
@@ -81,79 +53,50 @@ type Plan struct {
 	// Prep is the recycler-ready canonicalised WHERE predicate.
 	Prep recycler.Prepared
 
-	key     string // full canonical-tier key (SQL + identity suffix)
-	bytes   int64
-	stamp   atomic.Int64 // logical access clock; LRU evicts the smallest
-	aliases []string     // raw spellings mapped to this plan (under c.mu)
-	dead    atomic.Bool  // set once evicted; stale lookups stop re-admitting
+	sql   string // the spelling this plan is cached under
+	bytes int64
+	stamp atomic.Int64 // logical access clock; LRU evicts the smallest
 }
 
 // Stats reports one tenant's (or the aggregate "" tenant's) cache
 // effectiveness.
 type Stats struct {
-	// Hits counts alias-tier hits: no parsing, no allocation.
+	// Hits counts lookups served from the cache: no parse, no allocation.
 	Hits int64
-	// CanonHits counts statements remapped to an existing plan by
-	// canonical form (parsed once, then aliased).
-	CanonHits int64
-	// ShapeHits counts literal-rebind hits: the statement shape was
-	// cached and only literal values were replayed.
-	ShapeHits int64
-	// Misses counts full front-end runs (parse + canonicalise + admit).
+	// Misses counts full front-end runs (parse + admit).
 	Misses int64
 	// Invalidations counts plans dropped for table version staleness.
 	Invalidations int64
-	// Evictions counts plans dropped by the byte budget.
+	// Evictions counts plans dropped by the byte budget or a governor shed.
 	Evictions int64
-	// Entries/Bytes/Budget describe plan-tier residency (whole cache,
-	// not per tenant; only set on the aggregate Stats).
+	// Entries/Bytes/Budget describe residency (aggregate Stats only).
 	Entries int
 	Bytes   int64
 	Budget  int64
-	// ShapeEntries/ShapeBytes/ShapeBudget/ShapeEvictions describe the
-	// separately-bounded shape-template tier (aggregate only).
-	ShapeEntries   int
-	ShapeBytes     int64
-	ShapeBudget    int64
-	ShapeEvictions int64
 }
 
 // HitRate returns the fraction of lookups answered without a full
 // front-end run.
 func (s Stats) HitRate() float64 {
-	total := s.Hits + s.CanonHits + s.ShapeHits + s.Misses
+	total := s.Hits + s.Misses
 	if total == 0 {
 		return 0
 	}
-	return float64(s.Hits+s.CanonHits+s.ShapeHits) / float64(total)
+	return float64(s.Hits) / float64(total)
 }
 
 // tenantStats aggregates per-tenant counters with atomics so the hit
 // path stays lock-free beyond the cache's read lock.
 type tenantStats struct {
-	hits, canonHits, shapeHits, misses, invalidations atomic.Int64
+	hits, misses, invalidations atomic.Int64
 }
 
 func (t *tenantStats) snapshot() Stats {
 	return Stats{
 		Hits:          t.hits.Load(),
-		CanonHits:     t.canonHits.Load(),
-		ShapeHits:     t.shapeHits.Load(),
 		Misses:        t.misses.Load(),
 		Invalidations: t.invalidations.Load(),
 	}
-}
-
-// template is one cached statement shape: the representative SQL text
-// replayed by ParseBound with new literal values. Templates live in
-// their own LRU-by-bytes tier (c.shapeBytes vs c.shapeBudget) and are
-// dropped with their table's plans by InvalidateTable.
-type template struct {
-	sql   string
-	nlits int
-	table string
-	bytes int64
-	stamp atomic.Int64
 }
 
 // IdentityFn resolves a table name to its live (ID, Version) identity;
@@ -165,33 +108,18 @@ type IdentityFn func(table string) (id, ver uint64, ok bool)
 // Cache is the statement/plan cache. All methods are safe for
 // concurrent use.
 type Cache struct {
-	budget      int64
-	shapeBudget int64
-	ident       IdentityFn
+	budget int64
+	ident  IdentityFn
 
-	mu          sync.RWMutex
-	aliases     map[string]*Plan
-	plans       map[string]*Plan
-	shapes      map[string]*template
-	byTable     map[string]map[*Plan]struct{}
-	bytes       int64
-	shapeBytes  int64
-	evicts      int64
-	shapeEvicts int64
-	invals      int64 // eager InvalidateTable drops (tenant-less)
+	mu     sync.RWMutex
+	plans  map[string]*Plan // keyed by the exact SQL spelling
+	bytes  int64
+	evicts int64
 
 	clock atomic.Int64
 
 	statsMu sync.Mutex
 	stats   map[string]*tenantStats
-
-	// scratch recycles fingerprint buffers across lookups.
-	scratch sync.Pool
-}
-
-type scratchBuf struct {
-	shape []byte
-	lits  []float64
 }
 
 // New returns a plan cache charging plans against budgetBytes (<= 0
@@ -201,22 +129,11 @@ func New(budgetBytes int64, ident IdentityFn) *Cache {
 	if budgetBytes <= 0 {
 		budgetBytes = DefaultBudget
 	}
-	shapeBudget := budgetBytes / shapeBudgetDivisor
-	if shapeBudget < shapeBudgetMin {
-		shapeBudget = shapeBudgetMin
-	}
 	return &Cache{
-		budget:      budgetBytes,
-		shapeBudget: shapeBudget,
-		ident:       ident,
-		aliases:     make(map[string]*Plan),
-		plans:       make(map[string]*Plan),
-		shapes:      make(map[string]*template),
-		byTable:     make(map[string]map[*Plan]struct{}),
-		stats:       make(map[string]*tenantStats),
-		scratch: sync.Pool{New: func() any {
-			return &scratchBuf{shape: make([]byte, 0, 256), lits: make([]float64, 0, 8)}
-		}},
+		budget: budgetBytes,
+		ident:  ident,
+		plans:  make(map[string]*Plan),
+		stats:  make(map[string]*tenantStats),
 	}
 }
 
@@ -233,12 +150,18 @@ func (c *Cache) tenant(name string) *tenantStats {
 	return ts
 }
 
-// Lookup serves the alias tier: the exact SQL spelling seen before, for
-// a table still at the plan's version. Beyond a tenant's first-ever
-// call (which allocates its counter block) a hit performs no heap
-// allocation, given an allocation-free IdentityFn. A stale plan is
-// dropped (counted as an invalidation; Admit will count the ensuing
-// miss); nil means the caller must parse.
+// fresh reports whether pl's table is still at its planned version.
+func (c *Cache) fresh(pl *Plan) bool {
+	id, ver, ok := c.ident(pl.Table)
+	return ok && id == pl.TableID && ver == pl.TableVer
+}
+
+// Lookup serves the exact SQL spelling seen before, for a table still
+// at the plan's version. Beyond a tenant's first-ever call (which
+// allocates its counter block) a hit performs no heap allocation, given
+// an allocation-free IdentityFn. A stale plan is dropped (counted as an
+// invalidation; Admit will count the ensuing miss); nil means the
+// caller must parse.
 func (c *Cache) Lookup(tenant, sql string) *Plan {
 	if faultinject.Fire(faultinject.PointPlanCache) != nil {
 		// An injected lookup failure degrades to a full parse: the cache
@@ -246,14 +169,16 @@ func (c *Cache) Lookup(tenant, sql string) *Plan {
 		return nil
 	}
 	c.mu.RLock()
-	pl := c.aliases[sql]
+	pl := c.plans[sql]
 	c.mu.RUnlock()
 	if pl == nil {
-		return nil // Admit or BindShape counts the outcome
+		return nil // Admit counts the miss
 	}
 	ts := c.tenant(tenant)
-	if id, ver, ok := c.ident(pl.Table); !ok || id != pl.TableID || ver != pl.TableVer {
-		c.Invalidate(pl)
+	if !c.fresh(pl) {
+		c.mu.Lock()
+		c.dropLocked(pl)
+		c.mu.Unlock()
 		ts.invalidations.Add(1)
 		return nil
 	}
@@ -270,229 +195,62 @@ func (c *Cache) Lookup(tenant, sql string) *Plan {
 // reports false; the execution path's Lookup handles invalidation.
 func (c *Cache) Contains(sql string) bool {
 	c.mu.RLock()
-	pl := c.aliases[sql]
+	pl := c.plans[sql]
 	c.mu.RUnlock()
-	if pl == nil {
-		return false
-	}
-	id, ver, ok := c.ident(pl.Table)
-	return ok && id == pl.TableID && ver == pl.TableVer
+	return pl != nil && c.fresh(pl)
 }
 
-// BindShape serves the shape tier after an alias miss: if the
-// statement's literal-collapsed fingerprint matches a cached template,
-// the template is replayed with the new literal values, yielding the
-// exact Statement a full parse of sql would build. The boolean reports
-// a shape hit; the caller still admits the bound statement as a plan
-// (registering sql as an alias for next time).
-func (c *Cache) BindShape(tenant, sql string) (*sqlparse.Statement, bool) {
-	buf := c.scratch.Get().(*scratchBuf)
-	shape, lits, ok := sqlparse.Fingerprint(buf.shape[:0], buf.lits[:0], sql)
-	buf.shape, buf.lits = shape, lits
-	if !ok {
-		c.scratch.Put(buf)
-		return nil, false
-	}
-	c.mu.RLock()
-	tmpl := c.shapes[string(shape)]
-	c.mu.RUnlock()
-	if tmpl == nil || tmpl.nlits != len(lits) {
-		c.scratch.Put(buf)
-		return nil, false
-	}
-	st, err := sqlparse.ParseBound(tmpl.sql, lits)
-	c.scratch.Put(buf)
-	if err != nil {
-		// The template parsed when admitted; a binding failure means the
-		// shape aliased something unexpected. Fall back to a full parse.
-		return nil, false
-	}
-	tmpl.stamp.Store(c.clock.Add(1))
-	c.tenant(tenant).shapeHits.Add(1)
-	return st, true
-}
-
-// planKey builds the canonical-tier key: rendered form + table identity.
-func planKey(canonSQL string, id, ver uint64) string {
-	k := make([]byte, 0, len(canonSQL)+17)
-	k = append(k, canonSQL...)
-	k = append(k, 0)
-	k = binary.BigEndian.AppendUint64(k, id)
-	k = binary.BigEndian.AppendUint64(k, ver)
-	return string(k)
-}
-
-// Admit caches the front-end work for a just-parsed statement and
-// registers sql as an alias for it. id/ver are the live identity of the
-// statement's target table. The returned plan is never nil; equivalent
-// spellings converge on the canonical tier's single plan. shapeHit
-// marks admissions that came through BindShape (already counted there)
-// so the tenant miss counters stay truthful.
-func (c *Cache) Admit(tenant, sql string, st *sqlparse.Statement, id, ver uint64, shapeHit bool) *Plan {
-	prep := recycler.Prepare(id, ver, st.Query.Where)
-	canonSQL := canonicalSQL(st, &prep)
-	key := planKey(canonSQL, id, ver)
-	ts := c.tenant(tenant)
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if pl, ok := c.plans[key]; ok {
-		// Same canonical form and identity: just learn the new spelling.
-		c.addAliasLocked(pl, sql)
-		pl.stamp.Store(c.clock.Add(1))
-		if !shapeHit {
-			ts.canonHits.Add(1)
-		}
-		c.evictOverBudgetLocked()
-		return pl
-	}
-	if !shapeHit {
-		ts.misses.Add(1)
-	}
+// Admit caches the front-end work for a just-parsed statement under its
+// spelling, replacing whatever plan (stale, or a concurrent admission's)
+// held that spelling. id/ver are the live identity of the statement's
+// target table. The returned plan is never nil.
+func (c *Cache) Admit(tenant, sql string, st *sqlparse.Statement, id, ver uint64) *Plan {
 	pl := &Plan{
-		SQL:       canonSQL,
 		Table:     st.Query.Table,
 		TableID:   id,
 		TableVer:  ver,
 		Statement: st,
-		Prep:      prep,
-		key:       key,
-		bytes:     int64(len(canonSQL)+len(key)) + planOverhead,
+		Prep:      recycler.Prepare(id, ver, st.Query.Where),
+		sql:       sql,
+		bytes:     int64(len(sql)) + planOverhead,
 	}
 	pl.stamp.Store(c.clock.Add(1))
-	c.plans[key] = pl
-	c.bytes += pl.bytes
-	bucket := c.byTable[pl.Table]
-	if bucket == nil {
-		bucket = make(map[*Plan]struct{})
-		c.byTable[pl.Table] = bucket
-	}
-	bucket[pl] = struct{}{}
-	c.addAliasLocked(pl, sql)
-	c.admitShapeLocked(pl.Table, sql)
+	c.tenant(tenant).misses.Add(1)
 
-	// A newer version supersedes every older plan of the same table:
-	// those can never be looked up successfully again.
-	for o := range bucket {
-		if o.TableID == pl.TableID && o.TableVer < pl.TableVer {
-			c.dropLocked(o)
-		}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if old := c.plans[sql]; old != nil {
+		c.dropLocked(old)
 	}
-	c.evictOverBudgetLocked()
+	c.plans[sql] = pl
+	c.bytes += pl.bytes
+	if c.bytes > c.budget {
+		// Evict a batch, not one victim: a cache that sits at its budget
+		// (plans staled by loads linger until evicted) would otherwise
+		// pay the stamp sort on every miss.
+		c.evicts += c.dropOldestLocked(c.budget - c.budget/8)
+	}
 	return pl
 }
 
-// addAliasLocked maps a raw spelling to a plan (idempotent).
-func (c *Cache) addAliasLocked(pl *Plan, sql string) {
-	if cur, ok := c.aliases[sql]; ok {
-		if cur == pl {
-			return
-		}
-		// The spelling re-resolved (e.g. to a newer version's plan).
-		c.removeAliasLocked(cur, sql)
-	}
-	c.aliases[sql] = pl
-	pl.aliases = append(pl.aliases, sql)
-	c.bytes += int64(len(sql))
-}
-
-func (c *Cache) removeAliasLocked(pl *Plan, sql string) {
-	for i, a := range pl.aliases {
-		if a == sql {
-			pl.aliases = append(pl.aliases[:i], pl.aliases[i+1:]...)
-			c.bytes -= int64(len(sql))
-			return
-		}
-	}
-}
-
-// admitShapeLocked registers sql's literal-collapsed shape template in
-// the shape tier, charging it against the shape budget (not the plan
-// budget: templates would otherwise crowd plans out of theirs).
-func (c *Cache) admitShapeLocked(table, sql string) {
-	buf := c.scratch.Get().(*scratchBuf)
-	shape, lits, ok := sqlparse.Fingerprint(buf.shape[:0], buf.lits[:0], sql)
-	buf.shape, buf.lits = shape, lits
-	if ok {
-		if tmpl, dup := c.shapes[string(shape)]; dup {
-			tmpl.stamp.Store(c.clock.Add(1))
-		} else {
-			tmpl := &template{
-				sql:   sql,
-				nlits: len(lits),
-				table: table,
-				bytes: int64(len(shape)+len(sql)) + shapeOverhead,
-			}
-			tmpl.stamp.Store(c.clock.Add(1))
-			c.shapes[string(shape)] = tmpl
-			c.shapeBytes += tmpl.bytes
-			c.evictShapesOverBudgetLocked()
-		}
-	}
-	c.scratch.Put(buf)
-}
-
-// Invalidate drops one plan (all aliases included); used when a lookup
-// finds the plan's table gone or at a newer version.
-func (c *Cache) Invalidate(pl *Plan) {
-	if pl.dead.Load() {
-		return
-	}
-	c.mu.Lock()
-	c.dropLocked(pl)
-	c.mu.Unlock()
-}
-
-// InvalidateTable eagerly drops every plan for a table — the load path
-// calls it so a version bump frees plan memory immediately instead of
-// waiting for each alias to miss. The table's shape templates go with
-// the plans: after a drop their replayed statements could never admit,
-// and after a reload the next miss re-registers them at the new
-// version.
-func (c *Cache) InvalidateTable(table string) {
-	c.mu.Lock()
-	for pl := range c.byTable[table] {
-		c.dropLocked(pl)
-		c.invals++
-	}
-	for key, tmpl := range c.shapes {
-		if tmpl.table == table {
-			delete(c.shapes, key)
-			c.shapeBytes -= tmpl.bytes
-		}
-	}
-	c.mu.Unlock()
-}
-
+// dropLocked removes pl if it is still the resident plan for its
+// spelling (a racing lookup may have dropped or replaced it already).
 func (c *Cache) dropLocked(pl *Plan) {
-	if pl.dead.Swap(true) {
+	if c.plans[pl.sql] != pl {
 		return
 	}
-	delete(c.plans, pl.key)
-	for _, a := range pl.aliases {
-		if c.aliases[a] == pl {
-			delete(c.aliases, a)
-		}
-		c.bytes -= int64(len(a))
-	}
-	pl.aliases = nil
-	if bucket := c.byTable[pl.Table]; bucket != nil {
-		delete(bucket, pl)
-		if len(bucket) == 0 {
-			delete(c.byTable, pl.Table)
-		}
-	}
+	delete(c.plans, pl.sql)
 	c.bytes -= pl.bytes
 }
 
-// evictOverBudgetLocked drops least-recently-stamped plans until the
-// byte budget holds. One scan snapshots every plan's stamp (stamps
-// mutate concurrently under the read lock, so the sort must not reread
-// them) and a single stamp-ordered pass evicts the batch — an
-// over-budget burst costs O(n log n) once, not O(n) per victim.
-func (c *Cache) evictOverBudgetLocked() {
-	if c.bytes <= c.budget || len(c.plans) == 0 {
-		return
+// dropOldestLocked drops least-recently-stamped plans until resident
+// bytes are at most target, returning how many it dropped. One scan
+// snapshots every plan's stamp (stamps mutate concurrently under the
+// read lock, so the sort must not reread them) and a single
+// stamp-ordered pass drops the batch.
+func (c *Cache) dropOldestLocked(target int64) (dropped int64) {
+	if c.bytes <= target || len(c.plans) == 0 {
+		return 0
 	}
 	type victim struct {
 		pl    *Plan
@@ -504,135 +262,39 @@ func (c *Cache) evictOverBudgetLocked() {
 	}
 	sort.Slice(victims, func(i, j int) bool { return victims[i].stamp < victims[j].stamp })
 	for _, v := range victims {
-		if c.bytes <= c.budget {
+		if c.bytes <= target {
 			break
 		}
 		c.dropLocked(v.pl)
-		c.evicts++
+		dropped++
 	}
+	return dropped
 }
 
-// evictShapesOverBudgetLocked is the shape tier's counterpart: drop
-// least-recently-used templates until the shape budget holds.
-func (c *Cache) evictShapesOverBudgetLocked() {
-	if c.shapeBytes <= c.shapeBudget || len(c.shapes) == 0 {
-		return
-	}
-	type victim struct {
-		key   string
-		tmpl  *template
-		stamp int64
-	}
-	victims := make([]victim, 0, len(c.shapes))
-	for key, tmpl := range c.shapes {
-		victims = append(victims, victim{key, tmpl, tmpl.stamp.Load()})
-	}
-	sort.Slice(victims, func(i, j int) bool { return victims[i].stamp < victims[j].stamp })
-	for _, v := range victims {
-		if c.shapeBytes <= c.shapeBudget {
-			break
-		}
-		delete(c.shapes, v.key)
-		c.shapeBytes -= v.tmpl.bytes
-		c.shapeEvicts++
-	}
-}
-
-// PlanUsage reports the plan tier's resident bytes (aliases included) —
-// the usage feed for a global memory governor.
+// PlanUsage reports the cache's resident bytes — the usage feed for a
+// global memory governor.
 func (c *Cache) PlanUsage() int64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return c.bytes
 }
 
-// ShapeUsage reports the shape-template tier's resident bytes.
-func (c *Cache) ShapeUsage() int64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.shapeBytes
-}
-
 // ShedPlans drops least-recently-used plans until roughly `bytes` bytes
-// are freed (or the tier is empty), returning the bytes actually freed.
-// This is the governor's coordinated-pressure hook: unlike the private
-// budget eviction it fires regardless of the tier's own budget, because
-// the authority asking has a view the tier lacks — total process
-// pressure. Dropped plans are recomputable (one parse each), never data.
+// are freed (or the cache is empty), returning the bytes actually
+// freed. This is the governor's coordinated-pressure hook: unlike the
+// private budget eviction it fires regardless of the cache's own
+// budget, because the authority asking has a view the cache lacks —
+// total process pressure. Dropped plans are recomputable (one parse
+// each), never data.
 func (c *Cache) ShedPlans(bytes int64) int64 {
 	if bytes <= 0 {
 		return 0
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(c.plans) == 0 {
-		return 0
-	}
-	type victim struct {
-		pl    *Plan
-		stamp int64
-	}
-	victims := make([]victim, 0, len(c.plans))
-	for _, pl := range c.plans {
-		victims = append(victims, victim{pl, pl.stamp.Load()})
-	}
-	sort.Slice(victims, func(i, j int) bool { return victims[i].stamp < victims[j].stamp })
 	before := c.bytes
-	for _, v := range victims {
-		if before-c.bytes >= bytes {
-			break
-		}
-		c.dropLocked(v.pl)
-		c.evicts++
-	}
+	c.evicts += c.dropOldestLocked(before - bytes)
 	return before - c.bytes
-}
-
-// ShedShapes is ShedPlans for the shape-template tier: drop
-// least-recently-used templates until roughly `bytes` bytes are freed.
-// Templates are the cheapest state in the process to rebuild (a
-// fingerprint on the next miss), which is why the governor sheds this
-// tier first.
-func (c *Cache) ShedShapes(bytes int64) int64 {
-	if bytes <= 0 {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.shapes) == 0 {
-		return 0
-	}
-	type victim struct {
-		key   string
-		tmpl  *template
-		stamp int64
-	}
-	victims := make([]victim, 0, len(c.shapes))
-	for key, tmpl := range c.shapes {
-		victims = append(victims, victim{key, tmpl, tmpl.stamp.Load()})
-	}
-	sort.Slice(victims, func(i, j int) bool { return victims[i].stamp < victims[j].stamp })
-	before := c.shapeBytes
-	for _, v := range victims {
-		if before-c.shapeBytes >= bytes {
-			break
-		}
-		delete(c.shapes, v.key)
-		c.shapeBytes -= v.tmpl.bytes
-		c.shapeEvicts++
-	}
-	return before - c.shapeBytes
-}
-
-// StatsFor returns one tenant's counters.
-func (c *Cache) StatsFor(tenant string) Stats {
-	c.statsMu.Lock()
-	ts := c.stats[tenant]
-	c.statsMu.Unlock()
-	if ts == nil {
-		return Stats{}
-	}
-	return ts.snapshot()
 }
 
 // Stats aggregates all tenants and reports cache residency.
@@ -642,8 +304,6 @@ func (c *Cache) Stats() Stats {
 	for _, ts := range c.stats {
 		s := ts.snapshot()
 		out.Hits += s.Hits
-		out.CanonHits += s.CanonHits
-		out.ShapeHits += s.ShapeHits
 		out.Misses += s.Misses
 		out.Invalidations += s.Invalidations
 	}
@@ -653,11 +313,6 @@ func (c *Cache) Stats() Stats {
 	out.Bytes = c.bytes
 	out.Budget = c.budget
 	out.Evictions = c.evicts
-	out.Invalidations += c.invals
-	out.ShapeEntries = len(c.shapes)
-	out.ShapeBytes = c.shapeBytes
-	out.ShapeBudget = c.shapeBudget
-	out.ShapeEvictions = c.shapeEvicts
 	c.mu.RUnlock()
 	return out
 }
@@ -672,21 +327,4 @@ func (c *Cache) StatsByTenant() map[string]Stats {
 	}
 	c.statsMu.Unlock()
 	return out
-}
-
-// canonicalSQL renders the statement with its WHERE clause in canonical
-// form, so commuted/nested spellings of one predicate produce one key.
-func canonicalSQL(st *sqlparse.Statement, prep *recycler.Prepared) string {
-	if canon := prep.Canon(); canon != nil {
-		cp := *st
-		cp.Query.Where = canon
-		return cp.String()
-	}
-	if st.Query.Where != nil {
-		// TRUE-equivalent predicate: canonical form has no WHERE clause.
-		cp := *st
-		cp.Query.Where = nil
-		return cp.String()
-	}
-	return st.String()
 }

@@ -28,71 +28,30 @@ func (f *fakeIdent) fn(string) (uint64, uint64, bool) {
 	return f.id.Load(), f.ver.Load(), f.ok.Load()
 }
 
-func admit(t *testing.T, c *Cache, tenant, sql string, id, ver uint64, shapeHit bool) *Plan {
+func admit(t *testing.T, c *Cache, tenant, sql string, id, ver uint64) *Plan {
 	t.Helper()
 	st, err := sqlparse.Parse(sql)
 	if err != nil {
 		t.Fatalf("parse %q: %v", sql, err)
 	}
-	return c.Admit(tenant, sql, st, id, ver, shapeHit)
+	return c.Admit(tenant, sql, st, id, ver)
 }
 
-func TestAliasHit(t *testing.T) {
+func TestHit(t *testing.T) {
 	ident := newFakeIdent(7, 1)
 	c := New(0, ident.fn)
 	sql := "SELECT COUNT(*) FROM t WHERE x > 5"
 	if c.Lookup("", sql) != nil {
 		t.Fatal("lookup before admit must miss")
 	}
-	pl := admit(t, c, "", sql, 7, 1, false)
+	pl := admit(t, c, "", sql, 7, 1)
 	got := c.Lookup("", sql)
 	if got != pl {
-		t.Fatalf("alias lookup returned %p, want %p", got, pl)
+		t.Fatalf("lookup returned %p, want %p", got, pl)
 	}
-	st := c.StatsFor("")
+	st := c.StatsByTenant()[""]
 	if st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("stats = %+v, want 1 hit / 1 miss", st)
-	}
-}
-
-func TestCanonicalConvergence(t *testing.T) {
-	ident := newFakeIdent(7, 1)
-	c := New(0, ident.fn)
-	a := admit(t, c, "", "SELECT COUNT(*) FROM t WHERE a > 1 AND b < 2", 7, 1, false)
-	b := admit(t, c, "", "select count(*) from t where b < 2 and a > 1", 7, 1, false)
-	if a != b {
-		t.Fatalf("commuted spellings got distinct plans: %q vs %q", a.SQL, b.SQL)
-	}
-	// Both spellings now alias the one plan.
-	if c.Lookup("", "SELECT COUNT(*) FROM t WHERE a > 1 AND b < 2") != a {
-		t.Fatal("original spelling lost")
-	}
-	if c.Lookup("", "select count(*) from t where b < 2 and a > 1") != a {
-		t.Fatal("commuted spelling not aliased")
-	}
-	st := c.StatsFor("")
-	if st.CanonHits != 1 || st.Misses != 1 {
-		t.Fatalf("stats = %+v, want 1 canon hit / 1 miss", st)
-	}
-}
-
-func TestShapeBinding(t *testing.T) {
-	ident := newFakeIdent(7, 1)
-	c := New(0, ident.fn)
-	admit(t, c, "", "SELECT COUNT(*) FROM t WHERE x > 5", 7, 1, false)
-	st, ok := c.BindShape("", "SELECT COUNT(*) FROM t WHERE x > 7")
-	if !ok {
-		t.Fatal("literal variant did not bind against the cached shape")
-	}
-	want := sqlparse.MustParse("SELECT COUNT(*) FROM t WHERE x > 7")
-	if st.String() != want.String() {
-		t.Fatalf("bound statement %q, want %q", st, want)
-	}
-	if _, ok := c.BindShape("", "SELECT SUM(y) FROM t WHERE x > 7"); ok {
-		t.Fatal("different shape must not bind")
-	}
-	if s := c.StatsFor(""); s.ShapeHits != 1 {
-		t.Fatalf("stats = %+v, want 1 shape hit", s)
 	}
 }
 
@@ -100,42 +59,47 @@ func TestVersionStaleness(t *testing.T) {
 	ident := newFakeIdent(7, 1)
 	c := New(0, ident.fn)
 	sql := "SELECT COUNT(*) FROM t WHERE x > 5"
-	admit(t, c, "", sql, 7, 1, false)
+	admit(t, c, "", sql, 7, 1)
 	ident.ver.Store(2) // a load bumped the version
 	if c.Lookup("", sql) != nil {
 		t.Fatal("stale plan served after version bump")
 	}
-	if s := c.StatsFor(""); s.Invalidations != 1 {
+	if s := c.StatsByTenant()[""]; s.Invalidations != 1 {
 		t.Fatalf("stats = %+v, want 1 invalidation", s)
 	}
 	// Re-admitting at the new version works and evicts nothing else.
-	pl := admit(t, c, "", sql, 7, 2, false)
+	pl := admit(t, c, "", sql, 7, 2)
 	if c.Lookup("", sql) != pl {
 		t.Fatal("re-admitted plan not served")
 	}
-}
-
-func TestNewVersionSupersedesOld(t *testing.T) {
-	ident := newFakeIdent(7, 2)
-	c := New(0, ident.fn)
-	admit(t, c, "", "SELECT COUNT(*) FROM t WHERE x > 5", 7, 1, false)
-	admit(t, c, "", "SELECT COUNT(*) FROM t WHERE y > 5", 7, 2, false)
-	if s := c.Stats(); s.Entries != 1 {
-		t.Fatalf("old-version plan not superseded: %+v", s)
+	if s := c.Stats(); s.Entries != 1 || s.Evictions != 0 {
+		t.Fatalf("stats = %+v, want the one re-admitted plan and no evictions", s)
 	}
 }
 
-func TestInvalidateTable(t *testing.T) {
+// TestSpellingsDoNotConverge pins the one-tier contract: only the exact
+// byte string hits. A literal variant or a commuted spelling is a miss
+// with its own plan, and a stale plan nobody looks up again stays until
+// the budget ages it out.
+func TestSpellingsDoNotConverge(t *testing.T) {
 	ident := newFakeIdent(7, 1)
 	c := New(0, ident.fn)
-	admit(t, c, "", "SELECT COUNT(*) FROM t WHERE x > 5", 7, 1, false)
-	admit(t, c, "", "SELECT COUNT(*) FROM u WHERE x > 5", 7, 1, false)
-	c.InvalidateTable("t")
-	if c.Lookup("", "SELECT COUNT(*) FROM t WHERE x > 5") != nil {
-		t.Fatal("invalidated table's plan still served")
+	a := admit(t, c, "", "SELECT COUNT(*) FROM t WHERE a > 1 AND b < 2", 7, 1)
+	for _, sql := range []string{
+		"select count(*) from t where b < 2 and a > 1",
+		"SELECT COUNT(*) FROM t WHERE a > 3 AND b < 2",
+	} {
+		if c.Lookup("", sql) != nil {
+			t.Fatalf("%q hit a plan cached under another spelling", sql)
+		}
+		if b := admit(t, c, "", sql, 7, 1); b == a {
+			t.Fatalf("%q converged on another spelling's plan", sql)
+		}
 	}
-	if c.Lookup("", "SELECT COUNT(*) FROM u WHERE x > 5") == nil {
-		t.Fatal("unrelated table's plan dropped")
+	ident.ver.Store(2)
+	admit(t, c, "", "SELECT COUNT(*) FROM t WHERE y > 5", 7, 2)
+	if s := c.Stats(); s.Entries != 4 || s.Misses != 4 || s.Hits != 0 {
+		t.Fatalf("stats = %+v, want 4 resident plans from 4 misses", s)
 	}
 }
 
@@ -143,7 +107,7 @@ func TestBudgetEviction(t *testing.T) {
 	ident := newFakeIdent(7, 1)
 	c := New(2*planOverhead+256, ident.fn) // room for ~2 plans
 	for i := 0; i < 8; i++ {
-		admit(t, c, "", fmt.Sprintf("SELECT COUNT(*) FROM t WHERE x > %d AND y < %d", i, i), 7, 1, false)
+		admit(t, c, "", fmt.Sprintf("SELECT COUNT(*) FROM t WHERE x > %d AND y < %d", i, i), 7, 1)
 	}
 	s := c.Stats()
 	if s.Evictions == 0 {
@@ -152,13 +116,68 @@ func TestBudgetEviction(t *testing.T) {
 	if s.Bytes > c.budget {
 		t.Fatalf("bytes %d exceed budget %d", s.Bytes, c.budget)
 	}
+	// LRU: the most recent admission survives, the first is long gone.
+	if c.Lookup("", "SELECT COUNT(*) FROM t WHERE x > 7 AND y < 7") == nil {
+		t.Fatal("most recently admitted plan was evicted before older ones")
+	}
+	if c.Contains("SELECT COUNT(*) FROM t WHERE x > 0 AND y < 0") {
+		t.Fatal("oldest plan survived a budget that holds two")
+	}
+}
+
+// TestEvictionIsBatched: one overflow evicts down to 7/8 of the budget,
+// so a cache sitting at its budget does not re-sort on every miss.
+func TestEvictionIsBatched(t *testing.T) {
+	ident := newFakeIdent(7, 1)
+	sql := func(i int) string { return fmt.Sprintf("SELECT COUNT(*) FROM t WHERE x > %02d", i) }
+	per := int64(len(sql(0))) + planOverhead
+	c := New(16*per, ident.fn)
+	for i := 0; i < 16; i++ {
+		admit(t, c, "", sql(i), 7, 1)
+	}
+	if s := c.Stats(); s.Entries != 16 || s.Evictions != 0 {
+		t.Fatalf("a full budget evicted early: %+v", s)
+	}
+	admit(t, c, "", sql(16), 7, 1)
+	if s := c.Stats(); s.Entries != 14 || s.Evictions != 3 {
+		t.Fatalf("overflow by one plan left %+v, want 14 resident after 3 evictions", s)
+	}
+}
+
+// TestShedPlans: the governor's hook frees at least what it was asked
+// for, oldest first, regardless of the cache's own budget.
+func TestShedPlans(t *testing.T) {
+	ident := newFakeIdent(7, 1)
+	c := New(0, ident.fn)
+	sqls := make([]string, 4)
+	for i := range sqls {
+		sqls[i] = fmt.Sprintf("SELECT COUNT(*) FROM t WHERE x > %d", i)
+		admit(t, c, "", sqls[i], 7, 1)
+	}
+	c.Lookup("", sqls[0]) // now the most recently used
+	before := c.PlanUsage()
+	if freed := c.ShedPlans(1); freed <= 0 || freed != before-c.PlanUsage() {
+		t.Fatalf("ShedPlans(1) freed %d, usage %d -> %d", freed, before, c.PlanUsage())
+	}
+	if c.Contains(sqls[1]) || !c.Contains(sqls[0]) {
+		t.Fatal("shed did not take the least recently used plan")
+	}
+	if freed := c.ShedPlans(1 << 30); freed <= 0 || c.PlanUsage() != 0 {
+		t.Fatalf("full shed freed %d, left %d bytes", freed, c.PlanUsage())
+	}
+	if s := c.Stats(); s.Entries != 0 || s.Evictions != 4 {
+		t.Fatalf("stats after full shed = %+v", s)
+	}
+	if c.ShedPlans(1) != 0 {
+		t.Fatal("shedding an empty cache freed bytes")
+	}
 }
 
 func TestPerTenantStats(t *testing.T) {
 	ident := newFakeIdent(7, 1)
 	c := New(0, ident.fn)
 	sql := "SELECT COUNT(*) FROM t WHERE x > 5"
-	admit(t, c, "alice", sql, 7, 1, false)
+	admit(t, c, "alice", sql, 7, 1)
 	c.Lookup("alice", sql)
 	c.Lookup("bob", sql) // bob hits alice's plan; counted for bob
 	by := c.StatsByTenant()
@@ -174,72 +193,6 @@ func TestPerTenantStats(t *testing.T) {
 	}
 }
 
-// TestShapeBudget pins the shape tier's own bound: a flood of distinct
-// statement shapes evicts old templates instead of growing without
-// limit, and never touches the plan tier's budget.
-func TestShapeBudget(t *testing.T) {
-	ident := newFakeIdent(7, 1)
-	c := New(0, ident.fn)
-	c.shapeBudget = 2 << 10 // tighten so a few dozen templates overflow
-	for i := 0; i < 200; i++ {
-		admit(t, c, "", fmt.Sprintf("SELECT COUNT(*) FROM t WHERE col%d > 5", i), 7, 1, false)
-	}
-	s := c.Stats()
-	if s.ShapeBytes > c.shapeBudget {
-		t.Fatalf("shape bytes %d exceed shape budget %d", s.ShapeBytes, c.shapeBudget)
-	}
-	if s.ShapeEvictions == 0 {
-		t.Fatalf("no shape evictions under a tight shape budget: %+v", s)
-	}
-	if s.ShapeEntries == 0 {
-		t.Fatalf("shape tier emptied instead of bounded: %+v", s)
-	}
-	if s.Evictions != 0 {
-		t.Fatalf("shape churn evicted plans from an unconstrained plan budget: %+v", s)
-	}
-	// A recently admitted shape survives LRU and still binds.
-	if _, ok := c.BindShape("", "SELECT COUNT(*) FROM t WHERE col199 > 9"); !ok {
-		t.Fatal("most recent shape template was evicted before older ones")
-	}
-}
-
-// TestShapeBytesDoNotWedgePlans is a regression test: shape-template
-// bytes used to be charged against the plan budget but were never
-// evictable, so enough distinct shapes permanently evicted every plan.
-// Shapes now have their own bound and the plan tier must stay usable.
-func TestShapeBytesDoNotWedgePlans(t *testing.T) {
-	ident := newFakeIdent(7, 1)
-	c := New(2*1024, ident.fn) // tiny plan budget, default shape budget
-	var last string
-	for i := 0; i < 100; i++ {
-		last = fmt.Sprintf("SELECT COUNT(*) FROM t WHERE col%d > 5", i)
-		admit(t, c, "", last, 7, 1, false)
-	}
-	if c.Lookup("", last) == nil {
-		t.Fatal("plan tier wedged: most recently admitted plan not resident")
-	}
-	if s := c.Stats(); s.Bytes > c.budget {
-		t.Fatalf("plan bytes %d exceed budget %d", s.Bytes, c.budget)
-	}
-}
-
-// TestInvalidateTableDropsShapes: a table's shape templates die with
-// its plans, so a dropped table stops binding immediately while other
-// tables' templates stay.
-func TestInvalidateTableDropsShapes(t *testing.T) {
-	ident := newFakeIdent(7, 1)
-	c := New(0, ident.fn)
-	admit(t, c, "", "SELECT COUNT(*) FROM t WHERE x > 5", 7, 1, false)
-	admit(t, c, "", "SELECT COUNT(*) FROM u WHERE x > 5", 7, 1, false)
-	c.InvalidateTable("t")
-	if _, ok := c.BindShape("", "SELECT COUNT(*) FROM t WHERE x > 9"); ok {
-		t.Fatal("invalidated table's shape template still binds")
-	}
-	if _, ok := c.BindShape("", "SELECT COUNT(*) FROM u WHERE x > 9"); !ok {
-		t.Fatal("unrelated table's shape template dropped")
-	}
-}
-
 // TestContainsDoesNotCount pins the CheckSQL probe's contract: it
 // reports residency without skewing stats or the LRU clock (the server
 // probes before every execution, so counting would double every hit
@@ -251,14 +204,14 @@ func TestContainsDoesNotCount(t *testing.T) {
 	if c.Contains(sql) {
 		t.Fatal("contains before admit")
 	}
-	admit(t, c, "", sql, 7, 1, false)
+	admit(t, c, "", sql, 7, 1)
 	clock := c.clock.Load()
 	for i := 0; i < 10; i++ {
 		if !c.Contains(sql) {
 			t.Fatal("admitted statement not contained")
 		}
 	}
-	if got := c.StatsFor(""); got.Hits != 0 || got.Misses != 1 {
+	if got := c.StatsByTenant()[""]; got.Hits != 0 || got.Misses != 1 {
 		t.Fatalf("Contains counted: %+v", got)
 	}
 	if c.clock.Load() != clock {
@@ -268,19 +221,19 @@ func TestContainsDoesNotCount(t *testing.T) {
 	if c.Contains(sql) {
 		t.Fatal("stale entry reported as contained")
 	}
-	if got := c.StatsFor(""); got.Invalidations != 0 {
+	if got := c.StatsByTenant()[""]; got.Invalidations != 0 {
 		t.Fatalf("Contains counted an invalidation: %+v", got)
 	}
 }
 
 // TestLookupZeroAlloc is the package-local half of the allocation gate
 // (the end-to-end gate lives in bench_parse_test.go at the repo root):
-// a warm alias-tier lookup must not allocate.
+// a warm lookup must not allocate.
 func TestLookupZeroAlloc(t *testing.T) {
 	ident := newFakeIdent(7, 1)
 	c := New(0, ident.fn)
 	sql := "SELECT COUNT(*) FROM t WHERE x > 5 AND y < 3"
-	admit(t, c, "", sql, 7, 1, false)
+	admit(t, c, "", sql, 7, 1)
 	c.Lookup("", sql) // warm the tenant counter block
 	allocs := testing.AllocsPerRun(1000, func() {
 		if c.Lookup("", sql) == nil {

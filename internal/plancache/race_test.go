@@ -2,6 +2,7 @@ package plancache
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -9,10 +10,10 @@ import (
 )
 
 // TestConcurrentHitEvictVersionBump hammers one cache from three sides
-// at once (run under -race in CI): readers looking up and shape-binding
-// hot statements, writers admitting fresh plans under a budget tight
-// enough to force eviction, and a version bumper invalidating the hot
-// table. Every returned plan must carry a self-consistent identity.
+// at once (run under -race in CI): readers looking up and probing a hot
+// statement, writers admitting fresh plans under a budget tight enough
+// to force eviction, and a version bumper staling the hot table. Every
+// returned plan must carry a self-consistent identity.
 func TestConcurrentHitEvictVersionBump(t *testing.T) {
 	ident := newFakeIdent(7, 1)
 	c := New(16*1024, ident.fn)
@@ -23,14 +24,18 @@ func TestConcurrentHitEvictVersionBump(t *testing.T) {
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 
-	// Version bumper: periodically advances the table version and
-	// eagerly invalidates, like DB.Load does.
+	// Version bumper: advances the table version like DB.Load does,
+	// once the readers have had time to find each version's plan, and
+	// sheds like the governor does under pressure.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for v := uint64(2); v < 40; v++ {
+			for before := c.Stats().Hits; c.Stats().Hits == before; {
+				runtime.Gosched()
+			}
 			ident.ver.Store(v)
-			c.InvalidateTable("t")
+			c.ShedPlans(planOverhead)
 		}
 		close(stop)
 	}()
@@ -50,25 +55,24 @@ func TestConcurrentHitEvictVersionBump(t *testing.T) {
 				default:
 				}
 				_, ver, _ := ident.fn("t")
-				c.Admit("", hot, st, 7, ver, false)
+				c.Admit("", hot, st, 7, ver)
 				churn := fmt.Sprintf("SELECT COUNT(*) FROM t WHERE x > %d AND y < %d", i, w)
 				cst, err := sqlparse.Parse(churn)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				c.Admit("churn", churn, cst, 7, ver, false)
+				c.Admit("churn", churn, cst, 7, ver)
 				i++
 			}
 		}(w)
 	}
 
-	// Readers: alias lookups and shape bindings against the churn.
+	// Readers: lookups and counting-free probes against the churn.
 	for r := 0; r < 4; r++ {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			i := 0
 			for {
 				select {
 				case <-stop:
@@ -88,13 +92,6 @@ func TestConcurrentHitEvictVersionBump(t *testing.T) {
 						return
 					}
 				}
-				if bst, ok := c.BindShape("reader", fmt.Sprintf("SELECT COUNT(*) FROM t WHERE x > %d AND y < %d", i+1000, r)); ok {
-					if bst.Query.Table != "t" {
-						t.Errorf("reader %d: shape binding wrong table %q", r, bst.Query.Table)
-						return
-					}
-				}
-				i++
 			}
 		}(r)
 	}
@@ -108,10 +105,7 @@ func TestConcurrentHitEvictVersionBump(t *testing.T) {
 	if s.Bytes < 0 {
 		t.Fatalf("negative byte accounting: %+v", s)
 	}
-	if s.ShapeBytes > s.ShapeBudget {
-		t.Fatalf("shape budget overrun after churn: %+v", s)
-	}
-	if s.ShapeBytes < 0 {
-		t.Fatalf("negative shape byte accounting: %+v", s)
+	if s.Invalidations == 0 {
+		t.Fatalf("version bumps never invalidated a plan: %+v", s)
 	}
 }

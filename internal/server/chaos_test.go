@@ -252,7 +252,7 @@ func TestChaos(t *testing.T) {
 
 	// Every admission slot came back, and the stats are coherent with
 	// the plan's own counters.
-	adm := srv.Admission().Stats()
+	adm := srv.adm.Stats()
 	if adm.InFlight != 0 || adm.Queued != 0 {
 		t.Fatalf("admission not drained after chaos: %+v", adm)
 	}

@@ -68,7 +68,7 @@ func TestPanicReleasesAdmissionSlot(t *testing.T) {
 	if status != http.StatusInternalServerError || bad.Error.Code != "internal_panic" {
 		t.Fatalf("panicking query: status %d code %q, want 500 internal_panic", status, bad.Error.Code)
 	}
-	if got := srv.Admission().Stats().InFlight; got != 0 {
+	if got := srv.adm.Stats().InFlight; got != 0 {
 		t.Fatalf("in-flight = %d after handler panic, want 0 (slot leaked)", got)
 	}
 
@@ -78,7 +78,7 @@ func TestPanicReleasesAdmissionSlot(t *testing.T) {
 	if status != http.StatusOK || ok.Exact == nil {
 		t.Fatalf("query after panic: status %d, want 200", status)
 	}
-	if got := srv.Admission().Stats().InFlight; got != 0 {
+	if got := srv.adm.Stats().InFlight; got != 0 {
 		t.Fatalf("in-flight = %d after recovery query, want 0", got)
 	}
 

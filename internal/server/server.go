@@ -1,7 +1,10 @@
 // Package server exposes a sciborq.DB over HTTP/JSON as a long-running
 // multi-tenant query service.
 //
-// Three layers sit between the socket and the engine:
+// Every query, whichever transport carried it, takes one path: Serve.
+// The HTTP handler here and the binary listener in internal/wire only
+// decode a request, call Serve, and render what it hands back. Three
+// layers sit on that path between the socket and the engine:
 //
 //   - An Admission queue caps concurrent query execution (FIFO, bounded
 //     wait queue, immediate 429 beyond that) and measures what it does:
@@ -21,7 +24,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -30,15 +32,12 @@ import (
 	"net/http"
 	"runtime/debug"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"sciborq"
-	"sciborq/internal/engine"
 	"sciborq/internal/faultinject"
-	"sciborq/internal/governor"
 	"sciborq/internal/plancache"
 	"sciborq/internal/recycler"
 )
@@ -114,13 +113,6 @@ func (s *Server) notePanic(p any, stack []byte) {
 // records it for /stats.
 func (s *Server) RecordHandlerPanic(p any, stack []byte) {
 	s.handlerPanics.Add(1)
-	s.notePanic(p, stack)
-}
-
-// RecordQueryPanic counts an engine-side panic already converted to a
-// per-query error by the morsel guard and records it for /stats.
-func (s *Server) RecordQueryPanic(p any, stack []byte) {
-	s.queryPanics.Add(1)
 	s.notePanic(p, stack)
 }
 
@@ -208,45 +200,9 @@ func (s *Server) recoverWrap(next http.Handler) http.Handler {
 // listener.
 func (s *Server) Drain() { s.adm.Drain() }
 
-// Admission exposes the server's admission queue (read-mostly: stats
-// and load probing).
-func (s *Server) Admission() *Admission { return s.adm }
-
 // SetWireStats registers a stats snapshot for the binary wire listener;
 // the returned value appears verbatim as the /stats "wire" section.
 func (s *Server) SetWireStats(fn func() any) { s.wireStats.Store(&fn) }
-
-// GateMemory is the transport-independent memory-pressure gate shared
-// by the HTTP handler and the wire listener. The per-request check is
-// one atomic level read; every govCheckEvery-th request runs a full
-// usage recomputation (which sheds). It reports whether the request
-// must be refused (only at Critical — caches already shed, bounded
-// queries already degraded) and the Retry-After hint to attach.
-func (s *Server) GateMemory() (retryAfter time.Duration, refuse bool) {
-	gov := s.db.Governor()
-	if gov == nil {
-		return 0, false
-	}
-	if s.reqCount.Add(1)%govCheckEvery == 0 {
-		gov.CheckNow()
-	}
-	if gov.Level() == governor.Critical {
-		return s.adm.RetryAfter(), true
-	}
-	return 0, false
-}
-
-// CheckSQL validates a statement through the DB's plan-cache-backed
-// front end — the shared pre-admission check both transports run before
-// spending an admission slot on a malformed statement.
-func (s *Server) CheckSQL(sql string) error { return s.db.CheckSQL(sql) }
-
-// NoteOutcome folds one query outcome into the tenant's counters; the
-// wire listener calls it so /stats tenant accounting spans both
-// transports.
-func (s *Server) NoteOutcome(tenant string, res *sciborq.Result, err error, elapsed time.Duration) {
-	s.note(tenant, res, err, elapsed)
-}
 
 // queryRequest is the POST /query body.
 type queryRequest struct {
@@ -383,36 +339,24 @@ func toRecyclerJSON(st recycler.Stats) recyclerJSON {
 // the "total" entry; per-tenant entries carry the counters.
 type plancacheJSON struct {
 	Hits          int64   `json:"hits"`
-	CanonHits     int64   `json:"canon_hits"`
-	ShapeHits     int64   `json:"shape_hits"`
 	Misses        int64   `json:"misses"`
 	Invalidations int64   `json:"invalidations"`
 	Evictions     int64   `json:"evictions,omitempty"`
 	Entries       int     `json:"entries,omitempty"`
 	Bytes         int64   `json:"bytes,omitempty"`
 	Budget        int64   `json:"budget,omitempty"`
-	ShapeEntries  int     `json:"shape_entries,omitempty"`
-	ShapeBytes    int64   `json:"shape_bytes,omitempty"`
-	ShapeBudget   int64   `json:"shape_budget,omitempty"`
-	ShapeEvicts   int64   `json:"shape_evictions,omitempty"`
 	HitRate       float64 `json:"hit_rate"`
 }
 
 func toPlancacheJSON(st plancache.Stats) plancacheJSON {
 	return plancacheJSON{
 		Hits:          st.Hits,
-		CanonHits:     st.CanonHits,
-		ShapeHits:     st.ShapeHits,
 		Misses:        st.Misses,
 		Invalidations: st.Invalidations,
 		Evictions:     st.Evictions,
 		Entries:       st.Entries,
 		Bytes:         st.Bytes,
 		Budget:        st.Budget,
-		ShapeEntries:  st.ShapeEntries,
-		ShapeBytes:    st.ShapeBytes,
-		ShapeBudget:   st.ShapeBudget,
-		ShapeEvicts:   st.ShapeEvictions,
 		HitRate:       st.HitRate(),
 	}
 }
@@ -429,16 +373,30 @@ func writeError(w http.ResponseWriter, status int, code, msg string) {
 	writeJSON(w, status, errorResponse{Error: errorBody{Code: code, Message: msg}})
 }
 
-// writeErrorRetry is writeError with a Retry-After header — every 429
-// and load-shedding 503 carries one, derived from the admission queue's
-// observed wait EWMA so the hint tracks real queue behaviour.
-func writeErrorRetry(w http.ResponseWriter, status int, code, msg string, retryAfter time.Duration) {
-	secs := int64((retryAfter + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
+// httpStatus maps every Failure code Serve returns to its HTTP status.
+var httpStatus = map[string]int{
+	"bad_request":     http.StatusBadRequest,
+	"parse_error":     http.StatusBadRequest,
+	"memory_pressure": http.StatusServiceUnavailable,
+	"overloaded":      http.StatusTooManyRequests,
+	"draining":        http.StatusServiceUnavailable,
+	"canceled":        http.StatusServiceUnavailable, // cosmetic: the client is gone
+	"injected_fault":  http.StatusInternalServerError,
+	"query_panic":     http.StatusInternalServerError,
+	"timeout":         http.StatusGatewayTimeout,
+	"exec_error":      http.StatusUnprocessableEntity,
+}
+
+// writeFailure renders a Serve failure. Every load-dependent refusal
+// (429 and the shedding 503s) carries a Retry-After header derived from
+// the admission queue's observed wait EWMA, so the hint tracks real
+// queue behaviour.
+func writeFailure(w http.ResponseWriter, f *Failure) {
+	if f.RetryAfter > 0 {
+		secs := int64((f.RetryAfter + time.Second - 1) / time.Second)
+		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
 	}
-	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-	writeError(w, status, code, msg)
+	writeError(w, httpStatus[f.Code], f.Code, f.Msg)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -534,83 +492,17 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			"request body must be exactly one JSON document")
 		return
 	}
-	if strings.TrimSpace(req.SQL) == "" {
-		writeError(w, http.StatusBadRequest, "bad_request", `missing "sql" field`)
-		return
+	fail := s.Serve(r.Context(), Request{Tenant: req.Tenant, SQL: req.SQL, MaxTime: s.maxTime},
+		func(res *sciborq.Result, elapsed, queued time.Duration) {
+			writeJSON(w, http.StatusOK, s.render(&req, res, elapsed, queued))
+		})
+	if fail != nil {
+		writeFailure(w, fail)
 	}
-	// Reject malformed SQL before spending an admission slot on it.
-	// CheckSQL consults the plan cache first, so the hot serving path
-	// (a cached statement spelling) validates without parsing at all.
-	if err := s.db.CheckSQL(req.SQL); err != nil {
-		writeError(w, http.StatusBadRequest, "parse_error", err.Error())
-		return
-	}
+}
 
-	// Memory-pressure gate, shared with the wire listener: quality
-	// degrades (caches shed, bounded picks shrink) before availability
-	// does, and only Critical refuses work.
-	if retry, refuse := s.GateMemory(); refuse {
-		writeErrorRetry(w, http.StatusServiceUnavailable, "memory_pressure",
-			"server is under memory pressure; retry shortly", retry)
-		return
-	}
-
-	release, queued, err := s.adm.Acquire(r.Context())
-	if err != nil {
-		switch {
-		case errors.Is(err, ErrOverloaded):
-			writeErrorRetry(w, http.StatusTooManyRequests, "overloaded", err.Error(), s.adm.RetryAfter())
-		case errors.Is(err, ErrDraining):
-			writeErrorRetry(w, http.StatusServiceUnavailable, "draining", err.Error(), s.adm.RetryAfter())
-		default:
-			// The client gave up while queued (or an injected admission
-			// fault); the status is cosmetic.
-			writeErrorRetry(w, http.StatusServiceUnavailable, "canceled", err.Error(), s.adm.RetryAfter())
-		}
-		return
-	}
-	defer release()
-
-	// The query fault point fires with the slot held and its release
-	// deferred: an injected panic here unwinds through release into the
-	// recover middleware — the exact path a real handler bug would take,
-	// and the regression proof that a panic cannot leak a slot.
-	if err := faultinject.Fire(faultinject.PointQuery); err != nil {
-		writeError(w, http.StatusInternalServerError, "injected_fault", err.Error())
-		return
-	}
-
-	ctx := r.Context()
-	if s.maxTime > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.maxTime)
-		defer cancel()
-	}
-
-	start := time.Now()
-	res, err := s.db.ExecTenant(ctx, req.Tenant, req.SQL)
-	elapsed := time.Since(start)
-	s.note(req.Tenant, res, err, elapsed)
-	if err != nil {
-		var pe *engine.PanicError
-		switch {
-		case errors.As(err, &pe):
-			// A morsel worker panicked; the engine's recover guard
-			// confined it to this query. 500 for this request alone —
-			// the daemon keeps serving.
-			s.RecordQueryPanic(pe.Value, pe.Stack)
-			writeError(w, http.StatusInternalServerError, "query_panic",
-				"a query worker panicked; the query was aborted")
-		case errors.Is(err, context.DeadlineExceeded):
-			writeError(w, http.StatusGatewayTimeout, "timeout", "query exceeded the server's max query time")
-		case errors.Is(err, context.Canceled):
-			writeError(w, http.StatusServiceUnavailable, "canceled", "query canceled by client")
-		default:
-			writeError(w, http.StatusUnprocessableEntity, "exec_error", err.Error())
-		}
-		return
-	}
-
+// render builds the POST /query success body for one result.
+func (s *Server) render(req *queryRequest, res *sciborq.Result, elapsed, queued time.Duration) queryResponse {
 	resp := queryResponse{
 		SQL:       req.SQL,
 		Tenant:    req.Tenant,
@@ -669,45 +561,5 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Exact = ex
 	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// note folds one query outcome into the tenant's counters. Context
-// outcomes are not server faults: a client that disconnected counts as
-// Canceled and a server-deadline hit as TimedOut, so the Errors rate in
-// /stats tracks real execution failures only.
-func (s *Server) note(tenant string, res *sciborq.Result, err error, elapsed time.Duration) {
-	if tenant == "" {
-		tenant = "default"
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	tc := s.tenants[tenant]
-	if tc == nil {
-		tc = &tenantCounters{}
-		s.tenants[tenant] = tc
-	}
-	tc.Queries++
-	if err != nil {
-		switch {
-		case errors.Is(err, context.Canceled):
-			tc.Canceled++
-		case errors.Is(err, context.DeadlineExceeded):
-			tc.TimedOut++
-		default:
-			tc.Errors++
-		}
-		return
-	}
-	ns := elapsed.Nanoseconds()
-	tc.TotalNs += ns
-	if ns > tc.MaxNs {
-		tc.MaxNs = ns
-	}
-	if res != nil && res.Bounded != nil {
-		tc.Bounded++
-		if res.Bounded.BoundMet {
-			tc.BoundMet++
-		}
-	}
+	return resp
 }

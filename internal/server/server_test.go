@@ -270,7 +270,7 @@ func TestServerDeadlineFreesPool(t *testing.T) {
 	if status != http.StatusGatewayTimeout || bad.Error.Code != "timeout" {
 		t.Fatalf("want 504 timeout, got %d %+v", status, bad)
 	}
-	waitFor(t, func() bool { return s.Admission().Stats().InFlight == 0 })
+	waitFor(t, func() bool { return s.adm.Stats().InFlight == 0 })
 }
 
 // TestServerClientCancelFreesPool: a client that disconnects mid-query
@@ -297,7 +297,7 @@ func TestServerClientCancelFreesPool(t *testing.T) {
 	<-done
 
 	// The slot must come back regardless of how far the query got.
-	waitFor(t, func() bool { return s.Admission().Stats().InFlight == 0 })
+	waitFor(t, func() bool { return s.adm.Stats().InFlight == 0 })
 	status, ok, _ := postQuery(t, ts.URL, "SELECT COUNT(*) AS n FROM PhotoObjAll", "")
 	if status != http.StatusOK || ok.Exact == nil {
 		t.Fatalf("server wedged after client cancel: %d %+v", status, ok)

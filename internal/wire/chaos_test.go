@@ -228,10 +228,14 @@ func TestChaosWire(t *testing.T) {
 		t.Error("no query succeeded under chaos — the faults should be sparse, not total")
 	}
 
-	adm := core.Admission().Stats()
-	if adm.InFlight != 0 || adm.Queued != 0 {
-		t.Fatalf("admission not drained after chaos: %+v", adm)
-	}
+	// A slot is released after the last response frame is written, so
+	// the final client may read its End frame a moment before the slot
+	// comes back.
+	eventually(t, "admission to drain after chaos", func() bool {
+		adm := readCoreStats(t, core).Admission
+		return adm.InFlight == 0 && adm.Queued == 0
+	})
+	adm := readCoreStats(t, core).Admission
 	if adm.Admitted == 0 {
 		t.Fatal("admission admitted nothing under chaos")
 	}

@@ -6,22 +6,22 @@ import (
 	"fmt"
 	"net"
 	"runtime/debug"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"sciborq"
 	"sciborq/internal/column"
-	"sciborq/internal/engine"
-	"sciborq/internal/faultinject"
 	"sciborq/internal/server"
 	"sciborq/internal/sqlparse"
 )
 
 // Config configures a wire listener. DB and Core are required: the
-// listener executes against DB and routes every shared serving concern
-// (admission, memory gate, tenant accounting, panic counters) through
-// Core so /stats and the resilience invariants span both transports.
+// listener validates Prepare frames against DB and sends every query
+// through Core.Serve — the one admission / memory gate / deadline /
+// tenant accounting pipeline the HTTP handler uses — so /stats and the
+// resilience invariants span both transports.
 type Config struct {
 	DB   *sciborq.DB
 	Core *server.Server
@@ -178,7 +178,9 @@ func (s *Server) Serve(ln net.Listener) error {
 // half of the SIGTERM drain. The caller drains the shared admission
 // queue first, so queued wire queries have already been answered with a
 // draining error frame by the time their connections go idle here. When
-// ctx expires, remaining connections are closed forcibly.
+// ctx expires, remaining connections are closed forcibly and their
+// running queries cancelled, so the wait that follows is bounded by one
+// morsel boundary, not by MaxQueryTime.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	s.closed = true
@@ -222,6 +224,7 @@ func (s *Server) closeAll() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for sess := range s.conns {
+		sess.cancel()
 		sess.conn.Close()
 	}
 }
@@ -247,7 +250,7 @@ func (c *countingConn) Write(p []byte) (int, error) {
 
 // prepared is one session-scoped prepared statement. Only the SQL text
 // and its parameter count live here: verbatim re-execution rides the
-// plan cache's alias tier (zero parse allocations once warm), and
+// plan cache (zero parse allocations once warm), and
 // literal-bound execution re-parses through ParseBound, which replays
 // the cached token walk rather than a cached AST.
 type prepared struct {
@@ -257,7 +260,13 @@ type prepared struct {
 
 // session is one wire connection's state.
 type session struct {
-	s       *Server
+	s *Server
+	// ctx is the context every query of this session executes under;
+	// cancel fires when the session exits and when a forced Shutdown
+	// closes it, so a running scan stops at its next morsel boundary and
+	// gives its admission slot back.
+	ctx     context.Context
+	cancel  context.CancelFunc
 	conn    net.Conn
 	cc      *countingConn
 	r       *frameReader
@@ -288,14 +297,19 @@ type frameWriter struct {
 
 func (s *Server) newSession(c net.Conn) *session {
 	cc := &countingConn{Conn: c, s: s}
+	// Serve(ln) is handed no context to derive from: the session is the
+	// root of its queries' cancellation.
+	ctx, cancel := context.WithCancel(context.TODO())
 	return &session{
-		s:     s,
-		conn:  c,
-		cc:    cc,
-		r:     &frameReader{c: cc},
-		w:     &frameWriter{c: cc},
-		id:    s.sessionSeq.Add(1),
-		stmts: make(map[uint32]*prepared),
+		s:      s,
+		ctx:    ctx,
+		cancel: cancel,
+		conn:   c,
+		cc:     cc,
+		r:      &frameReader{c: cc},
+		w:      &frameWriter{c: cc},
+		id:     s.sessionSeq.Add(1),
+		stmts:  make(map[uint32]*prepared),
 	}
 }
 
@@ -366,6 +380,7 @@ func (s *Server) serveConn(sess *session) {
 			s.panics.Add(1)
 			s.cfg.Core.RecordHandlerPanic(p, debug.Stack())
 		}
+		sess.cancel()
 		sess.conn.Close()
 		s.stmtsOpen.Add(-int64(len(sess.stmts)))
 		s.mu.Lock()
@@ -484,14 +499,6 @@ func (sess *session) handleQuery(payload []byte) bool {
 		return true
 	}
 	sess.s.queries.Add(1)
-	if sql == "" {
-		return sess.writeError("bad_request", "empty SQL", 0) != nil
-	}
-	// Reject malformed SQL before spending an admission slot, same as
-	// the HTTP path; CheckSQL consults the plan cache first.
-	if err := sess.s.cfg.Core.CheckSQL(sql); err != nil {
-		return sess.writeError("parse_error", err.Error(), 0) != nil
-	}
 	return sess.runQuery(sql, nil)
 }
 
@@ -503,14 +510,14 @@ func (sess *session) handlePrepare(payload []byte) bool {
 		return true
 	}
 	sess.s.prepares.Add(1)
-	if sql == "" {
-		return sess.writeError("bad_request", "empty SQL", 0) != nil
+	if strings.TrimSpace(sql) == "" {
+		return sess.writeError("bad_request", "empty SQL statement", 0) != nil
 	}
 	if len(sess.stmts) >= maxStmts {
 		return sess.writeError("bad_request",
 			fmt.Sprintf("session holds %d prepared statements; close some first", maxStmts), 0) != nil
 	}
-	if err := sess.s.cfg.Core.CheckSQL(sql); err != nil {
+	if err := sess.s.cfg.DB.CheckSQL(sql); err != nil {
 		return sess.writeError("parse_error", err.Error(), 0) != nil
 	}
 	// The parameter count is the statement's parameterisable-literal
@@ -552,8 +559,8 @@ func (sess *session) handleExecute(payload []byte) bool {
 	}
 	if nlits == 0 {
 		// Verbatim re-execution: the statement's own spelling goes back
-		// through ExecTenant, so a warm session hits the plan cache's
-		// alias tier — zero parse allocations per execution.
+		// through ExecTenant, so a warm session hits the plan cache —
+		// zero parse allocations per execution.
 		return sess.runQuery(st.sql, nil)
 	}
 	if nlits != st.nparams {
@@ -584,76 +591,22 @@ func (sess *session) handleCloseStmt(payload []byte) bool {
 	return false
 }
 
-// runQuery executes one statement through the shared serving pipeline —
-// memory gate, admission queue, fault point, deadline, tenant
-// accounting — and streams the result. st non-nil means a
-// literal-rebound prepared statement, which must bypass the plan cache
-// (ExecStatementTenant) so the rebound AST is never admitted under the
-// representative SQL spelling.
-func (sess *session) runQuery(sql string, st *sqlparse.Statement) bool {
-	s := sess.s
-	core := s.cfg.Core
-	if retry, refuse := core.GateMemory(); refuse {
-		return sess.writeError("memory_pressure",
-			"server is under memory pressure; retry shortly", retry) != nil
+// runQuery sends one statement through the shared serving pipeline
+// (server.Serve) under the session's context and renders the outcome:
+// the streamed result, or one Error frame. st non-nil means a
+// literal-rebound prepared statement, which Serve executes past the
+// plan cache.
+func (sess *session) runQuery(sql string, st *sqlparse.Statement) (fatal bool) {
+	var err error
+	fail := sess.s.cfg.Core.Serve(sess.ctx,
+		server.Request{Tenant: sess.tenant, SQL: sql, Stmt: st, MaxTime: sess.s.cfg.MaxQueryTime},
+		func(res *sciborq.Result, elapsed, queued time.Duration) {
+			err = sess.streamResult(res, elapsed, queued)
+		})
+	if fail != nil {
+		err = sess.writeError(fail.Code, fail.Msg, fail.RetryAfter)
 	}
-	adm := core.Admission()
-	// Unlike HTTP there is no request context to abandon the queue
-	// with: the client blocks on the reply. Drain still unblocks queued
-	// waiters with ErrDraining.
-	release, queued, err := adm.Acquire(context.Background())
-	if err != nil {
-		switch {
-		case errors.Is(err, server.ErrOverloaded):
-			return sess.writeError("overloaded", err.Error(), adm.RetryAfter()) != nil
-		case errors.Is(err, server.ErrDraining):
-			return sess.writeError("draining", err.Error(), adm.RetryAfter()) != nil
-		default:
-			return sess.writeError("canceled", err.Error(), adm.RetryAfter()) != nil
-		}
-	}
-	defer release()
-
-	// The fault point fires with the slot held and release deferred —
-	// an injected panic here must unwind without leaking the slot,
-	// exactly as on the HTTP path.
-	if err := faultinject.Fire(faultinject.PointQuery); err != nil {
-		return sess.writeError("injected_fault", err.Error(), 0) != nil
-	}
-
-	ctx := context.Background()
-	if s.cfg.MaxQueryTime > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.MaxQueryTime)
-		defer cancel()
-	}
-
-	start := time.Now()
-	var res *sciborq.Result
-	if st != nil {
-		res, err = s.cfg.DB.ExecStatementTenant(ctx, sess.tenant, st, sql)
-	} else {
-		res, err = s.cfg.DB.ExecTenant(ctx, sess.tenant, sql)
-	}
-	elapsed := time.Since(start)
-	core.NoteOutcome(sess.tenant, res, err, elapsed)
-	if err != nil {
-		var pe *engine.PanicError
-		switch {
-		case errors.As(err, &pe):
-			core.RecordQueryPanic(pe.Value, pe.Stack)
-			return sess.writeError("query_panic",
-				"a query worker panicked; the query was aborted", 0) != nil
-		case errors.Is(err, context.DeadlineExceeded):
-			return sess.writeError("timeout",
-				"query exceeded the server's max query time", 0) != nil
-		case errors.Is(err, context.Canceled):
-			return sess.writeError("canceled", "query canceled", 0) != nil
-		default:
-			return sess.writeError("exec_error", err.Error(), 0) != nil
-		}
-	}
-	return sess.streamResult(res, elapsed, queued) != nil
+	return err != nil
 }
 
 // streamResult writes the response frames for one successful query.

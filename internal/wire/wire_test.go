@@ -97,6 +97,33 @@ func startWire(t testing.TB, db *sciborq.DB, coreCfg server.Config, wireCfg Conf
 	return core, ws, ln.Addr().String()
 }
 
+// coreStats is the slice of the core's /stats the wire tests assert on:
+// the shared admission queue and the per-tenant outcome counters.
+type coreStats struct {
+	Admission server.AdmissionStats   `json:"admission"`
+	Tenants   map[string]tenantCounts `json:"tenants"`
+}
+
+type tenantCounts struct {
+	Queries  int64 `json:"queries"`
+	Errors   int64 `json:"errors"`
+	Canceled int64 `json:"canceled"`
+	TimedOut int64 `json:"timed_out"`
+}
+
+// readCoreStats reads the core's state the way an operator does: from
+// its /stats endpoint.
+func readCoreStats(t testing.TB, core *server.Server) coreStats {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	core.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
+	var st coreStats
+	if err := json.NewDecoder(rec.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 func dialT(t testing.TB, addr, tenant string) *Client {
 	t.Helper()
 	c, err := Dial(addr, tenant)
@@ -318,7 +345,7 @@ func TestWireOverloadAndStats(t *testing.T) {
 	if se.RetryAfter < 0 {
 		t.Fatalf("negative retry-after: %v", se.RetryAfter)
 	}
-	adm := core.Admission().Stats()
+	adm := readCoreStats(t, core).Admission
 	if adm.InFlight != 0 || adm.Queued != 0 {
 		t.Fatalf("admission occupancy leaked: %+v", adm)
 	}

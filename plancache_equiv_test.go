@@ -3,16 +3,19 @@ package sciborq
 import (
 	"fmt"
 	"testing"
+
+	"sciborq/internal/skyserver"
 )
 
 // Plan-cache equivalence audit: execution through the plan cache must
 // be bit-identical to the pre-cache path at every parallelism level.
 // Each parallelism level runs a cached and an uncached DB over the same
 // deterministic SkyServer load; every query runs twice on the cached DB
-// so the second pass exercises the alias-tier (zero-parse) path, plus
-// literal variants for the shape-binding path and commuted spellings
-// for the canonical-tier path. String() renders exact decimal
-// formatting, so equal strings mean equal floating-point bits.
+// so the second pass exercises the zero-parse hit path, plus literal
+// variants and a commuted spelling (each a miss admitted beside the
+// plan it resembles), and the whole grid again after a Load has bumped
+// the table version under every cached plan. String() renders exact
+// decimal formatting, so equal strings mean equal floating-point bits.
 
 func TestPlanCacheExecEquivalence(t *testing.T) {
 	queries := []string{
@@ -24,13 +27,13 @@ func TestPlanCacheExecEquivalence(t *testing.T) {
 		"SELECT objID, ra FROM PhotoObjAll WHERE ra BETWEEN 170 AND 171 ORDER BY ra LIMIT 25",
 		"SELECT COUNT(*) AS c FROM PhotoObjAll WHERE ra > 200 AND dec > 0",
 	}
-	// Literal variants of the cached shapes (shape-tier binding) and a
-	// commuted spelling (canonical-tier aliasing).
+	// Literal variants of cached statements and a commuted spelling.
 	variants := []string{
 		"SELECT COUNT(*), AVG(r) AS m, SUM(r) AS s FROM PhotoObjAll WHERE ra BETWEEN 140 AND 190",
 		"SELECT MIN(r) AS lo, MAX(r) AS hi FROM PhotoObjAll WHERE dec > 25",
 		"SELECT COUNT(*) AS c FROM PhotoObjAll WHERE dec > 0 AND ra > 200",
 	}
+	all := append(append([]string(nil), queries...), variants...)
 	for _, workers := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("parallelism=%d", workers), func(t *testing.T) {
 			cached := equivDB(t, workers)
@@ -54,7 +57,7 @@ func TestPlanCacheExecEquivalence(t *testing.T) {
 				if got := run(cached, sql); got != want { // cold: full parse + admit
 					t.Errorf("cold pass diverged on %q:\ncached:\n%s\nuncached:\n%s", sql, got, want)
 				}
-				if got := run(cached, sql); got != want { // warm: alias-tier hit
+				if got := run(cached, sql); got != want { // warm: cache hit
 					t.Errorf("warm pass diverged on %q:\ncached:\n%s\nuncached:\n%s", sql, got, want)
 				}
 			}
@@ -65,11 +68,35 @@ func TestPlanCacheExecEquivalence(t *testing.T) {
 				}
 			}
 			st := cached.PlanCacheStats()
-			if st.Hits == 0 {
-				t.Errorf("warm passes never hit the alias tier: %+v", st)
+			if st.Hits != int64(len(queries)) || st.Misses != int64(len(all)) {
+				t.Errorf("want one hit per warm pass and one miss per distinct spelling: %+v", st)
 			}
-			if st.ShapeHits+st.CanonHits == 0 {
-				t.Errorf("variants never hit shape/canonical tiers: %+v", st)
+
+			// A load bumps the table version: every cached plan is now
+			// stale and must be replanned, not replayed.
+			sky, err := skyserver.New(skyserver.DefaultConfig(0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			gen := sky.Generator(nil)
+			gen.NextBatch(40_000) // the batch equivDB already loaded
+			night := gen.NextBatch(8_000)
+			for _, db := range []*DB{cached, uncached} {
+				if err := db.Load("PhotoObjAll", night); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, sql := range all {
+				want := run(uncached, sql)
+				if got := run(cached, sql); got != want { // stale plan dropped, replanned
+					t.Errorf("post-load pass diverged on %q:\ncached:\n%s\nuncached:\n%s", sql, got, want)
+				}
+				if got := run(cached, sql); got != want { // hit on the new version's plan
+					t.Errorf("post-load warm pass diverged on %q:\ncached:\n%s\nuncached:\n%s", sql, got, want)
+				}
+			}
+			if st := cached.PlanCacheStats(); st.Invalidations != int64(len(all)) {
+				t.Errorf("want every pre-load plan invalidated once: %+v", st)
 			}
 		})
 	}

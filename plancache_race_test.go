@@ -8,9 +8,9 @@ import (
 
 // Plan-cache-under-ingest audit (run under -race in CI), the front-end
 // sibling of recycler_race_test.go: readers hammer one hot statement
-// (alias-tier hits) and a stream of literal variants (shape-tier
-// bindings) while Load batches bump the table version — eagerly
-// invalidating plans — and a tiny budget forces constant eviction.
+// (cache hits) and a stream of literal variants (misses admitted as new
+// plans) while Load batches bump the table version — staling every
+// plan — and a tiny budget forces constant eviction.
 // Every answer must still be a batch-atomic prefix count: a stale plan
 // whose prepared predicate leaks across versions would break it.
 func TestPlanCacheConcurrentExecWhileLoad(t *testing.T) {
@@ -62,13 +62,13 @@ func TestPlanCacheConcurrentExecWhileLoad(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 60; i++ {
-				// The hot repeated spelling (alias tier): 16 matches per
-				// batch ...
+				// The hot repeated spelling (a cache hit between loads): 16
+				// matches per batch ...
 				if !check(g, i, "SELECT COUNT(*) AS c FROM R WHERE v < 0.5", raceMatchPerLoad) {
 					return
 				}
-				// ... and a fresh literal variant every iteration: same
-				// shape, new bound — every batch row (all 64) matches
+				// ... and a fresh literal variant every iteration: a new
+				// spelling, so a miss — every batch row (all 64) matches
 				// v < thresh for any thresh > 0.75.
 				thresh := 0.9 + float64((g*60+i)%100)/1000
 				if !check(g, i, fmt.Sprintf("SELECT COUNT(*) AS c FROM R WHERE v < %g", thresh), raceBatchRows) {
@@ -80,15 +80,15 @@ func TestPlanCacheConcurrentExecWhileLoad(t *testing.T) {
 	wg.Wait()
 
 	st := db.PlanCacheStats()
-	if st.Hits+st.CanonHits+st.ShapeHits+st.Misses == 0 {
+	if st.Hits+st.Misses == 0 {
 		t.Fatalf("queries bypassed the plan cache entirely: %+v", st)
 	}
 	if st.Invalidations == 0 {
 		t.Fatalf("version bumps never invalidated a plan: %+v", st)
 	}
 
-	// After loads quiesce, the hot statement must hit the alias tier and
-	// land on the final count.
+	// After loads quiesce, the hot statement must hit the cache and land
+	// on the final count.
 	final := raceMatchPerLoad * (raceBatches + 1)
 	warm := db.PlanCacheStats()
 	for i := 0; i < 3; i++ {
@@ -105,6 +105,6 @@ func TestPlanCacheConcurrentExecWhileLoad(t *testing.T) {
 		}
 	}
 	if quiesced := db.PlanCacheStats(); quiesced.Hits <= warm.Hits {
-		t.Fatalf("post-quiesce repeats did not hit the alias tier: before %+v after %+v", warm, quiesced)
+		t.Fatalf("post-quiesce repeats did not hit the plan cache: before %+v after %+v", warm, quiesced)
 	}
 }

@@ -45,12 +45,13 @@
 //
 // # Serving and multi-tenancy
 //
-// ExecContext ties a query to a context: cancelling it (client
-// disconnect, deadline) aborts the running scan cooperatively at the
-// next morsel boundary and frees the worker pool. ExecTenant
-// additionally routes the query's selection caching to a per-tenant
-// recycler partition (WithTenantRecyclerBudget, WithMaxTenants), so
-// concurrent tenants cannot evict each other's warm working sets.
+// ExecTenant ties a query to a context and a tenant: cancelling the
+// context (client disconnect, deadline) aborts the running scan
+// cooperatively at the next morsel boundary and frees the worker pool,
+// and the tenant name routes the query's selection caching to a
+// per-tenant recycler partition (WithTenantRecyclerBudget,
+// WithMaxTenants), so concurrent tenants cannot evict each other's warm
+// working sets.
 // SetLoadProbe feeds live concurrency and queue wait into WITHIN TIME
 // pricing — under load the executor picks smaller layers so the time
 // promise still holds. internal/server + cmd/sciborqd package this as
@@ -189,10 +190,9 @@ func WithRecyclerBudget(bytes int64) Option {
 
 // WithPlanCacheBudget sets the byte budget of the statement/plan cache
 // — the front-end cache that lets a repeated statement spelling skip
-// parsing, canonicalisation, and predicate key encoding entirely, and
-// lets literal variants ("x > 5" vs "x > 7") share one cached shape.
-// Zero or negative disables the cache (every query runs the full
-// front end); the default is plancache.DefaultBudget (8 MiB).
+// parsing and predicate key encoding entirely. Zero or negative
+// disables the cache (every query runs the full front end); the
+// default is plancache.DefaultBudget (8 MiB).
 func WithPlanCacheBudget(bytes int64) Option {
 	return func(db *DB) { db.planBytes = bytes }
 }
@@ -206,11 +206,11 @@ func WithTenantRecyclerBudget(bytes int64) Option {
 	return func(db *DB) { db.tenantBytes = bytes }
 }
 
-// WithMemoryBudget places every cache tier — the plan cache's shape
-// templates, its plans, and the recycler's selections — under one
+// WithMemoryBudget places every cache tier — the plan cache, durable
+// tables' hot granules, and the recycler's selections — under one
 // global memory governor with the given total byte budget. When their
 // combined usage crosses the budget's high-water mark the governor
-// sheds tiers in fixed priority order (shapes first: cheapest to
+// sheds tiers in fixed priority order (plans first: one parse each to
 // rebuild; recycler selections last: each costs a scan), and bounded
 // queries degrade to smaller impression layers before the serving
 // layer refuses any work. Zero or negative (the default) disables the
@@ -294,12 +294,10 @@ func Open(opts ...Option) *DB {
 		db.recPool = pool
 	}
 	if db.govBytes > 0 {
-		// Registration order IS shed priority: shape templates first (a
-		// re-fingerprint to rebuild), then plans (one parse each), then
-		// recycler selections (a scan each — shed last).
+		// Registration order IS shed priority: plans first (one parse
+		// each to rebuild), recycler selections last (a scan each).
 		db.gov = governor.New(db.govBytes)
 		if db.plans != nil {
-			db.gov.Register("plancache.shapes", db.plans.ShapeUsage, db.plans.ShedShapes)
 			db.gov.Register("plancache.plans", db.plans.PlanUsage, db.plans.ShedPlans)
 		}
 		if db.granules != nil {
@@ -620,15 +618,9 @@ func (db *DB) Load(tableName string, rows []Row) error {
 		return fmt.Errorf("sciborq: no table %q", tableName)
 	}
 	err := l.LoadBatch(rows)
-	if db.plans != nil {
-		// The version bumped (even a failed batch may have rolled back
-		// through a truncation): every cached plan for this table is
-		// stale. Drop eagerly rather than letting each alias miss lazily.
-		db.plans.InvalidateTable(tableName)
-	}
 	if db.gov != nil {
-		// Loads are where memory moves fastest (cache invalidations, new
-		// selections soon after); recheck pressure here.
+		// Loads are where memory moves fastest (new granules now; replanned
+		// statements and new selections soon after); recheck pressure here.
 		db.gov.CheckNow()
 	}
 	return err
