@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test cover race bench bench-smoke bench-alloc chaos crash fuzz fmt vet ci server server-smoke
+.PHONY: all build test cover race bench bench-smoke bench-alloc chaos crash fuzz fmt vet ci server server-smoke loc
 
 all: build
 
@@ -99,3 +99,8 @@ vet:
 	$(GO) vet ./...
 
 ci: build vet fmt test race bench bench-smoke bench-alloc chaos crash fuzz
+
+# Non-test Go lines outside bench/ — the size ROADMAP tracks; each
+# simplicity PR reports it. Not part of ci.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l

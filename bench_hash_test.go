@@ -383,7 +383,7 @@ func BenchmarkHashJoinEngine(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := engine.HashJoinOpts(fact, dim, arm.col, "key", opts); err != nil {
+				if _, err := engine.HashJoin(fact, dim, arm.col, "key", opts); err != nil {
 					b.Fatal(err)
 				}
 			}

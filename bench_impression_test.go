@@ -18,19 +18,11 @@ import (
 // a 3-layer hierarchy, with the layer DIRTIED before every query (a
 // nightly batch landed since the last one; the common steady state).
 //
-//   - selection: the live path. The layer refreshes its sorted view by
-//     merging the reservoir's insertions/evictions (no sort, no copy)
-//     and the filtered AVG runs as a zone-map-pruned selection-vector
-//     scan over the base snapshot.
-//   - matref: the retired path, kept permanently for comparison on any
-//     machine. Every dirty query re-materialises the layer into a
-//     standalone table (Impression.Materialize) and scans the copy with
-//     no pruning — the cache-invalidation cliff this PR removes.
-//
-// The base is ra-clustered (as ingest-ordered sky scans are), so the
-// selection arm's zone maps skip the granules the BETWEEN predicate
-// cannot match in; the materialised copy has no zone coverage by
-// construction (wrapped columns carry no granule summaries).
+// The layer refreshes its sorted view by merging the reservoir's
+// insertions/evictions (no sort, no copy) and the filtered AVG runs as
+// a zone-map-pruned selection-vector scan over the base snapshot. The
+// base is ra-clustered (as ingest-ordered sky scans are), so zone maps
+// skip the granules the BETWEEN predicate cannot match in.
 
 const (
 	benchBaseRows  = 1 << 20
@@ -163,28 +155,6 @@ func BenchmarkBoundedQuery(b *testing.B) {
 				BaseRows: int64(snap.Len()),
 			}
 			ests, err := estimate.AggregateOnSelOpts(sl, q, 0.95, opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			checkBenchEstimate(b, ests)
-		}
-	})
-
-	b.Run("matref", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			bb.dirty(b)
-			b.StartTimer()
-			m, err := bb.layer.Materialize()
-			if err != nil {
-				b.Fatal(err)
-			}
-			l := estimate.Layer{
-				Name: bb.layer.Name(), Table: m.Table,
-				BaseRows: int64(bb.base.Len()),
-			}
-			ests, err := estimate.AggregateOnOpts(l, q, 0.95, opts)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -157,80 +157,37 @@ func (db *DB) execStatement(ctx context.Context, tenant string, st *sqlparse.Sta
 	opts := db.opts
 	opts.Ctx = ctx
 	start := time.Now()
-	bounds := st.Bounds
-	wantsBound := bounds.HasErrorBound() || bounds.HasTimeBound()
-	if wantsBound && len(st.Query.Aggs) > 0 && st.Query.GroupBy == "" {
-		ex, err := db.boundedExecutor(st.Query.Table, base)
+	q, rec := st.Query, db.recyclerFor(tenant)
+	var res *engine.Result
+	switch {
+	case (st.Bounds.HasErrorBound() || st.Bounds.HasTimeBound()) && len(q.Aggs) > 0 && q.GroupBy == "":
+		ex, err := db.boundedExecutor(q.Table, base)
 		if err != nil {
 			return nil, err
 		}
-		ans, err := ex.RunWith(ctx, st, db.recyclerFor(tenant))
+		ans, err := ex.Run(ctx, st, rec)
 		if err != nil {
 			return nil, err
 		}
 		return &Result{Bounded: ans, Elapsed: time.Since(start), SQL: sql}, nil
-	}
-	// Exact execution path; bounded non-aggregate queries degrade to a
-	// time-bounded LIMIT against the best-fitting layer.
-	if wantsBound && len(st.Query.Aggs) == 0 {
-		res, err := db.boundedProjection(base, st, opts)
+	case st.Bounds.HasTimeBound() && len(q.Aggs) == 0:
+		ex, err := db.boundedExecutor(q.Table, base)
 		if err != nil {
 			return nil, err
 		}
-		return &Result{Rows: res, Elapsed: time.Since(start), SQL: sql}, nil
-	}
-	res, err := db.runExact(base, st.Query, opts, db.recyclerFor(tenant), prep)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Rows: res, Elapsed: time.Since(start), SQL: sql}, nil
-}
-
-// runExact evaluates an unbounded query, serving the WHERE selection
-// through the tenant's recycler partition: a repeated predicate skips
-// its scan entirely, and a refined one (p AND q after p) filters only
-// the cached superset selection. The query then executes over the same
-// snapshot the selection describes via the prefiltered engine path,
-// whose morsel merge layout makes results bit-identical to an uncached
-// scan. WHERE-less queries and a disabled recycler take the plain path.
-// opts carries the per-query context. prep, when non-nil, is the plan
-// cache's pre-canonicalised predicate (FilterPrepared re-prepares
-// internally if a load raced past the plan's version).
-func (db *DB) runExact(base *table.Table, q engine.Query, opts engine.ExecOptions, rec *recycler.Recycler, prep *recycler.Prepared) (*engine.Result, error) {
-	if rec == nil || q.Where == nil {
-		return engine.RunOnOpts(base, q, opts)
-	}
-	snap := base.Snapshot()
-	if len(q.Aggs) > 0 {
-		// The fused aggregate path never materialises a selection, so
-		// routing through the recycler only pays off if the result can
-		// actually be cached. The post-pruning scanned-row count bounds
-		// the match count from above; when even that bound is
-		// inadmissible, stay on the fused path instead of building (and
-		// then rejecting) a huge selection every query. Projections
-		// materialise the selection either way, so they always route.
-		if upper := engine.EstimateScanRows(snap, q.Pred(), opts); !rec.Admissible(upper) {
-			return engine.RunOnOpts(snap, q, opts)
+		res, err = boundedProjection(ex, st, opts, rec, prep)
+		if err != nil {
+			return nil, err
+		}
+	default:
+		// Unbounded queries, grouped aggregates (no grouped estimator
+		// is wired yet) and WITHIN ERROR projections run exactly.
+		res, err = recycler.Exec(rec, base, q, opts, prep)
+		if err != nil {
+			return nil, err
 		}
 	}
-	var (
-		sel  vec.Sel
-		scan engine.ScanStats
-		err  error
-	)
-	if prep != nil {
-		sel, scan, err = rec.FilterPrepared(snap, prep, opts)
-	} else {
-		sel, scan, err = rec.Filter(snap, q.Where, opts)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if sel == nil {
-		// TRUE-equivalent predicate: nothing to reuse, scan normally.
-		return engine.RunOnOpts(snap, q, opts)
-	}
-	return engine.RunOnFilteredOpts(snap, sel, q, scan, opts)
+	return &Result{Rows: res, Elapsed: time.Since(start), SQL: sql}, nil
 }
 
 // boundedExecutor returns the cached bounded executor for a table; the
@@ -241,14 +198,9 @@ func (db *DB) boundedExecutor(name string, base *table.Table) (*bounded.Executor
 	if ex, ok := db.execs[name]; ok {
 		return ex, nil
 	}
-	ex, err := bounded.NewExecutorOpts(base, db.hiers[name], db.cost, db.opts)
+	ex, err := bounded.NewExecutor(base, db.hiers[name], db.cost, db.opts)
 	if err != nil {
 		return nil, err
-	}
-	if db.recPool != nil {
-		// Fallback partition for direct Run calls; ExecTenant overrides
-		// per query with the tenant's own partition.
-		ex.UseRecycler(db.recPool.Default())
 	}
 	if db.loadProbe != nil {
 		ex.SetLoadProbe(db.loadProbe)
@@ -260,23 +212,41 @@ func (db *DB) boundedExecutor(name string, base *table.Table) (*bounded.Executor
 	return ex, nil
 }
 
-// boundedProjection answers a projection query under a time bound by
-// running it against the largest impression layer that fits the budget —
-// the paper's replacement for LIMIT-N: "the equivalent query with a
-// LIMIT 100 clause will not return the first 100 results, but the 100
-// results satisfying the impression" (§3.2). The layer executes as a
-// selection-vector scan over a base snapshot (engine.RunOnSelOpts), so
-// only the rows that survive the predicate are ever copied — the
-// impression itself is never materialised.
-func (db *DB) boundedProjection(base *table.Table, st *sqlparse.Statement, opts engine.ExecOptions) (*engine.Result, error) {
-	h := db.Hierarchy(st.Query.Table)
-	if h != nil && st.Bounds.HasTimeBound() {
-		maxRows := db.cost.MaxRowsWithin(st.Bounds.MaxTime)
-		if im, ok := h.LargestWithin(maxRows); ok {
-			snap := base.Snapshot()
-			v := im.View().Clamp(snap.Len())
-			return engine.RunOnSelOpts(snap, v.Positions, st.Query, opts)
-		}
+// boundedProjection answers a projection under a time bound on the rung
+// the bounded executor's WITHIN TIME pick chooses for it — the paper's
+// replacement for LIMIT-N: "the equivalent query with a LIMIT 100
+// clause will not return the first 100 results, but the 100 results
+// satisfying the impression" (§3.2). An impression layer executes as a
+// selection-vector scan over the base snapshot (engine.FilterSel), so
+// only the returned rows are ever copied — the impression itself is
+// never materialised. When the budget affords the base table, the
+// projection is the exact one.
+func boundedProjection(ex *bounded.Executor, st *sqlparse.Statement, opts engine.ExecOptions, rec *recycler.Recycler, prep *recycler.Prepared) (*engine.Result, error) {
+	q := st.Query
+	snap, positions, exact := ex.TimeLayer(q, st.Bounds.MaxTime)
+	if exact {
+		return recycler.Exec(rec, snap, q, opts, prep)
 	}
-	return engine.RunOnOpts(base, st.Query, opts)
+	sel, scan, err := engine.FilterSel(snap, q.Pred(), positions, opts)
+	if err != nil {
+		return nil, err
+	}
+	if q.Limit > 0 && q.OrderBy == "" && len(sel) > q.Limit {
+		sel = systematicSample(sel, q.Limit)
+	}
+	return engine.RunOnFilteredOpts(snap, sel, q, scan, opts)
+}
+
+// systematicSample picks n evenly spaced rows of sel (which has more
+// than n entries), preserving order: a LIMIT without ORDER BY on an
+// impression returns N representative sampled tuples rather than the
+// storage-order prefix — not "the lucky N first" ones the paper
+// criticises (§3.2). Deterministic, so results stay identical at every
+// parallelism level.
+func systematicSample(sel vec.Sel, n int) vec.Sel {
+	out := make(vec.Sel, n)
+	for i := 0; i < n; i++ {
+		out[i] = sel[i*len(sel)/n]
+	}
+	return out
 }

@@ -22,7 +22,7 @@ import (
 // MaxRowsWithin is 0 (smallest-layer fallback regardless of the
 // learned per-row rate) and the generous budget fits the base table at
 // any plausible learned rate — so the grid is stable run to run even
-// though TimeBounded feeds latencies back into the cost model.
+// though WITHIN TIME feeds latencies back into the cost model.
 
 const (
 	gridObjects = 20_000

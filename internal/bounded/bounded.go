@@ -8,15 +8,17 @@
 //
 //   - Time-bounded execution uses a calibrated cost model to pick the
 //     largest layer whose predicted latency fits the user's budget, runs
-//     there, and reports both the promise and the measured latency. The
-//     LIMIT-N behaviour the paper criticises ("the lucky N first
-//     tuples") is available as a baseline for the ablation benchmarks.
+//     there, and reports both the promise and the measured latency.
+//     Time-bounded projections (the paper's replacement for LIMIT-N)
+//     pick their layer the same way (TimeLayer).
 //
 // Impression layers execute as selection-vector scans over one shared
 // base snapshot (estimate.AggregateOnSelOpts over impression.View):
 // escalation never materialises a layer, so a dirty sample costs a
 // view refresh — one merge pass over the reservoir's deltas — instead
-// of a table copy.
+// of a table copy. The exact base rung is the unbounded exact
+// execution itself (recycler.Exec), so a bounded exact answer is the
+// unbounded exact answer, bit for bit.
 //
 // # Bounded execution under concurrent load
 //
@@ -33,8 +35,8 @@
 // tracking the uncontended per-row cost rather than double-counting
 // contention.
 //
-// Per-query cancellation flows through RunWith's context into the
-// morsel executor: a cancelled query frees its scan workers within one
+// Per-query cancellation flows through Run's context into the morsel
+// executor: a cancelled query frees its scan workers within one
 // morsel boundary.
 package bounded
 
@@ -49,6 +51,7 @@ import (
 	"sciborq/internal/impression"
 	"sciborq/internal/recycler"
 	"sciborq/internal/sqlparse"
+	"sciborq/internal/stats"
 	"sciborq/internal/table"
 	"sciborq/internal/vec"
 )
@@ -63,10 +66,6 @@ type Executor struct {
 	base *table.Table
 	hier *impression.Hierarchy
 	opts engine.ExecOptions
-	// rec, when set, serves and caches the exact-base WHERE selection —
-	// the expensive rung of every escalation that falls through the
-	// sample layers (see UseRecycler).
-	rec *recycler.Recycler
 	// load, when set, reports live contention for WITHIN TIME pricing
 	// (see SetLoadProbe).
 	load func() LoadInfo
@@ -147,19 +146,13 @@ func (e *Executor) memoryProbe() func() float64 {
 // learningRate is the EWMA weight of a new latency observation.
 const learningRate = 0.3
 
-// NewExecutor builds a bounded executor with default (parallel)
-// execution options. hier may be nil, in which case every query runs on
-// base data (exact, but unbounded in time).
-func NewExecutor(base *table.Table, hier *impression.Hierarchy, cost engine.CostModel) (*Executor, error) {
-	return NewExecutorOpts(base, hier, cost, engine.DefaultExecOptions())
-}
-
-// NewExecutorOpts is NewExecutor with explicit execution options. The
-// supplied cost model must be calibrated for the same options (see
-// engine.CalibrateOpts) — a sequentially calibrated model under a
-// parallel executor would pessimistically pick impression layers that
-// are smaller than the time bound affords.
-func NewExecutorOpts(base *table.Table, hier *impression.Hierarchy, cost engine.CostModel, opts engine.ExecOptions) (*Executor, error) {
+// NewExecutor builds a bounded executor. hier may be nil, in which case
+// every query runs on base data (exact, but unbounded in time). The
+// cost model must be calibrated for opts (see engine.Calibrate) — a
+// sequentially calibrated model under a parallel executor would
+// pessimistically pick impression layers that are smaller than the time
+// bound affords.
+func NewExecutor(base *table.Table, hier *impression.Hierarchy, cost engine.CostModel, opts engine.ExecOptions) (*Executor, error) {
 	if base == nil {
 		return nil, fmt.Errorf("bounded: nil base table")
 	}
@@ -198,137 +191,118 @@ type Answer struct {
 	BoundMet bool
 }
 
-// target is one rung of the escalation ladder: an impression layer
-// evaluated as a selection-vector scan over the shared base snapshot,
-// or the exact base layer itself. Building targets never materialises
-// an impression — a layer whose sample changed since the last query
-// costs a view refresh (one merge pass), not a table copy.
-type target struct {
+// rung is one rung of the escalation ladder over the query's base
+// snapshot: an impression layer evaluated as a selection-vector scan
+// (layer set), or the exact base rung (layer nil). Building rungs never
+// materialises an impression — a layer whose sample changed since the
+// last query costs a view refresh (one merge pass), not a table copy.
+type rung struct {
 	name  string
 	rows  int // sample rows (the Trail / layer-pick metric)
-	exact bool
-	// run evaluates the query's aggregates on this target. evalRows
-	// reports how many rows the evaluation actually touched when that
-	// differs from the scanRows prediction (a recycler-served base rung
-	// touches 0 on a hit, |cached selection| on a refinement); -1 means
-	// "as predicted". The cost model must learn from evalRows, never
-	// the prediction — otherwise a cache-served latency charged against
-	// a full-scan row count drags ns/row toward zero and poisons every
-	// later time promise.
-	run func(q engine.Query, confidence float64) ([]estimate.Estimate, int, error)
-	// scanRows predicts the pruning-aware evaluated rows for the cost
-	// model: |impression| positions for selection targets (never
-	// |base|), zone-pruned base rows for the exact target.
-	scanRows func(q engine.Query) int
+	snap  *table.Table
+	layer *estimate.SelLayer
 }
 
-// targets returns the evaluation ladder smallest-first, ending with the
-// exact base layer. All targets share one base snapshot, so every rung
-// of an escalation describes the same row prefix even under concurrent
-// loads. opts carries the per-query context; rec (which may be nil)
-// serves the exact-base rung's WHERE selection.
-func (e *Executor) targets(opts engine.ExecOptions, rec *recycler.Recycler) []target {
+func (r rung) exact() bool { return r.layer == nil }
+
+// scanRows predicts the pruning-aware rows evaluating q on this rung
+// touches, for the cost model: |impression| positions for layers (never
+// |base|), zone-pruned base rows for the exact rung.
+func (r rung) scanRows(q engine.Query, opts engine.ExecOptions) int {
+	if r.exact() {
+		return engine.EstimateScanRows(r.snap, q.Pred(), opts)
+	}
+	return engine.EstimateSelScanRows(r.snap, q.Pred(), r.layer.Positions, opts)
+}
+
+// run evaluates q's aggregates on this rung. The exact rung runs
+// recycler.Exec — the same execution as an unbounded query, through
+// rec (nil = no cache) — and wraps its merged aggregate states as exact
+// estimates. scanned is the base rows the exact rung actually touched
+// (0 on a recycler hit, |cached selection| on a refinement); layer
+// rungs report -1, their scan being exactly the one scanRows priced.
+// The cost model must learn from scanned, never the prediction: a
+// cache-served latency charged against a full-scan row count drags
+// ns/row toward zero and poisons every later time promise.
+func (r rung) run(q engine.Query, confidence float64, opts engine.ExecOptions, rec *recycler.Recycler) (ests []estimate.Estimate, scanned int, err error) {
+	if !r.exact() {
+		ests, err := estimate.AggregateOnSelOpts(*r.layer, q, confidence, opts)
+		return ests, -1, err
+	}
+	res, err := recycler.Exec(rec, r.snap, q, opts, nil)
+	if err != nil {
+		return nil, 0, err
+	}
+	ests = make([]estimate.Estimate, len(res.States))
+	for i, st := range res.States {
+		ests[i] = estimate.Estimate{
+			Spec:       st.Spec,
+			Interval:   stats.Interval{Estimate: st.Value(), Level: confidence},
+			Exact:      true,
+			SampleRows: int(st.Moments.N()),
+		}
+	}
+	return ests, res.ScannedRows, nil
+}
+
+// rungs returns the evaluation ladder smallest-first, ending with the
+// exact base rung. All rungs share one base snapshot, so every rung of
+// an escalation describes the same row prefix even under concurrent
+// loads.
+func (e *Executor) rungs() []rung {
 	snap := e.base.Snapshot()
-	baseRows := int64(snap.Len())
-	var out []target
+	var out []rung
 	if e.hier != nil {
 		for _, im := range e.hier.Ascending() {
 			v := im.View().Clamp(snap.Len())
-			sl := estimate.SelLayer{
-				Name:      im.Name(),
-				Base:      snap,
-				Positions: v.Positions,
-				Weights:   v.Weights, CountWeights: v.Pis,
-				BaseRows: baseRows,
-			}
-			out = append(out, target{
-				name: sl.Name,
-				rows: len(sl.Positions),
-				run: func(q engine.Query, confidence float64) ([]estimate.Estimate, int, error) {
-					ests, err := estimate.AggregateOnSelOpts(sl, q, confidence, opts)
-					return ests, -1, err
-				},
-				scanRows: func(q engine.Query) int {
-					return engine.EstimateSelScanRows(snap, q.Pred(), sl.Positions, opts)
+			out = append(out, rung{
+				name: im.Name(), rows: len(v.Positions), snap: snap,
+				layer: &estimate.SelLayer{
+					Name: im.Name(), Base: snap, Positions: v.Positions,
+					Weights: v.Weights, CountWeights: v.Pis,
+					BaseRows: int64(snap.Len()),
 				},
 			})
 		}
 	}
-	return append(out, e.baseTarget(snap, opts, rec))
+	return append(out, e.baseRung(snap))
 }
 
-// UseRecycler routes the exact-base rung's WHERE evaluation through a
-// shared selection cache: an error-bounded escalation that exhausts the
-// sample layers — or a repeated MIN/MAX/STDDEV query, which always
-// needs exact base data — re-filters the base table every time without
-// it. The recycler keys by (table ID, version), so answers stay
-// batch-atomic under concurrent loads.
-func (e *Executor) UseRecycler(r *recycler.Recycler) { e.rec = r }
-
-// baseTarget builds the exact base rung alone — the whole ladder (and
+// baseRung builds the exact base rung alone — the whole ladder (and
 // every layer's view refresh) is not needed for unbounded queries.
-func (e *Executor) baseTarget(snap *table.Table, opts engine.ExecOptions, rec *recycler.Recycler) target {
-	base := estimate.Layer{
-		Name:     "base:" + e.base.Name(),
-		Table:    snap,
-		BaseRows: int64(snap.Len()),
-		Exact:    true,
-	}
-	return target{
-		name:  base.Name,
-		rows:  snap.Len(),
-		exact: true,
-		run: func(q engine.Query, confidence float64) ([]estimate.Estimate, int, error) {
-			if rec != nil && q.Where != nil {
-				sel, scan, err := rec.Filter(snap, q.Where, opts)
-				if err != nil {
-					return nil, 0, err
-				}
-				ests, err := estimate.AggregateOnFiltered(base, q, confidence, sel)
-				return ests, scan.ScannedRows, err
-			}
-			ests, err := estimate.AggregateOnOpts(base, q, confidence, opts)
-			return ests, -1, err
-		},
-		scanRows: func(q engine.Query) int {
-			return engine.EstimateScanRows(snap, q.Pred(), opts)
-		},
-	}
+func (e *Executor) baseRung(snap *table.Table) rung {
+	return rung{name: "base:" + e.base.Name(), rows: snap.Len(), snap: snap}
 }
 
-// Run executes a parsed statement under its bounds. Statements without
-// bounds run exactly on base data.
-func (e *Executor) Run(st *sqlparse.Statement) (*Answer, error) {
-	return e.RunWith(context.Background(), st, nil)
-}
-
-// RunWith is Run with a per-query context and an optional recycler
-// override. The context cancels the underlying morsel scans
-// cooperatively (workers free within one morsel boundary); rec, when
-// non-nil, replaces the executor's shared recycler for this query —
-// the hook a multi-tenant server uses to give every tenant its own
-// cache partition. A nil rec falls back to the UseRecycler default.
-func (e *Executor) RunWith(ctx context.Context, st *sqlparse.Statement, rec *recycler.Recycler) (*Answer, error) {
+// Run executes a parsed ungrouped aggregate statement under its bounds:
+// WITHIN TIME runs on the one rung the cost model picks, WITHIN ERROR
+// escalates, and a statement without bounds runs exactly on base data.
+// ctx cancels the underlying morsel scans cooperatively (workers free
+// within one morsel boundary); rec — a multi-tenant server passes the
+// tenant's partition, nil means no cache — serves the exact base rung's
+// WHERE selection.
+func (e *Executor) Run(ctx context.Context, st *sqlparse.Statement, rec *recycler.Recycler) (*Answer, error) {
+	q := st.Query
+	if len(q.Aggs) == 0 || q.GroupBy != "" {
+		return nil, fmt.Errorf("bounded: only ungrouped aggregate queries run bounded")
+	}
 	opts := e.opts
 	opts.Ctx = ctx
-	if rec == nil {
-		rec = e.rec
-	}
 	switch {
 	case st.Bounds.HasTimeBound():
-		return e.timeBounded(st.Query, st.Bounds.MaxTime, st.Bounds, opts, rec)
+		return e.timeBounded(q, st.Bounds, opts, rec)
 	case st.Bounds.HasErrorBound():
-		return e.errorBounded(st.Query, st.Bounds.MaxRelError, st.Bounds.Confidence, opts, rec)
+		return e.errorBounded(q, st.Bounds.MaxRelError, st.Bounds.Confidence, opts, rec)
 	default:
-		return e.exact(st.Query, opts, rec)
+		return e.exact(q, opts, rec)
 	}
 }
 
 // exact evaluates on base data only.
 func (e *Executor) exact(q engine.Query, opts engine.ExecOptions, rec *recycler.Recycler) (*Answer, error) {
 	start := time.Now()
-	base := e.baseTarget(e.base.Snapshot(), opts, rec)
-	ests, _, err := base.run(q, 0.95)
+	base := e.baseRung(e.base.Snapshot())
+	ests, _, err := base.run(q, 0.95, opts, rec)
 	if err != nil {
 		return nil, err
 	}
@@ -340,24 +314,17 @@ func (e *Executor) exact(q engine.Query, opts engine.ExecOptions, rec *recycler.
 	}, nil
 }
 
-// ErrorBounded escalates through the hierarchy until every aggregate's
+// errorBounded escalates through the hierarchy until every aggregate's
 // relative error is within eps at the given confidence level.
-func (e *Executor) ErrorBounded(q engine.Query, eps, confidence float64) (*Answer, error) {
-	return e.errorBounded(q, eps, confidence, e.opts, e.rec)
-}
-
 func (e *Executor) errorBounded(q engine.Query, eps, confidence float64, opts engine.ExecOptions, rec *recycler.Recycler) (*Answer, error) {
-	if eps <= 0 {
-		return nil, fmt.Errorf("bounded: relative error bound must be positive, got %g", eps)
-	}
 	if confidence <= 0 || confidence >= 1 {
 		confidence = 0.95
 	}
 	start := time.Now()
 	ans := &Answer{}
-	for _, l := range e.targets(opts, rec) {
+	for _, l := range e.rungs() {
 		ls := time.Now()
-		ests, _, err := l.run(q, confidence)
+		ests, _, err := l.run(q, confidence, opts, rec)
 		if err != nil {
 			return nil, err
 		}
@@ -376,103 +343,104 @@ func (e *Executor) errorBounded(q engine.Query, eps, confidence float64, opts en
 		if ok {
 			ans.Estimates = ests
 			ans.Layer = l.name
-			ans.Exact = l.exact
+			ans.Exact = l.exact()
 			ans.BoundMet = true
 			break
 		}
-	}
-	if !ans.BoundMet {
-		// The base layer is exact, so this cannot happen; kept for
-		// defensive completeness.
-		last := ans.Trail[len(ans.Trail)-1]
-		ans.Estimates, ans.Layer = last.Estimates, last.Layer
 	}
 	ans.Elapsed = time.Since(start)
 	return ans, nil
 }
 
-// TimeBounded picks the largest layer predicted to finish within budget
-// and evaluates there. When even the smallest layer is predicted to
-// exceed the budget, the smallest layer is used anyway (best effort) and
-// BoundMet reports the outcome against the wall clock.
+// pickWithin is the WITHIN TIME layer choice, shared by bounded
+// aggregates and bounded projections: the largest rung whose PRUNED scan
+// fits budget under the executor's learned cost model, or — when even
+// the smallest rung does not fit — the smallest rung (best effort). Layer
+// rungs price |impression| positions minus the granules zone maps prove
+// empty (the same pruning the selection scan applies), so picks see
+// sample-sized costs, never base-sized ones.
 //
-// With a load probe installed (SetLoadProbe), the pick prices live
+// With a load probe installed (SetLoadProbe) the model prices live
 // contention: the per-row rate inflates by the in-flight query count
 // and the observed queue wait joins the fixed overhead, so a promise
-// made under K saturating neighbours degrades to a smaller layer
-// instead of overshooting the budget.
-func (e *Executor) TimeBounded(q engine.Query, budget time.Duration, b sqlparse.Bounds) (*Answer, error) {
-	return e.timeBounded(q, budget, b, e.opts, e.rec)
-}
-
-func (e *Executor) timeBounded(q engine.Query, budget time.Duration, b sqlparse.Bounds, opts engine.ExecOptions, rec *recycler.Recycler) (*Answer, error) {
-	if budget <= 0 {
-		return nil, fmt.Errorf("bounded: time budget must be positive, got %v", budget)
-	}
-	layers := e.targets(opts, rec)
+// made under K saturating neighbours degrades to a smaller layer instead
+// of overshooting the budget. A memory probe (SetMemoryProbe) inflates
+// the per-row rate the same way. It returns the rows the pick priced,
+// the promised latency, and the combined inflation factor the EWMA
+// feedback must divide back out.
+func (e *Executor) pickWithin(q engine.Query, budget time.Duration, opts engine.ExecOptions) (pick rung, rows int, promised time.Duration, factor float64) {
+	layers := e.rungs()
 	model := e.CostModel()
-	factor := 1.0
+	factor = 1.0
 	if probe := e.loadProbe(); probe != nil {
 		model, factor = contentionModel(model, probe())
 	}
 	if probe := e.memoryProbe(); probe != nil {
-		// Memory pressure degrades exactly like contention: the per-row
-		// rate inflates, so the pick chooses a smaller layer, and the
-		// EWMA feedback divides the same factor back out so the learned
-		// model stays unpressured.
 		if d := probe(); d > 1 {
 			model.NsPerRow *= d
 			factor *= d
 		}
 	}
 	maxRows := model.MaxRowsWithin(budget)
-	// Pick the largest layer whose PRUNED scan fits the budget; fall
-	// back to the smallest. Selection targets price |impression|
-	// positions minus the granules zone maps prove empty (the same
-	// pruning the selection scan itself applies), so layer picking sees
-	// sample-sized costs, never base-sized ones.
-	pick := layers[0]
-	pickRows := 0
+	pick = layers[0]
 	for i, l := range layers {
-		rows := l.scanRows(q)
+		n := l.scanRows(q, opts)
 		if i == 0 {
-			pickRows = rows // smallest-layer fallback when nothing fits
+			rows = n // smallest-layer fallback when nothing fits
 		}
-		if rows <= maxRows && l.rows >= pick.rows {
-			pick, pickRows = l, rows
+		if n <= maxRows && l.rows >= pick.rows {
+			pick, rows = l, n
 		}
 	}
+	return pick, rows, model.Predict(rows), factor
+}
+
+// TimeLayer is where a WITHIN TIME projection of q runs: the base
+// snapshot every rung describes and, unless the exact base rung fits the
+// budget (exact), the sample positions of the impression layer
+// pickWithin chooses — the same pick a bounded aggregate gets.
+func (e *Executor) TimeLayer(q engine.Query, budget time.Duration) (snap *table.Table, positions vec.Sel, exact bool) {
+	pick, _, _, _ := e.pickWithin(q, budget, e.opts)
+	if pick.exact() {
+		return pick.snap, nil, true
+	}
+	return pick.snap, pick.layer.Positions, false
+}
+
+// timeBounded evaluates on the rung pickWithin chooses and reports the
+// outcome against the wall clock.
+func (e *Executor) timeBounded(q engine.Query, b sqlparse.Bounds, opts engine.ExecOptions, rec *recycler.Recycler) (*Answer, error) {
+	pick, pickRows, promised, factor := e.pickWithin(q, b.MaxTime, opts)
 	confidence := b.Confidence
 	if confidence == 0 {
 		confidence = 0.95
 	}
-	promised := model.Predict(pickRows)
 	start := time.Now()
-	ests, evalRows, err := pick.run(q, confidence)
+	ests, scanned, err := pick.run(q, confidence, opts, rec)
 	if err != nil {
 		return nil, err
 	}
 	elapsed := time.Since(start)
-	// Learn from what actually ran: a recycler-served base rung touched
-	// evalRows rows (0 on a hit — observe skips tiny inputs), not the
-	// predicted full scan. The observation deflates by the contention
-	// factor so the base model tracks the uncontended per-row rate —
-	// contention is re-applied per query at pick time, never baked into
-	// the EWMA twice.
-	if evalRows < 0 {
-		evalRows = pickRows
+	// Learn from what actually ran (0 rows on a recycler hit — observe
+	// skips tiny inputs). The observation deflates by the pick's factor
+	// so the base model tracks the uncontended, unpressured per-row rate
+	// — contention is re-applied per query at pick time, never baked
+	// into the EWMA twice.
+	if scanned < 0 {
+		scanned = pickRows
 	}
-	e.observe(evalRows, elapsed, factor)
+	e.observe(scanned, elapsed, factor)
+	met := elapsed <= b.MaxTime
 	ans := &Answer{
 		Estimates: ests,
 		Layer:     pick.name,
-		Exact:     pick.exact,
+		Exact:     pick.exact(),
 		Promised:  promised,
 		Elapsed:   elapsed,
-		BoundMet:  elapsed <= budget,
+		BoundMet:  met,
 		Trail: []LayerResult{{
 			Layer: pick.name, Rows: pick.rows, Estimates: ests,
-			Elapsed: elapsed, Satisfied: elapsed <= budget,
+			Elapsed: elapsed, Satisfied: met,
 		}},
 	}
 	// If an error bound was also requested, report whether it held.
@@ -515,29 +483,4 @@ func (e *Executor) observe(rows int, elapsed time.Duration, factor float64) {
 	}
 	observed := ns / (float64(rows) * factor)
 	e.cost.NsPerRow = (1-learningRate)*e.cost.NsPerRow + learningRate*observed
-}
-
-// LimitFirstN is the baseline the paper criticises (§3.2): cut the scan
-// after the first n matching tuples in storage order and aggregate only
-// those — "the lucky N first tuples". Used by the ablation benchmarks to
-// demonstrate why impressions answer LIMIT queries representatively.
-func LimitFirstN(base *table.Table, q engine.Query, n int) (*engine.Result, error) {
-	q.Limit = 0
-	base = base.Snapshot() // selection and aggregation must agree on length
-	sel, err := q.Pred().Filter(base, nil)
-	if err != nil {
-		return nil, err
-	}
-	if sel == nil {
-		if n < base.Len() {
-			sel = vec.NewSelAll(n)
-		}
-	} else if len(sel) > n {
-		sel = sel[:n]
-	}
-	states, err := engine.AggregateStates(base, sel, q.Aggs)
-	if err != nil {
-		return nil, err
-	}
-	return engine.ResultFromStates(q, states)
 }

@@ -1,6 +1,7 @@
 package bounded
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -52,11 +53,23 @@ func fixture(t *testing.T, n int) (*table.Table, *impression.Hierarchy, *Executo
 	if err := h.Refresh(); err != nil {
 		t.Fatal(err)
 	}
-	ex, err := NewExecutor(tb, h, engine.CostModel{NsPerRow: 10, FixedNs: 1000})
+	ex, err := NewExecutor(tb, h, engine.CostModel{NsPerRow: 10, FixedNs: 1000}, engine.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return tb, h, ex
+}
+
+// runErr runs q under WITHIN ERROR eps CONFIDENCE confidence, uncached.
+func runErr(ex *Executor, q engine.Query, eps, confidence float64) (*Answer, error) {
+	b := sqlparse.Bounds{MaxRelError: eps, Confidence: confidence}
+	return ex.Run(context.Background(), &sqlparse.Statement{Query: q, Bounds: b}, nil)
+}
+
+// runTime runs q under WITHIN TIME budget, uncached.
+func runTime(ex *Executor, q engine.Query, budget time.Duration) (*Answer, error) {
+	b := sqlparse.Bounds{MaxTime: budget}
+	return ex.Run(context.Background(), &sqlparse.Statement{Query: q, Bounds: b}, nil)
 }
 
 func avgQuery() engine.Query {
@@ -80,11 +93,11 @@ func exactAvg(t *testing.T, tb *table.Table) float64 {
 }
 
 func TestNewExecutorValidation(t *testing.T) {
-	if _, err := NewExecutor(nil, nil, engine.CostModel{}); err == nil {
+	if _, err := NewExecutor(nil, nil, engine.CostModel{}, engine.ExecOptions{}); err == nil {
 		t.Fatal("nil base accepted")
 	}
 	tb := table.MustNew("t", table.Schema{{Name: "x", Type: column.Float64}})
-	ex, err := NewExecutor(tb, nil, engine.CostModel{})
+	ex, err := NewExecutor(tb, nil, engine.CostModel{}, engine.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +108,7 @@ func TestNewExecutorValidation(t *testing.T) {
 
 func TestErrorBoundedLoosenedStopsEarly(t *testing.T) {
 	tb, _, ex := fixture(t, 50000)
-	ans, err := ex.ErrorBounded(avgQuery(), 0.05, 0.95)
+	ans, err := runErr(ex, avgQuery(), 0.05, 0.95)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +134,7 @@ func TestErrorBoundedEscalatesWithTighterBounds(t *testing.T) {
 	bounds := []float64{0.2, 0.05, 0.01, 0.001}
 	prevRows := 0
 	for _, eps := range bounds {
-		ans, err := ex.ErrorBounded(avgQuery(), eps, 0.95)
+		ans, err := runErr(ex, avgQuery(), eps, 0.95)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +155,7 @@ func TestErrorBoundedEscalatesWithTighterBounds(t *testing.T) {
 func TestErrorBoundedImpossibleBoundFallsToBase(t *testing.T) {
 	tb, _, ex := fixture(t, 20000)
 	// A bound of 1e-9 forces base data (exact).
-	ans, err := ex.ErrorBounded(avgQuery(), 1e-9, 0.99)
+	ans, err := runErr(ex, avgQuery(), 1e-9, 0.99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,13 +172,19 @@ func TestErrorBoundedImpossibleBoundFallsToBase(t *testing.T) {
 	}
 }
 
+// TestErrorBoundedValidation: a non-positive ε is no error bound — Run
+// answers exactly on the base rung instead of escalating toward a target
+// no layer can meet.
 func TestErrorBoundedValidation(t *testing.T) {
 	_, _, ex := fixture(t, 1000)
-	if _, err := ex.ErrorBounded(avgQuery(), 0, 0.95); err == nil {
-		t.Fatal("zero bound accepted")
-	}
-	if _, err := ex.ErrorBounded(avgQuery(), -0.1, 0.95); err == nil {
-		t.Fatal("negative bound accepted")
+	for _, eps := range []float64{0, -0.1} {
+		ans, err := runErr(ex, avgQuery(), eps, 0.95)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ans.Exact || len(ans.Trail) != 1 {
+			t.Fatalf("eps=%v: want one exact base rung, got layer %s after %d rungs", eps, ans.Layer, len(ans.Trail))
+		}
 	}
 }
 
@@ -176,7 +195,7 @@ func TestErrorBoundedMinEscalatesToBase(t *testing.T) {
 		Table: "PhotoObjAll",
 		Aggs:  []engine.AggSpec{{Func: engine.Min, Arg: expr.ColRef{Name: "x"}}},
 	}
-	ans, err := ex.ErrorBounded(q, 0.5, 0.95)
+	ans, err := runErr(ex, q, 0.5, 0.95)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +208,7 @@ func TestTimeBoundedPicksLayerWithinBudget(t *testing.T) {
 	_, _, ex := fixture(t, 50000)
 	// Cost model: 10ns/row + 1µs fixed. Budget 60µs → ~5900 rows →
 	// layer L0 (5000 rows) fits, base (50000) does not.
-	ans, err := ex.TimeBounded(avgQuery(), 60*time.Microsecond, sqlparse.Bounds{})
+	ans, err := runTime(ex, avgQuery(), 60*time.Microsecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +226,7 @@ func TestTimeBoundedPicksLayerWithinBudget(t *testing.T) {
 func TestTimeBoundedTinyBudgetBestEffort(t *testing.T) {
 	_, _, ex := fixture(t, 50000)
 	// 2µs budget fits nothing: best effort = smallest layer (50 rows).
-	ans, err := ex.TimeBounded(avgQuery(), 2*time.Microsecond, sqlparse.Bounds{})
+	ans, err := runTime(ex, avgQuery(), 2*time.Microsecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +237,7 @@ func TestTimeBoundedTinyBudgetBestEffort(t *testing.T) {
 
 func TestTimeBoundedHugeBudgetUsesBase(t *testing.T) {
 	_, _, ex := fixture(t, 20000)
-	ans, err := ex.TimeBounded(avgQuery(), time.Minute, sqlparse.Bounds{})
+	ans, err := runTime(ex, avgQuery(), time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,10 +249,16 @@ func TestTimeBoundedHugeBudgetUsesBase(t *testing.T) {
 	}
 }
 
+// TestTimeBoundedValidation: a zero budget is no time bound — Run
+// answers exactly and promises nothing.
 func TestTimeBoundedValidation(t *testing.T) {
 	_, _, ex := fixture(t, 1000)
-	if _, err := ex.TimeBounded(avgQuery(), 0, sqlparse.Bounds{}); err == nil {
-		t.Fatal("zero budget accepted")
+	ans, err := runTime(ex, avgQuery(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ans.Exact || ans.Promised != 0 {
+		t.Fatalf("zero budget: exact=%t promised=%v", ans.Exact, ans.Promised)
 	}
 }
 
@@ -243,7 +268,7 @@ func TestRunDispatch(t *testing.T) {
 
 	// No bounds: exact.
 	st := sqlparse.MustParse("SELECT AVG(x) AS a FROM PhotoObjAll")
-	ans, err := ex.Run(st)
+	ans, err := ex.Run(context.Background(), st, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +278,7 @@ func TestRunDispatch(t *testing.T) {
 
 	// Error bound.
 	st = sqlparse.MustParse("SELECT AVG(x) AS a FROM PhotoObjAll WITHIN ERROR 0.05")
-	ans, err = ex.Run(st)
+	ans, err = ex.Run(context.Background(), st, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,12 +288,22 @@ func TestRunDispatch(t *testing.T) {
 
 	// Time bound.
 	st = sqlparse.MustParse("SELECT AVG(x) AS a FROM PhotoObjAll WITHIN TIME 1m")
-	ans, err = ex.Run(st)
+	ans, err = ex.Run(context.Background(), st, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !ans.BoundMet {
 		t.Fatal("1-minute budget not met")
+	}
+
+	// Only ungrouped aggregates run bounded.
+	for _, sql := range []string{
+		"SELECT x FROM PhotoObjAll WITHIN TIME 1m",
+		"SELECT COUNT(*) FROM PhotoObjAll GROUP BY ra WITHIN ERROR 0.1",
+	} {
+		if _, err := ex.Run(context.Background(), sqlparse.MustParse(sql), nil); err == nil {
+			t.Errorf("%q accepted", sql)
+		}
 	}
 }
 
@@ -276,7 +311,7 @@ func TestRunWithConeAndBothBounds(t *testing.T) {
 	_, _, ex := fixture(t, 30000)
 	st := sqlparse.MustParse(
 		"SELECT COUNT(*) FROM PhotoObjAll WHERE ra BETWEEN 150 AND 210 WITHIN ERROR 0.2 WITHIN TIME 1m")
-	ans, err := ex.Run(st)
+	ans, err := ex.Run(context.Background(), st, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,18 +323,37 @@ func TestRunWithConeAndBothBounds(t *testing.T) {
 func TestExecutorWithoutHierarchy(t *testing.T) {
 	tb := table.MustNew("t", table.Schema{{Name: "x", Type: column.Float64}})
 	_ = tb.AppendBatch([]table.Row{{1.0}, {2.0}, {3.0}})
-	ex, err := NewExecutor(tb, nil, engine.DefaultCostModel())
+	ex, err := NewExecutor(tb, nil, engine.DefaultCostModel(), engine.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	q := engine.Query{Table: "t", Aggs: []engine.AggSpec{{Func: engine.Avg, Arg: expr.ColRef{Name: "x"}, Alias: "a"}}}
-	ans, err := ex.ErrorBounded(q, 0.01, 0.95)
+	ans, err := runErr(ex, q, 0.01, 0.95)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !ans.Exact || ans.Estimates[0].Value() != 2 {
 		t.Fatalf("hierless answer = %+v", ans.Estimates[0])
 	}
+}
+
+// LimitFirstN is the baseline the paper criticises (§3.2): cut the scan
+// after the first n matching tuples in storage order and aggregate only
+// those — "the lucky N first tuples".
+func LimitFirstN(base *table.Table, q engine.Query, n int) (*engine.Result, error) {
+	opts := engine.DefaultExecOptions()
+	base = base.Snapshot() // selection and aggregation must agree on length
+	sel, scan, err := engine.FilterStats(base, q.Pred(), opts)
+	if err != nil {
+		return nil, err
+	}
+	if sel == nil {
+		sel = vec.NewSelAll(base.Len())
+	}
+	if len(sel) > n {
+		sel = sel[:n]
+	}
+	return engine.RunOnFilteredOpts(base, sel, q, scan, opts)
 }
 
 func TestLimitFirstNIsUnrepresentative(t *testing.T) {

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"sciborq/internal/engine"
-	"sciborq/internal/sqlparse"
 )
 
 // TestContentionModelDeratesPricing: the derated model predicts higher
@@ -43,25 +42,25 @@ func TestTimeBoundedPicksSmallerLayerUnderLoad(t *testing.T) {
 	// A deterministic model (no wall-clock calibration flakiness): 100
 	// ns/row means a 2ms budget affords 20_000 rows — the 5_000-row L0
 	// layer fits idle.
-	ex, err := NewExecutor(tb, h, engine.CostModel{NsPerRow: 100, FixedNs: 0})
+	ex, err := NewExecutor(tb, h, engine.CostModel{NsPerRow: 100, FixedNs: 0}, engine.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	budget := 2 * time.Millisecond
 	q := avgQuery()
 
-	idle, err := ex.TimeBounded(q, budget, sqlparse.Bounds{})
+	idle, err := runTime(ex, q, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Learning may have nudged the model; rebuild for a clean contended
 	// pick with the same starting model.
-	ex2, err := NewExecutor(tb, h, engine.CostModel{NsPerRow: 100, FixedNs: 0})
+	ex2, err := NewExecutor(tb, h, engine.CostModel{NsPerRow: 100, FixedNs: 0}, engine.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ex2.SetLoadProbe(func() LoadInfo { return LoadInfo{InFlight: 16} })
-	loaded, err := ex2.TimeBounded(q, budget, sqlparse.Bounds{})
+	loaded, err := runTime(ex2, q, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,12 +71,12 @@ func TestTimeBoundedPicksSmallerLayerUnderLoad(t *testing.T) {
 
 	// A queue wait larger than the whole budget forces the smallest
 	// layer (best effort) — never a bigger one.
-	ex3, err := NewExecutor(tb, h, engine.CostModel{NsPerRow: 100, FixedNs: 0})
+	ex3, err := NewExecutor(tb, h, engine.CostModel{NsPerRow: 100, FixedNs: 0}, engine.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ex3.SetLoadProbe(func() LoadInfo { return LoadInfo{InFlight: 2, QueueWait: time.Second} })
-	swamped, err := ex3.TimeBounded(q, budget, sqlparse.Bounds{})
+	swamped, err := runTime(ex3, q, budget)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"sciborq/internal/engine"
-	"sciborq/internal/sqlparse"
 )
 
 func TestObserveMovesModelTowardObservation(t *testing.T) {
@@ -39,17 +38,17 @@ func TestTimeBoundedLearnsFromRepeatedRuns(t *testing.T) {
 	// executor initially picks base data for small budgets; after a few
 	// observed runs the learned rate rises by orders of magnitude.
 	tb, h, _ := fixture(t, 50000)
-	ex, err := NewExecutor(tb, h, engine.CostModel{NsPerRow: 0.01, FixedNs: 100})
+	ex, err := NewExecutor(tb, h, engine.CostModel{NsPerRow: 0.01, FixedNs: 100}, engine.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	q := avgQuery()
-	first, err := ex.TimeBounded(q, 200*time.Microsecond, sqlparse.Bounds{})
+	first, err := runTime(ex, q, 200*time.Microsecond)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if _, err := ex.TimeBounded(q, 200*time.Microsecond, sqlparse.Bounds{}); err != nil {
+		if _, err := runTime(ex, q, 200*time.Microsecond); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -57,7 +56,7 @@ func TestTimeBoundedLearnsFromRepeatedRuns(t *testing.T) {
 	if learned < 1 {
 		t.Fatalf("model stayed at %v ns/row after observing real runs", learned)
 	}
-	last, err := ex.TimeBounded(q, 200*time.Microsecond, sqlparse.Bounds{})
+	last, err := runTime(ex, q, 200*time.Microsecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,12 +72,12 @@ func TestLearningIsSharedAcrossQueries(t *testing.T) {
 	// The executor's model is per-executor, so two queries benefit from
 	// each other's observations.
 	tb, h, _ := fixture(t, 30000)
-	ex, err := NewExecutor(tb, h, engine.CostModel{NsPerRow: 0.01, FixedNs: 100})
+	ex, err := NewExecutor(tb, h, engine.CostModel{NsPerRow: 0.01, FixedNs: 100}, engine.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if _, err := ex.TimeBounded(avgQuery(), time.Millisecond, sqlparse.Bounds{}); err != nil {
+		if _, err := runTime(ex, avgQuery(), time.Millisecond); err != nil {
 			t.Fatal(err)
 		}
 	}

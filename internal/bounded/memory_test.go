@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"sciborq/internal/engine"
-	"sciborq/internal/sqlparse"
 )
 
 // TestTimeBoundedDegradesUnderMemoryPressure: with a memory probe
@@ -21,23 +20,23 @@ func TestTimeBoundedDegradesUnderMemoryPressure(t *testing.T) {
 	budget := 600 * time.Microsecond
 	q := avgQuery()
 
-	ex, err := NewExecutor(tb, h, model)
+	ex, err := NewExecutor(tb, h, model, engine.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	calm, err := ex.TimeBounded(q, budget, sqlparse.Bounds{})
+	calm, err := runTime(ex, q, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Fresh executor per pick: EWMA learning must not leak between the
 	// compared runs.
-	ex2, err := NewExecutor(tb, h, model)
+	ex2, err := NewExecutor(tb, h, model, engine.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ex2.SetMemoryProbe(func() float64 { return 4 }) // Critical
-	pressed, err := ex2.TimeBounded(q, budget, sqlparse.Bounds{})
+	pressed, err := runTime(ex2, q, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,12 +46,12 @@ func TestTimeBoundedDegradesUnderMemoryPressure(t *testing.T) {
 	}
 
 	// Factor 1 (Nominal) must be a no-op.
-	ex3, err := NewExecutor(tb, h, model)
+	ex3, err := NewExecutor(tb, h, model, engine.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ex3.SetMemoryProbe(func() float64 { return 1 })
-	nominal, err := ex3.TimeBounded(q, budget, sqlparse.Bounds{})
+	nominal, err := runTime(ex3, q, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,12 +67,12 @@ func TestTimeBoundedDegradesUnderMemoryPressure(t *testing.T) {
 func TestObserveDeflatesByMemoryFactor(t *testing.T) {
 	tb, h, _ := fixture(t, 50_000)
 	model := engine.CostModel{NsPerRow: 100, FixedNs: 0}
-	ex, err := NewExecutor(tb, h, model)
+	ex, err := NewExecutor(tb, h, model, engine.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ex.SetMemoryProbe(func() float64 { return 4 })
-	if _, err := ex.TimeBounded(avgQuery(), 2*time.Millisecond, sqlparse.Bounds{}); err != nil {
+	if _, err := runTime(ex, avgQuery(), 2*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	// The real scan runs far faster than 100 ns/row, so an observation

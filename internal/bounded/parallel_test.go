@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"sciborq/internal/engine"
-	"sciborq/internal/sqlparse"
 )
 
 // TestParallelCalibratedModelNeverPicksSmallerLayer runs the same
@@ -13,7 +12,7 @@ import (
 // cost model — one sequentially calibrated, one parallel-calibrated
 // (lower ns/row, as a morsel-parallel scan measures) — and checks the
 // parallel executor never settles for a smaller impression layer. This
-// is the contract behind threading engine.CalibrateOpts into the façade:
+// is the contract behind threading engine.Calibrate(rows, opts) into the façade:
 // a stale single-core rate would make time promises pessimistic.
 func TestParallelCalibratedModelNeverPicksSmallerLayer(t *testing.T) {
 	tb, h, _ := fixture(t, 10_000)
@@ -27,22 +26,22 @@ func TestParallelCalibratedModelNeverPicksSmallerLayer(t *testing.T) {
 		20 * time.Millisecond,
 	}
 	for _, budget := range budgets {
-		// Fresh executors per budget: TimeBounded feeds measured latency
+		// Fresh executors per budget: WITHIN TIME feeds measured latency
 		// back into the model, and the layer pick under test must depend
 		// only on the initial calibration.
-		exSeq, err := NewExecutorOpts(tb, h, sequential, engine.ExecOptions{Parallelism: 1})
+		exSeq, err := NewExecutor(tb, h, sequential, engine.ExecOptions{Parallelism: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		exPar, err := NewExecutorOpts(tb, h, parallel, engine.ExecOptions{Parallelism: 4})
+		exPar, err := NewExecutor(tb, h, parallel, engine.ExecOptions{Parallelism: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
-		aSeq, err := exSeq.TimeBounded(avgQuery(), budget, sqlparse.Bounds{})
+		aSeq, err := runTime(exSeq, avgQuery(), budget)
 		if err != nil {
 			t.Fatal(err)
 		}
-		aPar, err := exPar.TimeBounded(avgQuery(), budget, sqlparse.Bounds{})
+		aPar, err := runTime(exPar, avgQuery(), budget)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,19 +61,19 @@ func TestParallelCalibratedModelNeverPicksSmallerLayer(t *testing.T) {
 func TestParallelExecutorEquivalentAnswers(t *testing.T) {
 	tb, h, _ := fixture(t, 10_000)
 	cost := engine.CostModel{NsPerRow: 10, FixedNs: 1000}
-	exSeq, err := NewExecutorOpts(tb, h, cost, engine.ExecOptions{Parallelism: 1, MorselRows: 512})
+	exSeq, err := NewExecutor(tb, h, cost, engine.ExecOptions{Parallelism: 1, MorselRows: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
-	exPar, err := NewExecutorOpts(tb, h, cost, engine.ExecOptions{Parallelism: 4, MorselRows: 512})
+	exPar, err := NewExecutor(tb, h, cost, engine.ExecOptions{Parallelism: 4, MorselRows: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
-	aSeq, err := exSeq.ErrorBounded(avgQuery(), 0.05, 0.95)
+	aSeq, err := runErr(exSeq, avgQuery(), 0.05, 0.95)
 	if err != nil {
 		t.Fatal(err)
 	}
-	aPar, err := exPar.ErrorBounded(avgQuery(), 0.05, 0.95)
+	aPar, err := runErr(exPar, avgQuery(), 0.05, 0.95)
 	if err != nil {
 		t.Fatal(err)
 	}

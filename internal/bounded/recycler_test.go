@@ -1,6 +1,7 @@
 package bounded
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -23,19 +24,18 @@ func TestRecyclerServedBaseDoesNotPoisonCostModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	// No hierarchy: every pick lands on the exact base rung.
-	ex, err := NewExecutorOpts(tb, nil, engine.CostModel{NsPerRow: 10, FixedNs: 1000},
+	ex, err := NewExecutor(tb, nil, engine.CostModel{NsPerRow: 10, FixedNs: 1000},
 		engine.ExecOptions{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex.UseRecycler(rec)
 	q := avgQuery()
 	q.Where = expr.Cmp{Op: vec.Lt, Left: expr.ColRef{Name: "ra"}, Right: 200}
-	bounds := sqlparse.Bounds{MaxTime: time.Second}
+	st := &sqlparse.Statement{Query: q, Bounds: sqlparse.Bounds{MaxTime: time.Second}}
 
 	// First run: cold — the recycler misses, the scan really happens,
 	// and the model may legitimately learn from it.
-	if _, err := ex.TimeBounded(q, bounds.MaxTime, bounds); err != nil {
+	if _, err := ex.Run(context.Background(), st, rec); err != nil {
 		t.Fatal(err)
 	}
 	learned := ex.CostModel().NsPerRow
@@ -44,7 +44,7 @@ func TestRecyclerServedBaseDoesNotPoisonCostModel(t *testing.T) {
 	}
 	// Warm runs: exact hits touch zero rows, so the model must not move.
 	for i := 0; i < 5; i++ {
-		if _, err := ex.TimeBounded(q, bounds.MaxTime, bounds); err != nil {
+		if _, err := ex.Run(context.Background(), st, rec); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -45,19 +45,13 @@ func (c CostModel) MaxRowsWithin(budget time.Duration) int {
 }
 
 // Calibrate measures the per-row cost of a representative
-// filter+aggregate pipeline on this machine and returns a fitted model.
-// rows controls the calibration table size (>= 2 sizes are probed).
-// It calibrates the default (parallel) execution configuration, so the
-// time-bound layer picker sees the rows/sec the morsel-driven executor
-// actually delivers rather than a pessimistic single-core figure.
-func Calibrate(rows int) CostModel {
-	return CalibrateOpts(rows, DefaultExecOptions())
-}
-
-// CalibrateOpts is Calibrate for an explicit execution configuration.
-// The probe runs the real morsel pipeline (RunOnOpts with a filter +
-// SUM query), so goroutine fan-out and merge overheads are priced in.
-func CalibrateOpts(rows int, opts ExecOptions) CostModel {
+// filter+aggregate pipeline on this machine under opts and returns a
+// fitted model; rows controls the calibration table size (>= 2 sizes
+// are probed). The probe runs the real morsel pipeline (RunOnOpts with
+// a filter + SUM query), so goroutine fan-out and merge overheads are
+// priced in and the time-bound layer picker sees the rows/sec the
+// configured executor actually delivers.
+func Calibrate(rows int, opts ExecOptions) CostModel {
 	if rows < 4096 {
 		rows = 4096
 	}

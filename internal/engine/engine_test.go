@@ -106,10 +106,10 @@ func TestCountAndAvg(t *testing.T) {
 
 func TestStdDevAgg(t *testing.T) {
 	tb := photoTable(t)
-	res, err := RunOn(tb, Query{
+	res, err := RunOnOpts(tb, Query{
 		Table: "PhotoObjAll",
 		Aggs:  []AggSpec{{Func: StdDev, Arg: expr.ColRef{Name: "rmag"}, Alias: "sd"}},
-	})
+	}, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,14 +121,14 @@ func TestStdDevAgg(t *testing.T) {
 
 func TestEmptySelectionAggregates(t *testing.T) {
 	tb := photoTable(t)
-	res, err := RunOn(tb, Query{
+	res, err := RunOnOpts(tb, Query{
 		Table: "PhotoObjAll",
 		Where: expr.StrEq{Col: "type", Value: "NEBULA"},
 		Aggs: []AggSpec{
 			{Func: Count},
 			{Func: Avg, Arg: expr.ColRef{Name: "rmag"}, Alias: "a"},
 		},
-	})
+	}, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,11 +142,11 @@ func TestEmptySelectionAggregates(t *testing.T) {
 
 func TestProjection(t *testing.T) {
 	tb := photoTable(t)
-	res, err := RunOn(tb, Query{
+	res, err := RunOnOpts(tb, Query{
 		Table:  "PhotoObjAll",
 		Where:  expr.Cmp{Op: vec.Gt, Left: expr.ColRef{Name: "dec"}, Right: 1.0},
 		Select: []string{"objID", "ra"},
-	})
+	}, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,12 +161,12 @@ func TestProjection(t *testing.T) {
 
 func TestOrderByAndLimit(t *testing.T) {
 	tb := photoTable(t)
-	res, err := RunOn(tb, Query{
+	res, err := RunOnOpts(tb, Query{
 		Table:   "PhotoObjAll",
 		Select:  []string{"objID", "rmag"},
 		OrderBy: "rmag",
 		Limit:   2,
-	})
+	}, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,13 +174,13 @@ func TestOrderByAndLimit(t *testing.T) {
 	if !reflect.DeepEqual(rmag, []float64{15.0, 16.5}) {
 		t.Fatalf("ascending top2 = %v", rmag)
 	}
-	res, err = RunOn(tb, Query{
+	res, err = RunOnOpts(tb, Query{
 		Table:   "PhotoObjAll",
 		Select:  []string{"rmag"},
 		OrderBy: "rmag",
 		Desc:    true,
 		Limit:   2,
-	})
+	}, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestOrderByAndLimit(t *testing.T) {
 
 func TestOrderByMissingColumn(t *testing.T) {
 	tb := photoTable(t)
-	_, err := RunOn(tb, Query{Table: "PhotoObjAll", Select: []string{"ra"}, OrderBy: "zzz"})
+	_, err := RunOnOpts(tb, Query{Table: "PhotoObjAll", Select: []string{"ra"}, OrderBy: "zzz"}, ExecOptions{})
 	if err == nil {
 		t.Fatal("ORDER BY missing column accepted")
 	}
@@ -200,14 +200,14 @@ func TestOrderByMissingColumn(t *testing.T) {
 
 func TestGroupBy(t *testing.T) {
 	tb := photoTable(t)
-	res, err := RunOn(tb, Query{
+	res, err := RunOnOpts(tb, Query{
 		Table:   "PhotoObjAll",
 		GroupBy: "type",
 		Aggs: []AggSpec{
 			{Func: Count},
 			{Func: Avg, Arg: expr.ColRef{Name: "rmag"}, Alias: "avg_r"},
 		},
-	})
+	}, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,14 +227,14 @@ func TestGroupBy(t *testing.T) {
 
 func TestGroupByInt64KeyWithOrderLimit(t *testing.T) {
 	tb := photoTable(t)
-	res, err := RunOn(tb, Query{
+	res, err := RunOnOpts(tb, Query{
 		Table:   "PhotoObjAll",
 		GroupBy: "fieldID",
 		Aggs:    []AggSpec{{Func: Count, Alias: "n"}},
 		OrderBy: "n",
 		Desc:    true,
 		Limit:   2,
-	})
+	}, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,11 +249,11 @@ func TestGroupByInt64KeyWithOrderLimit(t *testing.T) {
 
 func TestGroupByUnsupportedType(t *testing.T) {
 	tb := photoTable(t)
-	_, err := RunOn(tb, Query{
+	_, err := RunOnOpts(tb, Query{
 		Table:   "PhotoObjAll",
 		GroupBy: "ra",
 		Aggs:    []AggSpec{{Func: Count}},
-	})
+	}, ExecOptions{})
 	if err == nil {
 		t.Fatal("GROUP BY DOUBLE accepted")
 	}
@@ -261,12 +261,12 @@ func TestGroupByUnsupportedType(t *testing.T) {
 
 func TestGroupByWithWhere(t *testing.T) {
 	tb := photoTable(t)
-	res, err := RunOn(tb, Query{
+	res, err := RunOnOpts(tb, Query{
 		Table:   "PhotoObjAll",
 		Where:   expr.Cmp{Op: vec.Lt, Left: expr.ColRef{Name: "rmag"}, Right: 19.0},
 		GroupBy: "type",
 		Aggs:    []AggSpec{{Func: Count, Alias: "n"}},
-	})
+	}, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestGroupByWithWhere(t *testing.T) {
 
 func TestScalarErrors(t *testing.T) {
 	tb := photoTable(t)
-	res, err := RunOn(tb, Query{Table: "PhotoObjAll", Select: []string{"ra"}})
+	res, err := RunOnOpts(tb, Query{Table: "PhotoObjAll", Select: []string{"ra"}}, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +311,7 @@ func dimensionTable(t *testing.T) *table.Table {
 func TestHashJoin(t *testing.T) {
 	fact := photoTable(t)
 	dim := dimensionTable(t)
-	joined, err := HashJoin(fact, dim, "fieldID", "fieldID")
+	joined, err := HashJoin(fact, dim, "fieldID", "fieldID", ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +348,7 @@ func TestHashJoinDuplicateBuildKeys(t *testing.T) {
 	})
 	_ = left.AppendBatch([]table.Row{{int64(1)}, {int64(2)}})
 	_ = right.AppendBatch([]table.Row{{int64(1), 10.0}, {int64(1), 20.0}})
-	joined, err := HashJoin(left, right, "k", "k")
+	joined, err := HashJoin(left, right, "k", "k", ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +368,7 @@ func TestHashJoinNameClash(t *testing.T) {
 	})
 	_ = left.AppendBatch([]table.Row{{int64(1), 1.0}})
 	_ = right.AppendBatch([]table.Row{{int64(1), 2.0}})
-	joined, err := HashJoin(left, right, "k", "k")
+	joined, err := HashJoin(left, right, "k", "k", ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,30 +384,11 @@ func TestHashJoinNameClash(t *testing.T) {
 func TestHashJoinBadKeys(t *testing.T) {
 	fact := photoTable(t)
 	dim := dimensionTable(t)
-	if _, err := HashJoin(fact, dim, "ra", "fieldID"); err == nil {
+	if _, err := HashJoin(fact, dim, "ra", "fieldID", ExecOptions{}); err == nil {
 		t.Fatal("non-int left key accepted")
 	}
-	if _, err := HashJoin(fact, dim, "fieldID", "quality"); err == nil {
+	if _, err := HashJoin(fact, dim, "fieldID", "quality", ExecOptions{}); err == nil {
 		t.Fatal("non-int right key accepted")
-	}
-}
-
-func TestSemiJoinSel(t *testing.T) {
-	fact := photoTable(t)
-	dim := dimensionTable(t)
-	sel, err := SemiJoinSel(fact, "fieldID", dim, "fieldID", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(sel, vec.Sel{0, 1, 2, 3, 4}) {
-		t.Fatalf("semijoin sel = %v", sel)
-	}
-	sel, err = SemiJoinSel(fact, "fieldID", dim, "fieldID", vec.Sel{4, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(sel, vec.Sel{4}) {
-		t.Fatalf("restricted semijoin = %v", sel)
 	}
 }
 
@@ -429,7 +410,7 @@ func TestCostModel(t *testing.T) {
 }
 
 func TestCalibrateProducesUsableModel(t *testing.T) {
-	m := Calibrate(50_000)
+	m := Calibrate(50_000, ExecOptions{})
 	if m.NsPerRow <= 0 {
 		t.Fatalf("calibrated NsPerRow = %v", m.NsPerRow)
 	}

@@ -22,6 +22,10 @@ type Result struct {
 	ScannedRows int
 	// Stats reports the scan's morsel layout and zone-map pruning.
 	Stats ScanStats
+	// States holds the merged per-aggregate moments of an ungrouped
+	// aggregate result (nil otherwise): the exact rung of bounded
+	// execution reads matched-row counts from them.
+	States []AggState
 }
 
 // Len returns the number of result rows.
@@ -43,15 +47,8 @@ func (r *Result) Scalar(name string) (float64, error) {
 	return col[0], nil
 }
 
-// RunOn evaluates q against an explicit table — the hook the bounded
-// executor uses to aim one logical query at different impression layers.
-// It uses the default execution options (parallel, one worker per CPU).
-func RunOn(t *table.Table, q Query) (*Result, error) {
-	return RunOnOpts(t, q, DefaultExecOptions())
-}
-
-// RunOnOpts is RunOn with explicit execution options. Aggregates run
-// through the fused morsel pipeline (filter + partial aggregation per
+// RunOnOpts evaluates q over every row of t. Aggregates run through
+// the fused morsel pipeline (filter + partial aggregation per
 // morsel, deterministic morsel-order merge); projections filter in
 // parallel and materialise sequentially. The whole query runs over a
 // snapshot of t taken here, so concurrent Loads on the source table
@@ -120,8 +117,7 @@ func orderAndLimit(t *table.Table, sel vec.Sel, q Query) (vec.Sel, error) {
 	return sel, nil
 }
 
-// AggState carries the moments of one aggregate's input; the estimate
-// package turns it into confidence intervals.
+// AggState carries the moments of one aggregate's input.
 type AggState struct {
 	Spec    AggSpec
 	Moments stats.Moments
@@ -145,30 +141,6 @@ func (s *AggState) Value() float64 {
 		return m.StdDev()
 	}
 	return math.NaN()
-}
-
-// AggregateStates computes per-aggregate input moments for q on t
-// restricted to sel. It is the common core of plain and bounded
-// aggregation.
-func AggregateStates(t *table.Table, sel vec.Sel, aggs []AggSpec) ([]AggState, error) {
-	states := make([]AggState, len(aggs))
-	for i, a := range aggs {
-		states[i].Spec = a
-		if a.Arg == nil {
-			// COUNT(*): every selected row contributes 1.
-			n := sel.Len(t.Len())
-			for k := 0; k < n; k++ {
-				states[i].Moments.Observe(1)
-			}
-			continue
-		}
-		vals, err := a.Arg.EvalF64(t)
-		if err != nil {
-			return nil, err
-		}
-		states[i].Moments.ObserveAll(vec.GatherFloat64(vals, sel))
-	}
-	return states, nil
 }
 
 // aggArgs materialises every aggregate argument column once, before the
@@ -235,7 +207,7 @@ func aggregate(t *table.Table, q Query, opts ExecOptions, drive scanDriver) (*Re
 			states[i].Moments.Merge(partials[m][i])
 		}
 	}
-	res, err := ResultFromStates(q, states)
+	res, err := resultFromStates(q, states)
 	if err != nil {
 		return nil, err
 	}
@@ -244,10 +216,9 @@ func aggregate(t *table.Table, q Query, opts ExecOptions, drive scanDriver) (*Re
 	return res, nil
 }
 
-// ResultFromStates assembles a one-row aggregate result from computed
-// aggregate states; the bounded executor uses it for baseline variants
-// that compute their own selections.
-func ResultFromStates(q Query, states []AggState) (*Result, error) {
+// resultFromStates assembles a one-row aggregate result from merged
+// aggregate states.
+func resultFromStates(q Query, states []AggState) (*Result, error) {
 	schema := make(table.Schema, len(states))
 	for i, s := range states {
 		schema[i] = table.ColumnDef{Name: s.Spec.Name(), Type: column.Float64}
@@ -263,7 +234,7 @@ func ResultFromStates(q Query, states []AggState) (*Result, error) {
 	if err := out.AppendRow(row); err != nil {
 		return nil, err
 	}
-	return &Result{Table: out}, nil
+	return &Result{Table: out, States: states}, nil
 }
 
 // Grouping is the dict-coded view of a GROUP BY column: every row maps

@@ -279,7 +279,7 @@ func TestHashJoinMatchesMapReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{1, 2, 4, 8} {
-				joined, err := HashJoinOpts(left, right, "k", "k", ExecOptions{Parallelism: workers, MorselRows: 512})
+				joined, err := HashJoin(left, right, "k", "k", ExecOptions{Parallelism: workers, MorselRows: 512})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -306,42 +306,5 @@ func TestHashJoinMatchesMapReference(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestSemiJoinMatchesMapReference checks the hashtab-backed semi-join
-// against a map-based key set, restricted and unrestricted.
-func TestSemiJoinMatchesMapReference(t *testing.T) {
-	left, right := joinCase(t, seqKeys(3000, 32), []int64{1, 3, 5, 7, 31})
-	lk, err := left.Int64("k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rk, err := right.Int64("k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys := make(map[int64]struct{}, len(rk))
-	for _, k := range rk {
-		keys[k] = struct{}{}
-	}
-	for _, restrict := range []vec.Sel{nil, {5, 6, 7, 100, 2999}} {
-		var want vec.Sel
-		want = vec.SelectFunc(len(lk), restrict, func(i int32) bool {
-			_, ok := keys[lk[i]]
-			return ok
-		})
-		got, err := SemiJoinSel(left, "k", right, "k", restrict)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("semi-join: got %d rows, want %d", len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("semi-join row %d: got %d, want %d", i, got[i], want[i])
-			}
-		}
 	}
 }

@@ -103,7 +103,7 @@ func TestIngestWhileQuery(t *testing.T) {
 					prevCount = count
 				}
 				// Raw filter path on the shared table too.
-				if _, err := Filter(tb, expr.Cmp{Op: vec.Lt, Left: expr.ColRef{Name: "x"}, Right: 250}, opts); err != nil {
+				if _, _, err := FilterStats(tb, expr.Cmp{Op: vec.Lt, Left: expr.ColRef{Name: "x"}, Right: 250}, opts); err != nil {
 					t.Errorf("worker %d filter: %v", w, err)
 					return
 				}
@@ -125,7 +125,7 @@ func TestIngestWhileQuery(t *testing.T) {
 	}
 }
 
-// TestIngestWhileJoin appends to both join sides while HashJoinOpts
+// TestIngestWhileJoin appends to both join sides while HashJoin
 // probes them; snapshots must pin each side to a consistent prefix.
 func TestIngestWhileJoin(t *testing.T) {
 	fact := table.MustNew("fact", table.Schema{
@@ -173,35 +173,13 @@ func TestIngestWhileJoin(t *testing.T) {
 				return
 			default:
 			}
-			joined, err := HashJoinOpts(fact, dim, "key", "key", opts)
+			joined, err := HashJoin(fact, dim, "key", "key", opts)
 			if err != nil {
 				t.Errorf("join: %v", err)
 				return
 			}
 			if joined.Len()%64 != 0 { // every key matches exactly once; batches are 64 rows
 				t.Errorf("join saw torn fact prefix: %d rows", joined.Len())
-				return
-			}
-		}
-	}()
-	// Semi-join on the same moving tables: SemiJoinSel snapshots both
-	// sides itself, so it must also see only batch-atomic prefixes.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-done:
-				return
-			default:
-			}
-			sel, err := SemiJoinSel(fact, "key", dim, "key", nil)
-			if err != nil {
-				t.Errorf("semi-join: %v", err)
-				return
-			}
-			if len(sel)%64 != 0 { // every fact key exists in dim
-				t.Errorf("semi-join saw torn fact prefix: %d rows", len(sel))
 				return
 			}
 		}

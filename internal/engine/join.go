@@ -14,19 +14,13 @@ import (
 // dimension tables). The result contains all left columns plus the
 // non-key right columns, prefixed with the right table name on clashes.
 //
-// The build side is the right (dimension) table; the probe side streams
-// the left (fact) table, the standard column-store FK-join shape.
-// HashJoin probes with the default (parallel) execution options.
-func HashJoin(left, right *table.Table, leftKey, rightKey string) (*table.Table, error) {
-	return HashJoinOpts(left, right, leftKey, rightKey, DefaultExecOptions())
-}
-
-// HashJoinOpts is HashJoin with explicit execution options: the build
-// side is hashed once, then probe morsels over the left table run on
-// the worker pool. Per-morsel match lists concatenate in morsel order,
-// so the output row order is identical to a sequential probe. Both
-// sides are snapshotted on entry, so concurrent Loads are safe.
-func HashJoinOpts(left, right *table.Table, leftKey, rightKey string, opts ExecOptions) (*table.Table, error) {
+// The build side is the right (dimension) table, hashed once; probe
+// morsels over the left (fact) table run on the worker pool under opts
+// — the standard column-store FK-join shape. Per-morsel match lists
+// concatenate in morsel order, so the output row order is identical to
+// a sequential probe. Both sides are snapshotted on entry, so
+// concurrent Loads are safe.
+func HashJoin(left, right *table.Table, leftKey, rightKey string, opts ExecOptions) (*table.Table, error) {
 	left, right = left.Snapshot(), right.Snapshot()
 	lk, err := left.Int64(leftKey)
 	if err != nil {
@@ -150,30 +144,4 @@ func renameColumn(c column.Column, name string) column.Column {
 		return out
 	}
 	return c
-}
-
-// SemiJoinSel returns the positions of left rows whose key appears in
-// right's key column — the cheap FK-existence filter used when a query
-// only constrains a dimension. The key set is a flat hashtab table
-// rather than a map[int64]struct{}. Both sides are snapshotted here, so
-// concurrent Loads are safe: the scan sees a batch-atomic prefix of
-// each table, and sel positions stay valid because tables are
-// append-only — any earlier selection indexes a prefix of the snapshot.
-func SemiJoinSel(left *table.Table, leftKey string, right *table.Table, rightKey string, sel vec.Sel) (vec.Sel, error) {
-	left, right = left.Snapshot(), right.Snapshot()
-	lk, err := left.Int64(leftKey)
-	if err != nil {
-		return nil, err
-	}
-	rk, err := right.Int64(rightKey)
-	if err != nil {
-		return nil, err
-	}
-	keys := hashtab.NewInt64Table(len(rk))
-	for _, k := range rk {
-		keys.GetOrInsert(k)
-	}
-	return vec.SelectFunc(len(lk), sel, func(i int32) bool {
-		return keys.Contains(lk[i])
-	}), nil
 }

@@ -129,7 +129,7 @@ func TestPanicReleasesPooledScratch(t *testing.T) {
 			t.Fatal("expected panic error")
 		}
 		// A real filter through the same pooled scratch must stay exact.
-		sel, err := Filter(tb, expr.Cmp{Op: vec.Lt, Left: expr.ColRef{Name: "x"}, Right: 100}, opts)
+		sel, _, err := FilterStats(tb, expr.Cmp{Op: vec.Lt, Left: expr.ColRef{Name: "x"}, Right: 100}, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -527,19 +527,11 @@ func forSel(sel vec.Sel, lo, hi int, fn func(row int32)) {
 	}
 }
 
-// Filter evaluates pred over t with morsel-driven parallelism and
-// returns the combined selection in ascending row order — exactly the
-// rows a sequential pred.Filter(t, nil) would return. A nil return
-// means "all rows" (TRUE predicate). The scan runs over a snapshot of
-// t, so it is safe against concurrent appends; positions refer to the
-// snapshotted prefix.
-func Filter(t *table.Table, pred expr.Predicate, opts ExecOptions) (vec.Sel, error) {
-	sel, _, err := filterSnapshot(t.Snapshot(), pred, opts)
-	return sel, err
-}
-
-// filterSnapshot is Filter over an already-snapshotted table, also
-// reporting the scan statistics. The single-morsel case keeps the
+// filterSnapshot evaluates pred over an already-snapshotted table with
+// morsel-driven parallelism, returning the combined selection in
+// ascending row order — exactly the rows a sequential pred.Filter(t,
+// nil) would return — and the scan statistics. A nil selection means
+// "all rows" (TRUE predicate). The single-morsel case keeps the
 // unrestricted sequential path (bit-identical to pre-morsel builds);
 // everything larger runs the range-native pruned scan.
 func filterSnapshot(t *table.Table, pred expr.Predicate, opts ExecOptions) (vec.Sel, ScanStats, error) {

@@ -32,18 +32,18 @@ func TestMaxRowsWithinMonotonicInRate(t *testing.T) {
 	}
 }
 
-// TestCalibrateOptsParallelNotPessimistic calibrates the real pipeline
+// TestCalibrateParallelNotPessimistic calibrates the real pipeline
 // sequentially and in parallel and checks the parallel per-row rate is
 // not meaningfully worse: morsel overhead must stay in the noise, so
 // time-bounded layer picks never become more pessimistic just because
 // parallelism was enabled. (On multi-core machines the parallel rate is
 // strictly better; the generous factor keeps single-core CI honest.)
-func TestCalibrateOptsParallelNotPessimistic(t *testing.T) {
+func TestCalibrateParallelNotPessimistic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("calibration timing in -short mode")
 	}
-	seq := CalibrateOpts(200_000, ExecOptions{Parallelism: 1})
-	par := CalibrateOpts(200_000, ExecOptions{Parallelism: runtime.GOMAXPROCS(0)})
+	seq := Calibrate(200_000, ExecOptions{Parallelism: 1})
+	par := Calibrate(200_000, ExecOptions{Parallelism: runtime.GOMAXPROCS(0)})
 	if par.NsPerRow <= 0 || seq.NsPerRow <= 0 {
 		t.Fatalf("calibration produced non-positive rates: seq=%v par=%v", seq, par)
 	}

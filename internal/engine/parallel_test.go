@@ -179,18 +179,29 @@ func TestSingleMorselMatchesLegacySequential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Legacy shape: filter everything, then aggregate via the
-			// shared AggregateStates core.
+			// Legacy shape: filter everything, then fold each aggregate's
+			// input in one sequential pass.
 			if len(q.Aggs) > 0 && q.GroupBy == "" {
 				sel, err := q.Pred().Filter(tb, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				states, err := AggregateStates(tb, sel, q.Aggs)
-				if err != nil {
-					t.Fatal(err)
+				states := make([]AggState, len(q.Aggs))
+				for i, a := range q.Aggs {
+					states[i].Spec = a
+					if a.Arg == nil {
+						for k := sel.Len(tb.Len()); k > 0; k-- {
+							states[i].Moments.Observe(1)
+						}
+						continue
+					}
+					vals, err := a.Arg.EvalF64(tb)
+					if err != nil {
+						t.Fatal(err)
+					}
+					states[i].Moments.ObserveAll(vec.GatherFloat64(vals, sel))
 				}
-				legacy, err := ResultFromStates(q, states)
+				legacy, err := resultFromStates(q, states)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -201,7 +212,7 @@ func TestSingleMorselMatchesLegacySequential(t *testing.T) {
 	}
 }
 
-// TestParallelFilterMatchesSequential checks engine.Filter returns the
+// TestParallelFilterMatchesSequential checks FilterStats returns the
 // exact selection of an unrestricted sequential predicate evaluation.
 func TestParallelFilterMatchesSequential(t *testing.T) {
 	tb := gridTable(t, 30_000)
@@ -213,7 +224,7 @@ func TestParallelFilterMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Filter(tb, pred, ExecOptions{Parallelism: 4, MorselRows: 1000})
+	got, _, err := FilterStats(tb, pred, ExecOptions{Parallelism: 4, MorselRows: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +232,7 @@ func TestParallelFilterMatchesSequential(t *testing.T) {
 		t.Fatalf("parallel filter diverges: want %d rows, got %d", len(want), len(got))
 	}
 	// TRUE predicate short-circuits to nil (all rows).
-	all, err := Filter(tb, expr.TruePred{}, ExecOptions{Parallelism: 4, MorselRows: 1000})
+	all, _, err := FilterStats(tb, expr.TruePred{}, ExecOptions{Parallelism: 4, MorselRows: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +289,7 @@ func TestPreparePredSharesMaterialisation(t *testing.T) {
 func TestParallelFilterPropagatesErrors(t *testing.T) {
 	tb := gridTable(t, 30_000)
 	bad := expr.Cmp{Op: vec.Lt, Left: expr.ColRef{Name: "nope"}, Right: 1}
-	if _, err := Filter(tb, bad, ExecOptions{Parallelism: 4, MorselRows: 1000}); err == nil {
+	if _, _, err := FilterStats(tb, bad, ExecOptions{Parallelism: 4, MorselRows: 1000}); err == nil {
 		t.Fatal("want error for unknown column, got nil")
 	}
 	q := Query{Table: "grid", Where: bad, Aggs: []AggSpec{{Func: Count}}}
@@ -300,11 +311,11 @@ func TestHashJoinParallelEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	seq, err := HashJoinOpts(left, right, "g", "g", ExecOptions{Parallelism: 1, MorselRows: 1000})
+	seq, err := HashJoin(left, right, "g", "g", ExecOptions{Parallelism: 1, MorselRows: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := HashJoinOpts(left, right, "g", "g", ExecOptions{Parallelism: 4, MorselRows: 1000})
+	par, err := HashJoin(left, right, "g", "g", ExecOptions{Parallelism: 4, MorselRows: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}

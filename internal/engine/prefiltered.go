@@ -14,9 +14,10 @@ import (
 // bit-identical (floating point included) to the same query evaluated
 // from scratch at any parallelism level.
 
-// FilterStats is Filter, additionally reporting the scan statistics —
-// what the recycler records for a miss. A nil selection means "all
-// rows" (TRUE predicate), exactly like Filter.
+// FilterStats evaluates pred over a snapshot of t with morsel-driven
+// parallelism and zone-map pruning, returning the matching rows in
+// ascending order and the scan statistics — what the recycler records
+// for a miss. A nil selection means "all rows" (TRUE predicate).
 func FilterStats(t *table.Table, pred expr.Predicate, opts ExecOptions) (vec.Sel, ScanStats, error) {
 	return filterSnapshot(t.Snapshot(), pred, opts)
 }
@@ -50,7 +51,8 @@ func selDriver(t *table.Table, positions vec.Sel, n int, opts ExecOptions, scan 
 // on (snapshotting again is a no-op); scan is attached to the result
 // for cost-model accounting. Aggregates, GROUP BY, ORDER BY and LIMIT
 // behave exactly like RunOnOpts — in particular LIMIT takes the
-// storage-order prefix, not the selection-scan systematic subsample.
+// storage-order prefix of sel (a bounded projection that wants a
+// representative subsample thins sel before calling).
 func RunOnFilteredOpts(t *table.Table, sel vec.Sel, q Query, scan ScanStats, opts ExecOptions) (*Result, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err

@@ -116,11 +116,11 @@ func TestZoneMapPruningPredicateShapes(t *testing.T) {
 		},
 	}
 	for _, pred := range preds {
-		want, err := Filter(tb, unboundable(pred), opts)
+		want, _, err := FilterStats(tb, unboundable(pred), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Filter(tb, pred, opts)
+		got, _, err := FilterStats(tb, pred, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,12 +159,12 @@ func TestPruningStillReportsBadReferences(t *testing.T) {
 			if _, err := RunOnOpts(tb, q, ExecOptions{Parallelism: workers}); err == nil {
 				t.Errorf("workers=%d %s: pruned scan swallowed the bad reference", workers, pred)
 			}
-			if _, err := Filter(tb, pred, ExecOptions{Parallelism: workers}); err == nil {
+			if _, _, err := FilterStats(tb, pred, ExecOptions{Parallelism: workers}); err == nil {
 				t.Errorf("workers=%d %s: pruned filter swallowed the bad reference", workers, pred)
 			}
 		}
 		// Single-morsel path too (table fits one morsel).
-		if _, err := Filter(tb, pred, ExecOptions{MorselRows: 1 << 30}); err == nil {
+		if _, _, err := FilterStats(tb, pred, ExecOptions{MorselRows: 1 << 30}); err == nil {
 			t.Errorf("%s: single-morsel pruned filter swallowed the bad reference", pred)
 		}
 	}

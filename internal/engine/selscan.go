@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"sciborq/internal/column"
 	"sciborq/internal/expr"
-	"sciborq/internal/hashtab"
-	"sciborq/internal/stats"
 	"sciborq/internal/table"
 	"sciborq/internal/vec"
 )
@@ -221,113 +218,4 @@ func EstimateSelScanRows(t *table.Table, pred expr.Predicate, positions vec.Sel,
 		}
 	}
 	return scanned
-}
-
-// RunOnSelOpts evaluates q against the rows of t listed in positions —
-// the hook that aims one logical query at an impression layer without
-// materialising it. Aggregates are computed exactly over the selected
-// subset (the estimate package turns them into population estimates);
-// projections return the matching rows. The whole query runs over a
-// snapshot of t taken here.
-func RunOnSelOpts(t *table.Table, positions vec.Sel, q Query, opts ExecOptions) (*Result, error) {
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	t = t.Snapshot()
-	sel, stats, err := FilterSel(t, q.Pred(), positions, opts)
-	if err != nil {
-		return nil, err
-	}
-	if len(q.Aggs) > 0 {
-		if q.GroupBy != "" {
-			return groupBySel(t, sel, q, stats)
-		}
-		states, err := AggregateStates(t, sel, q.Aggs)
-		if err != nil {
-			return nil, err
-		}
-		res, err := ResultFromStates(q, states)
-		if err != nil {
-			return nil, err
-		}
-		res.ScannedRows = stats.ScannedRows
-		res.Stats = stats
-		return res, nil
-	}
-	// A LIMIT without ORDER BY on a selection scan returns a systematic
-	// (evenly spaced) subsample of the matches rather than the
-	// storage-order prefix: the impression's answer to LIMIT N is N
-	// representative sampled tuples, not "the lucky N first" ones the
-	// paper criticises (§3.2). Deterministic, so results stay identical
-	// at every parallelism level.
-	if q.Limit > 0 && q.OrderBy == "" && len(sel) > q.Limit {
-		sel = systematicSample(sel, q.Limit)
-	}
-	return project(t, sel, q, stats)
-}
-
-// systematicSample picks n evenly spaced rows of sel (which has more
-// than n entries), preserving order.
-func systematicSample(sel vec.Sel, n int) vec.Sel {
-	out := make(vec.Sel, n)
-	for i := 0; i < n; i++ {
-		out[i] = sel[i*len(sel)/n]
-	}
-	return out
-}
-
-// groupBySel evaluates a grouped aggregate over an already-filtered
-// selection sequentially — selection scans are sample-sized, so the
-// morsel fan-out of the base path would be overhead, and the sequential
-// walk keeps first-seen group order identical to it by construction.
-func groupBySel(t *table.Table, sel vec.Sel, q Query, scan ScanStats) (*Result, error) {
-	grp, err := GroupingFor(t, q.GroupBy)
-	if err != nil {
-		return nil, err
-	}
-	args, err := aggArgs(t, q.Aggs)
-	if err != nil {
-		return nil, err
-	}
-	naggs := len(q.Aggs)
-	tab := hashtab.NewInt64Table(0)
-	var gms []stats.Moments
-	for _, row := range sel {
-		gid, fresh := tab.GetOrInsert(grp.Key(row))
-		if fresh {
-			for i := 0; i < naggs; i++ {
-				gms = append(gms, stats.Moments{})
-			}
-		}
-		base := int(gid) * naggs
-		for i := 0; i < naggs; i++ {
-			if args[i] == nil {
-				gms[base+i].Observe(1) // COUNT(*)
-			} else {
-				gms[base+i].Observe(args[i][row])
-			}
-		}
-	}
-	schema := make(table.Schema, 0, naggs+1)
-	schema = append(schema, table.ColumnDef{Name: q.GroupBy, Type: column.String})
-	for _, a := range q.Aggs {
-		schema = append(schema, table.ColumnDef{Name: a.Name(), Type: column.Float64})
-	}
-	out, err := table.New(resultName(q), schema)
-	if err != nil {
-		return nil, err
-	}
-	for gid, key := range tab.Keys() {
-		row := make(table.Row, 0, naggs+1)
-		row = append(row, grp.Render(key))
-		for i, a := range q.Aggs {
-			st := AggState{Spec: a, Moments: gms[gid*naggs+i]}
-			row = append(row, st.Value())
-		}
-		if err := out.AppendRow(row); err != nil {
-			return nil, err
-		}
-	}
-	res := &Result{Table: out, ScannedRows: scan.ScannedRows, Stats: scan}
-	return sortGroupedResult(res, q)
 }

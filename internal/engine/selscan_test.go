@@ -83,7 +83,7 @@ func TestFilterSelMatchesFilterIntersection(t *testing.T) {
 	}
 	densities := []float64{0, 0.001, 0.2, 0.7, 1}
 	for pi, pred := range preds {
-		want, err := Filter(tb, pred, ExecOptions{Parallelism: 1})
+		want, _, err := FilterStats(tb, pred, ExecOptions{Parallelism: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,9 +182,20 @@ func TestFilterSelContractErrors(t *testing.T) {
 	}
 }
 
-// TestRunOnSelAggregatesAndProjection cross-checks RunOnSel against
-// RunOnOpts over the materialised subset: aggregates and grouped
-// aggregates over (positions ∧ predicate) must equal the same query on
+// runOnSel evaluates q over the rows of t listed in positions the way a
+// bounded projection does: FilterSel, then the prefiltered executor.
+func runOnSel(t *table.Table, positions vec.Sel, q Query, opts ExecOptions) (*Result, error) {
+	sel, scan, err := FilterSel(t, q.Pred(), positions, opts)
+	if err != nil {
+		return nil, err
+	}
+	return RunOnFilteredOpts(t, sel, q, scan, opts)
+}
+
+// TestRunOnSelAggregatesAndProjection cross-checks selection-restricted
+// execution (FilterSel → RunOnFilteredOpts) against RunOnOpts over the
+// materialised subset: aggregates, grouped aggregates and ordered
+// projections over (positions ∧ predicate) must equal the same query on
 // a standalone table holding exactly the selected rows.
 func TestRunOnSelAggregatesAndProjection(t *testing.T) {
 	const n = 10_000
@@ -225,7 +236,7 @@ func TestRunOnSelAggregatesAndProjection(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 4} {
-		got, err := RunOnSelOpts(tb, positions, aggQ, ExecOptions{Parallelism: workers})
+		got, err := runOnSel(tb, positions, aggQ, ExecOptions{Parallelism: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,7 +262,7 @@ func TestRunOnSelAggregatesAndProjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotGrp, err := RunOnSelOpts(tb, positions, grpQ, ExecOptions{Parallelism: 4})
+	gotGrp, err := runOnSel(tb, positions, grpQ, ExecOptions{Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +284,7 @@ func TestRunOnSelAggregatesAndProjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotProj, err := RunOnSelOpts(tb, positions, projQ, ExecOptions{Parallelism: 4})
+	gotProj, err := runOnSel(tb, positions, projQ, ExecOptions{Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ import (
 // impression at n/N = 10% with strong focal interest, where the bias
 // factor alone misrepresents sample composition and CountWeights (the
 // inclusion probabilities) are required for share estimates.
-func clampedFixture(t *testing.T) (Layer, *table.Table) {
+func clampedFixture(t *testing.T) (SelLayer, *table.Table) {
 	t.Helper()
 	const N, n = 40000, 4000
 	tb := table.MustNew("base", table.Schema{
@@ -50,15 +50,7 @@ func clampedFixture(t *testing.T) (Layer, *table.Table) {
 	for i := 0; i < N; i++ {
 		im.Offer(int32(i))
 	}
-	m, err := im.Materialize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return Layer{
-		Name: "clamped", Table: m.Table,
-		Weights: m.RatioWeights, CountWeights: m.InclusionWeights,
-		BaseRows: N,
-	}, tb
+	return viewLayer(im, N), tb
 }
 
 func TestCountWeightsFixClampedCounts(t *testing.T) {
@@ -79,7 +71,7 @@ func TestCountWeightsFixClampedCounts(t *testing.T) {
 	// With inclusion weights: the focal count must be in the right
 	// ballpark (within 35% — the clamped regime is the documented worst
 	// case) and covered at 99%.
-	withPi, err := AggregateOn(layer, q, 0.99)
+	withPi, err := AggregateOnSelOpts(layer, q, 0.99, engine.DefaultExecOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +81,7 @@ func TestCountWeightsFixClampedCounts(t *testing.T) {
 	// the failure mode that motivated the two-vector design.
 	noPi := layer
 	noPi.CountWeights = nil
-	withW, err := AggregateOn(noPi, q, 0.99)
+	withW, err := AggregateOnSelOpts(noPi, q, 0.99, engine.DefaultExecOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +112,7 @@ func TestAvgStillUsesRatioWeights(t *testing.T) {
 	layer, _ := clampedFixture(t)
 	q := engine.Query{Table: "c", Aggs: []engine.AggSpec{
 		{Func: engine.Avg, Arg: expr.ColRef{Name: "ra"}, Alias: "a"}}}
-	before, err := AggregateOn(layer, q, 0.95)
+	before, err := AggregateOnSelOpts(layer, q, 0.95, engine.DefaultExecOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +121,7 @@ func TestAvgStillUsesRatioWeights(t *testing.T) {
 		poisoned[i] = 1e-9
 	}
 	layer.CountWeights = poisoned
-	after, err := AggregateOn(layer, q, 0.95)
+	after, err := AggregateOnSelOpts(layer, q, 0.95, engine.DefaultExecOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,8 +2,15 @@
 // population estimates with confidence intervals — the "quality of
 // results" machinery of §3.2.
 //
-// Uniform impressions use the classical CLT with finite-population
-// correction. Biased impressions carry per-tuple bias weights w_i
+// There is one estimator path: a layer is a SelLayer, sorted row
+// positions into a base table with row-aligned weights — the shape of
+// impression.View. A standalone weighted table, such as a join
+// synopsis, is a SelLayer whose positions are 0..n-1 over that table.
+// Exact answers are not estimated here: the bounded executor's base
+// rung runs the engine's exact execution.
+//
+// Uniform layers use the classical CLT with finite-population
+// correction. Biased layers carry per-tuple bias weights w_i
 // (proportional to inclusion probability); estimation uses the Hájek
 // self-normalised estimator with importance weights u_i = 1/w_i and
 // delta-method (linearisation) variance:
@@ -16,13 +23,8 @@
 package estimate
 
 import (
-	"fmt"
-	"math"
-
 	"sciborq/internal/engine"
 	"sciborq/internal/stats"
-	"sciborq/internal/table"
-	"sciborq/internal/vec"
 )
 
 // weightFloor guards against division by the zero weights that can only
@@ -36,7 +38,8 @@ type Estimate struct {
 	// Exact marks estimates computed on base data (zero error).
 	Exact bool
 	// SampleRows is the number of sample rows that satisfied the query
-	// predicate (the support of the estimate).
+	// predicate (the support of the estimate); for exact estimates, the
+	// matched base rows.
 	SampleRows int
 }
 
@@ -51,300 +54,8 @@ func (e Estimate) RelError() float64 {
 	return e.Interval.RelativeError()
 }
 
-// Layer describes one evaluation target for the estimators: a
-// materialised sample (or the base table itself) plus metadata.
-type Layer struct {
-	Name  string
-	Table *table.Table
-	// Weights are per-row bias weights used by ratio estimators (AVG);
-	// nil means uniform.
-	Weights []float64
-	// CountWeights are per-row inclusion probabilities used by share
-	// estimators (COUNT, SUM); nil falls back to Weights. Biased
-	// reservoirs need the distinction: their composition is a
-	// nonlinear (clamped) function of the bias factor that only the
-	// inclusion model captures, while ratio estimators prefer the
-	// smooth bias factors whose dispersion is orders of magnitude
-	// smaller.
-	CountWeights []float64
-	// BaseRows is the base-table cardinality N the sample represents.
-	BaseRows int64
-	// Exact marks the base table itself: estimates carry zero error.
-	Exact bool
-}
-
-// Validate checks the layer invariants.
-func (l Layer) Validate() error {
-	if l.Table == nil {
-		return fmt.Errorf("estimate: layer %q has no table", l.Name)
-	}
-	if l.Weights != nil && len(l.Weights) != l.Table.Len() {
-		return fmt.Errorf("estimate: layer %q has %d weights for %d rows",
-			l.Name, len(l.Weights), l.Table.Len())
-	}
-	if l.CountWeights != nil && len(l.CountWeights) != l.Table.Len() {
-		return fmt.Errorf("estimate: layer %q has %d count weights for %d rows",
-			l.Name, len(l.CountWeights), l.Table.Len())
-	}
-	if l.BaseRows < 0 {
-		return fmt.Errorf("estimate: layer %q has negative base cardinality", l.Name)
-	}
-	return nil
-}
-
-// AggregateOn evaluates the aggregates of q against the layer and
-// returns one Estimate per aggregate with intervals at the given
-// confidence level. The layer scan uses the default (parallel)
-// execution options.
-func AggregateOn(l Layer, q engine.Query, level float64) ([]Estimate, error) {
-	return AggregateOnOpts(l, q, level, engine.DefaultExecOptions())
-}
-
-// AggregateOnOpts is AggregateOn with explicit execution options: the
-// predicate scan over the layer runs on the morsel-driven worker pool,
-// which is what lets time-bounded execution promise the parallel
-// executor's rows/sec rather than a single core's.
-func AggregateOnOpts(l Layer, q engine.Query, level float64, opts engine.ExecOptions) ([]Estimate, error) {
-	// One snapshot for the whole estimation: the filter selection, the
-	// materialised aggregate arguments, and every Len() must describe
-	// the same row prefix even while the layer's source table is being
-	// loaded concurrently.
-	l.Table = l.Table.Snapshot()
-	if err := validateAggQuery(l, q); err != nil {
-		return nil, err
-	}
-	sel, err := engine.Filter(l.Table, q.Pred(), opts)
-	if err != nil {
-		return nil, err
-	}
-	return estimateAll(l, q, level, sel)
-}
-
-// AggregateOnFiltered is AggregateOnOpts with the WHERE selection
-// already computed — the recycler's hook into bounded execution. sel
-// must list exactly the rows of l.Table satisfying q's predicate (nil =
-// all rows), evaluated against the same snapshot state; the predicate
-// is not re-evaluated here.
-func AggregateOnFiltered(l Layer, q engine.Query, level float64, sel vec.Sel) ([]Estimate, error) {
-	l.Table = l.Table.Snapshot()
-	if err := validateAggQuery(l, q); err != nil {
-		return nil, err
-	}
-	return estimateAll(l, q, level, sel)
-}
-
-func validateAggQuery(l Layer, q engine.Query) error {
-	if err := l.Validate(); err != nil {
-		return err
-	}
-	if len(q.Aggs) == 0 {
-		return fmt.Errorf("estimate: query has no aggregates")
-	}
-	if q.GroupBy != "" {
-		return fmt.Errorf("estimate: grouped bounded queries are not supported (run one query per group)")
-	}
-	return nil
-}
-
-// estimateAll computes every aggregate estimate of q from a predicate
-// selection over the layer snapshot.
-func estimateAll(l Layer, q engine.Query, level float64, sel vec.Sel) ([]Estimate, error) {
-	matched := sel.Len(l.Table.Len())
-	out := make([]Estimate, 0, len(q.Aggs))
-	for _, spec := range q.Aggs {
-		var full []float64
-		if spec.Arg != nil {
-			var err error
-			full, err = spec.Arg.EvalF64(l.Table)
-			if err != nil {
-				return nil, err
-			}
-		}
-		est, err := estimateOne(l, spec, full, sel, matched, level)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, est)
-	}
-	return out, nil
-}
-
-// estimateOne computes one aggregate estimate. full is the materialised
-// aggregate argument over ALL layer rows (nil for COUNT(*)); sel is the
-// predicate selection (nil = all rows); matched = |sel|.
-func estimateOne(l Layer, spec engine.AggSpec, full []float64, sel vec.Sel, matched int, level float64) (Estimate, error) {
-	if l.Exact {
-		return exactEstimate(spec, full, sel, matched, level), nil
-	}
-	n := l.Table.Len()
-	if n == 0 {
-		return Estimate{
-			Spec:     spec,
-			Interval: stats.Interval{HalfWidth: math.Inf(1), Level: level},
-		}, nil
-	}
-	fpc := stats.FPC(int64(n), l.BaseRows)
-	switch spec.Func {
-	case engine.Count:
-		// COUNT(predicate) = N · E[1_A]; h is the membership indicator.
-		u := inclusionImportance(l)
-		h := indicator(n, sel, full, false)
-		iv := hajekMean(u, h, level, fpc).Scale(float64(l.BaseRows))
-		return Estimate{Spec: spec, Interval: iv, SampleRows: matched}, nil
-	case engine.Sum:
-		// SUM_A(g) = N · E[g·1_A]; h carries g on matching rows.
-		u := inclusionImportance(l)
-		h := indicator(n, sel, full, true)
-		iv := hajekMean(u, h, level, fpc).Scale(float64(l.BaseRows))
-		return Estimate{Spec: spec, Interval: iv, SampleRows: matched}, nil
-	case engine.Avg:
-		u := importanceWeights(l)
-		iv := hajekMeanSubset(u, full, sel, level, fpc)
-		return Estimate{Spec: spec, Interval: iv, SampleRows: matched}, nil
-	case engine.Min, engine.Max, engine.StdDev:
-		// Population extremes (and spread) cannot be bounded from a
-		// sample without distributional assumptions: report the sample
-		// statistic with an unbounded interval so the bounded executor
-		// escalates to base data whenever a bound is requested.
-		var m stats.Moments
-		m.ObserveAll(vec.GatherFloat64(full, sel))
-		st := engine.AggState{Spec: spec, Moments: m}
-		return Estimate{
-			Spec:       spec,
-			Interval:   stats.Interval{Estimate: st.Value(), HalfWidth: math.Inf(1), Level: level},
-			SampleRows: matched,
-		}, nil
-	}
-	return Estimate{}, fmt.Errorf("estimate: unsupported aggregate %s", spec.Func)
-}
-
-// exactEstimate computes the aggregate exactly (base-data layer).
-func exactEstimate(spec engine.AggSpec, full []float64, sel vec.Sel, matched int, level float64) Estimate {
-	var value float64
-	if spec.Func == engine.Count {
-		value = float64(matched)
-	} else {
-		var m stats.Moments
-		m.ObserveAll(vec.GatherFloat64(full, sel))
-		value = (&engine.AggState{Spec: spec, Moments: m}).Value()
-	}
-	return Estimate{
-		Spec:       spec,
-		Interval:   stats.Interval{Estimate: value, Level: level},
-		Exact:      true,
-		SampleRows: matched,
-	}
-}
-
-// importanceWeights returns u_i = 1/w_i over the ratio weights (all
-// ones for uniform layers).
-func importanceWeights(l Layer) []float64 {
-	return invert(l.Weights, l.Table.Len())
-}
-
-// inclusionImportance returns u_i = 1/π_i over the inclusion weights,
-// falling back to the ratio weights when none are recorded.
-func inclusionImportance(l Layer) []float64 {
-	if l.CountWeights != nil {
-		return invert(l.CountWeights, l.Table.Len())
-	}
-	return invert(l.Weights, l.Table.Len())
-}
-
-// invert computes element-wise 1/w with a floor; nil weights mean
-// uniform.
-func invert(ws []float64, n int) []float64 {
-	u := make([]float64, n)
-	if ws == nil {
-		for i := range u {
-			u[i] = 1
-		}
-		return u
-	}
-	for i, w := range ws {
-		if w < weightFloor || math.IsNaN(w) {
-			w = weightFloor
-		}
-		u[i] = 1 / w
-	}
-	return u
-}
-
-// indicator builds the per-row vector h over all n rows: for rows in
-// sel, h is the aggregate argument (when carry is true and full is
-// non-nil) or 1; elsewhere 0.
-func indicator(n int, sel vec.Sel, full []float64, carry bool) []float64 {
-	h := make([]float64, n)
-	set := func(pos int32) {
-		if carry && full != nil {
-			h[pos] = full[pos]
-		} else {
-			h[pos] = 1
-		}
-	}
-	if sel == nil {
-		for i := int32(0); i < int32(n); i++ {
-			set(i)
-		}
-		return h
-	}
-	for _, pos := range sel {
-		set(pos)
-	}
-	return h
-}
-
-// hajekMean returns the self-normalised estimate of E[h] over the whole
-// population with importance weights u, and its delta-method interval.
-func hajekMean(u, h []float64, level, fpc float64) stats.Interval {
-	var sumU float64
-	for _, v := range u {
-		sumU += v
-	}
-	if sumU == 0 {
-		return stats.Interval{HalfWidth: math.Inf(1), Level: level}
-	}
-	var mean float64
-	for i := range h {
-		mean += u[i] * h[i]
-	}
-	mean /= sumU
-	var varSum float64
-	for i := range h {
-		d := h[i] - mean
-		varSum += u[i] * u[i] * d * d
-	}
-	se := math.Sqrt(varSum) / sumU * fpc
-	return stats.Interval{Estimate: mean, HalfWidth: stats.ZForConfidence(level) * se, Level: level}
-}
-
-// hajekMeanSubset returns the self-normalised estimate of E[g | A] using
-// only the rows in sel.
-func hajekMeanSubset(u, full []float64, sel vec.Sel, level, fpc float64) stats.Interval {
-	idx := sel
-	if idx == nil {
-		idx = vec.NewSelAll(len(full))
-	}
-	if len(idx) == 0 {
-		return stats.Interval{HalfWidth: math.Inf(1), Level: level}
-	}
-	var sumU float64
-	for _, pos := range idx {
-		sumU += u[pos]
-	}
-	if sumU == 0 {
-		return stats.Interval{HalfWidth: math.Inf(1), Level: level}
-	}
-	var mean float64
-	for _, pos := range idx {
-		mean += u[pos] * full[pos]
-	}
-	mean /= sumU
-	var varSum float64
-	for _, pos := range idx {
-		d := full[pos] - mean
-		varSum += u[pos] * u[pos] * d * d
-	}
-	se := math.Sqrt(varSum) / sumU * fpc
-	return stats.Interval{Estimate: mean, HalfWidth: stats.ZForConfidence(level) * se, Level: level}
+// GroupEstimate is the estimate set for one group key.
+type GroupEstimate struct {
+	Key       string
+	Estimates []Estimate
 }

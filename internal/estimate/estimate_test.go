@@ -33,6 +33,22 @@ func population(t *testing.T, n int, mu, sigma float64, seed uint64) *table.Tabl
 	return tb
 }
 
+// viewLayer is the selection layer over an impression's current view —
+// the shape bounded execution evaluates.
+func viewLayer(im *impression.Impression, baseRows int) SelLayer {
+	v := im.View()
+	return SelLayer{
+		Name: im.Name(), Base: im.Base(), Positions: v.Positions,
+		Weights: v.Weights, CountWeights: v.Pis, BaseRows: int64(baseRows),
+	}
+}
+
+// census is the layer holding every row of tb: a standalone table as a
+// selection layer over itself, and a sample equal to its population.
+func census(tb *table.Table) SelLayer {
+	return SelLayer{Name: tb.Name(), Base: tb, Positions: vec.NewSelAll(tb.Len()), BaseRows: int64(tb.Len())}
+}
+
 func exactAvg(t *testing.T, tb *table.Table, col string) float64 {
 	t.Helper()
 	xs, err := tb.Float64(col)
@@ -48,35 +64,42 @@ func exactAvg(t *testing.T, tb *table.Table, col string) float64 {
 
 func TestLayerValidate(t *testing.T) {
 	tb := population(t, 10, 0, 1, 1)
-	if err := (Layer{}).Validate(); err == nil {
-		t.Fatal("nil table accepted")
+	l := census(tb)
+	if err := (SelLayer{}).Validate(); err == nil {
+		t.Fatal("nil base accepted")
 	}
-	if err := (Layer{Table: tb, Weights: []float64{1}}).Validate(); err == nil {
+	bad := l
+	bad.Weights = []float64{1}
+	if err := bad.Validate(); err == nil {
 		t.Fatal("weight length mismatch accepted")
 	}
-	if err := (Layer{Table: tb, BaseRows: -1}).Validate(); err == nil {
+	bad = l
+	bad.BaseRows = -1
+	if err := bad.Validate(); err == nil {
 		t.Fatal("negative base rows accepted")
 	}
-	if err := (Layer{Table: tb, BaseRows: 100}).Validate(); err != nil {
+	if err := l.Validate(); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestAggregateOnRejections(t *testing.T) {
-	tb := population(t, 10, 0, 1, 1)
-	l := Layer{Table: tb, BaseRows: 10}
-	if _, err := AggregateOn(l, engine.Query{Table: "x", Select: []string{"x"}}, 0.95); err == nil {
+	l := census(population(t, 10, 0, 1, 1))
+	opts := engine.DefaultExecOptions()
+	if _, err := AggregateOnSelOpts(l, engine.Query{Table: "x", Select: []string{"x"}}, 0.95, opts); err == nil {
 		t.Fatal("non-aggregate query accepted")
 	}
 	q := engine.Query{Table: "x", GroupBy: "g", Aggs: []engine.AggSpec{{Func: engine.Count}}}
-	if _, err := AggregateOn(l, q, 0.95); err == nil {
+	if _, err := AggregateOnSelOpts(l, q, 0.95, opts); err == nil {
 		t.Fatal("grouped query accepted")
 	}
 }
 
+// TestExactLayerZeroError: a layer holding the whole population has
+// zero error — the finite-population correction closes every interval
+// and the estimates are the exact aggregates.
 func TestExactLayerZeroError(t *testing.T) {
 	tb := population(t, 1000, 10, 2, 2)
-	l := Layer{Name: "base", Table: tb, BaseRows: 1000, Exact: true}
 	q := engine.Query{
 		Table: "base",
 		Aggs: []engine.AggSpec{
@@ -84,16 +107,16 @@ func TestExactLayerZeroError(t *testing.T) {
 			{Func: engine.Avg, Arg: expr.ColRef{Name: "x"}, Alias: "a"},
 		},
 	}
-	ests, err := AggregateOn(l, q, 0.95)
+	ests, err := AggregateOnSelOpts(census(tb), q, 0.95, engine.DefaultExecOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ests[0].Exact || ests[0].Value() != 1000 || ests[0].RelError() != 0 {
-		t.Fatalf("exact count = %+v", ests[0])
+	if ests[0].Value() != 1000 || ests[0].RelError() != 0 {
+		t.Fatalf("census count = %+v", ests[0])
 	}
 	want := exactAvg(t, tb, "x")
-	if math.Abs(ests[1].Value()-want) > 1e-12 {
-		t.Fatalf("exact avg = %v, want %v", ests[1].Value(), want)
+	if math.Abs(ests[1].Value()-want) > 1e-12 || ests[1].RelError() != 0 {
+		t.Fatalf("census avg = %v ± %v, want %v", ests[1].Value(), ests[1].Interval.HalfWidth, want)
 	}
 }
 
@@ -107,11 +130,7 @@ func TestUniformSampleEstimates(t *testing.T) {
 	for i := 0; i < N; i++ {
 		im.Offer(int32(i))
 	}
-	lt, w, err := im.Table()
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := Layer{Name: "u", Table: lt, Weights: w, BaseRows: N}
+	l := viewLayer(im, N)
 	q := engine.Query{
 		Table: "u",
 		Aggs: []engine.AggSpec{
@@ -120,7 +139,7 @@ func TestUniformSampleEstimates(t *testing.T) {
 			{Func: engine.Sum, Arg: expr.ColRef{Name: "x"}, Alias: "sum"},
 		},
 	}
-	ests, err := AggregateOn(l, q, 0.95)
+	ests, err := AggregateOnSelOpts(l, q, 0.95, engine.DefaultExecOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,8 +178,7 @@ func TestCountWithPredicate(t *testing.T) {
 	for i := 0; i < N; i++ {
 		im.Offer(int32(i))
 	}
-	lt, w, _ := im.Table()
-	l := Layer{Table: lt, Weights: w, BaseRows: N}
+	l := viewLayer(im, N)
 	q := engine.Query{
 		Table: "u",
 		Where: expr.And{
@@ -169,7 +187,7 @@ func TestCountWithPredicate(t *testing.T) {
 		},
 		Aggs: []engine.AggSpec{{Func: engine.Count}},
 	}
-	ests, err := AggregateOn(l, q, 0.95)
+	ests, err := AggregateOnSelOpts(l, q, 0.95, engine.DefaultExecOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,14 +206,13 @@ func TestMinMaxUnbounded(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		im.Offer(int32(i))
 	}
-	lt, w, _ := im.Table()
-	l := Layer{Table: lt, Weights: w, BaseRows: 1000}
+	l := viewLayer(im, 1000)
 	q := engine.Query{Table: "u", Aggs: []engine.AggSpec{
 		{Func: engine.Min, Arg: expr.ColRef{Name: "x"}},
 		{Func: engine.Max, Arg: expr.ColRef{Name: "x"}},
 		{Func: engine.StdDev, Arg: expr.ColRef{Name: "x"}},
 	}}
-	ests, err := AggregateOn(l, q, 0.95)
+	ests, err := AggregateOnSelOpts(l, q, 0.95, engine.DefaultExecOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,9 +225,9 @@ func TestMinMaxUnbounded(t *testing.T) {
 
 func TestEmptyLayer(t *testing.T) {
 	tb := table.MustNew("empty", table.Schema{{Name: "x", Type: column.Float64}})
-	l := Layer{Table: tb, BaseRows: 1000}
+	l := SelLayer{Base: tb, Positions: vec.Sel{}, BaseRows: 1000}
 	q := engine.Query{Table: "e", Aggs: []engine.AggSpec{{Func: engine.Avg, Arg: expr.ColRef{Name: "x"}}}}
-	ests, err := AggregateOn(l, q, 0.95)
+	ests, err := AggregateOnSelOpts(l, q, 0.95, engine.DefaultExecOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,13 +238,13 @@ func TestEmptyLayer(t *testing.T) {
 
 func TestEmptySelection(t *testing.T) {
 	tb := population(t, 100, 0, 1, 9)
-	l := Layer{Table: tb, BaseRows: 10000}
+	l := SelLayer{Base: tb, Positions: vec.NewSelAll(tb.Len()), BaseRows: 10000}
 	q := engine.Query{
 		Table: "u",
 		Where: expr.Cmp{Op: vec.Gt, Left: expr.ColRef{Name: "ra"}, Right: 999},
 		Aggs:  []engine.AggSpec{{Func: engine.Avg, Arg: expr.ColRef{Name: "x"}}},
 	}
-	ests, err := AggregateOn(l, q, 0.95)
+	ests, err := AggregateOnSelOpts(l, q, 0.95, engine.DefaultExecOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +255,7 @@ func TestEmptySelection(t *testing.T) {
 
 // biasedLayer builds a biased impression focused on ra≈160 over a
 // population whose x depends on ra, so bias matters.
-func biasedLayer(t *testing.T, N, n int, seed uint64) (Layer, *table.Table) {
+func biasedLayer(t *testing.T, N, n int, seed uint64) (SelLayer, *table.Table) {
 	t.Helper()
 	tb := table.MustNew("base", table.Schema{
 		{Name: "ra", Type: column.Float64},
@@ -274,11 +291,7 @@ func biasedLayer(t *testing.T, N, n int, seed uint64) (Layer, *table.Table) {
 	for i := 0; i < N; i++ {
 		im.Offer(int32(i))
 	}
-	lt, w, err := im.Table()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return Layer{Name: "b", Table: lt, Weights: w, BaseRows: int64(N)}, tb
+	return viewLayer(im, N), tb
 }
 
 func TestBiasedEstimatesCoverTruthOnFocalQuery(t *testing.T) {
@@ -303,7 +316,7 @@ func TestBiasedEstimatesCoverTruthOnFocalQuery(t *testing.T) {
 		},
 		Aggs: []engine.AggSpec{{Func: engine.Avg, Arg: expr.ColRef{Name: "x"}, Alias: "a"}},
 	}
-	ests, err := AggregateOn(l, q, 0.99)
+	ests, err := AggregateOnSelOpts(l, q, 0.99, engine.DefaultExecOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +346,7 @@ func TestBiasedGlobalCountUnbiased(t *testing.T) {
 		Where: expr.Cmp{Op: vec.Ge, Left: expr.ColRef{Name: "ra"}, Right: 200},
 		Aggs:  []engine.AggSpec{{Func: engine.Count}},
 	}
-	ests, err := AggregateOn(l, q, 0.99)
+	ests, err := AggregateOnSelOpts(l, q, 0.99, engine.DefaultExecOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,8 +375,7 @@ func TestUniformIntervalCoverage(t *testing.T) {
 		for i := 0; i < N; i++ {
 			im.Offer(int32(i))
 		}
-		lt, w, _ := im.Table()
-		ests, err := AggregateOn(Layer{Table: lt, Weights: w, BaseRows: N}, q, 0.95)
+		ests, err := AggregateOnSelOpts(viewLayer(im, N), q, 0.95, engine.DefaultExecOptions())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -41,21 +41,21 @@ func groupedFixture(t *testing.T, N int) *table.Table {
 
 func TestGroupedAggregateOnValidation(t *testing.T) {
 	tb := groupedFixture(t, 100)
-	l := Layer{Table: tb, BaseRows: 100}
+	l := census(tb)
 	q := engine.Query{Table: "b", Aggs: []engine.AggSpec{{Func: engine.Count}}}
-	if _, err := GroupedAggregateOn(l, q, 0.95); err == nil {
+	if _, err := GroupedAggregateOnSel(l, q, 0.95, engine.DefaultExecOptions()); err == nil {
 		t.Fatal("missing GROUP BY accepted")
 	}
 	q = engine.Query{Table: "b", GroupBy: "type"}
-	if _, err := GroupedAggregateOn(l, q, 0.95); err == nil {
+	if _, err := GroupedAggregateOnSel(l, q, 0.95, engine.DefaultExecOptions()); err == nil {
 		t.Fatal("missing aggregates accepted")
 	}
 	q = engine.Query{Table: "b", GroupBy: "x", Aggs: []engine.AggSpec{{Func: engine.Count}}}
-	if _, err := GroupedAggregateOn(l, q, 0.95); err == nil {
+	if _, err := GroupedAggregateOnSel(l, q, 0.95, engine.DefaultExecOptions()); err == nil {
 		t.Fatal("GROUP BY DOUBLE accepted")
 	}
 	q = engine.Query{Table: "b", GroupBy: "zzz", Aggs: []engine.AggSpec{{Func: engine.Count}}}
-	if _, err := GroupedAggregateOn(l, q, 0.95); err == nil {
+	if _, err := GroupedAggregateOnSel(l, q, 0.95, engine.DefaultExecOptions()); err == nil {
 		t.Fatal("missing group column accepted")
 	}
 }
@@ -84,8 +84,7 @@ func TestGroupedEstimatesCoverExactGroups(t *testing.T) {
 	for i := 0; i < N; i++ {
 		im.Offer(int32(i))
 	}
-	lt, w, _ := im.Table()
-	l := Layer{Table: lt, Weights: w, BaseRows: N}
+	l := viewLayer(im, N)
 	q := engine.Query{
 		Table:   "u",
 		GroupBy: "type",
@@ -94,7 +93,7 @@ func TestGroupedEstimatesCoverExactGroups(t *testing.T) {
 			{Func: engine.Avg, Arg: expr.ColRef{Name: "x"}, Alias: "m"},
 		},
 	}
-	groups, err := GroupedAggregateOn(l, q, 0.99)
+	groups, err := GroupedAggregateOnSel(l, q, 0.99, engine.DefaultExecOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,14 +124,14 @@ func TestGroupedEstimatesCoverExactGroups(t *testing.T) {
 
 func TestGroupedWithPredicate(t *testing.T) {
 	base := groupedFixture(t, 20000)
-	l := Layer{Table: base, BaseRows: 20000, Exact: true}
+	l := census(base)
 	q := engine.Query{
 		Table:   "b",
 		Where:   expr.Cmp{Op: vec.Gt, Left: expr.ColRef{Name: "x"}, Right: 15},
 		GroupBy: "type",
 		Aggs:    []engine.AggSpec{{Func: engine.Count}},
 	}
-	groups, err := GroupedAggregateOn(l, q, 0.95)
+	groups, err := GroupedAggregateOnSel(l, q, 0.95, engine.DefaultExecOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,9 +159,9 @@ func TestGroupedGroupOrderIsFirstSeen(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	l := Layer{Table: tb, BaseRows: 4, Exact: true}
+	l := census(tb)
 	q := engine.Query{Table: "t", GroupBy: "g", Aggs: []engine.AggSpec{{Func: engine.Count}}}
-	groups, err := GroupedAggregateOn(l, q, 0.95)
+	groups, err := GroupedAggregateOnSel(l, q, 0.95, engine.DefaultExecOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

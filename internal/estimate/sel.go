@@ -18,12 +18,13 @@ import (
 // The predicate runs through the engine's selection-vector scan
 // (zone-map pruned, morsel-parallel, deterministic), and the Hájek
 // estimators below consume the matched positions without materialising
-// the indicator and importance arrays the table path builds: per query
-// the only allocations are the matched selection itself.
+// indicator or importance arrays: per query the only allocations are
+// the matched selection itself.
 
-// SelLayer describes one selection-native evaluation target: a sample
-// of Base given by sorted row positions with row-aligned weights —
-// exactly the shape of impression.View.
+// SelLayer describes one evaluation target: a sample of Base given by
+// sorted row positions with row-aligned weights — exactly the shape of
+// impression.View. A standalone weighted table (a join synopsis) is a
+// SelLayer over itself with positions 0..n-1.
 type SelLayer struct {
 	Name string
 	// Base is the base table (typically an already-taken snapshot; the
@@ -36,8 +37,11 @@ type SelLayer struct {
 	// (AVG); nil means uniform.
 	Weights []float64
 	// CountWeights are per-row inclusion probabilities used by share
-	// estimators (COUNT, SUM); nil falls back to Weights. See
-	// Layer.CountWeights for why the two differ on biased reservoirs.
+	// estimators (COUNT, SUM); nil falls back to Weights. Biased
+	// reservoirs need the distinction: their composition is a nonlinear
+	// (clamped) function of the bias factor that only the inclusion
+	// model captures, while ratio estimators prefer the smooth bias
+	// factors whose dispersion is orders of magnitude smaller.
 	CountWeights []float64
 	// BaseRows is the base-table cardinality N the sample represents.
 	BaseRows int64
@@ -101,11 +105,13 @@ func AggregateOnSelOpts(sl SelLayer, q engine.Query, level float64, opts engine.
 }
 
 // GroupedAggregateOnSel evaluates a grouped aggregate query against a
-// selection layer, producing per-group estimates — the selection-native
-// form of GroupedAggregateOn. The matched sample rows are partitioned
-// through the engine's dict-coded group-id path on the base snapshot,
-// so keys and first-seen order agree with engine GROUP BY results over
-// the same selection.
+// selection layer, producing per-group estimates. The matched sample
+// rows are partitioned through the engine's dict-coded group-id path on
+// the base snapshot, so keys and first-seen order agree with engine
+// GROUP BY results over the same selection. Groups that do not occur
+// in the sample are necessarily absent (their population share is below
+// the layer's resolution — the paper's cue to escalate to a more
+// detailed impression).
 func GroupedAggregateOnSel(sl SelLayer, q engine.Query, level float64, opts engine.ExecOptions) ([]GroupEstimate, error) {
 	if err := sl.Validate(); err != nil {
 		return nil, err
@@ -178,7 +184,7 @@ func sampleIndices(positions, selBase vec.Sel, want bool) vec.Sel {
 }
 
 // invWeight returns the importance weight u = 1/w for sample index si,
-// with the same floor guard as the table path. nil weights are uniform.
+// floored at weightFloor. nil weights are uniform.
 func invWeight(ws []float64, selSamp vec.Sel, i int) float64 {
 	if ws == nil {
 		return 1
@@ -263,11 +269,11 @@ func shareWeights(sl SelLayer) []float64 {
 	return sl.Weights
 }
 
-// selHajekShare is hajekMean over the membership vector h — h = 1 (or
-// the carried argument g, aligned with the matched rows) on matched
-// rows, 0 elsewhere — computed without materialising h or the
-// importance array: unmatched rows contribute (Σu² − Σ_matched u²)·
-// mean² to the variance in one closed form. sumU/sumU2 are the
+// selHajekShare is the Hájek mean of the membership vector h over the
+// whole sample — h = 1 (or the carried argument g, aligned with the
+// matched rows) on matched rows, 0 elsewhere — computed without
+// materialising h or the importance array: unmatched rows contribute
+// (Σu² − Σ_matched u²)·mean² to the variance in one closed form. sumU/sumU2 are the
 // whole-sample weight sums, hoisted to the caller so grouped
 // estimation pays one pass, not one per group per aggregate.
 func selHajekShare(ws []float64, selSamp vec.Sel, g []float64, matched int, level, fpc, sumU, sumU2 float64) stats.Interval {
@@ -303,9 +309,8 @@ func selHajekShare(ws []float64, selSamp vec.Sel, g []float64, matched int, leve
 	return stats.Interval{Estimate: mean, HalfWidth: stats.ZForConfidence(level) * se, Level: level}
 }
 
-// selHajekMean is hajekMeanSubset computed over the matched selection
-// directly: the self-normalised estimate of E[g | A] with ratio
-// weights, g aligned with the matched rows.
+// selHajekMean is the self-normalised estimate of E[g | A] over the
+// matched rows with ratio weights, g aligned with the matched rows.
 func selHajekMean(ws []float64, selSamp vec.Sel, g []float64, level, fpc float64) stats.Interval {
 	if len(g) == 0 {
 		return stats.Interval{HalfWidth: math.Inf(1), Level: level}

@@ -3,18 +3,28 @@ package estimate
 import (
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"sciborq/internal/column"
 	"sciborq/internal/engine"
 	"sciborq/internal/expr"
+	"sciborq/internal/stats"
 	"sciborq/internal/table"
 	"sciborq/internal/vec"
 )
 
+// matLayer is a sample materialised as a standalone table with
+// row-aligned weights — the textbook oracle's input.
+type matLayer struct {
+	table        *table.Table
+	weights, pis []float64
+	baseRows     int64
+}
+
 // selEstFixture builds a base table, a sorted random position vector,
 // and the equivalent materialised layer with aligned weights.
-func selEstFixture(t *testing.T, n int, weighted bool, seed int64) (SelLayer, Layer) {
+func selEstFixture(t *testing.T, n int, weighted bool, seed int64) (SelLayer, matLayer) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	xs := make([]float64, n)
@@ -56,11 +66,93 @@ func selEstFixture(t *testing.T, n int, weighted bool, seed int64) (SelLayer, La
 		Name: "sel", Base: base, Positions: positions,
 		Weights: weights, CountWeights: pis, BaseRows: int64(n),
 	}
-	l := Layer{
-		Name: "mat", Table: layerTable,
-		Weights: weights, CountWeights: pis, BaseRows: int64(n),
+	return sl, matLayer{table: layerTable, weights: weights, pis: pis, baseRows: int64(n)}
+}
+
+// hajekOracle is the textbook Hájek estimator the selection-native one
+// must agree with. It materialises the importance weights u = 1/w over
+// every sample row and the membership vector h (1, or the argument, on
+// rows in sel; 0 elsewhere), then computes μ̂ = Σu·h / Σu and the
+// delta-method variance Σu²(h − μ̂)² / (Σu)² over the whole sample —
+// no closed form for the unmatched rows. sel indexes l.table's rows.
+func hajekOracle(t *testing.T, l matLayer, aggs []engine.AggSpec, sel vec.Sel, level float64) []Estimate {
+	t.Helper()
+	n := l.table.Len()
+	fpc := stats.FPC(int64(n), l.baseRows)
+	importance := func(ws []float64) []float64 {
+		u := make([]float64, n)
+		for i := range u {
+			u[i] = 1
+			if ws != nil {
+				u[i] = 1 / math.Max(ws[i], weightFloor)
+			}
+		}
+		return u
 	}
-	return sl, l
+	hajek := func(u, h []float64, rows vec.Sel) stats.Interval {
+		var sumU, mean, varSum float64
+		for _, i := range rows {
+			sumU += u[i]
+			mean += u[i] * h[i]
+		}
+		if len(rows) == 0 || sumU == 0 {
+			return stats.Interval{HalfWidth: math.Inf(1), Level: level}
+		}
+		mean /= sumU
+		for _, i := range rows {
+			d := h[i] - mean
+			varSum += u[i] * u[i] * d * d
+		}
+		se := math.Sqrt(varSum) / sumU * fpc
+		return stats.Interval{Estimate: mean, HalfWidth: stats.ZForConfidence(level) * se, Level: level}
+	}
+	shareWeights := l.pis
+	if shareWeights == nil {
+		shareWeights = l.weights
+	}
+	var out []Estimate
+	for _, spec := range aggs {
+		var g []float64
+		if spec.Arg != nil {
+			var err error
+			if g, err = spec.Arg.EvalF64(l.table); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var iv stats.Interval
+		switch spec.Func {
+		case engine.Count, engine.Sum:
+			h := make([]float64, n)
+			for _, i := range sel {
+				h[i] = 1
+				if spec.Func == engine.Sum {
+					h[i] = g[i]
+				}
+			}
+			iv = hajek(importance(shareWeights), h, vec.NewSelAll(n)).Scale(float64(l.baseRows))
+		case engine.Avg:
+			iv = hajek(importance(l.weights), g, sel)
+		default: // MIN, MAX, STDDEV: sample statistic, unbounded interval
+			st := engine.AggState{Spec: spec}
+			st.Moments.ObserveAll(vec.GatherFloat64(g, sel))
+			iv = stats.Interval{Estimate: st.Value(), HalfWidth: math.Inf(1), Level: level}
+		}
+		out = append(out, Estimate{Spec: spec, Interval: iv, SampleRows: len(sel)})
+	}
+	return out
+}
+
+// oracleSel evaluates q's predicate over the materialised layer.
+func oracleSel(t *testing.T, l matLayer, q engine.Query) vec.Sel {
+	t.Helper()
+	sel, err := q.Pred().Filter(l.table, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sel == nil {
+		sel = vec.NewSelAll(l.table.Len())
+	}
+	return sel
 }
 
 func allAggsQuery(pred expr.Predicate) engine.Query {
@@ -113,7 +205,8 @@ func assertEstimatesMatch(t *testing.T, got, want []Estimate) {
 }
 
 // TestAggregateOnSelMatchesMaterialized asserts the selection-native
-// estimators agree with the materialised-layer path on every aggregate,
+// estimators agree with the textbook Hájek oracle over the materialised
+// layer on every aggregate — values and the closed-form share variance —
 // for uniform and weighted layers, across predicates and parallelism.
 func TestAggregateOnSelMatchesMaterialized(t *testing.T) {
 	preds := []expr.Predicate{
@@ -126,10 +219,7 @@ func TestAggregateOnSelMatchesMaterialized(t *testing.T) {
 		sl, l := selEstFixture(t, 20_000, weighted, 41)
 		for pi, pred := range preds {
 			q := allAggsQuery(pred)
-			want, err := AggregateOnOpts(l, q, 0.95, engine.ExecOptions{Parallelism: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := hajekOracle(t, l, q.Aggs, oracleSel(t, l, q), 0.95)
 			for _, workers := range []int{1, 4} {
 				got, err := AggregateOnSelOpts(sl, q, 0.95, engine.ExecOptions{Parallelism: workers, MorselRows: 2048})
 				if err != nil {
@@ -163,8 +253,9 @@ func TestAggregateOnSelDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestGroupedAggregateOnSelMatchesMaterialized asserts grouped
-// selection-native estimates agree with GroupedAggregateOn: same keys,
-// same order, same estimates.
+// selection-native estimates agree with the oracle applied per group of
+// the materialised layer: same keys, same first-seen order, same
+// estimates.
 func TestGroupedAggregateOnSelMatchesMaterialized(t *testing.T) {
 	for _, weighted := range []bool{false, true} {
 		sl, l := selEstFixture(t, 15_000, weighted, 47)
@@ -177,9 +268,25 @@ func TestGroupedAggregateOnSelMatchesMaterialized(t *testing.T) {
 				{Func: engine.Avg, Arg: expr.ColRef{Name: "x"}, Alias: "a"},
 			},
 		}
-		want, err := GroupedAggregateOn(l, q, 0.95)
+		keys, err := l.table.Int64("g")
 		if err != nil {
 			t.Fatal(err)
+		}
+		var want []GroupEstimate
+		var groups []vec.Sel
+		groupOf := map[int64]int{}
+		for _, row := range oracleSel(t, l, q) {
+			gi, ok := groupOf[keys[row]]
+			if !ok {
+				gi = len(groups)
+				groupOf[keys[row]] = gi
+				groups = append(groups, nil)
+				want = append(want, GroupEstimate{Key: strconv.FormatInt(keys[row], 10)})
+			}
+			groups[gi] = append(groups[gi], row)
+		}
+		for gi := range want {
+			want[gi].Estimates = hajekOracle(t, l, q.Aggs, groups[gi], 0.95)
 		}
 		got, err := GroupedAggregateOnSel(sl, q, 0.95, engine.ExecOptions{Parallelism: 4})
 		if err != nil {

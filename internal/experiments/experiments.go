@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -15,6 +16,7 @@ import (
 	"sciborq/internal/kde"
 	"sciborq/internal/reservoir"
 	"sciborq/internal/skyserver"
+	"sciborq/internal/sqlparse"
 	"sciborq/internal/stats"
 	"sciborq/internal/vec"
 	"sciborq/internal/workload"
@@ -53,41 +55,37 @@ func newFixture(baseRows int, seed uint64) (*fixture, error) {
 }
 
 // uniformLayer builds one uniform impression layer of size n.
-func (f *fixture) uniformLayer(n int, seed uint64) (estimate.Layer, error) {
-	im, err := impression.New(f.db.PhotoObjAll, impression.Config{
+func (f *fixture) uniformLayer(n int, seed uint64) (estimate.SelLayer, error) {
+	return f.layer(impression.Config{
 		Name: fmt.Sprintf("uniform-%d", n), Size: n, Seed: seed,
 	})
-	if err != nil {
-		return estimate.Layer{}, err
-	}
-	for i := 0; i < f.db.PhotoObjAll.Len(); i++ {
-		im.Offer(int32(i))
-	}
-	t, _, err := im.Table()
-	if err != nil {
-		return estimate.Layer{}, err
-	}
-	return estimate.Layer{Name: im.Name(), Table: t, BaseRows: int64(f.db.PhotoObjAll.Len())}, nil
 }
 
 // biasedLayer builds one biased impression layer of size n steered by
 // the fixture's workload.
-func (f *fixture) biasedLayer(n int, seed uint64) (estimate.Layer, error) {
-	im, err := impression.New(f.db.PhotoObjAll, impression.Config{
+func (f *fixture) biasedLayer(n int, seed uint64) (estimate.SelLayer, error) {
+	return f.layer(impression.Config{
 		Name: fmt.Sprintf("biased-%d", n), Size: n, Policy: impression.Biased,
 		Logger: f.logger, Attrs: []string{"ra", "dec"}, Seed: seed,
 	})
+}
+
+// layer samples the whole base into one impression and returns its
+// selection view — the layer shape bounded execution evaluates.
+func (f *fixture) layer(cfg impression.Config) (estimate.SelLayer, error) {
+	base := f.db.PhotoObjAll
+	im, err := impression.New(base, cfg)
 	if err != nil {
-		return estimate.Layer{}, err
+		return estimate.SelLayer{}, err
 	}
-	for i := 0; i < f.db.PhotoObjAll.Len(); i++ {
+	for i := 0; i < base.Len(); i++ {
 		im.Offer(int32(i))
 	}
-	t, w, err := im.Table()
-	if err != nil {
-		return estimate.Layer{}, err
-	}
-	return estimate.Layer{Name: im.Name(), Table: t, Weights: w, BaseRows: int64(f.db.PhotoObjAll.Len())}, nil
+	v := im.View()
+	return estimate.SelLayer{
+		Name: im.Name(), Base: base, Positions: v.Positions,
+		Weights: v.Weights, CountWeights: v.Pis, BaseRows: int64(base.Len()),
+	}, nil
 }
 
 // avgRQuery is the standard probe: AVG(r) over an optional predicate.
@@ -101,7 +99,7 @@ func avgRQuery(where expr.Predicate) engine.Query {
 
 // exactAvg computes AVG(r) exactly under a predicate.
 func (f *fixture) exactAvg(where expr.Predicate) (float64, error) {
-	res, err := engine.RunOn(f.db.PhotoObjAll, avgRQuery(where))
+	res, err := engine.RunOnOpts(f.db.PhotoObjAll, avgRQuery(where), engine.DefaultExecOptions())
 	if err != nil {
 		return 0, err
 	}
@@ -140,7 +138,7 @@ func E1LayerError(baseRows int, sizes []int, seed uint64) (*E1Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		ests, err := estimate.AggregateOn(layer, avgRQuery(nil), 0.95)
+		ests, err := estimate.AggregateOnSelOpts(layer, avgRQuery(nil), 0.95, engine.DefaultExecOptions())
 		if err != nil {
 			return nil, err
 		}
@@ -188,7 +186,8 @@ func E2TimeBounds(baseRows int, sizes []int, seed uint64) (*E2Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	model := engine.Calibrate(200_000)
+	opts := engine.DefaultExecOptions()
+	model := engine.Calibrate(200_000, opts)
 	out := &E2Result{Model: model}
 	cone := skyserver.FGetNearbyObjEq(165, 20, 5)
 	for i, n := range sizes {
@@ -200,7 +199,7 @@ func E2TimeBounds(baseRows int, sizes []int, seed uint64) (*E2Result, error) {
 		var best time.Duration
 		for rep := 0; rep < 5; rep++ {
 			start := time.Now()
-			if _, err := estimate.AggregateOn(layer, avgRQuery(cone), 0.95); err != nil {
+			if _, err := estimate.AggregateOnSelOpts(layer, avgRQuery(cone), 0.95, opts); err != nil {
 				return nil, err
 			}
 			el := time.Since(start)
@@ -262,8 +261,8 @@ func E3BiasedVsUniform(baseRows, sampleSize int, seed uint64) (*E3Result, error)
 		L: expr.Cmp{Op: vec.Ge, Left: expr.ColRef{Name: "ra"}, Right: 225},
 		R: expr.Cmp{Op: vec.Lt, Left: expr.ColRef{Name: "dec"}, Right: 10},
 	} // far from any focal point
-	run := func(l estimate.Layer, p expr.Predicate) (estimate.Estimate, error) {
-		ests, err := estimate.AggregateOn(l, avgRQuery(p), 0.95)
+	run := func(l estimate.SelLayer, p expr.Predicate) (estimate.Estimate, error) {
+		ests, err := estimate.AggregateOnSelOpts(l, avgRQuery(p), 0.95, engine.DefaultExecOptions())
 		if err != nil {
 			return estimate.Estimate{}, err
 		}
@@ -456,14 +455,15 @@ func E5Escalation(baseRows int, sizes []int, epss []float64, seed uint64) (*E5Re
 	if err := h.Refresh(); err != nil {
 		return nil, err
 	}
-	ex, err := bounded.NewExecutor(f.db.PhotoObjAll, h, engine.DefaultCostModel())
+	ex, err := bounded.NewExecutor(f.db.PhotoObjAll, h, engine.DefaultCostModel(), engine.DefaultExecOptions())
 	if err != nil {
 		return nil, err
 	}
 	out := &E5Result{}
 	q := avgRQuery(skyserver.FGetNearbyObjEq(165, 20, 8))
 	for _, eps := range epss {
-		ans, err := ex.ErrorBounded(q, eps, 0.95)
+		st := &sqlparse.Statement{Query: q, Bounds: sqlparse.Bounds{MaxRelError: eps, Confidence: 0.95}}
+		ans, err := ex.Run(context.Background(), st, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -92,19 +92,3 @@ func (h *Hierarchy) Ascending() []*Impression {
 	sort.SliceStable(out, func(a, b int) bool { return out[a].Cap() < out[b].Cap() })
 	return out
 }
-
-// LargestWithin returns the biggest layer whose sample size does not
-// exceed maxRows, used by time-bounded processing; ok is false when even
-// the smallest layer is too large.
-func (h *Hierarchy) LargestWithin(maxRows int) (*Impression, bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	var best *Impression
-	for _, l := range h.layers {
-		n := l.Len()
-		if n <= maxRows && (best == nil || n > best.Len()) {
-			best = l
-		}
-	}
-	return best, best != nil
-}

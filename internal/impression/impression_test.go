@@ -332,27 +332,6 @@ func TestHierarchyAscending(t *testing.T) {
 	}
 }
 
-func TestHierarchyLargestWithin(t *testing.T) {
-	base := buildBase(t, 10000, 17)
-	l0, _ := New(base, Config{Name: "l0", Size: 1000, Seed: 1})
-	l1, _ := New(base, Config{Name: "l1", Size: 100, Seed: 2})
-	h, _ := NewHierarchy([]*Impression{l0, l1}, 500)
-	for i := 0; i < base.Len(); i++ {
-		h.Offer(int32(i))
-	}
-	if _, ok := h.LargestWithin(50); ok {
-		t.Fatal("found layer under impossible budget")
-	}
-	got, ok := h.LargestWithin(100)
-	if !ok || got.Cap() != 100 {
-		t.Fatalf("LargestWithin(100) = %v, %v", got, ok)
-	}
-	got, ok = h.LargestWithin(1_000_000)
-	if !ok || got.Cap() != 1000 {
-		t.Fatalf("LargestWithin(1M) picked %d", got.Cap())
-	}
-}
-
 func TestBiasedHierarchyInheritsFocus(t *testing.T) {
 	// §3.1: "the focal point of the larger impression is inherited by
 	// the smaller". The small derived layer must still over-represent

@@ -80,7 +80,7 @@ func JoinWithWeights(layer *table.Table, weights []float64, joins []JoinSpec) (*
 		if j.Dim == nil {
 			return nil, nil, fmt.Errorf("impression: join %d has nil dimension", i)
 		}
-		joined, err = engine.HashJoin(joined, j.Dim, j.FactKey, j.DimKey)
+		joined, err = engine.HashJoin(joined, j.Dim, j.FactKey, j.DimKey, engine.DefaultExecOptions())
 		if err != nil {
 			return nil, nil, fmt.Errorf("impression: join %d (%s=%s.%s): %w",
 				i, j.FactKey, j.Dim.Name(), j.DimKey, err)

@@ -119,7 +119,7 @@ func TestSynopsisEstimatesJoinAggregates(t *testing.T) {
 	// exact full-join answer — the paper's "more precise query results"
 	// from maintained correlations.
 	fact, dim := joinFixture(t, 40000)
-	fullJoin, err := engine.HashJoin(fact, dim, "fieldID", "fieldID")
+	fullJoin, err := engine.HashJoin(fact, dim, "fieldID", "fieldID", engine.DefaultExecOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,16 +144,17 @@ func TestSynopsisEstimatesJoinAggregates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	layer := estimate.Layer{
-		Name: "synopsis", Table: joined, Weights: weights,
-		BaseRows: int64(fullJoin.Len()),
+	// A standalone weighted table is a selection layer over itself.
+	layer := estimate.SelLayer{
+		Name: "synopsis", Base: joined, Positions: vec.NewSelAll(joined.Len()),
+		Weights: weights, BaseRows: int64(fullJoin.Len()),
 	}
 	q := engine.Query{
 		Table: "synopsis",
 		Where: pred,
 		Aggs:  []engine.AggSpec{{Func: engine.Count}},
 	}
-	ests, err := estimate.AggregateOn(layer, q, 0.99)
+	ests, err := estimate.AggregateOnSelOpts(layer, q, 0.99, engine.DefaultExecOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -282,6 +282,49 @@ func (r *Recycler) FilterPrepared(snap *table.Table, prep *Prepared, opts engine
 	return sel, scan, nil
 }
 
+// Exec evaluates q exactly over a snapshot of t — the one exact
+// execution path, shared by unbounded queries and the bounded
+// executor's base rung — serving the WHERE selection through rec (nil
+// = no cache): a repeated predicate skips its scan entirely, and a
+// refined one (p AND q after p) filters only the cached superset
+// selection. The query then executes over the snapshot the selection
+// describes via the prefiltered engine path, whose morsel merge layout
+// makes results bit-identical to an uncached scan. WHERE-less queries
+// and TRUE-equivalent predicates take the plain path. prep, when
+// non-nil, is the plan cache's pre-canonicalised predicate
+// (FilterPrepared re-prepares it if a load raced past its version).
+func Exec(rec *Recycler, t *table.Table, q engine.Query, opts engine.ExecOptions, prep *Prepared) (*engine.Result, error) {
+	snap := t.Snapshot()
+	if rec == nil || q.Where == nil {
+		return engine.RunOnOpts(snap, q, opts)
+	}
+	if len(q.Aggs) > 0 {
+		// The fused aggregate path never materialises a selection, so
+		// routing through the recycler only pays off if the result can
+		// actually be cached. The post-pruning scanned-row count bounds
+		// the match count from above; when even that bound is
+		// inadmissible, stay on the fused path instead of building (and
+		// then rejecting) a huge selection every query. Projections
+		// materialise the selection either way, so they always route.
+		if upper := engine.EstimateScanRows(snap, q.Pred(), opts); !rec.Admissible(upper) {
+			return engine.RunOnOpts(snap, q, opts)
+		}
+	}
+	if prep == nil {
+		p := Prepare(snap.ID(), snap.Version(), q.Where)
+		prep = &p
+	}
+	sel, scan, err := rec.FilterPrepared(snap, prep, opts)
+	if err != nil {
+		return nil, err
+	}
+	if sel == nil {
+		// TRUE-equivalent predicate: nothing to reuse, scan normally.
+		return engine.RunOnOpts(snap, q, opts)
+	}
+	return engine.RunOnFilteredOpts(snap, sel, q, scan, opts)
+}
+
 // findSupersetLocked searches the (id, ver) bucket for the cheapest
 // entry whose predicate is implied by the query conjunction — every
 // cached conjunct either appears verbatim in the query (by key) or is

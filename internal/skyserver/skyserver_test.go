@@ -78,11 +78,11 @@ func TestClusteringVisible(t *testing.T) {
 
 func TestTypeSkew(t *testing.T) {
 	db, _ := Generate(DefaultConfig(30000))
-	res, err := engine.RunOn(db.PhotoObjAll, engine.Query{
+	res, err := engine.RunOnOpts(db.PhotoObjAll, engine.Query{
 		Table:   "PhotoObjAll",
 		GroupBy: "type",
 		Aggs:    []engine.AggSpec{{Func: engine.Count, Alias: "n"}},
-	})
+	}, engine.DefaultExecOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,14 +118,14 @@ func TestObjIDsUniqueAndDense(t *testing.T) {
 
 func TestFKIntegrity(t *testing.T) {
 	db, _ := Generate(DefaultConfig(5000))
-	joined, err := engine.HashJoin(db.PhotoObjAll, db.Field, "fieldID", "fieldID")
+	joined, err := engine.HashJoin(db.PhotoObjAll, db.Field, "fieldID", "fieldID", engine.DefaultExecOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if joined.Len() != 5000 {
 		t.Fatalf("FK join lost rows: %d", joined.Len())
 	}
-	tagJoin, err := engine.HashJoin(db.PhotoObjAll, db.PhotoTag, "objID", "objID")
+	tagJoin, err := engine.HashJoin(db.PhotoObjAll, db.PhotoTag, "objID", "objID", engine.DefaultExecOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestGeneratorStreamsBatches(t *testing.T) {
 func TestPaperQueryRuns(t *testing.T) {
 	db, _ := Generate(DefaultConfig(20000))
 	q := PaperQuery(165, 20, 3)
-	res, err := engine.RunOn(db.PhotoObjAll, q)
+	res, err := engine.RunOnOpts(db.PhotoObjAll, q, engine.DefaultExecOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

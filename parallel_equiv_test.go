@@ -1,6 +1,7 @@
 package sciborq
 
 import (
+	"math"
 	"testing"
 
 	"sciborq/internal/engine"
@@ -103,6 +104,60 @@ func TestErrorBoundedParallelSequentialEquivalence(t *testing.T) {
 	}
 	if sv != pv {
 		t.Fatalf("bounded estimate diverged: %v vs %v", sv, pv)
+	}
+}
+
+// TestBoundedExactRungMatchesExact: a bounded query that falls to the
+// base rung runs the unbounded exact execution, so its answer is the
+// exact answer bit for bit — cached or not, at every parallelism, for a
+// plain scan, a cone, and a refinement served from the cone's cached
+// selection. Each estimate's SampleRows is the matched row count.
+func TestBoundedExactRungMatchesExact(t *testing.T) {
+	const aggs = "SELECT COUNT(*) AS n, SUM(r) AS s, AVG(r) AS a, MIN(r) AS lo, STDDEV(r) AS sd FROM PhotoObjAll"
+	wheres := []string{"", " WHERE fGetNearbyObjEq(165, 20, 5)", " WHERE fGetNearbyObjEq(165, 20, 5) AND r < 19"}
+	for _, recycle := range []bool{true, false} {
+		for _, workers := range []int{1, 4} {
+			var extra []Option
+			if !recycle {
+				extra = append(extra, WithRecyclerBudget(0))
+			}
+			db := equivDB(t, workers, extra...)
+			// In order, so the refinement finds the cone cached.
+			for _, where := range wheres {
+				bounded, err := db.Exec(aggs + where + " WITHIN ERROR 1e-9")
+				if err != nil {
+					t.Fatal(err)
+				}
+				exact, err := db.Exec(aggs + where)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if bounded.Bounded == nil || !bounded.Bounded.Exact {
+					t.Fatalf("recycle=%t workers=%d %q: no exact base answer", recycle, workers, where)
+				}
+				n, err := exact.Scalar("n")
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, e := range bounded.Estimates() {
+					want, err := exact.Scalar(e.Spec.Name())
+					if err != nil {
+						t.Fatal(err)
+					}
+					if math.Float64bits(e.Value()) != math.Float64bits(want) {
+						t.Errorf("recycle=%t workers=%d %q %s: bounded %v, exact %v",
+							recycle, workers, where, e.Spec.Name(), e.Value(), want)
+					}
+					if e.SampleRows != int(n) {
+						t.Errorf("recycle=%t workers=%d %q %s: SampleRows %d, matched %v",
+							recycle, workers, where, e.Spec.Name(), e.SampleRows, n)
+					}
+				}
+			}
+			if st := db.RecyclerStats(); recycle && st.SubsumedHits == 0 {
+				t.Errorf("workers=%d: refinement never served from the cached cone: %+v", workers, st)
+			}
+		}
 	}
 }
 

@@ -312,7 +312,7 @@ func Open(opts ...Option) *DB {
 	if db.cost.NsPerRow <= 0 {
 		// Calibrate the configured execution options, so WITHIN TIME
 		// layer picks reflect parallel scan throughput.
-		db.cost = engine.CalibrateOpts(100_000, db.opts)
+		db.cost = engine.Calibrate(100_000, db.opts)
 	}
 	return db
 }

@@ -252,6 +252,25 @@ func TestProjectionWithTimeBoundUsesImpression(t *testing.T) {
 	}
 }
 
+// TestTimeBoundedProjectionNeverFallsToBase: when the budget fits no
+// layer, a WITHIN TIME projection runs on the smallest layer (best
+// effort, like a bounded aggregate) — never on the whole base table,
+// which would give the tightest bound the slowest plan.
+func TestTimeBoundedProjectionNeverFallsToBase(t *testing.T) {
+	db := openSky(t, 30000, Uniform) // 1µs fixed cost: 1µs affords no rows
+	res, err := db.Exec("SELECT objID, ra FROM PhotoObjAll WHERE ra BETWEEN 150 AND 180 LIMIT 10 WITHIN TIME 1us")
+	if err != nil {
+		t.Fatal(err)
+	}
+	smallest := db.Hierarchy("PhotoObjAll").Ascending()[0].Len()
+	if res.Rows == nil {
+		t.Fatal("projection returned no rows result")
+	}
+	if res.Rows.ScannedRows > smallest {
+		t.Fatalf("scanned %d rows, want at most the smallest layer's %d", res.Rows.ScannedRows, smallest)
+	}
+}
+
 func TestExecParseError(t *testing.T) {
 	db := Open(testCost())
 	if _, err := db.Exec("DELETE FROM t"); err == nil {
