@@ -40,13 +40,15 @@ crash:
 	$(GO) test -race -run='^TestRestartRecoversDataDir$$' -v ./cmd/sciborqd
 
 # Short fuzz smoke over the SQL front-end (Parse never panics and
-# accepted statements round-trip through Statement.String) and the wire
+# accepted statements round-trip through Statement.String), the wire
 # protocol (frame/page decoders never panic on arbitrary bytes, and
-# decoded frames re-encode losslessly).
+# decoded frames re-encode losslessly) and the cone kernel (it selects
+# exactly the rows the AngularSeparation reference selects).
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/sqlparse
 	$(GO) test -run='^$$' -fuzz='^FuzzFrame$$' -fuzztime=10s ./internal/wire
 	$(GO) test -run='^$$' -fuzz='^FuzzFrameStream$$' -fuzztime=10s ./internal/wire
+	$(GO) test -run='^$$' -fuzz='^FuzzConeKernel$$' -fuzztime=10s ./internal/expr
 
 # One-iteration benchmark smoke: fails loudly if the hot scan path
 # regresses to an error, without paying full benchmark time.
@@ -62,13 +64,14 @@ bench-smoke:
 	$(GO) -C bench test ./...
 	bash bench/run.sh -smoke
 
-# Allocation regression gate for the cached-statement front end: a warm
+# Allocation regression gate, asserted via testing.AllocsPerRun: a warm
 # plan-cache hit (map probe + catalog version check) must stay at
-# exactly 0 allocs/op, asserted via testing.AllocsPerRun at both the
-# package level (plancache.TestLookupZeroAlloc) and end to end through
-# DB.CheckSQL (TestFrontEndZeroAlloc).
+# exactly 0 allocs/op at both the package level
+# (plancache.TestLookupZeroAlloc) and end to end through DB.CheckSQL
+# (TestFrontEndZeroAlloc), and so must the steady-state cone kernel on
+# pooled scratch (expr.TestConeKernelZeroAlloc).
 bench-alloc:
-	$(GO) test -run='ZeroAlloc' -v . ./internal/plancache/...
+	$(GO) test -run='ZeroAlloc' -v . ./internal/plancache/... ./internal/expr/...
 
 # Seeded, deterministic chaos suite under the race detector: >=100
 # injected faults (errors, panics, latency) across all six fault points

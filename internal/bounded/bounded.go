@@ -259,7 +259,7 @@ func (e *Executor) rungs() []rung {
 				name: im.Name(), rows: len(v.Positions), snap: snap,
 				layer: &estimate.SelLayer{
 					Name: im.Name(), Base: snap, Positions: v.Positions,
-					Weights: v.Weights, CountWeights: v.Pis,
+					Weights: v.Weights, CountWeights: v.Pis, ShareSums: v.ShareSums,
 					BaseRows: int64(snap.Len()),
 				},
 			})

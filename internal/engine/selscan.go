@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"sciborq/internal/expr"
@@ -30,23 +31,29 @@ type selPart struct {
 }
 
 // partitionSel splits a sorted position vector into granule-aligned
-// parts. Only non-empty granules produce parts, so the walk and the
-// scheduling cost scale with the sample, not the base table.
+// parts. Only non-empty granules produce parts, and each part's end is
+// found by binary search for the next granule boundary, so the cost is
+// O(granules · log |positions|): independent of the base table and
+// without a division per position.
 func partitionSel(positions vec.Sel, n int, opts ExecOptions) []selPart {
 	if len(positions) == 0 {
 		return nil
 	}
 	mr := opts.morselRows()
-	parts := make([]selPart, 0, opts.morselCount(n))
-	start := 0
-	g := int(positions[0]) / mr
-	for i := 1; i < len(positions); i++ {
-		if gi := int(positions[i]) / mr; gi != g {
-			parts = append(parts, selPart{plo: start, phi: i, rowLo: g * mr, rowHi: min(g*mr+mr, n)})
-			start, g = i, gi
+	last := int(positions[len(positions)-1])
+	parts := make([]selPart, 0, min(opts.morselCount(n), last/mr+1))
+	for start := 0; start < len(positions); {
+		rowLo := int(positions[start]) / mr * mr
+		rowHi := rowLo + mr
+		end := len(positions)
+		if rowHi <= last {
+			// rowHi <= last < 2^31, so the boundary fits a position.
+			end, _ = slices.BinarySearch(positions[start:], int32(rowHi))
+			end += start
 		}
+		parts = append(parts, selPart{plo: start, phi: end, rowLo: rowLo, rowHi: min(rowHi, n)})
+		start = end
 	}
-	parts = append(parts, selPart{plo: start, phi: len(positions), rowLo: g * mr, rowHi: min(g*mr+mr, n)})
 	return parts
 }
 
@@ -73,41 +80,28 @@ func checkPositions(positions vec.Sel, n int) error {
 	return nil
 }
 
-// filterSelPart evaluates pred over one part. Dense parts — at least
-// half of their base-row window sampled — evaluate the contiguous
-// window with the branchless range kernels and intersect with the
-// positions; a part covering its whole window skips the intersection
-// entirely. Sparse parts take the sel-native kernels, whose cost is
-// proportional to the part. The returned selection is pooled scratch.
+// filterSelPart evaluates pred over one part. A part covering its
+// whole base-row window runs the contiguous range kernels; any other
+// part runs the sel-native kernels, whose cost is proportional to the
+// part. The returned selection is pooled scratch.
 func filterSelPart(t *table.Table, pred expr.Predicate, part vec.Sel) (vec.Sel, error) {
 	wlo, whi := int(part[0]), int(part[len(part)-1])+1
-	window := whi - wlo
-	if len(part) == window {
+	if len(part) == whi-wlo {
 		return expr.FilterRange(t, pred, wlo, whi)
-	}
-	if 2*len(part) >= window {
-		rs, err := expr.FilterRange(t, pred, wlo, whi)
-		if err != nil {
-			return nil, err
-		}
-		out := vec.AndInto(vec.GetSel(min(len(rs), len(part))), rs, part)
-		vec.PutSel(rs)
-		return out, nil
 	}
 	return expr.FilterSel(t, pred, part)
 }
 
-// scanSelMorsels is the selection-scan analogue of scanMorsels: it
-// partitions positions into granule-aligned parts, extracts zone-map
-// checks from the original predicate, prepares it once, and runs
-// perPart over every part with its filtered selection (pooled scratch,
-// valid only for the duration of the call). Zone-pruned parts are
+// scanSelMorsels is the selection-scan analogue of scanMorsels: over
+// the granule-aligned parts of positions (partitionSel), it extracts
+// zone-map checks from the original predicate, prepares it once, and
+// runs perPart over every part with its filtered selection (pooled
+// scratch, valid only for the duration of the call). Zone-pruned parts are
 // skipped without evaluating the predicate; perPart never sees them.
 //
 // t must be a table snapshot and positions must satisfy the
 // checkPositions contract.
-func scanSelMorsels(t *table.Table, positions vec.Sel, pred expr.Predicate, opts ExecOptions, perPart func(m int, sel vec.Sel) error) (ScanStats, error) {
-	parts := partitionSel(positions, t.Len(), opts)
+func scanSelMorsels(t *table.Table, positions vec.Sel, parts []selPart, pred expr.Predicate, opts ExecOptions, perPart func(m int, sel vec.Sel) error) (ScanStats, error) {
 	stats := ScanStats{Morsels: len(parts), ScannedRows: len(positions)}
 	checks := zoneChecks(t, pred)
 	if len(checks) > 0 {
@@ -171,8 +165,9 @@ func FilterSel(t *table.Table, pred expr.Predicate, positions vec.Sel, opts Exec
 	if len(positions) == 0 {
 		return vec.Sel{}, ScanStats{}, nil
 	}
-	partsOut := make([]vec.Sel, len(partitionSel(positions, n, opts)))
-	stats, err := scanSelMorsels(t, positions, pred, opts, func(m int, sel vec.Sel) error {
+	parts := partitionSel(positions, n, opts)
+	partsOut := make([]vec.Sel, len(parts))
+	stats, err := scanSelMorsels(t, positions, parts, pred, opts, func(m int, sel vec.Sel) error {
 		partsOut[m] = append(vec.Sel(nil), sel...) // sel is pooled scratch
 		return nil
 	})

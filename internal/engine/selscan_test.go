@@ -305,3 +305,106 @@ func TestRunOnSelAggregatesAndProjection(t *testing.T) {
 		}
 	}
 }
+
+// partitionSelLinear is the reference partition: one integer division
+// per position, a new part whenever the granule changes.
+func partitionSelLinear(positions vec.Sel, n int, opts ExecOptions) []selPart {
+	if len(positions) == 0 {
+		return nil
+	}
+	mr := opts.morselRows()
+	var parts []selPart
+	start := 0
+	g := int(positions[0]) / mr
+	for i := 1; i < len(positions); i++ {
+		if gi := int(positions[i]) / mr; gi != g {
+			parts = append(parts, selPart{plo: start, phi: i, rowLo: g * mr, rowHi: min(g*mr+mr, n)})
+			start, g = i, gi
+		}
+	}
+	return append(parts, selPart{plo: start, phi: len(positions), rowLo: g * mr, rowHi: min(g*mr+mr, n)})
+}
+
+// TestPartitionSelMatchesLinearWalk: the binary-search partition equals
+// the per-position walk for tiny, odd and default granules, empty and
+// single-position inputs, positions on granule boundaries and a short
+// last granule.
+func TestPartitionSelMatchesLinearWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, mr := range []int{1, 7, 64 * 1024} {
+		opts := ExecOptions{MorselRows: mr}
+		for _, n := range []int{1, 2, mr, mr + 1, 3*mr - 2, 200_003} {
+			inputs := []vec.Sel{
+				{},
+				{0},
+				{int32(n - 1)},
+				randPositions(rng, n, 0.01),
+				randPositions(rng, n, 0.5),
+				vec.NewSelAll(n),
+			}
+			var edges vec.Sel // every granule's first and last row
+			for lo := 0; lo < n; lo += mr {
+				edges = append(edges, int32(lo))
+				if hi := min(lo+mr, n) - 1; hi > lo {
+					edges = append(edges, int32(hi))
+				}
+			}
+			inputs = append(inputs, edges)
+			for _, pos := range inputs {
+				got, want := partitionSel(pos, n, opts), partitionSelLinear(pos, n, opts)
+				if len(got) != len(want) {
+					t.Fatalf("mr=%d n=%d |pos|=%d: %d parts, want %d", mr, n, len(pos), len(got), len(want))
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("mr=%d n=%d |pos|=%d part %d = %+v, want %+v", mr, n, len(pos), i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestConeZonePruningIsConservative: a row whose computed separation
+// equals the radius exactly lies one ulp beyond Dec0 + Radius. Alone in
+// its zone granule, it must not be pruned: COUNT(*) through the pruned
+// scan equals the reference loop over AngularSeparation.
+func TestConeZonePruningIsConservative(t *testing.T) {
+	cone := expr.Cone{RaCol: "ra", DecCol: "dec", Ra0: 10, Dec0: -2.308673878296645, Radius: 4.000548634482486}
+	const edgeDec = 1.6918747561858416
+	if d := expr.AngularSeparation(cone.Ra0, cone.Dec0, cone.Ra0, edgeDec); d != cone.Radius {
+		t.Fatalf("fixture: edge row separation %v, want exactly %v", d, cone.Radius)
+	}
+	n := column.ZoneRows + 1 // granule 0 far from the cone, granule 1 the edge row alone
+	ra, dec := make([]float64, n), make([]float64, n)
+	for i := range ra {
+		ra[i], dec[i] = cone.Ra0+180, 60
+	}
+	ra[n-1], dec[n-1] = cone.Ra0, edgeDec
+	tb := table.MustNew("sky", table.Schema{
+		{Name: "ra", Type: column.Float64},
+		{Name: "dec", Type: column.Float64},
+	})
+	if err := tb.AppendColumns([]column.Column{
+		column.NewFloat64From("ra", ra),
+		column.NewFloat64From("dec", dec),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	want := 0
+	for i := range ra {
+		if expr.AngularSeparation(cone.Ra0, cone.Dec0, ra[i], dec[i]) <= cone.Radius {
+			want++
+		}
+	}
+	q := Query{Table: "sky", Where: cone, Aggs: []AggSpec{{Func: Count}}}
+	for _, mr := range []int{1024, column.ZoneRows} {
+		res, err := RunOnOpts(tb, q, ExecOptions{MorselRows: mr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := int(res.States[0].Moments.N()); got != want {
+			t.Fatalf("MorselRows=%d: COUNT(*) = %d, reference %d", mr, got, want)
+		}
+	}
+}

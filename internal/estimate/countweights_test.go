@@ -1,12 +1,15 @@
 package estimate
 
 import (
+	"math"
+	"reflect"
 	"testing"
 
 	"sciborq/internal/column"
 	"sciborq/internal/engine"
 	"sciborq/internal/expr"
 	"sciborq/internal/impression"
+	"sciborq/internal/stats"
 	"sciborq/internal/table"
 	"sciborq/internal/vec"
 	"sciborq/internal/workload"
@@ -135,4 +138,51 @@ func abs(v float64) float64 {
 		return -v
 	}
 	return v
+}
+
+// TestViewShareSumsMatchWeightSums: the share-weight sums a biased view
+// precomputes are bit-identical to summing the layer per query, so are
+// the estimates built on them, and a view clamped to a prefix drops
+// its whole-view sums rather than keep stale ones.
+func TestViewShareSumsMatchWeightSums(t *testing.T) {
+	l, _ := clampedFixture(t)
+	if l.ShareSums == nil {
+		t.Fatal("biased view carries no share sums")
+	}
+	bare := l
+	bare.ShareSums = nil
+	u, u2 := weightSums(l)
+	bu, bu2 := weightSums(bare)
+	if math.Float64bits(u) != math.Float64bits(bu) || math.Float64bits(u2) != math.Float64bits(bu2) {
+		t.Fatalf("view sums (%v, %v), per-query sums (%v, %v)", u, u2, bu, bu2)
+	}
+	q := engine.Query{
+		Where: expr.Between{Expr: expr.ColRef{Name: "ra"}, Lo: 150, Hi: 170},
+		Aggs:  []engine.AggSpec{{Func: engine.Count}, {Func: engine.Sum, Arg: expr.ColRef{Name: "ra"}}},
+	}
+	got, err := AggregateOnSelOpts(l, q, 0.95, engine.ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := AggregateOnSelOpts(bare, q, 0.95, engine.ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("estimates with view sums %+v, without %+v", got, want)
+	}
+
+	v := impression.View{Positions: l.Positions, Weights: l.Weights, Pis: l.CountWeights, ShareSums: l.ShareSums}
+	if c := v.Clamp(int(l.Positions[len(l.Positions)-1]) + 1); c.ShareSums != l.ShareSums {
+		t.Fatal("a clamp that cuts nothing dropped the view sums")
+	}
+	cut := v.Clamp(int(l.Positions[len(l.Positions)/2]))
+	if cut.ShareSums != nil {
+		t.Fatal("a clamp that cuts positions kept the whole-view sums")
+	}
+	cl := SelLayer{Positions: cut.Positions, Weights: cut.Weights, CountWeights: cut.Pis, ShareSums: cut.ShareSums}
+	cu, cu2 := weightSums(cl)
+	if ref := stats.SumInvWeights(cut.Pis); cu != ref.U || cu2 != ref.U2 || cu == u {
+		t.Fatalf("clamped sums (%v, %v), prefix sums %+v, whole view %v", cu, cu2, ref, u)
+	}
 }

@@ -27,10 +27,6 @@ import (
 	"sciborq/internal/stats"
 )
 
-// weightFloor guards against division by the zero weights that can only
-// occur for tuples retained from a biased reservoir's fill phase.
-const weightFloor = 1e-12
-
 // Estimate is one aggregate estimated from a sample layer.
 type Estimate struct {
 	Spec     engine.AggSpec

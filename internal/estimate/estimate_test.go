@@ -39,7 +39,8 @@ func viewLayer(im *impression.Impression, baseRows int) SelLayer {
 	v := im.View()
 	return SelLayer{
 		Name: im.Name(), Base: im.Base(), Positions: v.Positions,
-		Weights: v.Weights, CountWeights: v.Pis, BaseRows: int64(baseRows),
+		Weights: v.Weights, CountWeights: v.Pis, ShareSums: v.ShareSums,
+		BaseRows: int64(baseRows),
 	}
 }
 

@@ -45,6 +45,11 @@ type SelLayer struct {
 	CountWeights []float64
 	// BaseRows is the base-table cardinality N the sample represents.
 	BaseRows int64
+	// ShareSums, when set, are the importance-weight sums of the share
+	// weights (CountWeights, else Weights) — what an impression view
+	// precomputes once per refresh. nil means the estimators sum them
+	// per query.
+	ShareSums *stats.WeightSums
 }
 
 // Validate checks the layer invariants that do not need row data.
@@ -87,7 +92,7 @@ func AggregateOnSelOpts(sl SelLayer, q engine.Query, level float64, opts engine.
 		return nil, err
 	}
 	selSamp := sampleIndices(sl.Positions, selBase, sl.Weights != nil || sl.CountWeights != nil)
-	sumU, sumU2 := weightSums(shareWeights(sl), len(sl.Positions))
+	sumU, sumU2 := weightSums(sl)
 	out := make([]Estimate, 0, len(q.Aggs))
 	for _, spec := range q.Aggs {
 		var g []float64
@@ -145,7 +150,7 @@ func GroupedAggregateOnSel(sl SelLayer, q engine.Query, level float64, opts engi
 	}
 	// Share-weight sums describe the whole sample and are identical for
 	// every group and aggregate: one pass, not groups x aggs passes.
-	sumU, sumU2 := weightSums(shareWeights(sl), len(sl.Positions))
+	sumU, sumU2 := weightSums(sl)
 	out := make([]GroupEstimate, tab.Len())
 	for gid, key := range tab.Keys() {
 		ge := GroupEstimate{Key: grp.Render(key)}
@@ -184,32 +189,27 @@ func sampleIndices(positions, selBase vec.Sel, want bool) vec.Sel {
 }
 
 // invWeight returns the importance weight u = 1/w for sample index si,
-// floored at weightFloor. nil weights are uniform.
+// floored at stats.WeightFloor. nil weights are uniform.
 func invWeight(ws []float64, selSamp vec.Sel, i int) float64 {
 	if ws == nil {
 		return 1
 	}
-	w := ws[selSamp[i]]
-	if w < weightFloor || math.IsNaN(w) {
-		w = weightFloor
-	}
-	return 1 / w
+	return stats.InvWeight(ws[selSamp[i]])
 }
 
-// weightSums returns Σ u_i and Σ u_i² over the whole sample.
-func weightSums(ws []float64, k int) (sumU, sumU2 float64) {
-	if ws == nil {
-		return float64(k), float64(k)
+// weightSums returns Σ u_i and Σ u_i² of the share weights over the
+// whole sample: the layer's precomputed ShareSums when it carries them.
+func weightSums(sl SelLayer) (sumU, sumU2 float64) {
+	ws := shareWeights(sl)
+	switch {
+	case ws == nil:
+		k := float64(len(sl.Positions))
+		return k, k
+	case sl.ShareSums != nil:
+		return sl.ShareSums.U, sl.ShareSums.U2
 	}
-	for _, w := range ws {
-		if w < weightFloor || math.IsNaN(w) {
-			w = weightFloor
-		}
-		u := 1 / w
-		sumU += u
-		sumU2 += u * u
-	}
-	return sumU, sumU2
+	s := stats.SumInvWeights(ws)
+	return s.U, s.U2
 }
 
 // estimateOneSel computes one aggregate estimate over the matched

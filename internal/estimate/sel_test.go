@@ -84,7 +84,7 @@ func hajekOracle(t *testing.T, l matLayer, aggs []engine.AggSpec, sel vec.Sel, l
 		for i := range u {
 			u[i] = 1
 			if ws != nil {
-				u[i] = 1 / math.Max(ws[i], weightFloor)
+				u[i] = 1 / math.Max(ws[i], stats.WeightFloor)
 			}
 		}
 		return u

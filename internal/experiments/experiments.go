@@ -84,7 +84,8 @@ func (f *fixture) layer(cfg impression.Config) (estimate.SelLayer, error) {
 	v := im.View()
 	return estimate.SelLayer{
 		Name: im.Name(), Base: base, Positions: v.Positions,
-		Weights: v.Weights, CountWeights: v.Pis, BaseRows: int64(base.Len()),
+		Weights: v.Weights, CountWeights: v.Pis, ShareSums: v.ShareSums,
+		BaseRows: int64(base.Len()),
 	}, nil
 }
 

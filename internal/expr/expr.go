@@ -9,7 +9,6 @@ package expr
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"sciborq/internal/column"
@@ -365,58 +364,6 @@ func (n Not) Points() []Point { return n.P.Points() }
 
 // String implements Predicate.
 func (n Not) String() string { return fmt.Sprintf("NOT (%s)", n.P) }
-
-// Cone is the fGetNearbyObjEq(ra, dec, r) predicate of the SkyServer
-// workload: all objects within Radius degrees of (Ra0, Dec0) by angular
-// separation on the celestial sphere.
-type Cone struct {
-	RaCol, DecCol string
-	Ra0, Dec0     float64 // centre, degrees
-	Radius        float64 // degrees
-}
-
-// Filter implements Predicate using the haversine angular separation.
-func (c Cone) Filter(t *table.Table, sel vec.Sel) (vec.Sel, error) {
-	ra, err := t.Float64(c.RaCol)
-	if err != nil {
-		return nil, err
-	}
-	dec, err := t.Float64(c.DecCol)
-	if err != nil {
-		return nil, err
-	}
-	return vec.SelectFunc(len(ra), sel, func(i int32) bool {
-		return AngularSeparation(c.Ra0, c.Dec0, ra[i], dec[i]) <= c.Radius
-	}), nil
-}
-
-// Points implements Predicate: a cone query logs its centre on both
-// positional attributes — exactly the paper's SkyServer example where
-// fGetNearbyObjEq(185, 0, 3) contributes ra=185 and dec=0 to the
-// predicate set.
-func (c Cone) Points() []Point {
-	return []Point{{Attr: c.RaCol, Value: c.Ra0}, {Attr: c.DecCol, Value: c.Dec0}}
-}
-
-// String implements Predicate.
-func (c Cone) String() string {
-	return fmt.Sprintf("fGetNearbyObjEq(%g, %g, %g)", c.Ra0, c.Dec0, c.Radius)
-}
-
-// AngularSeparation returns the great-circle angle in degrees between
-// two sky positions given in degrees (haversine formula).
-func AngularSeparation(ra1, dec1, ra2, dec2 float64) float64 {
-	const d2r = math.Pi / 180
-	phi1, phi2 := dec1*d2r, dec2*d2r
-	dPhi := (dec2 - dec1) * d2r
-	dLam := (ra2 - ra1) * d2r
-	a := math.Sin(dPhi/2)*math.Sin(dPhi/2) +
-		math.Cos(phi1)*math.Cos(phi2)*math.Sin(dLam/2)*math.Sin(dLam/2)
-	if a > 1 {
-		a = 1
-	}
-	return 2 * math.Asin(math.Sqrt(a)) / d2r
-}
 
 // TruePred matches all rows; the WHERE-less query.
 type TruePred struct{}

@@ -101,27 +101,6 @@ func (s StrEq) FilterRange(t *table.Table, lo, hi int) (vec.Sel, error) {
 	return vec.SelectEqInt32Range(vec.GetSel(hi-lo), sc.Data, lo, hi, code, !s.Neg), nil
 }
 
-// FilterRange implements RangeFilterer.
-func (c Cone) FilterRange(t *table.Table, lo, hi int) (vec.Sel, error) {
-	ra, err := t.Float64(c.RaCol)
-	if err != nil {
-		return nil, err
-	}
-	dec, err := t.Float64(c.DecCol)
-	if err != nil {
-		return nil, err
-	}
-	// Inline loop rather than SelectFuncRange: a closure over ra/dec
-	// would heap-allocate once per morsel.
-	out := vec.GetSel(hi - lo)
-	for i := lo; i < hi; i++ {
-		if AngularSeparation(c.Ra0, c.Dec0, ra[i], dec[i]) <= c.Radius {
-			out = append(out, int32(i))
-		}
-	}
-	return out, nil
-}
-
 // FilterRange implements RangeFilterer. Unlike the sel path — which
 // evaluates R only on L's survivors — both conjuncts evaluate over the
 // whole window with branchless kernels and intersect; for contiguous
@@ -239,14 +218,6 @@ func (b Between) Bounds() []Bound {
 		return nil
 	}
 	return []Bound{{Attr: ref.Name, Lo: b.Lo, Hi: b.Hi}}
-}
-
-// Bounds implements Bounder: angular separation <= Radius implies
-// |dec - Dec0| <= Radius, so the cone bounds its declination column.
-// (Right ascension wraps at 0/360 and shrinks with cos(dec), so it is
-// left unbounded.)
-func (c Cone) Bounds() []Bound {
-	return []Bound{{Attr: c.DecCol, Lo: c.Dec0 - c.Radius, Hi: c.Dec0 + c.Radius}}
 }
 
 // Bounds implements Bounder: a conjunction's matches satisfy both

@@ -151,8 +151,11 @@ func TestBounds(t *testing.T) {
 	if b := BoundsOf(Between{Expr: ColRef{Name: "x"}, Lo: 1, Hi: 2}); len(b) != 1 || b[0].Lo != 1 || b[0].Hi != 2 {
 		t.Fatalf("Between bounds = %v", b)
 	}
-	if b := BoundsOf(Cone{RaCol: "ra", DecCol: "dec", Dec0: 10, Radius: 3}); len(b) != 1 || b[0].Attr != "dec" || b[0].Lo != 7 || b[0].Hi != 13 {
+	if b := BoundsOf(Cone{RaCol: "ra", DecCol: "dec", Dec0: 10, Radius: 3}); len(b) != 1 || b[0].Attr != "dec" || b[0].Lo != 10-(3+coneMargin) || b[0].Hi != 10+(3+coneMargin) {
 		t.Fatalf("Cone bounds = %v", b)
+	}
+	if b := BoundsOf(Cone{RaCol: "ra", DecCol: "dec", Dec0: 100, Radius: 3}); b != nil {
+		t.Fatalf("off-sphere Cone bounds = %v, want none", b)
 	}
 	and := And{
 		L: Between{Expr: ColRef{Name: "x"}, Lo: 1, Hi: 2},

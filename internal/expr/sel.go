@@ -86,27 +86,6 @@ func (s StrEq) FilterSel(t *table.Table, sel vec.Sel) (vec.Sel, error) {
 	return vec.SelectEqInt32Sel(vec.GetSel(len(sel)), sc.Data, sel, code, !s.Neg), nil
 }
 
-// FilterSel implements SelFilterer.
-func (c Cone) FilterSel(t *table.Table, sel vec.Sel) (vec.Sel, error) {
-	ra, err := t.Float64(c.RaCol)
-	if err != nil {
-		return nil, err
-	}
-	dec, err := t.Float64(c.DecCol)
-	if err != nil {
-		return nil, err
-	}
-	// Inline loop rather than a closure kernel: a closure over ra/dec
-	// would heap-allocate once per morsel.
-	out := vec.GetSel(len(sel))
-	for _, p := range sel {
-		if AngularSeparation(c.Ra0, c.Dec0, ra[p], dec[p]) <= c.Radius {
-			out = append(out, p)
-		}
-	}
-	return out, nil
-}
-
 // FilterSel implements SelFilterer: evaluate L over sel, then R over
 // L's survivors only — on explicit selections the restricted evaluation
 // is strictly cheaper, unlike the contiguous-window case where the

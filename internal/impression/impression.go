@@ -26,6 +26,7 @@ import (
 
 	"sciborq/internal/kde"
 	"sciborq/internal/reservoir"
+	"sciborq/internal/stats"
 	"sciborq/internal/table"
 	"sciborq/internal/vec"
 	"sciborq/internal/workload"
@@ -467,14 +468,20 @@ type View struct {
 	// Pis are the row-aligned inclusion weights (COUNT/SUM
 	// estimators); nil means uniform.
 	Pis []float64
+	// ShareSums are the importance-weight sums of Pis
+	// (stats.SumInvWeights), computed once per refresh so the share
+	// estimators do not walk the whole layer per query. nil when Pis is
+	// nil or the view was clamped.
+	ShareSums *stats.WeightSums
 }
 
 // Clamp returns the view restricted to positions below n — the
 // snapshot length of the base table a consumer is about to scan. The
 // hierarchy may have sampled rows appended after that snapshot was
 // taken; those positions must not reach the scan. Positions are
-// sorted, so the cut is a prefix and the weight alignment survives.
-// The receiver is unchanged (views are immutable).
+// sorted, so the cut is a prefix and the weight alignment survives;
+// the whole-view ShareSums no longer describe the prefix and are
+// dropped. The receiver is unchanged (views are immutable).
 func (v View) Clamp(n int) View {
 	cut := sort.Search(len(v.Positions), func(i int) bool { return int(v.Positions[i]) >= n })
 	if cut == len(v.Positions) {
@@ -487,6 +494,7 @@ func (v View) Clamp(n int) View {
 	if v.Pis != nil {
 		v.Pis = v.Pis[:cut]
 	}
+	v.ShareSums = nil
 	return v
 }
 
@@ -540,6 +548,7 @@ func (im *Impression) rebuildViewLocked() {
 		}
 	}
 	var weights, pis []float64
+	var sums *stats.WeightSums
 	if !uniform {
 		weights = make([]float64, len(samples))
 		pis = make([]float64, len(samples))
@@ -547,8 +556,10 @@ func (im *Impression) rebuildViewLocked() {
 			weights[i] = s.Weight
 			pis[i] = s.Pi
 		}
+		ss := stats.SumInvWeights(pis)
+		sums = &ss
 	}
-	im.view = View{Positions: pos, Weights: weights, Pis: pis}
+	im.view = View{Positions: pos, Weights: weights, Pis: pis, ShareSums: sums}
 	im.viewFull = false
 	im.deltaAdd = im.deltaAdd[:0]
 	im.deltaDel = im.deltaDel[:0]
