@@ -98,24 +98,20 @@ func main() {
 // focalFraction reports the share of the top impression layer within
 // ±10 degrees of the given ra centre.
 func focalFraction(db *sciborq.DB, centre float64) (float64, error) {
-	h := db.Hierarchy("PhotoObjAll")
-	layers := h.Layers()
-	t, _, err := layers[0].Table()
+	top := db.Hierarchy("PhotoObjAll").Layers()[0]
+	ra, err := top.Base().Float64("ra")
 	if err != nil {
 		return 0, err
 	}
-	ra, err := t.Float64("ra")
-	if err != nil {
-		return 0, err
-	}
-	if len(ra) == 0 {
+	pos := top.View().Positions
+	if len(pos) == 0 {
 		return 0, nil
 	}
 	in := 0
-	for _, v := range ra {
-		if math.Abs(v-centre) < 10 {
+	for _, p := range pos {
+		if math.Abs(ra[p]-centre) < 10 {
 			in++
 		}
 	}
-	return float64(in) / float64(len(ra)), nil
+	return float64(in) / float64(len(pos)), nil
 }

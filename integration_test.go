@@ -12,7 +12,9 @@ import (
 	"time"
 
 	"sciborq/internal/engine"
+	"sciborq/internal/impression"
 	"sciborq/internal/skyserver"
+	"sciborq/internal/vec"
 )
 
 func TestFullExplorationLifecycle(t *testing.T) {
@@ -181,15 +183,7 @@ func TestLastSeenPolicyThroughPublicAPI(t *testing.T) {
 		}
 	}
 	// The top layer must be dominated by recent days.
-	h := db.Hierarchy("obs")
-	lt, _, err := h.Layers()[0].Table()
-	if err != nil {
-		t.Fatal(err)
-	}
-	days, err := lt.Float64("t")
-	if err != nil {
-		t.Fatal(err)
-	}
+	days := layerFloat64(t, db.Hierarchy("obs").Layers()[0], "t")
 	recent := 0
 	for _, d := range days {
 		if d >= 45 {
@@ -259,14 +253,7 @@ func TestMagnitudeSanityAcrossLayers(t *testing.T) {
 	h := db.Hierarchy("PhotoObjAll")
 	var values []float64
 	for _, im := range h.Layers() {
-		lt, _, err := im.Table()
-		if err != nil {
-			t.Fatal(err)
-		}
-		rs, err := lt.Float64("r")
-		if err != nil {
-			t.Fatal(err)
-		}
+		rs := layerFloat64(t, im, "r")
 		var sum float64
 		for _, v := range rs {
 			sum += v
@@ -278,4 +265,15 @@ func TestMagnitudeSanityAcrossLayers(t *testing.T) {
 			t.Fatalf("layer means diverge: %v", values)
 		}
 	}
+}
+
+// layerFloat64 reads a base column at an impression layer's sampled
+// positions.
+func layerFloat64(t *testing.T, im *impression.Impression, col string) []float64 {
+	t.Helper()
+	data, err := im.Base().Float64(col)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return vec.GatherFloat64(data, im.View().Positions)
 }

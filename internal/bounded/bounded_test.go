@@ -383,8 +383,8 @@ func TestLimitFirstNIsUnrepresentative(t *testing.T) {
 	for i := 0; i < n; i++ {
 		im.Offer(int32(i))
 	}
-	lt, _, _ := im.Table()
-	xs, _ := lt.Float64("x")
+	all, _ := tb.Float64("x")
+	xs := vec.GatherFloat64(all, im.View().Positions)
 	var s float64
 	for _, v := range xs {
 		s += v

@@ -290,108 +290,6 @@ func TestScalarErrors(t *testing.T) {
 	}
 }
 
-func dimensionTable(t *testing.T) *table.Table {
-	t.Helper()
-	tb := table.MustNew("Field", table.Schema{
-		{Name: "fieldID", Type: column.Int64},
-		{Name: "quality", Type: column.Float64},
-		{Name: "run", Type: column.Int64},
-	})
-	rows := []table.Row{
-		{int64(10), 0.9, int64(1000)},
-		{int64(11), 0.7, int64(1001)},
-		{int64(12), 0.5, int64(1002)},
-	}
-	if err := tb.AppendBatch(rows); err != nil {
-		t.Fatal(err)
-	}
-	return tb
-}
-
-func TestHashJoin(t *testing.T) {
-	fact := photoTable(t)
-	dim := dimensionTable(t)
-	joined, err := HashJoin(fact, dim, "fieldID", "fieldID", ExecOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// fieldID 99 has no dimension row: inner join drops objID 6.
-	if joined.Len() != 5 {
-		t.Fatalf("joined rows = %d", joined.Len())
-	}
-	q, err := joined.Float64("quality")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids, _ := joined.Int64("objID")
-	for i, id := range ids {
-		var want float64
-		switch id {
-		case 1, 2:
-			want = 0.9
-		case 3, 5:
-			want = 0.7
-		case 4:
-			want = 0.5
-		}
-		if q[i] != want {
-			t.Fatalf("objID %d joined quality %v, want %v", id, q[i], want)
-		}
-	}
-}
-
-func TestHashJoinDuplicateBuildKeys(t *testing.T) {
-	left := table.MustNew("L", table.Schema{{Name: "k", Type: column.Int64}})
-	right := table.MustNew("R", table.Schema{
-		{Name: "k", Type: column.Int64},
-		{Name: "v", Type: column.Float64},
-	})
-	_ = left.AppendBatch([]table.Row{{int64(1)}, {int64(2)}})
-	_ = right.AppendBatch([]table.Row{{int64(1), 10.0}, {int64(1), 20.0}})
-	joined, err := HashJoin(left, right, "k", "k", ExecOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if joined.Len() != 2 {
-		t.Fatalf("m:n join rows = %d", joined.Len())
-	}
-}
-
-func TestHashJoinNameClash(t *testing.T) {
-	left := table.MustNew("L", table.Schema{
-		{Name: "k", Type: column.Int64},
-		{Name: "v", Type: column.Float64},
-	})
-	right := table.MustNew("R", table.Schema{
-		{Name: "k", Type: column.Int64},
-		{Name: "v", Type: column.Float64},
-	})
-	_ = left.AppendBatch([]table.Row{{int64(1), 1.0}})
-	_ = right.AppendBatch([]table.Row{{int64(1), 2.0}})
-	joined, err := HashJoin(left, right, "k", "k", ExecOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if joined.Schema().Index("R.v") == -1 {
-		t.Fatalf("clashing column not prefixed: %v", joined.Schema().Names())
-	}
-	v, _ := joined.Float64("R.v")
-	if v[0] != 2.0 {
-		t.Fatalf("prefixed value = %v", v)
-	}
-}
-
-func TestHashJoinBadKeys(t *testing.T) {
-	fact := photoTable(t)
-	dim := dimensionTable(t)
-	if _, err := HashJoin(fact, dim, "ra", "fieldID", ExecOptions{}); err == nil {
-		t.Fatal("non-int left key accepted")
-	}
-	if _, err := HashJoin(fact, dim, "fieldID", "quality", ExecOptions{}); err == nil {
-		t.Fatal("non-int right key accepted")
-	}
-}
-
 func TestCostModel(t *testing.T) {
 	m := CostModel{NsPerRow: 10, FixedNs: 1000}
 	if got := m.Predict(100); got.Nanoseconds() != 2000 {

@@ -177,134 +177,3 @@ func TestHashGroupByMatchesMapReference(t *testing.T) {
 		})
 	}
 }
-
-// mapJoinReference replicates the pre-hashtab map-based join:
-// map[int64][]int32 build with per-key appends, sequential probe in
-// left-row order.
-func mapJoinReference(t *testing.T, left, right *table.Table, leftKey, rightKey string) (lsel, rsel vec.Sel) {
-	t.Helper()
-	lk, err := left.Int64(leftKey)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rk, err := right.Int64(rightKey)
-	if err != nil {
-		t.Fatal(err)
-	}
-	build := make(map[int64][]int32, len(rk))
-	for i, k := range rk {
-		build[k] = append(build[k], int32(i))
-	}
-	for i := range lk {
-		for _, rrow := range build[lk[i]] {
-			lsel = append(lsel, int32(i))
-			rsel = append(rsel, rrow)
-		}
-	}
-	return lsel, rsel
-}
-
-// joinCase builds one left/right table pair for the join grid.
-func joinCase(t *testing.T, leftKeys, rightKeys []int64) (*table.Table, *table.Table) {
-	t.Helper()
-	left := table.MustNew("fact", table.Schema{
-		{Name: "k", Type: column.Int64},
-		{Name: "lv", Type: column.Float64},
-	})
-	lv := make([]float64, len(leftKeys))
-	for i := range lv {
-		lv[i] = float64(i) / 3
-	}
-	if err := left.AppendColumns([]column.Column{
-		column.NewInt64From("k", leftKeys),
-		column.NewFloat64From("lv", lv),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	right := table.MustNew("dim", table.Schema{
-		{Name: "k", Type: column.Int64},
-		{Name: "rv", Type: column.Float64},
-	})
-	rv := make([]float64, len(rightKeys))
-	for i := range rv {
-		rv[i] = float64(i) * 7
-	}
-	if err := right.AppendColumns([]column.Column{
-		column.NewInt64From("k", rightKeys),
-		column.NewFloat64From("rv", rv),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	return left, right
-}
-
-// seq returns n sequential keys modulo mod.
-func seqKeys(n int, mod int64) []int64 {
-	out := make([]int64, n)
-	state := uint64(0x2545F4914F6CDD1D)
-	for i := range out {
-		state = state*6364136223846793005 + 1442695040888963407
-		out[i] = int64(state) % mod
-		if out[i] < 0 {
-			out[i] = -out[i]
-		}
-	}
-	return out
-}
-
-// TestHashJoinMatchesMapReference is the join property grid:
-// duplicate-heavy and unique build keys, zero-match, all-match, and
-// empty-side joins, against the map-based reference at workers 1/2/4/8.
-func TestHashJoinMatchesMapReference(t *testing.T) {
-	cases := map[string]struct {
-		leftKeys, rightKeys []int64
-	}{
-		"unique_build":    {seqKeys(5000, 64), []int64{0, 1, 2, 3, 10, 63}},
-		"duplicate_heavy": {seqKeys(5000, 16), append(seqKeys(300, 16), seqKeys(50, 8)...)},
-		"all_match":       {seqKeys(5000, 8), []int64{0, 1, 2, 3, 4, 5, 6, 7}},
-		"zero_match":      {seqKeys(5000, 8), []int64{100, 200, 300}},
-		"empty_build":     {seqKeys(5000, 8), nil},
-		"empty_probe":     {nil, []int64{1, 2, 3}},
-	}
-	for name, c := range cases {
-		t.Run(name, func(t *testing.T) {
-			left, right := joinCase(t, c.leftKeys, c.rightKeys)
-			wantL, wantR := mapJoinReference(t, left, right, "k", "k")
-			lv, err := left.Float64("lv")
-			if err != nil {
-				t.Fatal(err)
-			}
-			rv, err := right.Float64("rv")
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{1, 2, 4, 8} {
-				joined, err := HashJoin(left, right, "k", "k", ExecOptions{Parallelism: workers, MorselRows: 512})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if joined.Len() != len(wantL) {
-					t.Fatalf("workers=%d: joined %d rows, want %d", workers, joined.Len(), len(wantL))
-				}
-				gotLV, err := joined.Float64("lv")
-				if err != nil {
-					t.Fatal(err)
-				}
-				gotRV, err := joined.Float64("dim.rv")
-				if err != nil {
-					// No name clash in this schema: rv keeps its name.
-					gotRV, err = joined.Float64("rv")
-					if err != nil {
-						t.Fatal(err)
-					}
-				}
-				for i := range wantL {
-					if gotLV[i] != lv[wantL[i]] || gotRV[i] != rv[wantR[i]] {
-						t.Fatalf("workers=%d row %d: got (%g,%g), want (%g,%g)",
-							workers, i, gotLV[i], gotRV[i], lv[wantL[i]], rv[wantR[i]])
-					}
-				}
-			}
-		})
-	}
-}

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 
@@ -123,66 +122,4 @@ func TestIngestWhileQuery(t *testing.T) {
 	if want := float64(batches * batchRows); count != want {
 		t.Fatalf("final COUNT(*) = %v, want %v", count, want)
 	}
-}
-
-// TestIngestWhileJoin appends to both join sides while HashJoin
-// probes them; snapshots must pin each side to a consistent prefix.
-func TestIngestWhileJoin(t *testing.T) {
-	fact := table.MustNew("fact", table.Schema{
-		{Name: "key", Type: column.Int64},
-		{Name: "v", Type: column.Float64},
-	})
-	dim := table.MustNew("dim", table.Schema{
-		{Name: "key", Type: column.Int64},
-		{Name: "label", Type: column.String},
-	})
-	for i := 0; i < 256; i++ {
-		if err := fact.AppendRow(table.Row{int64(i % 16), float64(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 16; i++ {
-		if err := dim.AppendRow(table.Row{int64(i), fmt.Sprintf("d%d", i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer close(done)
-		for b := 0; b < 30; b++ {
-			rows := make([]table.Row, 64)
-			for i := range rows {
-				rows[i] = table.Row{int64(i % 16), float64(b*64 + i)}
-			}
-			if err := fact.AppendBatch(rows); err != nil {
-				t.Errorf("append: %v", err)
-				return
-			}
-		}
-	}()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		opts := ExecOptions{Parallelism: 2, MorselRows: 128}
-		for {
-			select {
-			case <-done:
-				return
-			default:
-			}
-			joined, err := HashJoin(fact, dim, "key", "key", opts)
-			if err != nil {
-				t.Errorf("join: %v", err)
-				return
-			}
-			if joined.Len()%64 != 0 { // every key matches exactly once; batches are 64 rows
-				t.Errorf("join saw torn fact prefix: %d rows", joined.Len())
-				return
-			}
-		}
-	}()
-	wg.Wait()
 }

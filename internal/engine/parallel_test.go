@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -296,30 +295,6 @@ func TestParallelFilterPropagatesErrors(t *testing.T) {
 	if _, err := RunOnOpts(tb, q, ExecOptions{Parallelism: 4, MorselRows: 1000}); err == nil {
 		t.Fatal("want error for unknown column, got nil")
 	}
-}
-
-// TestHashJoinParallelEquivalence checks the parallel probe emits rows
-// in the exact sequential probe order.
-func TestHashJoinParallelEquivalence(t *testing.T) {
-	left := gridTable(t, 20_000)
-	right := table.MustNew("dim", table.Schema{
-		{Name: "g", Type: column.Int64},
-		{Name: "label", Type: column.String},
-	})
-	for g := 0; g < 8; g += 2 { // half the keys match
-		if err := right.AppendRow(table.Row{int64(g), fmt.Sprintf("group-%d", g)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	seq, err := HashJoin(left, right, "g", "g", ExecOptions{Parallelism: 1, MorselRows: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := HashJoin(left, right, "g", "g", ExecOptions{Parallelism: 4, MorselRows: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResult(t, &Result{Table: seq}, &Result{Table: par})
 }
 
 // TestExecOptionsDefaults pins the option resolution rules.

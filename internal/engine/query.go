@@ -1,6 +1,6 @@
 // Package engine is the column-at-a-time execution engine of SciBORQ:
-// filters produce selection vectors, aggregation and joins consume whole
-// columns, and every intermediate is materialised — the property the
+// filters produce selection vectors, aggregation consumes whole columns,
+// and every intermediate is materialised — the property the
 // paper relies on to re-target an in-flight query at a different
 // impression layer (§3.2).
 //
@@ -70,8 +70,8 @@ func (a AggSpec) Name() string {
 }
 
 // Query is the logical query consumed by the executor: a single-table
-// (optionally FK-joined) select with WHERE, aggregates or projection,
-// GROUP BY, ORDER BY and LIMIT — the shape of the SkyServer workload.
+// select with WHERE, aggregates or projection, GROUP BY, ORDER BY and
+// LIMIT — the shape of the SkyServer workload.
 type Query struct {
 	Table   string
 	Where   expr.Predicate // nil means TRUE

@@ -4,8 +4,8 @@
 //
 // There is one estimator path: a layer is a SelLayer, sorted row
 // positions into a base table with row-aligned weights — the shape of
-// impression.View. A standalone weighted table, such as a join
-// synopsis, is a SelLayer whose positions are 0..n-1 over that table.
+// impression.View. A standalone weighted table is a SelLayer whose
+// positions are 0..n-1 over that table.
 // Exact answers are not estimated here: the bounded executor's base
 // rung runs the engine's exact execution.
 //

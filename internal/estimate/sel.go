@@ -23,8 +23,8 @@ import (
 
 // SelLayer describes one evaluation target: a sample of Base given by
 // sorted row positions with row-aligned weights — exactly the shape of
-// impression.View. A standalone weighted table (a join synopsis) is a
-// SelLayer over itself with positions 0..n-1.
+// impression.View. A standalone weighted table is a SelLayer over
+// itself with positions 0..n-1.
 type SelLayer struct {
 	Name string
 	// Base is the base table (typically an already-taken snapshot; the

@@ -377,14 +377,11 @@ func E4Adaptation(loads, rowsPerLoad, sampleSize, shiftAt int, seed uint64) (*E4
 		if load >= shiftAt {
 			centre = 215.0
 		}
-		t, _, err := im.Table()
+		base, err := db.PhotoObjAll.Float64("ra")
 		if err != nil {
 			return nil, err
 		}
-		ra, err := t.Float64("ra")
-		if err != nil {
-			return nil, err
-		}
+		ra := vec.GatherFloat64(base, im.View().Positions)
 		in := 0
 		for _, v := range ra {
 			if math.Abs(v-centre) < 10 {

@@ -13,6 +13,7 @@ import (
 	"sciborq/internal/kde"
 	"sciborq/internal/skyserver"
 	"sciborq/internal/stats"
+	"sciborq/internal/vec"
 	"sciborq/internal/workload"
 	"sciborq/internal/xrand"
 )
@@ -253,23 +254,9 @@ func figure7Attr(db *skyserver.Database, uni, bia *impression.Impression, attr s
 		return Figure7Attr{}, err
 	}
 	baseH.ObserveAll(baseVals)
-	ut, _, err := uni.Table()
-	if err != nil {
-		return Figure7Attr{}, err
-	}
-	uVals, err := ut.Float64(attr)
-	if err != nil {
-		return Figure7Attr{}, err
-	}
+	uVals := vec.GatherFloat64(baseVals, uni.View().Positions)
 	uniH.ObserveAll(uVals)
-	bt, _, err := bia.Table()
-	if err != nil {
-		return Figure7Attr{}, err
-	}
-	bVals, err := bt.Float64(attr)
-	if err != nil {
-		return Figure7Attr{}, err
-	}
+	bVals := vec.GatherFloat64(baseVals, bia.View().Positions)
 	biaH.ObserveAll(bVals)
 	mass := func(vals []float64) float64 {
 		if len(vals) == 0 {

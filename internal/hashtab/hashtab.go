@@ -1,8 +1,7 @@
 // Package hashtab provides the cache-conscious hash infrastructure
-// underneath every hash-keyed operator in the engine: a flat
-// open-addressing table mapping int64 keys to dense slot ids, a join
-// index that stores duplicate-key chains in a next-pointer arena, and a
-// pool that recycles per-morsel tables across scans.
+// underneath hash grouping (engine GROUP BY and the grouped
+// estimators): a flat open-addressing table mapping int64 keys to dense
+// slot ids, and a pool that recycles per-morsel tables across scans.
 //
 // The design replaces Go's map[K]V on the hot paths. A Go map pays a
 // pointer-chasing bucket walk, per-key tophash bookkeeping, and — for
@@ -11,8 +10,8 @@
 // is two arrays: a power-of-two index of dense slot ids probed linearly
 // (one cache line covers 16 probes) and a densely appended key array in
 // first-seen order. Dense ids are the point: group-by partials index a
-// flat []stats.Moments by slot, and join chains index arrays by build
-// row, so the per-row inner loop touches no pointers at all.
+// flat []stats.Moments by slot, so the per-row inner loop touches no
+// pointers at all.
 package hashtab
 
 import "sync"
@@ -23,9 +22,8 @@ const minBuckets = 16
 
 // maxLoadNum/maxLoadDen cap the bucket load factor at 1/2. Linear
 // probing is miss-sensitive — a failed lookup walks to the first empty
-// bucket, and FK-join probes are mostly misses on selective dimensions
-// — and at load 0.5 the expected miss chain is ~1.5 entries (vs ~5 at
-// 0.75). Buckets are 16 bytes, so even at half load the table spends
+// bucket — and at load 0.5 the expected miss chain is ~1.5 entries (vs
+// ~5 at 0.75). Buckets are 16 bytes, so even at half load the table spends
 // ~32 bytes per key, still well under a Go map's per-entry footprint.
 const (
 	maxLoadNum = 1
@@ -92,7 +90,7 @@ func (t *Int64Table) rebucket(nb int) {
 }
 
 // hash64 is the splitmix64 finalizer: full-avalanche int64 mixing in
-// three multiplies/shifts, so sequential FK values spread across the
+// three multiplies/shifts, so sequential key values spread across the
 // whole bucket array.
 func hash64(x uint64) uint64 {
 	x ^= x >> 33
@@ -150,12 +148,6 @@ func (t *Int64Table) Get(key int64) (slot uint32, ok bool) {
 	}
 }
 
-// Contains reports whether key is present.
-func (t *Int64Table) Contains(key int64) bool {
-	_, ok := t.Get(key)
-	return ok
-}
-
 // Reset empties the table, keeping both arrays' capacity for reuse.
 func (t *Int64Table) Reset() {
 	for i := range t.buckets {
@@ -180,59 +172,3 @@ func PutTable(t *Int64Table) {
 	t.Reset()
 	tablePool.Put(t)
 }
-
-// Int64Index is a build-side join index over a key column: every key
-// maps to the ascending chain of build rows carrying it. Duplicate
-// chains live in a flat next-pointer arena (next[row] is the next build
-// row with the same key, -1 at chain end) instead of per-key slices, so
-// building is two appends per distinct key and one array write per
-// duplicate — no per-key allocation, no rehash-time chain copying.
-type Int64Index struct {
-	tab  *Int64Table
-	head []int32 // per slot: first (lowest) build row with the key
-	tail []int32 // per slot: last build row so far (build bookkeeping)
-	next []int32 // per build row: next row in its key chain, -1 at end
-}
-
-// BuildInt64Index indexes keys (one entry per build-side row).
-func BuildInt64Index(keys []int64) *Int64Index {
-	ix := &Int64Index{
-		tab:  NewInt64Table(len(keys)),
-		next: make([]int32, len(keys)),
-	}
-	if n := len(keys); n > 0 {
-		ix.head = make([]int32, 0, n)
-		ix.tail = make([]int32, 0, n)
-	}
-	for i, k := range keys {
-		ix.next[i] = -1
-		slot, fresh := ix.tab.GetOrInsert(k)
-		if fresh {
-			ix.head = append(ix.head, int32(i))
-			ix.tail = append(ix.tail, int32(i))
-			continue
-		}
-		ix.next[ix.tail[slot]] = int32(i)
-		ix.tail[slot] = int32(i)
-	}
-	return ix
-}
-
-// First returns the lowest build row whose key equals key, or -1 if the
-// key is absent. Iterate the full chain with Next.
-func (ix *Int64Index) First(key int64) int32 {
-	slot, ok := ix.tab.Get(key)
-	if !ok {
-		return -1
-	}
-	return ix.head[slot]
-}
-
-// Next returns the next build row in row's key chain, or -1 at the end.
-func (ix *Int64Index) Next(row int32) int32 { return ix.next[row] }
-
-// Contains reports whether any build row carries key.
-func (ix *Int64Index) Contains(key int64) bool { return ix.tab.Contains(key) }
-
-// Len returns the number of distinct keys in the index.
-func (ix *Int64Index) Len() int { return ix.tab.Len() }

@@ -34,9 +34,6 @@ func TestInt64TableDenseIDs(t *testing.T) {
 	if _, ok := tab.Get(99); ok {
 		t.Fatal("Get(99) found a key never inserted")
 	}
-	if tab.Contains(99) || !tab.Contains(-7) {
-		t.Fatal("Contains disagrees with Get")
-	}
 }
 
 // TestInt64TableGrowth inserts far past the initial bucket count and
@@ -120,60 +117,6 @@ func TestInt64TableReset(t *testing.T) {
 		t.Fatalf("pooled table not reset: Len() = %d", again.Len())
 	}
 	PutTable(again)
-}
-
-// TestInt64IndexChains checks duplicate chains iterate build rows in
-// ascending order and absent keys return -1.
-func TestInt64IndexChains(t *testing.T) {
-	keys := []int64{7, 3, 7, 7, 3, 11}
-	ix := BuildInt64Index(keys)
-	if ix.Len() != 3 {
-		t.Fatalf("Len() = %d, want 3", ix.Len())
-	}
-	chain := func(k int64) []int32 {
-		var rows []int32
-		for r := ix.First(k); r >= 0; r = ix.Next(r) {
-			rows = append(rows, r)
-		}
-		return rows
-	}
-	checks := []struct {
-		key  int64
-		want []int32
-	}{
-		{7, []int32{0, 2, 3}},
-		{3, []int32{1, 4}},
-		{11, []int32{5}},
-		{99, nil},
-	}
-	for _, c := range checks {
-		got := chain(c.key)
-		if len(got) != len(c.want) {
-			t.Fatalf("chain(%d) = %v, want %v", c.key, got, c.want)
-		}
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Fatalf("chain(%d) = %v, want %v", c.key, got, c.want)
-			}
-		}
-	}
-	if ix.Contains(99) || !ix.Contains(11) {
-		t.Fatal("Contains disagrees with chains")
-	}
-}
-
-// TestInt64IndexEmpty checks the empty build side degrades gracefully.
-func TestInt64IndexEmpty(t *testing.T) {
-	ix := BuildInt64Index(nil)
-	if ix.Len() != 0 {
-		t.Fatalf("Len() = %d, want 0", ix.Len())
-	}
-	if r := ix.First(1); r != -1 {
-		t.Fatalf("First on empty index = %d, want -1", r)
-	}
-	if ix.Contains(0) {
-		t.Fatal("Contains(0) on empty index")
-	}
 }
 
 // TestInt64TableAgainstMap cross-checks a large random workload against

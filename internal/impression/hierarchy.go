@@ -50,9 +50,6 @@ func (h *Hierarchy) Layers() []*Impression {
 	return out
 }
 
-// Depth returns the number of layers.
-func (h *Hierarchy) Depth() int { return len(h.layers) }
-
 // Offer presents one freshly loaded base row to the hierarchy: the
 // largest layer samples it directly; smaller layers are refreshed from
 // their parent every refreshEvery offers.

@@ -83,34 +83,15 @@ type Config struct {
 	// LastSeen policy: acceptance probability K/D (Figure 3); D is
 	// tuned to the expected daily ingest.
 	K, D float64
-
-	// UniformMix λ adds a defensive uniform component to the bias
-	// factor: w = (1−λ)·Π f̆_a·N_a + λ, guaranteeing every tuple at
-	// least λ times the uniform sampling rate so that estimates over
-	// anti-focal regions keep finite variance (defensive importance
-	// sampling). 0 selects the default of 0.10 — the smallest mix at
-	// which anti-focal estimates keep nominal interval coverage in the
-	// acceptance tests; PureBias disables it (the verbatim paper
-	// behaviour).
-	UniformMix float64
-	PureBias   bool
-
-	// Faithful selects the verbatim pseudo-code of Figures 3/6
-	// including the shared-random victim slot; experiments use the
-	// corrected variant (false).
-	Faithful bool
 }
 
-// mix returns the effective uniform-mix λ.
-func (c Config) mix() float64 {
-	if c.PureBias {
-		return 0
-	}
-	if c.UniformMix <= 0 {
-		return 0.10
-	}
-	return c.UniformMix
-}
+// uniformMix λ adds a defensive uniform component to the bias factor:
+// w = (1−λ)·Π f̆_a·N_a + λ, guaranteeing every tuple at least λ times
+// the uniform sampling rate so that estimates over anti-focal regions
+// keep finite variance (defensive importance sampling). 0.10 is the
+// smallest mix at which anti-focal estimates keep nominal interval
+// coverage in the acceptance tests.
+const uniformMix = 0.10
 
 // Sample is one sampled row with its two estimation weights (both 1 for
 // uniform policies):
@@ -161,11 +142,6 @@ type Impression struct {
 	deltaAdd []int32
 	deltaDel []int32
 
-	// cache of the materialised layer table; invalidated on change
-	cached  *table.Table
-	weights []float64 // ratio weights aligned with cached rows
-	pis     []float64 // inclusion weights aligned with cached rows
-	dirty   bool
 	offered int64
 }
 
@@ -180,13 +156,13 @@ func New(base *table.Table, cfg Config) (*Impression, error) {
 	if cfg.Name == "" {
 		cfg.Name = fmt.Sprintf("impression(%s,%s,%d)", base.Name(), cfg.Policy, cfg.Size)
 	}
-	im := &Impression{cfg: cfg, base: base, rng: xrand.New(cfg.Seed ^ 0x5c1b09c9), dirty: true}
+	im := &Impression{cfg: cfg, base: base, rng: xrand.New(cfg.Seed ^ 0x5c1b09c9)}
 	var err error
 	switch cfg.Policy {
 	case Uniform:
 		im.uni, err = reservoir.NewR[int32](cfg.Size, im.rng)
 	case LastSeen:
-		im.last, err = reservoir.NewLastSeen[int32](cfg.Size, cfg.K, cfg.D, cfg.Faithful, im.rng)
+		im.last, err = reservoir.NewLastSeen[int32](cfg.Size, cfg.K, cfg.D, false, im.rng)
 	case Biased:
 		if cfg.Logger == nil || len(cfg.Attrs) == 0 {
 			return nil, fmt.Errorf("impression %q: biased policy needs a workload logger and attributes", cfg.Name)
@@ -210,7 +186,7 @@ func New(base *table.Table, cfg Config) (*Impression, error) {
 			}
 			factor = im.jointBiasFactor
 		}
-		im.bias, err = reservoir.NewBiased[int32](cfg.Size, factor, cfg.Faithful, im.rng)
+		im.bias, err = reservoir.NewBiased[int32](cfg.Size, factor, false, im.rng)
 	default:
 		return nil, fmt.Errorf("impression %q: unknown policy %d", cfg.Name, cfg.Policy)
 	}
@@ -238,7 +214,7 @@ func New(base *table.Table, cfg Config) (*Impression, error) {
 // leaves ◦ open; the geometric mean keeps the combined factor on the
 // same scale as a single attribute's, so the acceptance probability
 // n·w/cnt stays meaningfully below 1 instead of clamping). The result is
-// defensively mixed with a uniform floor (see Config.UniformMix).
+// defensively mixed with a uniform floor (see uniformMix).
 func (im *Impression) biasFactor(pos int32) float64 {
 	logW := 0.0
 	for _, attr := range im.cfg.Attrs {
@@ -266,8 +242,7 @@ func (im *Impression) biasFactor(pos int32) float64 {
 	if !math.IsInf(logW, -1) && len(im.cfg.Attrs) > 0 {
 		w = math.Exp(logW / float64(len(im.cfg.Attrs)))
 	}
-	lambda := im.cfg.mix()
-	return (1-lambda)*w + lambda
+	return (1-uniformMix)*w + uniformMix
 }
 
 // jointBiasFactor computes the acceptance weight from the joint binned
@@ -292,8 +267,7 @@ func (im *Impression) jointBiasFactor(pos int32) float64 {
 		return 0
 	}
 	w := b.Eval(xs[pos], ys[pos]) * float64(h.N) * h.WidthX * h.WidthY
-	lambda := im.cfg.mix()
-	return (1-lambda)*w + lambda
+	return (1-uniformMix)*w + uniformMix
 }
 
 // Name returns the impression name.
@@ -322,7 +296,6 @@ func (im *Impression) Offer(pos int32) {
 	im.mu.Lock()
 	defer im.mu.Unlock()
 	im.offered++
-	im.dirty = true
 	im.version++
 	im.viewOK = false
 	if im.derived != nil {
@@ -512,8 +485,7 @@ func (im *Impression) Version() uint64 {
 // incrementally: the reservoir's insertions/evictions since the last
 // view are applied as one merge pass over the previous sorted
 // positions (O(n + deltas), allocation limited to the new position
-// array) instead of re-sorting — the cache-invalidation cliff the
-// materialised path pays is gone. Weight-bearing (biased) and derived
+// array) instead of re-sorting. Weight-bearing (biased) and derived
 // layers rebuild, since their weights move with every offer.
 func (im *Impression) View() View {
 	im.mu.Lock()
@@ -628,75 +600,6 @@ func cancelCommon(a, b []int32) ([]int32, []int32) {
 	return outA, outB
 }
 
-// Materialized is an impression rendered as a standalone table with its
-// row-aligned estimation weight vectors.
-type Materialized struct {
-	Table *table.Table
-	// RatioWeights feed ratio estimators (AVG): the clamp-corrected
-	// bias factors.
-	RatioWeights []float64
-	// InclusionWeights feed share estimators (COUNT, SUM): estimated
-	// inclusion probabilities.
-	InclusionWeights []float64
-}
-
-// Materialize renders the impression as a standalone table; the result
-// is cached until the sample changes. It is the fallback for consumers
-// that genuinely need a table of their own (join synopses, examples,
-// experiment drivers) — bounded query execution runs selection-vector
-// scans over View instead and never pays this copy. The table name
-// carries the sample version ("name@v7"), so caches keyed by table
-// identity (e.g. the recycler) can never serve a selection computed on
-// an older sample of the same size.
-func (im *Impression) Materialize() (*Materialized, error) {
-	im.mu.Lock()
-	defer im.mu.Unlock()
-	if !im.dirty && im.cached != nil {
-		return &Materialized{Table: im.cached, RatioWeights: im.weights, InclusionWeights: im.pis}, nil
-	}
-	samples := im.samplesLocked()
-	sel := make(vec.Sel, len(samples))
-	weights := make([]float64, len(samples))
-	pis := make([]float64, len(samples))
-	for i, s := range samples {
-		sel[i] = s.Pos
-		weights[i] = s.Weight
-		pis[i] = s.Pi
-	}
-	name := fmt.Sprintf("%s@v%d", im.cfg.Name, im.version)
-	t, err := im.base.Project(name, im.base.Schema().Names(), sel)
-	if err != nil {
-		return nil, err
-	}
-	im.cached, im.weights, im.pis, im.dirty = t, weights, pis, false
-	return &Materialized{Table: t, RatioWeights: weights, InclusionWeights: pis}, nil
-}
-
-// Table materialises the impression into a standalone table whose row i
-// corresponds to the returned ratio weights[i]. See Materialize for the
-// full weight set.
-func (im *Impression) Table() (*table.Table, []float64, error) {
-	m, err := im.Materialize()
-	if err != nil {
-		return nil, nil, err
-	}
-	return m.Table, m.RatioWeights, nil
-}
-
-// SampleFraction returns n/offered — the effective sampling rate.
-func (im *Impression) SampleFraction() float64 {
-	im.mu.Lock()
-	defer im.mu.Unlock()
-	if im.offered == 0 {
-		return 0
-	}
-	n := float64(im.cfg.Size)
-	if int64(im.cfg.Size) > im.offered {
-		n = float64(im.offered)
-	}
-	return n / float64(im.offered)
-}
-
 // ReplaceFrom rebuilds this impression by subsampling the given parent
 // samples (the layer below in a hierarchy) uniformly without
 // replacement. The parent's focal point is inherited through its
@@ -706,7 +609,6 @@ func (im *Impression) SampleFraction() float64 {
 func (im *Impression) ReplaceFrom(parent []Sample) error {
 	im.mu.Lock()
 	defer im.mu.Unlock()
-	im.dirty = true
 	im.version++
 	im.viewOK = false
 	im.markViewFullLocked()

@@ -7,6 +7,7 @@ import (
 	"sciborq/internal/column"
 	"sciborq/internal/expr"
 	"sciborq/internal/table"
+	"sciborq/internal/vec"
 	"sciborq/internal/workload"
 	"sciborq/internal/xrand"
 )
@@ -31,6 +32,16 @@ func buildBase(t *testing.T, n int, seed uint64) *table.Table {
 		t.Fatal(err)
 	}
 	return tb
+}
+
+// sampled reads a base column at the impression's view positions.
+func sampled(t *testing.T, im *Impression, col string) []float64 {
+	t.Helper()
+	data, err := im.Base().Float64(col)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return vec.GatherFloat64(data, im.View().Positions)
 }
 
 func focusedLogger(t *testing.T) *workload.Logger {
@@ -97,53 +108,19 @@ func TestUniformImpression(t *testing.T) {
 	if im.Len() != 500 || im.Offered() != 5000 {
 		t.Fatalf("len=%d offered=%d", im.Len(), im.Offered())
 	}
-	if got := im.SampleFraction(); math.Abs(got-0.1) > 1e-12 {
-		t.Fatalf("fraction = %v", got)
-	}
-	tb, weights, err := im.Table()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tb.Len() != 500 || len(weights) != 500 {
-		t.Fatalf("materialised %d rows, %d weights", tb.Len(), len(weights))
-	}
-	for _, w := range weights {
-		if w != 1 {
-			t.Fatalf("uniform weight = %v", w)
-		}
+	v := im.View()
+	if len(v.Positions) != 500 || v.Weights != nil || v.Pis != nil {
+		t.Fatalf("view: %d positions, weights %v, pis %v (uniform wants nil)",
+			len(v.Positions), v.Weights != nil, v.Pis != nil)
 	}
 	// Sample mean of ra should approximate the population mean (~180).
-	ra, err := tb.Float64("ra")
-	if err != nil {
-		t.Fatal(err)
-	}
+	ra := sampled(t, im, "ra")
 	var sum float64
 	for _, v := range ra {
 		sum += v
 	}
 	if mean := sum / float64(len(ra)); math.Abs(mean-180) > 5 {
 		t.Fatalf("uniform sample ra mean = %v", mean)
-	}
-}
-
-func TestTableCaching(t *testing.T) {
-	base := buildBase(t, 100, 4)
-	im, _ := New(base, Config{Size: 10, Seed: 1})
-	for i := 0; i < 50; i++ {
-		im.Offer(int32(i))
-	}
-	t1, _, err := im.Table()
-	if err != nil {
-		t.Fatal(err)
-	}
-	t2, _, _ := im.Table()
-	if t1 != t2 {
-		t.Fatal("cache miss without mutation")
-	}
-	im.Offer(50)
-	t3, _, _ := im.Table()
-	if t3 == t1 {
-		t.Fatal("stale cache after mutation")
 	}
 }
 
@@ -160,11 +137,8 @@ func TestBiasedImpressionFocus(t *testing.T) {
 	for i := 0; i < base.Len(); i++ {
 		im.Offer(int32(i))
 	}
-	tb, weights, err := im.Table()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ra, _ := tb.Float64("ra")
+	weights := im.View().Weights
+	ra := sampled(t, im, "ra")
 	// The base is uniform on [120,240); interest is at ra≈160±4. The
 	// biased impression must hold far more focal tuples than the 6.7%
 	// a uniform sample would give for the window [152,168].
@@ -207,12 +181,8 @@ func TestBiasedMultiAttribute(t *testing.T) {
 	for i := 0; i < base.Len(); i++ {
 		im.Offer(int32(i))
 	}
-	tb, _, err := im.Table()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ra, _ := tb.Float64("ra")
-	dec, _ := tb.Float64("dec")
+	ra := sampled(t, im, "ra")
+	dec := sampled(t, im, "dec")
 	both := 0
 	for i := range ra {
 		if math.Abs(ra[i]-160) < 10 && math.Abs(dec[i]-30) < 10 {
@@ -258,15 +228,22 @@ func TestSamplesWeightAlignment(t *testing.T) {
 		im.Offer(int32(i))
 	}
 	samples := im.Samples()
-	tb, weights, _ := im.Table()
-	ra, _ := tb.Float64("ra")
-	baseRa, _ := base.Float64("ra")
-	for i, s := range samples {
-		if ra[i] != baseRa[s.Pos] {
-			t.Fatalf("row %d: materialised %v != base[%d]=%v", i, ra[i], s.Pos, baseRa[s.Pos])
+	byPos := make(map[int32]Sample, len(samples))
+	for _, s := range samples {
+		byPos[s.Pos] = s
+	}
+	v := im.View()
+	if len(v.Positions) != len(samples) || len(v.Weights) != len(samples) || len(v.Pis) != len(samples) {
+		t.Fatalf("view %d/%d/%d rows for %d samples", len(v.Positions), len(v.Weights), len(v.Pis), len(samples))
+	}
+	for i, pos := range v.Positions {
+		s, ok := byPos[pos]
+		if !ok {
+			t.Fatalf("view row %d: position %d not sampled", i, pos)
 		}
-		if weights[i] != s.Weight {
-			t.Fatalf("row %d: weight %v != sample weight %v", i, weights[i], s.Weight)
+		if v.Weights[i] != s.Weight || v.Pis[i] != s.Pi {
+			t.Fatalf("view row %d (pos %d): weight/pi %v/%v != sample %v/%v",
+				i, pos, v.Weights[i], v.Pis[i], s.Weight, s.Pi)
 		}
 	}
 }
@@ -296,9 +273,6 @@ func TestHierarchyOfferAndRefresh(t *testing.T) {
 	h, err := NewHierarchy([]*Impression{l0, l1, l2}, 1000)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if h.Depth() != 3 {
-		t.Fatalf("depth = %d", h.Depth())
 	}
 	for i := 0; i < base.Len(); i++ {
 		h.Offer(int32(i))
@@ -357,11 +331,7 @@ func TestBiasedHierarchyInheritsFocus(t *testing.T) {
 	if err := h.Refresh(); err != nil {
 		t.Fatal(err)
 	}
-	tb, _, err := l1.Table()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ra, _ := tb.Float64("ra")
+	ra := sampled(t, l1, "ra")
 	focal := 0
 	for _, v := range ra {
 		if v >= 152 && v <= 168 {

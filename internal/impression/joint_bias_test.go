@@ -61,12 +61,8 @@ func correlatedLogger(t *testing.T, joint bool) *workload.Logger {
 // regionCount counts sampled tuples within ±8 of a centre.
 func regionCount(t *testing.T, im *Impression, ra0, dec0 float64) int {
 	t.Helper()
-	lt, _, err := im.Table()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ra, _ := lt.Float64("ra")
-	dec, _ := lt.Float64("dec")
+	ra := sampled(t, im, "ra")
+	dec := sampled(t, im, "dec")
 	in := 0
 	for i := range ra {
 		if ra[i] > ra0-8 && ra[i] < ra0+8 && dec[i] > dec0-8 && dec[i] < dec0+8 {

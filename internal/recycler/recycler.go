@@ -8,12 +8,11 @@
 // Identity discipline: entries are keyed by (table ID, table version,
 // canonical predicate encoding). The ID is process-unique per logical
 // table and the version bumps on every mutation, so a same-length
-// truncate/rebuild or a re-materialised sample of equal size can never
-// alias an older selection — the hit path never has to inspect row
-// data. Keys are compact binary strings built by expr.PredKey: no fmt
-// on the query hot path. expr.Canonical normalises commuted/nested
-// conjunctions and merges redundant interval bounds first, so "a AND b"
-// and "b AND a" share one entry.
+// truncate/rebuild can never alias an older selection — the hit path
+// never has to inspect row data. Keys are compact binary strings built
+// by expr.PredKey: no fmt on the query hot path. expr.Canonical
+// normalises commuted/nested conjunctions and merges redundant interval
+// bounds first, so "a AND b" and "b AND a" share one entry.
 //
 // Memory discipline: entries charge len(sel)*4 bytes (the backing
 // int32s) against a byte budget. Eviction is LRU by bytes, admission

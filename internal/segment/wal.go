@@ -200,6 +200,11 @@ func decodeBatch(schema table.Schema, payload []byte) (seq uint64, batch []table
 	seq = binary.LittleEndian.Uint64(payload[0:8])
 	n := int(binary.LittleEndian.Uint32(payload[8:12]))
 	p := payload[walPayloadMin:]
+	// Refuse a row count the payload cannot hold before allocating for
+	// it: a CRC-valid record claiming 2³²−1 rows must not exhaust memory.
+	if w := minRowWidth(schema); n > len(p)/max(w, 1) {
+		return 0, nil, fmt.Errorf("segment: wal payload claims %d rows but holds %d bytes (at least %d per row)", n, len(p), w)
+	}
 	batch = make([]table.Row, n)
 	for i := range batch {
 		batch[i] = make(table.Row, len(schema))
@@ -246,6 +251,24 @@ func decodeBatch(schema table.Schema, payload []byte) (seq uint64, batch []table
 		}
 	}
 	return seq, batch, nil
+}
+
+// minRowWidth is the fewest payload bytes one row can take under
+// schema: 8 per DOUBLE or BIGINT, 1 per BOOLEAN, and the 4-byte length
+// prefix per VARCHAR.
+func minRowWidth(schema table.Schema) int {
+	w := 0
+	for _, def := range schema {
+		switch def.Type {
+		case column.Float64, column.Int64:
+			w += 8
+		case column.Bool:
+			w++
+		case column.String:
+			w += 4
+		}
+	}
+	return w
 }
 
 func errWALShort(col string) error {

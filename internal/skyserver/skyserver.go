@@ -1,10 +1,10 @@
 // Package skyserver is the synthetic stand-in for the Sloan Digital Sky
 // Survey warehouse of §2: a PhotoObjAll fact table with clustered sky
-// positions and photometric magnitudes, dimension tables reachable by
-// foreign-key joins, the Galaxy view, and the fGetNearbyObjEq cone
-// search. The real 4 TB SkyServer is not redistributable; the generator
-// reproduces the statistical properties SciBORQ's evaluation depends on
-// (multi-modal positions, FK joins, type skew) at laptop scale.
+// positions and photometric magnitudes, dimension tables the fact rows
+// reference by foreign key, the Galaxy view, and the fGetNearbyObjEq
+// cone search. The real 4 TB SkyServer is not redistributable; the
+// generator reproduces the statistical properties SciBORQ's evaluation
+// depends on (multi-modal positions, type skew) at laptop scale.
 package skyserver
 
 import (
@@ -40,8 +40,8 @@ type Cluster struct {
 type Config struct {
 	// Objects is the PhotoObjAll row count.
 	Objects int
-	// Fields is the number of Field dimension rows; each object joins
-	// to one field.
+	// Fields is the number of Field dimension rows; each object
+	// references one field.
 	Fields int
 	// Clusters places galaxy clusters; objects fall into a cluster with
 	// probability ClusterFrac, else uniform background.

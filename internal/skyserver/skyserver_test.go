@@ -118,19 +118,32 @@ func TestObjIDsUniqueAndDense(t *testing.T) {
 
 func TestFKIntegrity(t *testing.T) {
 	db, _ := Generate(DefaultConfig(5000))
-	joined, err := engine.HashJoin(db.PhotoObjAll, db.Field, "fieldID", "fieldID", engine.DefaultExecOptions())
-	if err != nil {
-		t.Fatal(err)
+	// Field rows are keyed 0..Fields-1, so every fact fieldID below
+	// Fields has exactly one dimension row.
+	fieldKeys, _ := db.Field.Int64("fieldID")
+	if len(fieldKeys) != DefaultConfig(0).Fields {
+		t.Fatalf("Field rows = %d", len(fieldKeys))
 	}
-	if joined.Len() != 5000 {
-		t.Fatalf("FK join lost rows: %d", joined.Len())
+	for i, k := range fieldKeys {
+		if k != int64(i) {
+			t.Fatalf("Field row %d keyed %d", i, k)
+		}
 	}
-	tagJoin, err := engine.HashJoin(db.PhotoObjAll, db.PhotoTag, "objID", "objID", engine.DefaultExecOptions())
-	if err != nil {
-		t.Fatal(err)
+	fieldIDs, _ := db.PhotoObjAll.Int64("fieldID")
+	for i, k := range fieldIDs {
+		if k < 0 || k >= int64(len(fieldKeys)) {
+			t.Fatalf("object %d references missing field %d", i, k)
+		}
 	}
-	if tagJoin.Len() != 5000 {
-		t.Fatalf("tag join rows = %d", tagJoin.Len())
+	objIDs, _ := db.PhotoObjAll.Int64("objID")
+	tagIDs, _ := db.PhotoTag.Int64("objID")
+	if len(tagIDs) != len(objIDs) {
+		t.Fatalf("PhotoTag rows = %d, PhotoObjAll rows = %d", len(tagIDs), len(objIDs))
+	}
+	for i := range objIDs {
+		if tagIDs[i] != objIDs[i] {
+			t.Fatalf("row %d: PhotoTag objID %d != PhotoObjAll objID %d", i, tagIDs[i], objIDs[i])
+		}
 	}
 }
 

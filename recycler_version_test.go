@@ -1,49 +1,17 @@
 package sciborq
 
-import (
-	"testing"
-
-	"sciborq/internal/engine"
-	"sciborq/internal/expr"
-	"sciborq/internal/recycler"
-	"sciborq/internal/vec"
-)
+import "testing"
 
 // Guards for the versioned-view contract: impression versions bump on
-// every sample mutation, materialised fallback tables carry the
-// version in their name (so identity-keyed caches like the recycler
-// can never serve a selection computed on an older sample of the same
-// size), and the DB's cached bounded executor reads fresh views per
-// query instead of holding stale layer state.
+// every sample mutation, and the DB's cached bounded executor reads
+// fresh views per query instead of holding stale layer state.
 
-// TestRecyclerDistinguishesImpressionVersions materialises the same
-// impression at two versions with identical row counts and checks the
-// recycler treats them as distinct tables — no stale selection reuse.
-func TestRecyclerDistinguishesImpressionVersions(t *testing.T) {
+// TestLoadBumpsImpressionVersion checks a load moves the version of the
+// stream layer it feeds, so any consumer keyed by (impression, version)
+// sees the new sample.
+func TestLoadBumpsImpressionVersion(t *testing.T) {
 	db := ingestFixture(t)
-	im := db.Hierarchy("T").Layers()[0] // stream layer: full at cap, so
-	// both versions materialise the same row count
-	m1, err := im.Materialize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := recycler.New(1 << 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq := engine.ExecOptions{Parallelism: 1}
-	pred := expr.Cmp{Op: vec.Lt, Left: expr.ColRef{Name: "ra"}, Right: 0.5}
-	sel1, _, err := rec.Filter(m1.Table, pred, seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := rec.Filter(m1.Table, pred, seq); err != nil {
-		t.Fatal(err)
-	}
-	if s := rec.Stats(); s.Hits != 1 || s.Misses != 1 {
-		t.Fatalf("same-version refilter: %+v", s)
-	}
-
+	im := db.Hierarchy("T").Layers()[0]
 	v1 := im.Version()
 	if err := db.Load("T", ingestBatch(1)); err != nil {
 		t.Fatal(err)
@@ -51,39 +19,8 @@ func TestRecyclerDistinguishesImpressionVersions(t *testing.T) {
 	if im.Version() == v1 {
 		t.Fatal("load did not bump the impression version")
 	}
-	m2, err := im.Materialize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m2.Table == m1.Table {
-		t.Fatal("materialise cache survived a version bump")
-	}
-	if m1.Table.Name() == m2.Table.Name() {
-		t.Fatalf("both versions materialise as %q — recycler keys would alias", m1.Table.Name())
-	}
-	if m1.Table.Len() != m2.Table.Len() {
-		t.Fatalf("fixture mismatch: the aliasing guard needs equal row counts, got %d vs %d",
-			m1.Table.Len(), m2.Table.Len())
-	}
-	sel2, _, err := rec.Filter(m2.Table, pred, seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := rec.Stats(); s.Hits != 1 || s.Misses != 2 || s.Entries != 2 {
-		t.Fatalf("new version must miss, not hit: %+v", s)
-	}
-	// Both selections stay usable; the old one still describes v1.
-	if len(sel1) == len(sel2) {
-		same := true
-		for i := range sel1 {
-			if sel1[i] != sel2[i] {
-				same = false
-				break
-			}
-		}
-		if same {
-			t.Log("selections happen to coincide across versions (allowed, but suspicious for this fixture)")
-		}
+	if v := im.View(); v.Version != im.Version() {
+		t.Fatalf("view version %d, impression version %d", v.Version, im.Version())
 	}
 }
 

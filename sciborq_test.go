@@ -208,12 +208,7 @@ func TestBiasedWorkflowAdaptsToQueries(t *testing.T) {
 	if h == nil {
 		t.Fatal("no hierarchy")
 	}
-	top := h.Layers()[0]
-	lt, _, err := top.Table()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ra, _ := lt.Float64("ra")
+	ra := layerFloat64(t, h.Layers()[0], "ra")
 	focal := 0
 	for _, v := range ra {
 		if math.Abs(v-165) < 8 {
