@@ -43,14 +43,17 @@ crash:
 # accepted statements round-trip through Statement.String), the wire
 # protocol (frame/page decoders never panic on arbitrary bytes, and
 # decoded frames re-encode losslessly), the cone kernel (it selects
-# exactly the rows the AngularSeparation reference selects) and WAL
-# replay (arbitrary log bytes either decode or are refused, never
+# exactly the rows the AngularSeparation reference selects), the
+# predicate kernels (FilterRange and FilterSel of an arbitrary predicate
+# tree select exactly the rows the row-at-a-time reference selects) and
+# WAL replay (arbitrary log bytes either decode or are refused, never
 # panic or over-allocate, and replay keeps a prefix of the log).
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/sqlparse
 	$(GO) test -run='^$$' -fuzz='^FuzzFrame$$' -fuzztime=10s ./internal/wire
 	$(GO) test -run='^$$' -fuzz='^FuzzFrameStream$$' -fuzztime=10s ./internal/wire
 	$(GO) test -run='^$$' -fuzz='^FuzzConeKernel$$' -fuzztime=10s ./internal/expr
+	$(GO) test -run='^$$' -fuzz='^FuzzPredicateKernels$$' -fuzztime=10s ./internal/expr
 	$(GO) test -run='^$$' -fuzz='^FuzzWALReplay$$' -fuzztime=10s ./internal/segment
 
 # One-iteration benchmark smoke: fails loudly if the hot scan path

@@ -353,9 +353,10 @@ func BenchmarkAblationRecyclerOnOff(b *testing.B) {
 		b.Fatal(err)
 	}
 	pred := skyserver.FGetNearbyObjEq(165, 20, 3)
+	opts := engine.ExecOptions{Parallelism: 1}
 	b.Run("off", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := pred.Filter(sky.PhotoObjAll, nil); err != nil {
+			if _, _, err := engine.Filter(sky.PhotoObjAll, pred, nil, opts); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -366,7 +367,9 @@ func BenchmarkAblationRecyclerOnOff(b *testing.B) {
 			b.Fatal(err)
 		}
 		for i := 0; i < b.N; i++ {
-			if _, _, err := rec.Filter(sky.PhotoObjAll, pred, engine.ExecOptions{Parallelism: 1}); err != nil {
+			snap := sky.PhotoObjAll.Snapshot()
+			prep := recycler.Prepare(snap.ID(), snap.Version(), pred)
+			if _, _, err := rec.FilterPrepared(snap, &prep, opts); err != nil {
 				b.Fatal(err)
 			}
 		}

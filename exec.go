@@ -217,7 +217,7 @@ func (db *DB) boundedExecutor(name string, base *table.Table) (*bounded.Executor
 // replacement for LIMIT-N: "the equivalent query with a LIMIT 100
 // clause will not return the first 100 results, but the 100 results
 // satisfying the impression" (§3.2). An impression layer executes as a
-// selection-vector scan over the base snapshot (engine.FilterSel), so
+// selection-vector scan over the base snapshot (engine.Filter), so
 // only the returned rows are ever copied — the impression itself is
 // never materialised. When the budget affords the base table, the
 // projection is the exact one.
@@ -227,7 +227,7 @@ func boundedProjection(ex *bounded.Executor, st *sqlparse.Statement, opts engine
 	if exact {
 		return recycler.Exec(rec, snap, q, opts, prep)
 	}
-	sel, scan, err := engine.FilterSel(snap, q.Pred(), positions, opts)
+	sel, scan, err := engine.Filter(snap, q.Pred(), positions, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -209,10 +209,16 @@ func (r rung) exact() bool { return r.layer == nil }
 // touches, for the cost model: |impression| positions for layers (never
 // |base|), zone-pruned base rows for the exact rung.
 func (r rung) scanRows(q engine.Query, opts engine.ExecOptions) int {
+	return engine.EstimateScanRows(r.snap, q.Pred(), r.positions(), opts)
+}
+
+// positions returns the rows the rung scans: the layer's sampled
+// positions, nil (every row) for the exact rung.
+func (r rung) positions() vec.Sel {
 	if r.exact() {
-		return engine.EstimateScanRows(r.snap, q.Pred(), opts)
+		return nil
 	}
-	return engine.EstimateSelScanRows(r.snap, q.Pred(), r.layer.Positions, opts)
+	return r.layer.Positions
 }
 
 // run evaluates q's aggregates on this rung. The exact rung runs
@@ -401,10 +407,7 @@ func (e *Executor) pickWithin(q engine.Query, budget time.Duration, opts engine.
 // pickWithin chooses — the same pick a bounded aggregate gets.
 func (e *Executor) TimeLayer(q engine.Query, budget time.Duration) (snap *table.Table, positions vec.Sel, exact bool) {
 	pick, _, _, _ := e.pickWithin(q, budget, e.opts)
-	if pick.exact() {
-		return pick.snap, nil, true
-	}
-	return pick.snap, pick.layer.Positions, false
+	return pick.snap, pick.positions(), pick.exact()
 }
 
 // timeBounded evaluates on the rung pickWithin chooses and reports the

@@ -343,7 +343,7 @@ func TestExecutorWithoutHierarchy(t *testing.T) {
 func LimitFirstN(base *table.Table, q engine.Query, n int) (*engine.Result, error) {
 	opts := engine.DefaultExecOptions()
 	base = base.Snapshot() // selection and aggregation must agree on length
-	sel, scan, err := engine.FilterStats(base, q.Pred(), opts)
+	sel, scan, err := engine.Filter(base, q.Pred(), nil, opts)
 	if err != nil {
 		return nil, err
 	}

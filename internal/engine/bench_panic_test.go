@@ -18,12 +18,12 @@ import (
 //	guarded — the same closure through runMorselGuarded (production path)
 //	scan    — a realistic filtered aggregate, whole pipeline under guard
 func BenchmarkPanicGuardOverhead(b *testing.B) {
-	fn := func(m, lo, hi int) error { return nil }
+	fn := func(i int) error { return nil }
 
 	b.Run("bare", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if err := fn(0, 0, 1); err != nil {
+			if err := fn(0); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -32,7 +32,7 @@ func BenchmarkPanicGuardOverhead(b *testing.B) {
 	b.Run("guarded", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if err := runMorselGuarded(fn, 0, 0, 1); err != nil {
+			if err := runMorselGuarded(fn, 0); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -18,7 +18,7 @@ import (
 // released, so tests can hold a scan mid-morsel, cancel it, and then
 // observe exactly how many more morsels the pool evaluated.
 type gatePred struct {
-	started chan struct{} // closed when the first morsel enters Filter
+	started chan struct{} // closed when the first morsel enters a kernel
 	release chan struct{} // morsels block here until closed
 	calls   atomic.Int64
 	once    sync.Once
@@ -28,11 +28,15 @@ func newGatePred() *gatePred {
 	return &gatePred{started: make(chan struct{}), release: make(chan struct{})}
 }
 
-func (p *gatePred) Filter(t *table.Table, sel vec.Sel) (vec.Sel, error) {
+func (p *gatePred) FilterRange(t *table.Table, lo, hi int) (vec.Sel, error) {
 	p.calls.Add(1)
 	p.once.Do(func() { close(p.started) })
 	<-p.release
 	return vec.Sel{}, nil
+}
+
+func (p *gatePred) FilterSel(t *table.Table, sel vec.Sel) (vec.Sel, error) {
+	return p.FilterRange(t, 0, 0)
 }
 
 func (p *gatePred) Points() []expr.Point { return nil }
@@ -124,9 +128,9 @@ func TestSelScanCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	pred := expr.Cmp{Op: vec.Lt, Left: expr.ColRef{Name: "x"}, Right: 1e9}
-	_, _, err := FilterSel(tb, pred, positions, ExecOptions{Parallelism: 2, MorselRows: 16, Ctx: ctx})
+	_, _, err := Filter(tb, pred, positions, ExecOptions{Parallelism: 2, MorselRows: 16, Ctx: ctx})
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled FilterSel returned %v, want context.Canceled", err)
+		t.Fatalf("cancelled selection scan returned %v, want context.Canceled", err)
 	}
 }
 

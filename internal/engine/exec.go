@@ -1,12 +1,14 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 
 	"sciborq/internal/column"
+	"sciborq/internal/expr"
 	"sciborq/internal/hashtab"
 	"sciborq/internal/stats"
 	"sciborq/internal/table"
@@ -59,19 +61,46 @@ func RunOnOpts(t *table.Table, q Query, opts ExecOptions) (*Result, error) {
 	}
 	t = t.Snapshot()
 	if len(q.Aggs) > 0 {
-		drive := func(perMorsel func(m, lo, hi int, sel vec.Sel) error) (ScanStats, error) {
-			return scanMorsels(t, t.Len(), q.Pred(), opts, perMorsel)
-		}
-		if q.GroupBy != "" {
-			return groupByAggregate(t, q, opts, drive)
-		}
-		return aggregate(t, q, opts, drive)
+		return runAggs(t, q, q.Pred(), scanParts(nil, t.Len(), opts), opts)
 	}
-	sel, stats, err := filterSnapshot(t, q.Pred(), opts)
+	sel, stats, err := Filter(t, q.Pred(), nil, opts)
 	if err != nil {
 		return nil, err
 	}
 	return project(t, sel, q, stats)
+}
+
+// Prefiltered execution: run a query whose WHERE selection has already
+// been computed — the recycler's and the bounded projection's hook into
+// the executor. The selection is partitioned into the same
+// granule-aligned morsel layout a cold scan produces and folded through
+// the same per-morsel partial structures, so a query answered from a
+// cached selection is bit-identical (floating point included) to the
+// same query evaluated from scratch at any parallelism level.
+
+// RunOnFilteredOpts evaluates q against t given sel as the precomputed
+// WHERE selection: exactly the rows of t satisfying q's predicate, in
+// strictly ascending order (nil = all rows). The predicate itself is
+// NOT re-evaluated. t must be the snapshot the selection was computed
+// on (snapshotting again is a no-op); scan is attached to the result
+// for cost-model accounting. Aggregates, GROUP BY, ORDER BY and LIMIT
+// behave exactly like RunOnOpts — in particular LIMIT takes the
+// storage-order prefix of sel (a bounded projection that wants a
+// representative subsample thins sel before calling).
+func RunOnFilteredOpts(t *table.Table, sel vec.Sel, q Query, scan ScanStats, opts ExecOptions) (*Result, error) {
+	if err := q.Validate(); err != nil {
+		return nil, err
+	}
+	t = t.Snapshot()
+	if len(q.Aggs) == 0 {
+		return project(t, sel, q, scan)
+	}
+	res, err := runAggs(t, q, expr.TruePred{}, scanParts(sel, t.Len(), opts), opts)
+	if err != nil {
+		return nil, err
+	}
+	res.ScannedRows, res.Stats = scan.ScannedRows, scan
+	return res, nil
 }
 
 // project materialises the selected columns, applying ORDER BY / LIMIT.
@@ -91,23 +120,35 @@ func project(t *table.Table, sel vec.Sel, q Query, stats ScanStats) (*Result, er
 	return &Result{Table: out, ScannedRows: stats.ScannedRows, Stats: stats}, nil
 }
 
-// orderAndLimit sorts sel by the ORDER BY column and truncates to LIMIT.
+// orderAndLimit sorts sel (nil = every row of t) by the ORDER BY column
+// of t and truncates it to LIMIT. DOUBLE keys compare with cmp.Compare,
+// a total order in which NaN sorts below every number; BIGINT keys
+// compare as int64, exact beyond 2^53. Equal keys keep their input
+// order.
 func orderAndLimit(t *table.Table, sel vec.Sel, q Query) (vec.Sel, error) {
 	if sel == nil {
 		sel = vec.NewSelAll(t.Len())
 	}
 	if q.OrderBy != "" {
-		keys, err := t.Float64(q.OrderBy)
+		col, err := t.Col(q.OrderBy)
 		if err != nil {
 			return nil, err
 		}
-		sorted := make(vec.Sel, len(sel))
-		copy(sorted, sel)
-		sort.SliceStable(sorted, func(a, b int) bool {
+		var compare func(a, b int32) int
+		switch c := col.(type) {
+		case *column.Float64Col:
+			compare = func(a, b int32) int { return cmp.Compare(c.Data[a], c.Data[b]) }
+		case *column.Int64Col:
+			compare = func(a, b int32) int { return cmp.Compare(c.Data[a], c.Data[b]) }
+		default:
+			return nil, fmt.Errorf("engine: ORDER BY %q: unsupported type %s", q.OrderBy, col.Type())
+		}
+		sorted := slices.Clone(sel)
+		slices.SortStableFunc(sorted, func(a, b int32) int {
 			if q.Desc {
-				return keys[sorted[a]] > keys[sorted[b]]
+				return compare(b, a)
 			}
-			return keys[sorted[a]] < keys[sorted[b]]
+			return compare(a, b)
 		})
 		sel = sorted
 	}
@@ -160,29 +201,33 @@ func aggArgs(t *table.Table, aggs []AggSpec) ([][]float64, error) {
 	return args, nil
 }
 
-// scanDriver feeds per-morsel selections into an aggregation fold. The
-// base driver (built in RunOnOpts) filters every morsel of a full
-// scan; the prefiltered driver (RunOnFilteredOpts) partitions an
-// already-computed selection by granule. Both hand morsels to the fold
-// in the same (m, lo, hi) layout, so the partial-merge order — and with
-// it every floating-point result — is identical between a cold scan
-// and a recycled selection.
-type scanDriver func(perMorsel func(m, lo, hi int, sel vec.Sel) error) (ScanStats, error)
+// runAggs evaluates q's aggregates, grouped or not, over the scan of
+// pred across parts. The base scan (RunOnOpts) filters every morsel; the
+// prefiltered fold (RunOnFilteredOpts) scans an already-computed
+// selection under TRUE. Both hand parts to the fold under their morsel
+// index m, so the partial-merge order — and with it every
+// floating-point result — is identical between a cold scan and a
+// recycled selection.
+func runAggs(t *table.Table, q Query, pred expr.Predicate, parts []part, opts ExecOptions) (*Result, error) {
+	if q.GroupBy != "" {
+		return groupByAggregate(t, q, pred, parts, opts)
+	}
+	return aggregate(t, q, pred, parts, opts)
+}
 
 // aggregate evaluates a global (ungrouped) aggregate query with the
-// fused morsel pipeline: each morsel folds per-aggregate moments over
-// the selection the driver hands it, and the partials merge in morsel
-// order. t is the query snapshot taken by RunOnOpts.
-func aggregate(t *table.Table, q Query, opts ExecOptions, drive scanDriver) (*Result, error) {
-	n := t.Len()
+// fused morsel pipeline: each part folds per-aggregate moments over
+// the rows of it matching pred, and the partials merge in morsel
+// order. t is the query snapshot.
+func aggregate(t *table.Table, q Query, pred expr.Predicate, parts []part, opts ExecOptions) (*Result, error) {
 	args, err := aggArgs(t, q.Aggs)
 	if err != nil {
 		return nil, err
 	}
-	partials := make([][]stats.Moments, opts.morselCount(n))
-	scan, err := drive(func(m, lo, hi int, sel vec.Sel) error {
+	partials := make([][]stats.Moments, opts.morselCount(t.Len()))
+	scanned, err := scan(t, parts, pred, opts, func(p part, sel vec.Sel) error {
 		ms := make([]stats.Moments, len(q.Aggs))
-		forSel(sel, lo, hi, func(row int32) {
+		forSel(sel, p.lo, p.hi, func(row int32) {
 			for i := range q.Aggs {
 				if args[i] == nil {
 					ms[i].Observe(1) // COUNT(*)
@@ -191,7 +236,7 @@ func aggregate(t *table.Table, q Query, opts ExecOptions, drive scanDriver) (*Re
 				}
 			}
 		})
-		partials[m] = ms
+		partials[p.m] = ms
 		return nil
 	})
 	if err != nil {
@@ -211,8 +256,8 @@ func aggregate(t *table.Table, q Query, opts ExecOptions, drive scanDriver) (*Re
 	if err != nil {
 		return nil, err
 	}
-	res.ScannedRows = scan.ScannedRows
-	res.Stats = scan
+	res.ScannedRows = scanned.ScannedRows
+	res.Stats = scanned
 	return res, nil
 }
 
@@ -299,8 +344,7 @@ type groupPartial struct {
 // first-seen group order (and every floating-point merge) matches the
 // sequential scan order exactly. Zone-map-pruned morsels leave empty
 // partials, which merge as no-ops. t is the query snapshot.
-func groupByAggregate(t *table.Table, q Query, opts ExecOptions, drive scanDriver) (*Result, error) {
-	n := t.Len()
+func groupByAggregate(t *table.Table, q Query, pred expr.Predicate, parts []part, opts ExecOptions) (*Result, error) {
 	grp, err := GroupingFor(t, q.GroupBy)
 	if err != nil {
 		return nil, err
@@ -310,10 +354,10 @@ func groupByAggregate(t *table.Table, q Query, opts ExecOptions, drive scanDrive
 		return nil, err
 	}
 	naggs := len(q.Aggs)
-	partials := make([]groupPartial, opts.morselCount(n))
-	scan, err := drive(func(m, lo, hi int, sel vec.Sel) error {
+	partials := make([]groupPartial, opts.morselCount(t.Len()))
+	scanned, err := scan(t, parts, pred, opts, func(pt part, sel vec.Sel) error {
 		p := groupPartial{tab: hashtab.GetTable(), ms: stats.GetMoments(0)}
-		forSel(sel, lo, hi, func(row int32) {
+		forSel(sel, pt.lo, pt.hi, func(row int32) {
 			gid, fresh := p.tab.GetOrInsert(grp.Key(row))
 			if fresh {
 				for i := 0; i < naggs; i++ {
@@ -329,7 +373,7 @@ func groupByAggregate(t *table.Table, q Query, opts ExecOptions, drive scanDrive
 				}
 			}
 		})
-		partials[m] = p
+		partials[pt.m] = p
 		return nil
 	})
 	if err != nil {
@@ -386,36 +430,21 @@ func groupByAggregate(t *table.Table, q Query, opts ExecOptions, drive scanDrive
 			return nil, err
 		}
 	}
-	res := &Result{Table: out, ScannedRows: scan.ScannedRows, Stats: scan}
-	return sortGroupedResult(res, q)
+	return orderGrouped(out, q, scanned)
 }
 
-// sortGroupedResult applies ORDER BY / LIMIT to a grouped result.
-func sortGroupedResult(res *Result, q Query) (*Result, error) {
+// orderGrouped applies ORDER BY / LIMIT to a grouped result table
+// through the projection path.
+func orderGrouped(out *table.Table, q Query, scan ScanStats) (*Result, error) {
 	if q.OrderBy == "" && q.Limit == 0 {
-		return res, nil
+		return &Result{Table: out, ScannedRows: scan.ScannedRows, Stats: scan}, nil
 	}
-	sel := vec.NewSelAll(res.Table.Len())
-	if q.OrderBy != "" {
-		keys, err := res.Table.Float64(q.OrderBy)
-		if err != nil {
-			return nil, fmt.Errorf("engine: ORDER BY %q must name an aggregate output: %w", q.OrderBy, err)
-		}
-		sort.SliceStable(sel, func(a, b int) bool {
-			if q.Desc {
-				return keys[sel[a]] > keys[sel[b]]
-			}
-			return keys[sel[a]] < keys[sel[b]]
-		})
+	q.Select = []string{"*"}
+	res, err := project(out, nil, q, scan)
+	if err != nil && q.OrderBy != "" {
+		return nil, fmt.Errorf("engine: ORDER BY %q must name an aggregate output: %w", q.OrderBy, err)
 	}
-	if q.Limit > 0 && len(sel) > q.Limit {
-		sel = sel[:q.Limit]
-	}
-	out, err := res.Table.Project(res.Table.Name(), res.Table.Schema().Names(), sel)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Table: out, ScannedRows: res.ScannedRows, Stats: res.Stats}, nil
+	return res, err
 }
 
 func resultName(q Query) string { return "result(" + q.Table + ")" }

@@ -50,7 +50,7 @@ func mapGroupByReference(t *testing.T, tb *table.Table, q Query, morselRows int)
 	var partials []partial
 	for lo := 0; lo < n; lo += morselRows {
 		hi := min(lo+morselRows, n)
-		sel, err := q.Pred().Filter(tb, vec.NewSelRange(lo, hi))
+		sel, err := q.Pred().FilterRange(tb, lo, hi)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,12 +108,11 @@ func mapGroupByReference(t *testing.T, tb *table.Table, q Query, morselRows int)
 			t.Fatal(err)
 		}
 	}
-	res := &Result{Table: out, ScannedRows: n}
-	sorted, err := sortGroupedResult(res, q)
+	res, err := orderGrouped(out, q, ScanStats{ScannedRows: n})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sorted
+	return res
 }
 
 // TestHashGroupByMatchesMapReference is the hash-path property grid:

@@ -102,7 +102,7 @@ func TestIngestWhileQuery(t *testing.T) {
 					prevCount = count
 				}
 				// Raw filter path on the shared table too.
-				if _, _, err := FilterStats(tb, expr.Cmp{Op: vec.Lt, Left: expr.ColRef{Name: "x"}, Right: 250}, opts); err != nil {
+				if _, _, err := Filter(tb, expr.Cmp{Op: vec.Lt, Left: expr.ColRef{Name: "x"}, Right: 250}, nil, opts); err != nil {
 					t.Errorf("worker %d filter: %v", w, err)
 					return
 				}

@@ -12,7 +12,7 @@ import (
 	"sciborq/internal/vec"
 )
 
-// panicPred is a user-defined predicate that panics on its Nth Filter
+// panicPred is a user-defined predicate that panics on its Nth kernel
 // call — the poisoned-row/buggy-UDF stand-in the recover guards exist
 // for.
 type panicPred struct {
@@ -20,11 +20,15 @@ type panicPred struct {
 	panicAt int64
 }
 
-func (p *panicPred) Filter(t *table.Table, sel vec.Sel) (vec.Sel, error) {
+func (p *panicPred) FilterRange(t *table.Table, lo, hi int) (vec.Sel, error) {
 	if p.calls.Add(1) == p.panicAt {
 		panic("panicPred: poisoned morsel")
 	}
 	return vec.Sel{}, nil
+}
+
+func (p *panicPred) FilterSel(t *table.Table, sel vec.Sel) (vec.Sel, error) {
+	return p.FilterRange(t, 0, 0)
 }
 
 func (p *panicPred) Points() []expr.Point { return nil }
@@ -116,7 +120,7 @@ func TestInjectedMorselFaults(t *testing.T) {
 
 // TestPanicReleasesPooledScratch: after a recovered morsel panic the
 // selection pool still hands out sane scratch — the deferred PutSel in
-// scanMorsels ran during the unwind (this is a smoke check; the -race
+// scan ran during the unwind (this is a smoke check; the -race
 // chaos suite exercises it under load).
 func TestPanicReleasesPooledScratch(t *testing.T) {
 	const rows, morsel = 512, 16
@@ -129,7 +133,7 @@ func TestPanicReleasesPooledScratch(t *testing.T) {
 			t.Fatal("expected panic error")
 		}
 		// A real filter through the same pooled scratch must stay exact.
-		sel, _, err := FilterStats(tb, expr.Cmp{Op: vec.Lt, Left: expr.ColRef{Name: "x"}, Right: 100}, opts)
+		sel, _, err := Filter(tb, expr.Cmp{Op: vec.Lt, Left: expr.ColRef{Name: "x"}, Right: 100}, nil, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

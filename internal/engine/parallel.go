@@ -40,7 +40,7 @@ func (e *PanicError) Error() string {
 // one atomic load. The defer+recover pair costs a few nanoseconds per
 // morsel — noise against the 64K rows a morsel evaluates (pinned by
 // BenchmarkPanicGuardOverhead).
-func runMorselGuarded(fn func(m, lo, hi int) error, m, lo, hi int) (err error) {
+func runMorselGuarded(fn func(i int) error, i int) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = &PanicError{Value: p, Stack: debug.Stack()}
@@ -49,7 +49,7 @@ func runMorselGuarded(fn func(m, lo, hi int) error, m, lo, hi int) (err error) {
 	if err := faultinject.Fire(faultinject.PointMorsel); err != nil {
 		return err
 	}
-	return fn(m, lo, hi)
+	return fn(i)
 }
 
 // DefaultMorselRows is the default morsel size: the number of base rows
@@ -66,9 +66,8 @@ const DefaultMorselRows = 64 * 1024
 // and the coordinator merges the partials in ascending morsel order.
 // Because the merge order is fixed by the morsel layout, every result —
 // including floating-point SUM/AVG/STDDEV — is bit-identical for any
-// Parallelism value; only wall-clock time changes. Tables no larger
-// than one morsel take the original single-pass column-at-a-time path,
-// so small-table results are also bit-identical to pre-morsel builds.
+// Parallelism value; only wall-clock time changes. A table no larger
+// than one morsel is a one-part scan through the same loop.
 type ExecOptions struct {
 	// Parallelism is the number of scan workers. Zero or negative means
 	// GOMAXPROCS; 1 forces sequential execution.
@@ -112,25 +111,26 @@ func (o ExecOptions) morselCount(n int) int {
 	return (n + mr - 1) / mr
 }
 
-// forEachMorsel runs fn(m, lo, hi) for every morsel m covering [0, n),
-// fanning out to min(workers, morsels) goroutines. fn must only write
-// state owned by morsel m (typically partials[m]); shared inputs are
-// read-only for the duration of the scan — scans run over table
-// snapshots (see scanMorsels), so a concurrent Load on the source
-// table only writes rows the scan cannot see. The first error in
-// morsel order is returned, so error reporting is deterministic too.
+// forEachMorsel runs fn(i) for every part index i in [0, parts),
+// fanning out to min(workers, parts) goroutines that pull indices from a
+// shared counter. fn must only write state owned by part i (typically
+// partials[m] of its morsel m); shared inputs are read-only for the
+// duration of the scan — scans run over table snapshots (see scan), so
+// a concurrent Load on the source table only writes rows the scan
+// cannot see. The first error in part order is returned, so error
+// reporting is deterministic too.
 //
-// When opts.Ctx is cancelled, workers stop pulling morsels at the next
-// morsel boundary and the scan returns opts.Ctx.Err(); cancellation
-// takes precedence over per-morsel errors because the partial state is
+// When opts.Ctx is cancelled, workers stop pulling parts at the next
+// part boundary and the scan returns opts.Ctx.Err(); cancellation
+// takes precedence over per-part errors because the partial state is
 // abandoned either way.
 //
 // Every fn invocation runs under runMorselGuarded: a panic inside it —
 // on a pool worker or on the caller's goroutine — surfaces as a
 // *PanicError for this scan only, keeping the worker pool and the
 // process alive.
-func forEachMorsel(n int, opts ExecOptions, fn func(m, lo, hi int) error) error {
-	if n <= 0 {
+func forEachMorsel(parts int, opts ExecOptions, fn func(i int) error) error {
+	if parts <= 0 {
 		return nil
 	}
 	var done <-chan struct{}
@@ -140,14 +140,9 @@ func forEachMorsel(n int, opts ExecOptions, fn func(m, lo, hi int) error) error 
 		}
 		done = opts.Ctx.Done()
 	}
-	mr := opts.morselRows()
-	morsels := opts.morselCount(n)
-	workers := opts.workers()
-	if workers > morsels {
-		workers = morsels
-	}
+	workers := min(opts.workers(), parts)
 	if workers <= 1 {
-		for m := 0; m < morsels; m++ {
+		for i := 0; i < parts; i++ {
 			if done != nil {
 				select {
 				case <-done:
@@ -155,15 +150,13 @@ func forEachMorsel(n int, opts ExecOptions, fn func(m, lo, hi int) error) error 
 				default:
 				}
 			}
-			lo := m * mr
-			hi := min(lo+mr, n)
-			if err := runMorselGuarded(fn, m, lo, hi); err != nil {
+			if err := runMorselGuarded(fn, i); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	errs := make([]error, morsels)
+	errs := make([]error, parts)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -178,13 +171,11 @@ func forEachMorsel(n int, opts ExecOptions, fn func(m, lo, hi int) error) error 
 					default:
 					}
 				}
-				m := int(next.Add(1)) - 1
-				if m >= morsels {
+				i := int(next.Add(1)) - 1
+				if i >= parts {
 					return
 				}
-				lo := m * mr
-				hi := min(lo+mr, n)
-				errs[m] = runMorselGuarded(fn, m, lo, hi)
+				errs[i] = runMorselGuarded(fn, i)
 			}
 		}()
 	}
@@ -214,8 +205,8 @@ func isTruePred(pred expr.Predicate) bool {
 // preparePred rewrites pred so that every scalar argument whose
 // evaluation allocates (Int64 widening, Arith intermediates, Const
 // columns) is materialised exactly once before the morsel fan-out;
-// without this, each morsel's pred.Filter call would re-materialise
-// the full column, making the parallel path O(n × morsels). Raw
+// without this, each morsel's kernel call would re-materialise the
+// full column, making the parallel path O(n × morsels). Raw
 // float64 column references are left alone — they already evaluate to
 // shared storage (and keep the Cmp fast path). Unknown predicate
 // shapes pass through unchanged.
@@ -286,20 +277,6 @@ func prepareScalar(t *table.Table, s expr.Scalar) (expr.Scalar, error) {
 	return expr.Materialized{Vals: vals, Desc: s.String()}, nil
 }
 
-// filterMorsel evaluates pred over rows [lo, hi) of t through the
-// range-native predicate path: no [lo, hi) index vector is
-// materialised, and the returned selection lives in vec's scratch pool
-// (pooled reports whether the caller must release it with vec.PutSel
-// after use). A nil selection (TRUE predicate) means every row of the
-// morsel matched.
-func filterMorsel(t *table.Table, pred expr.Predicate, lo, hi int) (sel vec.Sel, pooled bool, err error) {
-	if isTruePred(pred) {
-		return nil, false, nil
-	}
-	sel, err = expr.FilterRange(t, pred, lo, hi)
-	return sel, true, err
-}
-
 // ScanStats reports what a morsel scan actually did: how many morsels
 // the layout produced, how many zone-map pruning skipped outright, and
 // the row counts on either side of that cut. ScannedRows is what the
@@ -328,6 +305,17 @@ type zoneCheck struct {
 func (z zoneCheck) canSkip(lo, hi int) bool {
 	mn, mx, ok := z.zm.ZoneBounds(lo, hi)
 	return ok && (mx < z.lo || mn > z.hi)
+}
+
+// pruned reports whether any zone check proves rows [lo, hi) empty of
+// matches.
+func pruned(checks []zoneCheck, lo, hi int) bool {
+	for _, zc := range checks {
+		if zc.canSkip(lo, hi) {
+			return true
+		}
+	}
+	return false
 }
 
 // zoneChecks resolves pred's necessary column bounds (expr.BoundsOf)
@@ -421,98 +409,6 @@ func validateScalar(t *table.Table, s expr.Scalar) error {
 	}
 }
 
-// scanMorsels is the shared scan prologue of aggregation, grouping and
-// filtering: extract zone-map checks from the original predicate,
-// prepare it once for multi-morsel scans, then run perMorsel over every
-// morsel of [0, n) with its filtered selection (nil sel = every row of
-// the morsel). Morsels whose zone maps prove no row can match are
-// skipped without evaluating the predicate; perMorsel never sees them.
-// The selection handed to perMorsel is pool-backed scratch valid only
-// for the duration of the call — perMorsel copies if it retains.
-//
-// t must be a table snapshot (callers go through Table.Snapshot), which
-// is what makes concurrent Load-vs-query on the source table safe: n
-// and every column header were captured together under the table lock,
-// and appenders only touch rows beyond them.
-func scanMorsels(t *table.Table, n int, pred expr.Predicate, opts ExecOptions, perMorsel func(m, lo, hi int, sel vec.Sel) error) (ScanStats, error) {
-	stats := ScanStats{Morsels: opts.morselCount(n), ScannedRows: n}
-	checks := zoneChecks(t, pred)
-	if len(checks) > 0 {
-		// Pruning may skip every evaluation; surface bad references
-		// deterministically first.
-		if err := validatePred(t, pred); err != nil {
-			return stats, err
-		}
-	}
-	if opts.morselCount(n) > 1 {
-		var err error
-		if pred, err = preparePred(t, pred); err != nil {
-			return stats, err
-		}
-	}
-	var skippedMorsels, skippedRows atomic.Int64
-	err := forEachMorsel(n, opts, func(m, lo, hi int) error {
-		for _, zc := range checks {
-			if zc.canSkip(lo, hi) {
-				skippedMorsels.Add(1)
-				skippedRows.Add(int64(hi - lo))
-				return nil
-			}
-		}
-		// The morsel survived pruning and will be read: account its
-		// granules' residency with the table's pager (durable tables
-		// larger than RAM; no-op branch for in-memory tables).
-		t.TouchRange(lo, hi)
-		sel, pooled, err := filterMorsel(t, pred, lo, hi)
-		if err != nil {
-			return err
-		}
-		// Deferred, not sequenced after perMorsel: if perMorsel panics,
-		// the unwind (towards runMorselGuarded's recover) must still
-		// return the pooled scratch.
-		if pooled {
-			defer vec.PutSel(sel)
-		}
-		return perMorsel(m, lo, hi, sel)
-	})
-	stats.SkippedMorsels = int(skippedMorsels.Load())
-	stats.SkippedRows = int(skippedRows.Load())
-	stats.ScannedRows = n - stats.SkippedRows
-	return stats, err
-}
-
-// EstimateScanRows predicts how many base rows a scan of pred over t
-// will actually evaluate after zone-map pruning, without executing it —
-// the prune-aware input to cost-model layer picking. The walk costs
-// O(morsels), not O(rows).
-func EstimateScanRows(t *table.Table, pred expr.Predicate, opts ExecOptions) int {
-	t = t.Snapshot()
-	n := t.Len()
-	if isTruePred(pred) {
-		return n
-	}
-	checks := zoneChecks(t, pred)
-	if len(checks) == 0 {
-		return n
-	}
-	mr := opts.morselRows()
-	scanned := 0
-	for lo := 0; lo < n; lo += mr {
-		hi := min(lo+mr, n)
-		skip := false
-		for _, zc := range checks {
-			if zc.canSkip(lo, hi) {
-				skip = true
-				break
-			}
-		}
-		if !skip {
-			scanned += hi - lo
-		}
-	}
-	return scanned
-}
-
 // forSel invokes fn for every selected row; a nil sel means all rows of
 // [lo, hi).
 func forSel(sel vec.Sel, lo, hi int, fn func(row int32)) {
@@ -525,51 +421,4 @@ func forSel(sel vec.Sel, lo, hi int, fn func(row int32)) {
 	for _, i := range sel {
 		fn(i)
 	}
-}
-
-// filterSnapshot evaluates pred over an already-snapshotted table with
-// morsel-driven parallelism, returning the combined selection in
-// ascending row order — exactly the rows a sequential pred.Filter(t,
-// nil) would return — and the scan statistics. A nil selection means
-// "all rows" (TRUE predicate). The single-morsel case keeps the
-// unrestricted sequential path (bit-identical to pre-morsel builds);
-// everything larger runs the range-native pruned scan.
-func filterSnapshot(t *table.Table, pred expr.Predicate, opts ExecOptions) (vec.Sel, ScanStats, error) {
-	n := t.Len()
-	stats := ScanStats{Morsels: opts.morselCount(n), ScannedRows: n}
-	if isTruePred(pred) {
-		return nil, stats, nil
-	}
-	if opts.morselCount(n) <= 1 {
-		// Zone maps can still veto the whole (single-morsel) scan; an
-		// explicit empty selection, NOT nil — nil means "all rows".
-		for _, zc := range zoneChecks(t, pred) {
-			if zc.canSkip(0, n) {
-				if err := validatePred(t, pred); err != nil {
-					return nil, stats, err
-				}
-				stats.SkippedMorsels, stats.SkippedRows, stats.ScannedRows = 1, n, 0
-				return vec.Sel{}, stats, nil
-			}
-		}
-		sel, err := pred.Filter(t, nil)
-		return sel, stats, err
-	}
-	parts := make([]vec.Sel, opts.morselCount(n))
-	stats, err := scanMorsels(t, n, pred, opts, func(m, lo, hi int, sel vec.Sel) error {
-		parts[m] = append(vec.Sel(nil), sel...) // sel is pooled scratch
-		return nil
-	})
-	if err != nil {
-		return nil, stats, err
-	}
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	out := make(vec.Sel, 0, total)
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out, stats, nil
 }

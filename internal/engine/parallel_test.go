@@ -48,6 +48,18 @@ func gridTable(t testing.TB, n int) *table.Table {
 	return tb
 }
 
+// seqFilter is the sequential reference selection: pred evaluated over
+// the whole table in one kernel call, with no morsels, pruning or
+// predicate preparation.
+func seqFilter(t *testing.T, tb *table.Table, pred expr.Predicate) vec.Sel {
+	t.Helper()
+	sel, err := pred.FilterRange(tb, 0, tb.Len())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sel
+}
+
 // sameResult asserts two results are identical: same schema, same row
 // count, and bit-identical cell values (compared through RowStrings,
 // which is exact for identical floating-point bits).
@@ -181,15 +193,12 @@ func TestSingleMorselMatchesLegacySequential(t *testing.T) {
 			// Legacy shape: filter everything, then fold each aggregate's
 			// input in one sequential pass.
 			if len(q.Aggs) > 0 && q.GroupBy == "" {
-				sel, err := q.Pred().Filter(tb, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
+				sel := seqFilter(t, tb, q.Pred())
 				states := make([]AggState, len(q.Aggs))
 				for i, a := range q.Aggs {
 					states[i].Spec = a
 					if a.Arg == nil {
-						for k := sel.Len(tb.Len()); k > 0; k-- {
+						for k := len(sel); k > 0; k-- {
 							states[i].Moments.Observe(1)
 						}
 						continue
@@ -211,19 +220,16 @@ func TestSingleMorselMatchesLegacySequential(t *testing.T) {
 	}
 }
 
-// TestParallelFilterMatchesSequential checks FilterStats returns the
-// exact selection of an unrestricted sequential predicate evaluation.
+// TestParallelFilterMatchesSequential checks Filter returns the exact
+// selection of an unrestricted sequential predicate evaluation.
 func TestParallelFilterMatchesSequential(t *testing.T) {
 	tb := gridTable(t, 30_000)
 	pred := expr.Or{
 		L: expr.Between{Expr: expr.ColRef{Name: "x"}, Lo: 0.4, Hi: 0.6},
 		R: expr.StrEq{Col: "cat", Value: "QSO"},
 	}
-	want, err := pred.Filter(tb, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := FilterStats(tb, pred, ExecOptions{Parallelism: 4, MorselRows: 1000})
+	want := seqFilter(t, tb, pred)
+	got, _, err := Filter(tb, pred, nil, ExecOptions{Parallelism: 4, MorselRows: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +237,7 @@ func TestParallelFilterMatchesSequential(t *testing.T) {
 		t.Fatalf("parallel filter diverges: want %d rows, got %d", len(want), len(got))
 	}
 	// TRUE predicate short-circuits to nil (all rows).
-	all, _, err := FilterStats(tb, expr.TruePred{}, ExecOptions{Parallelism: 4, MorselRows: 1000})
+	all, _, err := Filter(tb, expr.TruePred{}, nil, ExecOptions{Parallelism: 4, MorselRows: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,14 +262,8 @@ func TestPreparePredSharesMaterialisation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := pred.Filter(tb, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := prepared.Filter(tb, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := seqFilter(t, tb, pred)
+	got := seqFilter(t, tb, prepared)
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("prepared predicate diverges: %d vs %d rows", len(want), len(got))
 	}
@@ -288,7 +288,7 @@ func TestPreparePredSharesMaterialisation(t *testing.T) {
 func TestParallelFilterPropagatesErrors(t *testing.T) {
 	tb := gridTable(t, 30_000)
 	bad := expr.Cmp{Op: vec.Lt, Left: expr.ColRef{Name: "nope"}, Right: 1}
-	if _, _, err := FilterStats(tb, bad, ExecOptions{Parallelism: 4, MorselRows: 1000}); err == nil {
+	if _, _, err := Filter(tb, bad, nil, ExecOptions{Parallelism: 4, MorselRows: 1000}); err == nil {
 		t.Fatal("want error for unknown column, got nil")
 	}
 	q := Query{Table: "grid", Where: bad, Aggs: []AggSpec{{Func: Count}}}

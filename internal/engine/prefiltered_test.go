@@ -55,7 +55,7 @@ func TestRunOnFilteredMatchesRunOn(t *testing.T) {
 		opts := ExecOptions{Parallelism: workers, MorselRows: 256}
 		for qi, q := range queries {
 			snap := tb.Snapshot()
-			sel, scan, err := FilterStats(snap, q.Pred(), opts)
+			sel, scan, err := Filter(snap, q.Pred(), nil, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -108,19 +108,15 @@ func TestRunOnFilteredNilSelection(t *testing.T) {
 }
 
 // TestSelDriverMorselLayout pins the property the bit-identical claim
-// rests on: the prefiltered driver presents parts under the same morsel
-// indices and windows a cold scan would use.
+// rests on: a scan over an already-computed selection presents its parts
+// under the same morsel indices and windows a cold scan would use.
 func TestSelDriverMorselLayout(t *testing.T) {
 	positions := vec.Sel{0, 1, 255, 256, 700, 701, 999}
 	opts := ExecOptions{Parallelism: 1, MorselRows: 256}
-	type part struct {
-		m, lo, hi int
-		sel       vec.Sel
-	}
 	var got []part
 	tb := table.MustNew("layout", table.Schema{{Name: "x", Type: column.Float64}})
-	_, err := selDriver(tb, positions, 1000, opts, ScanStats{})(func(m, lo, hi int, sel vec.Sel) error {
-		got = append(got, part{m, lo, hi, append(vec.Sel(nil), sel...)})
+	_, err := scan(tb, scanParts(positions, 1000, opts), expr.TruePred{}, opts, func(p part, sel vec.Sel) error {
+		got = append(got, part{p.m, p.lo, p.hi, append(vec.Sel(nil), sel...)})
 		return nil
 	})
 	if err != nil {

@@ -70,7 +70,7 @@ func TestZoneMapPruningSkipsMorsels(t *testing.T) {
 		if res.ScannedRows != column.ZoneRows {
 			t.Errorf("workers=%d: scanned %d rows, want %d", workers, res.ScannedRows, column.ZoneRows)
 		}
-		if got := EstimateScanRows(tb, pred, opts); got != res.ScannedRows {
+		if got := EstimateScanRows(tb, pred, nil, opts); got != res.ScannedRows {
 			t.Errorf("workers=%d: EstimateScanRows = %d, scan did %d", workers, got, res.ScannedRows)
 		}
 		ctl, err := RunOnOpts(tb, control, opts)
@@ -116,11 +116,11 @@ func TestZoneMapPruningPredicateShapes(t *testing.T) {
 		},
 	}
 	for _, pred := range preds {
-		want, _, err := FilterStats(tb, unboundable(pred), opts)
+		want, _, err := Filter(tb, unboundable(pred), nil, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := FilterStats(tb, pred, opts)
+		got, _, err := Filter(tb, pred, nil, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,7 +134,7 @@ func TestZoneMapPruningPredicateShapes(t *testing.T) {
 				break
 			}
 		}
-		if est := EstimateScanRows(tb, pred, opts); est >= n {
+		if est := EstimateScanRows(tb, pred, nil, opts); est >= n {
 			t.Errorf("%s: EstimateScanRows = %d, expected pruning below %d", pred, est, n)
 		}
 	}
@@ -159,12 +159,12 @@ func TestPruningStillReportsBadReferences(t *testing.T) {
 			if _, err := RunOnOpts(tb, q, ExecOptions{Parallelism: workers}); err == nil {
 				t.Errorf("workers=%d %s: pruned scan swallowed the bad reference", workers, pred)
 			}
-			if _, _, err := FilterStats(tb, pred, ExecOptions{Parallelism: workers}); err == nil {
+			if _, _, err := Filter(tb, pred, nil, ExecOptions{Parallelism: workers}); err == nil {
 				t.Errorf("workers=%d %s: pruned filter swallowed the bad reference", workers, pred)
 			}
 		}
 		// Single-morsel path too (table fits one morsel).
-		if _, _, err := FilterStats(tb, pred, ExecOptions{MorselRows: 1 << 30}); err == nil {
+		if _, _, err := Filter(tb, pred, nil, ExecOptions{MorselRows: 1 << 30}); err == nil {
 			t.Errorf("%s: single-morsel pruned filter swallowed the bad reference", pred)
 		}
 	}
@@ -174,16 +174,16 @@ func TestPruningStillReportsBadReferences(t *testing.T) {
 func TestEstimateScanRowsUnprunable(t *testing.T) {
 	tb := clusteredTable(t, 2)
 	opts := ExecOptions{}
-	if got := EstimateScanRows(tb, expr.TruePred{}, opts); got != tb.Len() {
+	if got := EstimateScanRows(tb, expr.TruePred{}, nil, opts); got != tb.Len() {
 		t.Fatalf("TRUE: %d, want %d", got, tb.Len())
 	}
 	noBounds := expr.StrEq{Col: "kind", Value: "x"}
-	if got := EstimateScanRows(tb, noBounds, opts); got != tb.Len() {
+	if got := EstimateScanRows(tb, noBounds, nil, opts); got != tb.Len() {
 		t.Fatalf("no-bounds: %d, want %d", got, tb.Len())
 	}
 	// A predicate overlapping every granule prunes nothing.
 	wide := expr.Between{Expr: expr.ColRef{Name: "x"}, Lo: 0, Hi: float64(tb.Len())}
-	if got := EstimateScanRows(tb, wide, opts); got != tb.Len() {
+	if got := EstimateScanRows(tb, wide, nil, opts); got != tb.Len() {
 		t.Fatalf("wide: %d, want %d", got, tb.Len())
 	}
 }

@@ -4,13 +4,17 @@
 // paper relies on to re-target an in-flight query at a different
 // impression layer (§3.2).
 //
-// Execution is morsel-driven and parallel: scans split into fixed-size
-// contiguous morsels (ExecOptions.MorselRows, default 64K rows) that a
-// worker pool sized by ExecOptions.Parallelism pulls from a shared
-// queue. Each morsel filters its row range and folds partial aggregate
-// states; partials merge in ascending morsel order, so every result is
-// bit-for-bit reproducible at any parallelism level — Parallelism
-// changes latency, never values. See ExecOptions for details.
+// Execution is morsel-driven and parallel, through one scan loop (see
+// scan.go): a scan is a list of granule-aligned parts of fixed-size
+// morsels (ExecOptions.MorselRows, default 64K rows) — every row of a
+// morsel for a base-table scan, the listed positions in it for a scan of
+// an impression or a cached selection — that a worker pool sized by
+// ExecOptions.Parallelism pulls from a shared queue. Each part filters
+// its rows and folds partial aggregate states; partials merge in
+// ascending morsel order, so every result is bit-for-bit reproducible at
+// any parallelism level — Parallelism changes latency, never values.
+// Filter and EstimateScanRows take the positions to scan, nil meaning
+// every row. See ExecOptions for details.
 package engine
 
 import (

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"sciborq/internal/column"
@@ -64,9 +65,9 @@ func selScanTable(t testing.TB, n int) *table.Table {
 }
 
 // TestFilterSelMatchesFilterIntersection asserts, over random position
-// densities, predicates, morsel granules and worker counts, that
-// FilterSel returns exactly Filter ∩ positions, bit-identical at every
-// parallelism level.
+// densities, predicates, morsel granules and worker counts, that a
+// selection scan returns exactly (full scan) ∩ positions, bit-identical
+// at every parallelism level.
 func TestFilterSelMatchesFilterIntersection(t *testing.T) {
 	const n = 40_000
 	tb := selScanTable(t, n)
@@ -83,7 +84,7 @@ func TestFilterSelMatchesFilterIntersection(t *testing.T) {
 	}
 	densities := []float64{0, 0.001, 0.2, 0.7, 1}
 	for pi, pred := range preds {
-		want, _, err := FilterStats(tb, pred, ExecOptions{Parallelism: 1})
+		want, _, err := Filter(tb, pred, nil, ExecOptions{Parallelism: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +96,7 @@ func TestFilterSelMatchesFilterIntersection(t *testing.T) {
 			expect := intersectSorted(want, positions)
 			for _, workers := range []int{1, 4} {
 				for _, mr := range []int{0, 1024} {
-					got, stats, err := FilterSel(tb, pred, positions, ExecOptions{Parallelism: workers, MorselRows: mr})
+					got, stats, err := Filter(tb, pred, positions, ExecOptions{Parallelism: workers, MorselRows: mr})
 					if err != nil {
 						t.Fatalf("pred %d density %g workers %d: %v", pi, d, workers, err)
 					}
@@ -121,7 +122,7 @@ func TestFilterSelMatchesFilterIntersection(t *testing.T) {
 // TestFilterSelZonePruning checks that a range predicate confined to a
 // slice of clustered data skips the granules no sampled position can
 // match in, that the pruned result matches the unprunable control, and
-// that EstimateSelScanRows predicts exactly what the scan then does.
+// that EstimateScanRows predicts exactly what the scan then does.
 func TestFilterSelZonePruning(t *testing.T) {
 	const granules = 4
 	n := granules * column.ZoneRows
@@ -131,14 +132,14 @@ func TestFilterSelZonePruning(t *testing.T) {
 	pred := expr.Between{Expr: expr.ColRef{Name: "x"}, Lo: 70_000, Hi: 90_000}
 	opts := ExecOptions{Parallelism: 2}
 
-	got, stats, err := FilterSel(tb, pred, positions, opts)
+	got, stats, err := Filter(tb, pred, positions, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.SkippedMorsels == 0 || stats.SkippedRows == 0 {
 		t.Fatalf("no pruning on clustered data: %+v", stats)
 	}
-	control, _, err := FilterSel(tb, unboundable(pred), positions, opts)
+	control, _, err := Filter(tb, unboundable(pred), positions, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,11 +151,11 @@ func TestFilterSelZonePruning(t *testing.T) {
 			t.Fatalf("row %d: pruned %d, control %d", i, got[i], control[i])
 		}
 	}
-	if est := EstimateSelScanRows(tb, pred, positions, opts); est != stats.ScannedRows {
-		t.Fatalf("EstimateSelScanRows = %d, scan evaluated %d", est, stats.ScannedRows)
+	if est := EstimateScanRows(tb, pred, positions, opts); est != stats.ScannedRows {
+		t.Fatalf("EstimateScanRows = %d, scan evaluated %d", est, stats.ScannedRows)
 	}
-	if est := EstimateSelScanRows(tb, expr.TruePred{}, positions, opts); est != len(positions) {
-		t.Fatalf("EstimateSelScanRows(TRUE) = %d, want %d", est, len(positions))
+	if est := EstimateScanRows(tb, expr.TruePred{}, positions, opts); est != len(positions) {
+		t.Fatalf("EstimateScanRows(TRUE) = %d, want %d", est, len(positions))
 	}
 }
 
@@ -164,28 +165,28 @@ func TestFilterSelContractErrors(t *testing.T) {
 	tb := selScanTable(t, 128)
 	opts := DefaultExecOptions()
 	pred := expr.Cmp{Op: vec.Lt, Left: expr.ColRef{Name: "v"}, Right: 0.5}
-	if _, _, err := FilterSel(tb, pred, vec.Sel{5, 3}, opts); err == nil {
+	if _, _, err := Filter(tb, pred, vec.Sel{5, 3}, opts); err == nil {
 		t.Error("unsorted positions accepted")
 	}
-	if _, _, err := FilterSel(tb, pred, vec.Sel{5, 5, 7}, opts); err == nil {
-		t.Error("duplicate positions accepted (dense fast path would leak unsampled rows)")
+	if _, _, err := Filter(tb, pred, vec.Sel{5, 5, 7}, opts); err == nil {
+		t.Error("duplicate positions accepted (the gapless-run range path would leak unsampled rows)")
 	}
-	if _, _, err := FilterSel(tb, pred, vec.Sel{5, 400}, opts); err == nil {
+	if _, _, err := Filter(tb, pred, vec.Sel{5, 400}, opts); err == nil {
 		t.Error("out-of-range position accepted")
 	}
-	if _, _, err := FilterSel(tb, pred, vec.Sel{-1, 5}, opts); err == nil {
+	if _, _, err := Filter(tb, pred, vec.Sel{-1, 5}, opts); err == nil {
 		t.Error("negative position accepted")
 	}
 	bad := expr.Cmp{Op: vec.Lt, Left: expr.ColRef{Name: "missing"}, Right: 0}
-	if _, _, err := FilterSel(tb, bad, vec.Sel{1, 2}, opts); err == nil {
+	if _, _, err := Filter(tb, bad, vec.Sel{1, 2}, opts); err == nil {
 		t.Error("bad column reference accepted")
 	}
 }
 
 // runOnSel evaluates q over the rows of t listed in positions the way a
-// bounded projection does: FilterSel, then the prefiltered executor.
+// bounded projection does: Filter, then the prefiltered executor.
 func runOnSel(t *table.Table, positions vec.Sel, q Query, opts ExecOptions) (*Result, error) {
-	sel, scan, err := FilterSel(t, q.Pred(), positions, opts)
+	sel, scan, err := Filter(t, q.Pred(), positions, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -193,7 +194,7 @@ func runOnSel(t *table.Table, positions vec.Sel, q Query, opts ExecOptions) (*Re
 }
 
 // TestRunOnSelAggregatesAndProjection cross-checks selection-restricted
-// execution (FilterSel → RunOnFilteredOpts) against RunOnOpts over the
+// execution (Filter → RunOnFilteredOpts) against RunOnOpts over the
 // materialised subset: aggregates, grouped aggregates and ordered
 // projections over (positions ∧ predicate) must equal the same query on
 // a standalone table holding exactly the selected rows.
@@ -308,21 +309,21 @@ func TestRunOnSelAggregatesAndProjection(t *testing.T) {
 
 // partitionSelLinear is the reference partition: one integer division
 // per position, a new part whenever the granule changes.
-func partitionSelLinear(positions vec.Sel, n int, opts ExecOptions) []selPart {
+func partitionSelLinear(positions vec.Sel, n int, opts ExecOptions) []part {
 	if len(positions) == 0 {
 		return nil
 	}
 	mr := opts.morselRows()
-	var parts []selPart
+	var parts []part
 	start := 0
 	g := int(positions[0]) / mr
 	for i := 1; i < len(positions); i++ {
 		if gi := int(positions[i]) / mr; gi != g {
-			parts = append(parts, selPart{plo: start, phi: i, rowLo: g * mr, rowHi: min(g*mr+mr, n)})
+			parts = append(parts, part{m: g, lo: g * mr, hi: min(g*mr+mr, n), pos: positions[start:i]})
 			start, g = i, gi
 		}
 	}
-	return append(parts, selPart{plo: start, phi: len(positions), rowLo: g * mr, rowHi: min(g*mr+mr, n)})
+	return append(parts, part{m: g, lo: g * mr, hi: min(g*mr+mr, n), pos: positions[start:]})
 }
 
 // TestPartitionSelMatchesLinearWalk: the binary-search partition equals
@@ -355,10 +356,8 @@ func TestPartitionSelMatchesLinearWalk(t *testing.T) {
 				if len(got) != len(want) {
 					t.Fatalf("mr=%d n=%d |pos|=%d: %d parts, want %d", mr, n, len(pos), len(got), len(want))
 				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("mr=%d n=%d |pos|=%d part %d = %+v, want %+v", mr, n, len(pos), i, got[i], want[i])
-					}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("mr=%d n=%d |pos|=%d: parts %+v, want %+v", mr, n, len(pos), got, want)
 				}
 			}
 		}

@@ -87,7 +87,7 @@ func AggregateOnSelOpts(sl SelLayer, q engine.Query, level float64, opts engine.
 		return nil, fmt.Errorf("estimate: grouped bounded queries are not supported (run one query per group)")
 	}
 	snap := sl.Base.Snapshot()
-	selBase, _, err := engine.FilterSel(snap, q.Pred(), sl.Positions, opts)
+	selBase, _, err := engine.Filter(snap, q.Pred(), sl.Positions, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -128,7 +128,7 @@ func GroupedAggregateOnSel(sl SelLayer, q engine.Query, level float64, opts engi
 		return nil, fmt.Errorf("estimate: grouped query has no aggregates")
 	}
 	snap := sl.Base.Snapshot()
-	selBase, _, err := engine.FilterSel(snap, q.Pred(), sl.Positions, opts)
+	selBase, _, err := engine.Filter(snap, q.Pred(), sl.Positions, opts)
 	if err != nil {
 		return nil, err
 	}

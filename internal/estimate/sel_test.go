@@ -145,12 +145,9 @@ func hajekOracle(t *testing.T, l matLayer, aggs []engine.AggSpec, sel vec.Sel, l
 // oracleSel evaluates q's predicate over the materialised layer.
 func oracleSel(t *testing.T, l matLayer, q engine.Query) vec.Sel {
 	t.Helper()
-	sel, err := q.Pred().Filter(l.table, nil)
+	sel, err := q.Pred().FilterRange(l.table, 0, l.table.Len())
 	if err != nil {
 		t.Fatal(err)
-	}
-	if sel == nil {
-		sel = vec.NewSelAll(l.table.Len())
 	}
 	return sel
 }

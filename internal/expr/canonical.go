@@ -16,7 +16,7 @@ import (
 // encoding built with append-only writes — no fmt on the query hot
 // path.
 //
-// Canonical preserves Filter semantics exactly: conjunction and
+// Canonical preserves predicate semantics exactly: conjunction and
 // disjunction are set intersection/union over sorted selection vectors,
 // so reordering operands never changes the (sorted) result, and
 // interval merging only replaces conjuncts by their algebraic
@@ -36,8 +36,8 @@ import (
 //     negation cancels.
 //
 // Canonical is a fixed point (Canonical(Canonical(p)) == Canonical(p))
-// and semantics-preserving: Filter over the canonical form returns the
-// same selection as over p. Predicates containing shapes this package
+// and semantics-preserving: FilterRange and FilterSel over the canonical
+// form return the same selections as over p. Predicates containing shapes this package
 // cannot key (user-defined types, Materialized scalars) are returned
 // unchanged.
 func Canonical(p Predicate) Predicate {

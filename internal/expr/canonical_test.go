@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"sciborq/internal/column"
@@ -22,7 +23,16 @@ func canonTable(t *testing.T, n int, seed int64) *table.Table {
 	words := []string{"a", "b", "c"}
 	rows := make([]table.Row, 0, n)
 	for i := 0; i < n; i++ {
-		rows = append(rows, table.Row{rng.Float64() * 10, rng.Float64()*20 - 10, words[rng.Intn(len(words))]})
+		x, y := rng.Float64()*10, rng.Float64()*20-10
+		switch i % 41 {
+		case 5:
+			x = math.NaN()
+		case 17:
+			y = math.Inf(1)
+		case 23:
+			x, y = math.Inf(-1), math.NaN()
+		}
+		rows = append(rows, table.Row{x, y, words[rng.Intn(len(words))]})
 	}
 	if err := tb.AppendBatch(rows); err != nil {
 		t.Fatal(err)
@@ -195,8 +205,9 @@ func randPred(rng *rand.Rand, depth int) Predicate {
 
 // TestCanonicalFixedPointAndSemantics is the canonicalisation half of
 // the recycler property suite: for random predicates, Canonical is a
-// fixed point and Filter over the canonical form returns the identical
-// selection vector.
+// fixed point, both kernels of p and of its canonical form match the
+// row-at-a-time reference, and the reference accepts the same rows for
+// both forms.
 func TestCanonicalFixedPointAndSemantics(t *testing.T) {
 	tb := canonTable(t, 500, 42)
 	rng := rand.New(rand.NewSource(7))
@@ -211,28 +222,13 @@ func TestCanonicalFixedPointAndSemantics(t *testing.T) {
 		if kcc := mustKey(t, cc); kc != kcc {
 			t.Fatalf("iter %d: fixed-point keys differ", iter)
 		}
-		want, err := p.Filter(tb, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := c.Filter(tb, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		normalise := func(s vec.Sel) vec.Sel {
-			if s == nil {
-				s = vec.NewSelAll(tb.Len())
-			}
-			return s
-		}
-		w, g := normalise(want), normalise(got)
-		if len(w) != len(g) {
-			t.Fatalf("iter %d: |sel| %d vs %d for %s vs %s", iter, len(w), len(g), p, c)
-		}
-		for i := range w {
-			if w[i] != g[i] {
-				t.Fatalf("iter %d: selection diverges at %d for %s vs %s", iter, i, p, c)
-			}
+		lo, hi := randWindow(rng, tb.Len())
+		sel := randPositions(rng, tb.Len())
+		checkKernels(t, tb, p, lo, hi, sel)
+		checkKernels(t, tb, c, lo, hi, sel)
+		all := windowSel(0, tb.Len())
+		if w, g := refFilter(p, tb, all), refFilter(c, tb, all); !slices.Equal(w, g) {
+			t.Fatalf("iter %d: %s selects %d rows, canonical %s selects %d", iter, p, len(w), c, len(g))
 		}
 	}
 }

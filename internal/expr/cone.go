@@ -35,7 +35,7 @@ const (
 // workload: all objects within Radius degrees of (Ra0, Dec0) by angular
 // separation on the celestial sphere.
 //
-// Filter, FilterRange and FilterSel share one two-pass kernel whose
+// FilterRange and FilterSel share one two-pass kernel whose
 // answer is, row for row, the reference AngularSeparation(Ra0, Dec0,
 // ra, dec) <= Radius — including NaN and ±Inf coordinates, negative
 // radii and radii of 90° and more:
@@ -69,25 +69,7 @@ type Cone struct {
 	Radius        float64 // degrees
 }
 
-// Filter implements Predicate through the cone kernel.
-func (c Cone) Filter(t *table.Table, sel vec.Sel) (vec.Sel, error) {
-	k, err := c.kernel(t)
-	if err != nil {
-		return nil, err
-	}
-	var cand vec.Sel
-	if sel == nil {
-		cand = k.boxRange(vec.GetSel(len(k.ra)), 0, len(k.ra))
-	} else {
-		cand = k.boxSel(vec.GetSel(len(sel)), sel)
-	}
-	cand = k.refine(cand)
-	out := append(make(vec.Sel, 0, len(cand)), cand...)
-	vec.PutSel(cand)
-	return out, nil
-}
-
-// FilterRange implements RangeFilterer through the cone kernel.
+// FilterRange implements Predicate through the cone kernel.
 func (c Cone) FilterRange(t *table.Table, lo, hi int) (vec.Sel, error) {
 	k, err := c.kernel(t)
 	if err != nil {
@@ -96,7 +78,7 @@ func (c Cone) FilterRange(t *table.Table, lo, hi int) (vec.Sel, error) {
 	return k.refine(k.boxRange(vec.GetSel(hi-lo), lo, hi)), nil
 }
 
-// FilterSel implements SelFilterer through the cone kernel.
+// FilterSel implements Predicate through the cone kernel.
 func (c Cone) FilterSel(t *table.Table, sel vec.Sel) (vec.Sel, error) {
 	k, err := c.kernel(t)
 	if err != nil {

@@ -3,7 +3,6 @@ package expr
 import (
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"sciborq/internal/column"
@@ -25,27 +24,6 @@ func coneTable(tb testing.TB, ra, dec []float64) *table.Table {
 		tb.Fatal(err)
 	}
 	return t
-}
-
-// coneReference is the oracle every kernel entry point must reproduce:
-// the row-at-a-time AngularSeparation test.
-func coneReference(c Cone, ra, dec []float64, sel vec.Sel) vec.Sel {
-	out := vec.Sel{}
-	visit := func(i int32) {
-		if AngularSeparation(c.Ra0, c.Dec0, ra[i], dec[i]) <= c.Radius {
-			out = append(out, i)
-		}
-	}
-	if sel == nil {
-		for i := range ra {
-			visit(int32(i))
-		}
-	} else {
-		for _, i := range sel {
-			visit(i)
-		}
-	}
-	return out
 }
 
 // nudges appends x and its neighbours up to k ulps away on either side.
@@ -129,59 +107,29 @@ func coneRows(rng *rand.Rand, c Cone, n int) (ra, dec []float64) {
 	return ra, dec
 }
 
-// checkConeKernel compares every entry point of the kernel with the
-// reference on the given rows.
+// checkConeKernel compares both entry points of the kernel with the
+// reference (refMatch) on the given rows: the whole table and a random
+// window through FilterRange, all rows and a random subset through
+// FilterSel.
 func checkConeKernel(t *testing.T, rng *rand.Rand, c Cone, ra, dec []float64) {
 	t.Helper()
 	tb := coneTable(t, ra, dec)
 	n := len(ra)
-	want := coneReference(c, ra, dec, nil)
-
-	got, err := c.Filter(tb, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(got, want) {
-		t.Fatalf("%v Filter(nil) = %v, reference %v", c, got, want)
-	}
-	lo := rng.Intn(n)
-	hi := lo + rng.Intn(n-lo+1)
-	rs, err := c.FilterRange(tb, lo, hi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w := coneReference(c, ra, dec, vec.NewSelRange(lo, hi)); !slices.Equal(rs, w) {
-		t.Fatalf("%v FilterRange[%d,%d) = %v, reference %v", c, lo, hi, rs, w)
-	}
-	vec.PutSel(rs)
-	var sub vec.Sel
+	checkKernels(t, tb, c, 0, n, windowSel(0, n))
+	sub := vec.Sel{}
 	for i := 0; i < n; i++ {
 		if rng.Intn(3) > 0 {
 			sub = append(sub, int32(i))
 		}
 	}
-	w := coneReference(c, ra, dec, sub)
-	ss, err := c.FilterSel(tb, sub)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(ss, w) {
-		t.Fatalf("%v FilterSel = %v, reference %v", c, ss, w)
-	}
-	vec.PutSel(ss)
-	fs, err := c.Filter(tb, sub)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(fs, w) {
-		t.Fatalf("%v Filter(sel) = %v, reference %v", c, fs, w)
-	}
+	lo := rng.Intn(n)
+	checkKernels(t, tb, c, lo, lo+rng.Intn(n-lo+1), sub)
 }
 
 // TestConeKernelMatchesReference: on random cones, polar cones, cones
 // across the RA wrap and degenerate radii, over rows built to sit ulps
 // from the boundary, the two-pass kernel selects exactly the rows the
-// AngularSeparation reference selects, through all three entry points.
+// AngularSeparation reference selects, through both entry points.
 func TestConeKernelMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(2011))
 	var cones []Cone

@@ -25,11 +25,23 @@ type Scalar interface {
 	String() string
 }
 
-// Predicate is a boolean expression evaluated into a selection vector.
+// Predicate is a boolean expression evaluated into a selection vector,
+// either over a contiguous row window (range.go) or over an explicit
+// position list (sel.go) — the two shapes a morsel of the engine's scan
+// takes.
+//
+// Both evaluators return a sorted selection that is never nil (an empty
+// selection means no match). It is backed by vec's scratch pool: the
+// caller owns it until it calls vec.PutSel, and must copy it before
+// retaining it beyond that.
 type Predicate interface {
-	// Filter returns the subset of sel (nil = all rows) satisfying the
-	// predicate on t.
-	Filter(t *table.Table, sel vec.Sel) (vec.Sel, error)
+	// FilterRange evaluates the predicate over the row window [lo, hi) of
+	// t; the result contains only positions in [lo, hi).
+	FilterRange(t *table.Table, lo, hi int) (vec.Sel, error)
+	// FilterSel evaluates the predicate over exactly the rows of t listed
+	// in sel, which is sorted ascending, never nil and treated as
+	// read-only; the result is a subset of sel.
+	FilterSel(t *table.Table, sel vec.Sel) (vec.Sel, error)
 	// Points reports the attribute values this predicate requests; the
 	// workload logger feeds them into per-attribute histograms (§4).
 	Points() []Point
@@ -178,21 +190,6 @@ type Cmp struct {
 	Right float64
 }
 
-// Filter implements Predicate. The fast path compares a raw float64
-// column without materialising the expression.
-func (c Cmp) Filter(t *table.Table, sel vec.Sel) (vec.Sel, error) {
-	if ref, ok := c.Left.(ColRef); ok {
-		if data, err := t.Float64(ref.Name); err == nil {
-			return vec.SelectFloat64(data, sel, c.Op, c.Right), nil
-		}
-	}
-	vals, err := c.Left.EvalF64(t)
-	if err != nil {
-		return nil, err
-	}
-	return vec.SelectFloat64(vals, sel, c.Op, c.Right), nil
-}
-
 // Points implements Predicate: the requested value is the comparison
 // constant on the referenced attribute.
 func (c Cmp) Points() []Point {
@@ -224,18 +221,6 @@ type Between struct {
 	Lo, Hi float64
 }
 
-// Filter implements Predicate.
-func (b Between) Filter(t *table.Table, sel vec.Sel) (vec.Sel, error) {
-	vals, err := b.Expr.EvalF64(t)
-	if err != nil {
-		return nil, err
-	}
-	return vec.SelectFunc(len(vals), sel, func(i int32) bool {
-		v := vals[i]
-		return v >= b.Lo && v <= b.Hi
-	}), nil
-}
-
 // Points implements Predicate: a range request logs its midpoint, the
 // centre of the area of interest.
 func (b Between) Points() []Point {
@@ -258,35 +243,6 @@ type StrEq struct {
 	Neg   bool // true for <>
 }
 
-// Filter implements Predicate.
-func (s StrEq) Filter(t *table.Table, sel vec.Sel) (vec.Sel, error) {
-	col, err := t.Col(s.Col)
-	if err != nil {
-		return nil, err
-	}
-	sc, ok := col.(*column.StringCol)
-	if !ok {
-		return nil, fmt.Errorf("expr: column %q is %s, want VARCHAR", s.Col, col.Type())
-	}
-	code, present := sc.Code(s.Value)
-	if !present {
-		if s.Neg {
-			if sel == nil {
-				return vec.NewSelAll(sc.Len()), nil
-			}
-			return sel, nil
-		}
-		return vec.Sel{}, nil
-	}
-	want := true
-	if s.Neg {
-		want = false
-	}
-	return vec.SelectFunc(sc.Len(), sel, func(i int32) bool {
-		return (sc.Data[i] == code) == want
-	}), nil
-}
-
 // Points implements Predicate: string predicates carry no numeric
 // interest values.
 func (s StrEq) Points() []Point { return nil }
@@ -303,15 +259,6 @@ func (s StrEq) String() string {
 // And is predicate conjunction.
 type And struct{ L, R Predicate }
 
-// Filter implements Predicate: evaluate L, then R on the survivors.
-func (a And) Filter(t *table.Table, sel vec.Sel) (vec.Sel, error) {
-	ls, err := a.L.Filter(t, sel)
-	if err != nil {
-		return nil, err
-	}
-	return a.R.Filter(t, ls)
-}
-
 // Points implements Predicate.
 func (a And) Points() []Point { return append(a.L.Points(), a.R.Points()...) }
 
@@ -320,19 +267,6 @@ func (a And) String() string { return fmt.Sprintf("(%s AND %s)", a.L, a.R) }
 
 // Or is predicate disjunction.
 type Or struct{ L, R Predicate }
-
-// Filter implements Predicate.
-func (o Or) Filter(t *table.Table, sel vec.Sel) (vec.Sel, error) {
-	ls, err := o.L.Filter(t, sel)
-	if err != nil {
-		return nil, err
-	}
-	rs, err := o.R.Filter(t, sel)
-	if err != nil {
-		return nil, err
-	}
-	return vec.Or(ls, rs, t.Len()), nil
-}
 
 // Points implements Predicate.
 func (o Or) Points() []Point { return append(o.L.Points(), o.R.Points()...) }
@@ -343,21 +277,6 @@ func (o Or) String() string { return fmt.Sprintf("(%s OR %s)", o.L, o.R) }
 // Not is predicate negation.
 type Not struct{ P Predicate }
 
-// Filter implements Predicate. With a restricted selection the
-// complement stays within sel (sel \ ps), so the cost is O(|sel|)
-// rather than a full-table complement per call — the property the
-// morsel-parallel executor relies on.
-func (n Not) Filter(t *table.Table, sel vec.Sel) (vec.Sel, error) {
-	ps, err := n.P.Filter(t, sel)
-	if err != nil {
-		return nil, err
-	}
-	if sel == nil {
-		return vec.Not(ps, t.Len()), nil
-	}
-	return vec.Diff(sel, ps), nil
-}
-
 // Points implements Predicate: a negated area is still an area the
 // scientist reasoned about, so its points are logged.
 func (n Not) Points() []Point { return n.P.Points() }
@@ -367,9 +286,6 @@ func (n Not) String() string { return fmt.Sprintf("NOT (%s)", n.P) }
 
 // TruePred matches all rows; the WHERE-less query.
 type TruePred struct{}
-
-// Filter implements Predicate.
-func (TruePred) Filter(t *table.Table, sel vec.Sel) (vec.Sel, error) { return sel, nil }
 
 // Points implements Predicate.
 func (TruePred) Points() []Point { return nil }

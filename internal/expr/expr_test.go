@@ -88,30 +88,38 @@ func TestConstAndArith(t *testing.T) {
 	}
 }
 
-func TestCmpFilter(t *testing.T) {
-	tb := testTable(t)
-	sel, err := Cmp{vec.Ge, ColRef{"ra"}, 185.5}.Filter(tb, nil)
+// filterAll evaluates p over every row of tb through FilterRange.
+func filterAll(t *testing.T, tb *table.Table, p Predicate) vec.Sel {
+	t.Helper()
+	sel, err := p.FilterRange(tb, 0, tb.Len())
 	if err != nil {
 		t.Fatal(err)
 	}
+	return sel
+}
+
+// filterSel evaluates p over the rows of tb listed in sel.
+func filterSel(t *testing.T, tb *table.Table, p Predicate, sel vec.Sel) vec.Sel {
+	t.Helper()
+	out, err := p.FilterSel(tb, sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+func TestCmpFilter(t *testing.T) {
+	tb := testTable(t)
 	want := vec.Sel{1, 2, 4}
-	if !reflect.DeepEqual(sel, want) {
+	if sel := filterAll(t, tb, Cmp{vec.Ge, ColRef{"ra"}, 185.5}); !reflect.DeepEqual(sel, want) {
 		t.Fatalf("sel = %v, want %v", sel, want)
 	}
 	// Restricted by an input selection.
-	sel, err = Cmp{vec.Ge, ColRef{"ra"}, 185.5}.Filter(tb, vec.Sel{0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(sel, vec.Sel{1}) {
+	if sel := filterSel(t, tb, Cmp{vec.Ge, ColRef{"ra"}, 185.5}, vec.Sel{0, 1}); !reflect.DeepEqual(sel, vec.Sel{1}) {
 		t.Fatalf("restricted sel = %v", sel)
 	}
 	// Through a computed expression.
-	sel, err = Cmp{vec.Gt, Arith{Add, ColRef{"ra"}, ColRef{"dec"}}, 190}.Filter(tb, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(sel, vec.Sel{2}) {
+	if sel := filterAll(t, tb, Cmp{vec.Gt, Arith{Add, ColRef{"ra"}, ColRef{"dec"}}, 190}); !reflect.DeepEqual(sel, vec.Sel{2}) {
 		t.Fatalf("computed predicate sel = %v", sel)
 	}
 }
@@ -133,12 +141,8 @@ func TestCmpPointsAndString(t *testing.T) {
 func TestBetween(t *testing.T) {
 	tb := testTable(t)
 	b := Between{ColRef{"ra"}, 185.0, 186.0}
-	sel, err := b.Filter(tb, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	want := vec.Sel{0, 1, 4} // inclusive both ends
-	if !reflect.DeepEqual(sel, want) {
+	if sel := filterAll(t, tb, b); !reflect.DeepEqual(sel, want) {
 		t.Fatalf("between sel = %v, want %v", sel, want)
 	}
 	pts := b.Points()
@@ -152,30 +156,20 @@ func TestBetween(t *testing.T) {
 
 func TestStrEq(t *testing.T) {
 	tb := testTable(t)
-	sel, err := StrEq{Col: "type", Value: "GALAXY"}.Filter(tb, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(sel, vec.Sel{0, 1, 4}) {
+	if sel := filterAll(t, tb, StrEq{Col: "type", Value: "GALAXY"}); !reflect.DeepEqual(sel, vec.Sel{0, 1, 4}) {
 		t.Fatalf("galaxy sel = %v", sel)
 	}
-	sel, err = StrEq{Col: "type", Value: "GALAXY", Neg: true}.Filter(tb, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(sel, vec.Sel{2, 3}) {
+	if sel := filterAll(t, tb, StrEq{Col: "type", Value: "GALAXY", Neg: true}); !reflect.DeepEqual(sel, vec.Sel{2, 3}) {
 		t.Fatalf("non-galaxy sel = %v", sel)
 	}
 	// Absent value: = gives empty, <> gives everything.
-	sel, _ = StrEq{Col: "type", Value: "NEBULA"}.Filter(tb, nil)
-	if len(sel) != 0 {
+	if sel := filterAll(t, tb, StrEq{Col: "type", Value: "NEBULA"}); len(sel) != 0 {
 		t.Fatalf("absent value sel = %v", sel)
 	}
-	sel, _ = StrEq{Col: "type", Value: "NEBULA", Neg: true}.Filter(tb, vec.Sel{1, 2})
-	if !reflect.DeepEqual(sel, vec.Sel{1, 2}) {
+	if sel := filterSel(t, tb, StrEq{Col: "type", Value: "NEBULA", Neg: true}, vec.Sel{1, 2}); !reflect.DeepEqual(sel, vec.Sel{1, 2}) {
 		t.Fatalf("absent <> sel = %v", sel)
 	}
-	if _, err := (StrEq{Col: "ra", Value: "x"}).Filter(tb, nil); err == nil {
+	if _, err := (StrEq{Col: "ra", Value: "x"}).FilterRange(tb, 0, tb.Len()); err == nil {
 		t.Fatal("StrEq on DOUBLE accepted")
 	}
 	if (StrEq{Col: "type", Value: "QSO"}).Points() != nil {
@@ -192,37 +186,21 @@ func TestAndOrNot(t *testing.T) {
 	nearEq := Cmp{vec.Le, ColRef{"dec"}, 0.0}
 
 	and := And{galaxy, nearEq}
-	sel, err := and.Filter(tb, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(sel, vec.Sel{0, 4}) {
+	if sel := filterAll(t, tb, and); !reflect.DeepEqual(sel, vec.Sel{0, 4}) {
 		t.Fatalf("AND sel = %v", sel)
 	}
 
 	or := Or{Cmp{vec.Gt, ColRef{"dec"}, 40.0}, Cmp{vec.Gt, ColRef{"ra"}, 189.0}}
-	sel, err = or.Filter(tb, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(sel, vec.Sel{2, 3}) {
+	if sel := filterAll(t, tb, or); !reflect.DeepEqual(sel, vec.Sel{2, 3}) {
 		t.Fatalf("OR sel = %v", sel)
 	}
 
 	not := Not{galaxy}
-	sel, err = not.Filter(tb, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(sel, vec.Sel{2, 3}) {
+	if sel := filterAll(t, tb, not); !reflect.DeepEqual(sel, vec.Sel{2, 3}) {
 		t.Fatalf("NOT sel = %v", sel)
 	}
 	// NOT respects the incoming selection.
-	sel, err = not.Filter(tb, vec.Sel{0, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(sel, vec.Sel{2}) {
+	if sel := filterSel(t, tb, not, vec.Sel{0, 2}); !reflect.DeepEqual(sel, vec.Sel{2}) {
 		t.Fatalf("NOT with sel = %v", sel)
 	}
 }
@@ -245,12 +223,8 @@ func TestBooleanPointsAggregation(t *testing.T) {
 func TestCone(t *testing.T) {
 	tb := testTable(t)
 	cone := Cone{RaCol: "ra", DecCol: "dec", Ra0: 185, Dec0: 0, Radius: 3}
-	sel, err := cone.Filter(tb, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Rows 0,1,4 are within ~1.1 deg; row 2 is ~5.4 deg away; row 3 far.
-	if !reflect.DeepEqual(sel, vec.Sel{0, 1, 4}) {
+	if sel := filterAll(t, tb, cone); !reflect.DeepEqual(sel, vec.Sel{0, 1, 4}) {
 		t.Fatalf("cone sel = %v", sel)
 	}
 	pts := cone.Points()
@@ -260,10 +234,10 @@ func TestCone(t *testing.T) {
 	if cone.String() != "fGetNearbyObjEq(185, 0, 3)" {
 		t.Fatalf("String = %q", cone.String())
 	}
-	if _, err := (Cone{RaCol: "missing", DecCol: "dec"}).Filter(tb, nil); err == nil {
+	if _, err := (Cone{RaCol: "missing", DecCol: "dec"}).FilterRange(tb, 0, tb.Len()); err == nil {
 		t.Fatal("missing ra column accepted")
 	}
-	if _, err := (Cone{RaCol: "ra", DecCol: "missing"}).Filter(tb, nil); err == nil {
+	if _, err := (Cone{RaCol: "ra", DecCol: "missing"}).FilterSel(tb, vec.Sel{0}); err == nil {
 		t.Fatal("missing dec column accepted")
 	}
 }
@@ -291,9 +265,11 @@ func TestAngularSeparation(t *testing.T) {
 
 func TestTruePred(t *testing.T) {
 	tb := testTable(t)
-	sel, err := (TruePred{}).Filter(tb, nil)
-	if err != nil || sel != nil {
-		t.Fatalf("TruePred = %v, %v", sel, err)
+	if sel := filterAll(t, tb, TruePred{}); !reflect.DeepEqual(sel, vec.NewSelAll(tb.Len())) {
+		t.Fatalf("TruePred = %v", sel)
+	}
+	if sel := filterSel(t, tb, TruePred{}, vec.Sel{1, 3}); !reflect.DeepEqual(sel, vec.Sel{1, 3}) {
+		t.Fatalf("TruePred over a selection = %v", sel)
 	}
 	if (TruePred{}).Points() != nil || (TruePred{}).String() != "TRUE" {
 		t.Fatal("TruePred metadata wrong")

@@ -9,42 +9,11 @@ import (
 	"sciborq/internal/vec"
 )
 
-// Range-native predicate evaluation. The morsel executor evaluates each
-// predicate directly over its contiguous row window [lo, hi) through
-// RangeFilterer instead of materialising a [lo, hi) index vector and
-// taking the sel-gather path; together with the scratch pool in package
-// vec this makes steady-state filtering allocation free.
-
-// RangeFilterer is the optional fast path of Predicate: evaluate the
-// predicate over the contiguous row window [lo, hi) of t.
-//
-// Contract: the result is sorted, contains only positions in [lo, hi),
-// and is never nil (an empty selection means no match — unlike Filter,
-// nil does not mean "all rows"). The returned selection is backed by
-// vec's scratch pool: the caller owns it until it calls vec.PutSel, and
-// must copy it before retaining it beyond that.
-type RangeFilterer interface {
-	FilterRange(t *table.Table, lo, hi int) (vec.Sel, error)
-}
-
-// FilterRange evaluates pred over rows [lo, hi) of t, using the
-// predicate's range fast path when it has one and falling back to
-// Filter over a materialised index vector otherwise (user-defined
-// predicate types). The pool-ownership contract of RangeFilterer
-// applies to the result either way.
-func FilterRange(t *table.Table, pred Predicate, lo, hi int) (vec.Sel, error) {
-	if rf, ok := pred.(RangeFilterer); ok {
-		return rf.FilterRange(t, lo, hi)
-	}
-	sel, err := pred.Filter(t, vec.NewSelRange(lo, hi))
-	if err != nil {
-		return nil, err
-	}
-	if sel == nil { // "all rows" from a sel-path predicate
-		sel = vec.NewSelRange(lo, hi)
-	}
-	return sel, nil
-}
+// Range-native predicate evaluation (Predicate.FilterRange). The engine
+// evaluates each predicate directly over a morsel's contiguous row
+// window [lo, hi) with branchless kernels instead of gathering through
+// an index vector; together with the scratch pool in package vec this
+// makes steady-state filtering allocation free.
 
 // scalarVals resolves a scalar to a shared full-column float64 slice
 // without copying when possible: raw DOUBLE column references and
@@ -63,7 +32,7 @@ func scalarVals(t *table.Table, s Scalar) ([]float64, error) {
 	return s.EvalF64(t)
 }
 
-// FilterRange implements RangeFilterer.
+// FilterRange implements Predicate.
 func (c Cmp) FilterRange(t *table.Table, lo, hi int) (vec.Sel, error) {
 	vals, err := scalarVals(t, c.Left)
 	if err != nil {
@@ -72,7 +41,7 @@ func (c Cmp) FilterRange(t *table.Table, lo, hi int) (vec.Sel, error) {
 	return vec.SelectFloat64Range(vec.GetSel(hi-lo), vals, lo, hi, c.Op, c.Right), nil
 }
 
-// FilterRange implements RangeFilterer.
+// FilterRange implements Predicate.
 func (b Between) FilterRange(t *table.Table, lo, hi int) (vec.Sel, error) {
 	vals, err := scalarVals(t, b.Expr)
 	if err != nil {
@@ -81,7 +50,7 @@ func (b Between) FilterRange(t *table.Table, lo, hi int) (vec.Sel, error) {
 	return vec.SelectBetweenFloat64Range(vec.GetSel(hi-lo), vals, lo, hi, b.Lo, b.Hi), nil
 }
 
-// FilterRange implements RangeFilterer.
+// FilterRange implements Predicate.
 func (s StrEq) FilterRange(t *table.Table, lo, hi int) (vec.Sel, error) {
 	col, err := t.Col(s.Col)
 	if err != nil {
@@ -101,13 +70,13 @@ func (s StrEq) FilterRange(t *table.Table, lo, hi int) (vec.Sel, error) {
 	return vec.SelectEqInt32Range(vec.GetSel(hi-lo), sc.Data, lo, hi, code, !s.Neg), nil
 }
 
-// FilterRange implements RangeFilterer. Unlike the sel path — which
+// FilterRange implements Predicate. Unlike the sel path — which
 // evaluates R only on L's survivors — both conjuncts evaluate over the
 // whole window with branchless kernels and intersect; for contiguous
 // windows the sequential scan beats the gather unless L is extremely
 // selective, in which case the len(ls)==0 shortcut skips R entirely.
 func (a And) FilterRange(t *table.Table, lo, hi int) (vec.Sel, error) {
-	ls, err := FilterRange(t, a.L, lo, hi)
+	ls, err := a.L.FilterRange(t, lo, hi)
 	if err != nil {
 		return nil, err
 	}
@@ -116,9 +85,9 @@ func (a And) FilterRange(t *table.Table, lo, hi int) (vec.Sel, error) {
 	}
 	if len(ls) == hi-lo { // L matched the whole window
 		vec.PutSel(ls)
-		return FilterRange(t, a.R, lo, hi)
+		return a.R.FilterRange(t, lo, hi)
 	}
-	rs, err := FilterRange(t, a.R, lo, hi)
+	rs, err := a.R.FilterRange(t, lo, hi)
 	if err != nil {
 		vec.PutSel(ls)
 		return nil, err
@@ -129,13 +98,13 @@ func (a And) FilterRange(t *table.Table, lo, hi int) (vec.Sel, error) {
 	return out, nil
 }
 
-// FilterRange implements RangeFilterer.
+// FilterRange implements Predicate.
 func (o Or) FilterRange(t *table.Table, lo, hi int) (vec.Sel, error) {
-	ls, err := FilterRange(t, o.L, lo, hi)
+	ls, err := o.L.FilterRange(t, lo, hi)
 	if err != nil {
 		return nil, err
 	}
-	rs, err := FilterRange(t, o.R, lo, hi)
+	rs, err := o.R.FilterRange(t, lo, hi)
 	if err != nil {
 		vec.PutSel(ls)
 		return nil, err
@@ -146,10 +115,10 @@ func (o Or) FilterRange(t *table.Table, lo, hi int) (vec.Sel, error) {
 	return out, nil
 }
 
-// FilterRange implements RangeFilterer: the complement of the inner
+// FilterRange implements Predicate: the complement of the inner
 // selection against the window itself, never the full table.
 func (n Not) FilterRange(t *table.Table, lo, hi int) (vec.Sel, error) {
-	ps, err := FilterRange(t, n.P, lo, hi)
+	ps, err := n.P.FilterRange(t, lo, hi)
 	if err != nil {
 		return nil, err
 	}
@@ -158,7 +127,7 @@ func (n Not) FilterRange(t *table.Table, lo, hi int) (vec.Sel, error) {
 	return out, nil
 }
 
-// FilterRange implements RangeFilterer.
+// FilterRange implements Predicate.
 func (TruePred) FilterRange(t *table.Table, lo, hi int) (vec.Sel, error) {
 	return vec.FillSelRange(vec.GetSel(hi-lo), lo, hi), nil
 }

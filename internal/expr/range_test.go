@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -10,7 +11,8 @@ import (
 )
 
 // rangeTestTable builds a mixed-type table exercising every predicate
-// shape: DOUBLE (ra/dec/r), BIGINT (objID), VARCHAR (type).
+// shape: DOUBLE (ra/dec/r, with scattered NaN and ±Inf), BIGINT (objID),
+// VARCHAR (type).
 func rangeTestTable(t *testing.T, n int) *table.Table {
 	t.Helper()
 	tb := table.MustNew("objects", table.Schema{
@@ -23,13 +25,18 @@ func rangeTestTable(t *testing.T, n int) *table.Table {
 	rng := rand.New(rand.NewSource(7))
 	kinds := []string{"GALAXY", "STAR", "QSO"}
 	for i := 0; i < n; i++ {
-		if err := tb.AppendRow(table.Row{
-			120 + rng.Float64()*120,
-			rng.Float64() * 60,
-			14 + rng.Float64()*10,
-			int64(i),
-			kinds[rng.Intn(len(kinds))],
-		}); err != nil {
+		ra, dec, r := 120+rng.Float64()*120, rng.Float64()*60, 14+rng.Float64()*10
+		switch i % 37 {
+		case 3:
+			ra = math.NaN()
+		case 11:
+			dec = math.Inf(1)
+		case 19:
+			r = math.Inf(-1)
+		case 29:
+			ra, dec = math.Inf(-1), math.NaN()
+		}
+		if err := tb.AppendRow(table.Row{ra, dec, r, int64(i), kinds[rng.Intn(len(kinds))]}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -47,7 +54,8 @@ func rangePredicates() []Predicate {
 		Cmp{Op: vec.Ne, Left: ColRef{Name: "r"}, Right: 15},
 		Cmp{Op: vec.Gt, Left: Arith{Op: Add, L: ColRef{Name: "ra"}, R: ColRef{Name: "dec"}}, Right: 200},
 		Between{Expr: ColRef{Name: "ra"}, Lo: 150, Hi: 170},
-		Between{Expr: ColRef{Name: "r"}, Lo: 0, Hi: 1}, // empty match
+		Between{Expr: ColRef{Name: "r"}, Lo: 0, Hi: 1},          // empty match
+		Between{Expr: ColRef{Name: "objID"}, Lo: 100, Hi: 1200}, // both endpoints present
 		StrEq{Col: "type", Value: "GALAXY"},
 		StrEq{Col: "type", Value: "GALAXY", Neg: true},
 		StrEq{Col: "type", Value: "NEBULA"},            // absent value
@@ -61,82 +69,34 @@ func rangePredicates() []Predicate {
 			L: Cmp{Op: vec.Gt, Left: ColRef{Name: "ra"}, Right: 160},
 			R: Or{L: StrEq{Col: "type", Value: "QSO"}, R: Cmp{Op: vec.Lt, Left: ColRef{Name: "dec"}, Right: 5}},
 		}},
+		Cmp{Op: vec.Le, Left: Arith{Op: Mul, L: ColRef{Name: "objID"}, R: ColRef{Name: "r"}}, Right: 9000}, // Int64 × DOUBLE
+		Cmp{Op: vec.Ne, Left: ColRef{Name: "dec"}, Right: math.Inf(1)},
+		Between{Expr: ColRef{Name: "r"}, Lo: math.Inf(-1), Hi: 20},
+		Not{P: StrEq{Col: "type", Value: "NEBULA", Neg: true}}, // absent value under Neg, negated: no rows
+		Or{
+			L: Not{P: Or{L: Cmp{Op: vec.Lt, Left: ColRef{Name: "ra"}, Right: 150}, R: StrEq{Col: "type", Value: "STAR"}}},
+			R: Not{P: Not{P: Between{Expr: Arith{Op: Sub, L: ColRef{Name: "ra"}, R: ColRef{Name: "objID"}}, Lo: -100, Hi: 100}}},
+		},
 	}
 }
 
 // TestFilterRangeEquivalence is the tentpole property test: for every
-// predicate type and random morsel boundaries,
-// FilterRange(t, lo, hi) ≡ Filter(t, NewSelRange(lo, hi)).
+// predicate type, FilterRange over fixed and random windows and
+// FilterSel over random position sets (empty, gapless runs, sparse)
+// select exactly the rows the row-at-a-time reference selects.
 func TestFilterRangeEquivalence(t *testing.T) {
 	const n = 2000
 	tb := rangeTestTable(t, n)
 	rng := rand.New(rand.NewSource(99))
 	windows := [][2]int{{0, n}, {0, 0}, {n, n}, {0, 1}, {n - 1, n}}
 	for i := 0; i < 40; i++ {
-		lo := rng.Intn(n + 1)
-		hi := lo + rng.Intn(n+1-lo)
+		lo, hi := randWindow(rng, n)
 		windows = append(windows, [2]int{lo, hi})
 	}
 	for _, pred := range rangePredicates() {
-		if _, ok := pred.(RangeFilterer); !ok {
-			t.Errorf("%s does not implement RangeFilterer", pred)
-			continue
-		}
 		for _, w := range windows {
-			lo, hi := w[0], w[1]
-			want, err := pred.Filter(tb, vec.NewSelRange(lo, hi))
-			if err != nil {
-				t.Fatalf("%s Filter[%d,%d): %v", pred, lo, hi, err)
-			}
-			got, err := FilterRange(tb, pred, lo, hi)
-			if err != nil {
-				t.Fatalf("%s FilterRange[%d,%d): %v", pred, lo, hi, err)
-			}
-			if got == nil {
-				t.Fatalf("%s FilterRange[%d,%d) returned nil; the contract requires explicit selections", pred, lo, hi)
-			}
-			if !sameSel(want, got) {
-				t.Errorf("%s [%d,%d): range=%v sel-gather=%v", pred, lo, hi, got, want)
-			}
-			// Copy-free results are pool-owned; release like the engine does.
-			vec.PutSel(got)
+			checkKernels(t, tb, pred, w[0], w[1], randPositions(rng, n))
 		}
-	}
-}
-
-// sameSel compares selections by content, treating nil as empty on the
-// sel-gather side (TruePred returns its input unchanged).
-func sameSel(want, got vec.Sel) bool {
-	if len(want) != len(got) {
-		return false
-	}
-	for i := range want {
-		if want[i] != got[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// TestFilterRangeFallback exercises the non-RangeFilterer fallback of
-// the package-level FilterRange helper.
-type oddRows struct{}
-
-func (oddRows) Filter(t *table.Table, sel vec.Sel) (vec.Sel, error) {
-	return vec.SelectFunc(t.Len(), sel, func(i int32) bool { return i%2 == 1 }), nil
-}
-func (oddRows) Points() []Point { return nil }
-func (oddRows) String() string  { return "odd(rowid)" }
-
-func TestFilterRangeFallback(t *testing.T) {
-	tb := rangeTestTable(t, 64)
-	got, err := FilterRange(tb, oddRows{}, 10, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := oddRows{}.Filter(tb, vec.NewSelRange(10, 20))
-	if !sameSel(want, got) {
-		t.Fatalf("fallback = %v, want %v", got, want)
 	}
 }
 

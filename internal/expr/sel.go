@@ -8,47 +8,15 @@ import (
 	"sciborq/internal/vec"
 )
 
-// Sel-native predicate evaluation. The selection-vector scan evaluates
-// each predicate directly over an explicit sorted position vector —
-// an impression's sampled row positions into a base snapshot — through
-// SelFilterer instead of gathering the sample into a standalone table
-// first; together with the scratch pool in package vec this makes
-// steady-state impression filtering allocation free.
+// Sel-native predicate evaluation (Predicate.FilterSel). The engine
+// evaluates each predicate directly over an explicit sorted position
+// vector — an impression's sampled row positions into a base snapshot,
+// or a cached selection being refined — instead of gathering the rows
+// into a standalone table first; together with the scratch pool in
+// package vec this makes steady-state impression filtering allocation
+// free.
 
-// SelFilterer is the optional sel-native fast path of Predicate:
-// evaluate the predicate over exactly the rows listed in sel.
-//
-// Contract: sel is sorted ascending and never nil; the result is
-// sorted, a subset of sel, and never nil (an empty selection means no
-// match). The returned selection is backed by vec's scratch pool: the
-// caller owns it until it calls vec.PutSel, and must copy it before
-// retaining it beyond that. sel itself is treated as read-only.
-type SelFilterer interface {
-	FilterSel(t *table.Table, sel vec.Sel) (vec.Sel, error)
-}
-
-// FilterSel evaluates pred over the rows of t listed in sel (sorted,
-// non-nil), using the predicate's sel fast path when it has one and
-// falling back to Predicate.Filter otherwise (user-defined predicate
-// types). The pool-ownership contract of SelFilterer applies to the
-// result either way.
-func FilterSel(t *table.Table, pred Predicate, sel vec.Sel) (vec.Sel, error) {
-	if sf, ok := pred.(SelFilterer); ok {
-		return sf.FilterSel(t, sel)
-	}
-	out, err := pred.Filter(t, sel)
-	if err != nil {
-		return nil, err
-	}
-	if out == nil { // "all rows" from a sel-path predicate
-		return vec.CopyInto(vec.GetSel(len(sel)), sel), nil
-	}
-	// Rehome the result in pooled scratch so the ownership contract is
-	// uniform for callers.
-	return vec.CopyInto(vec.GetSel(len(out)), out), nil
-}
-
-// FilterSel implements SelFilterer.
+// FilterSel implements Predicate.
 func (c Cmp) FilterSel(t *table.Table, sel vec.Sel) (vec.Sel, error) {
 	vals, err := scalarVals(t, c.Left)
 	if err != nil {
@@ -57,7 +25,7 @@ func (c Cmp) FilterSel(t *table.Table, sel vec.Sel) (vec.Sel, error) {
 	return vec.SelectFloat64Sel(vec.GetSel(len(sel)), vals, sel, c.Op, c.Right), nil
 }
 
-// FilterSel implements SelFilterer.
+// FilterSel implements Predicate.
 func (b Between) FilterSel(t *table.Table, sel vec.Sel) (vec.Sel, error) {
 	vals, err := scalarVals(t, b.Expr)
 	if err != nil {
@@ -66,7 +34,7 @@ func (b Between) FilterSel(t *table.Table, sel vec.Sel) (vec.Sel, error) {
 	return vec.SelectBetweenFloat64Sel(vec.GetSel(len(sel)), vals, sel, b.Lo, b.Hi), nil
 }
 
-// FilterSel implements SelFilterer.
+// FilterSel implements Predicate.
 func (s StrEq) FilterSel(t *table.Table, sel vec.Sel) (vec.Sel, error) {
 	col, err := t.Col(s.Col)
 	if err != nil {
@@ -86,19 +54,19 @@ func (s StrEq) FilterSel(t *table.Table, sel vec.Sel) (vec.Sel, error) {
 	return vec.SelectEqInt32Sel(vec.GetSel(len(sel)), sc.Data, sel, code, !s.Neg), nil
 }
 
-// FilterSel implements SelFilterer: evaluate L over sel, then R over
+// FilterSel implements Predicate: evaluate L over sel, then R over
 // L's survivors only — on explicit selections the restricted evaluation
 // is strictly cheaper, unlike the contiguous-window case where the
 // sequential scan wins.
 func (a And) FilterSel(t *table.Table, sel vec.Sel) (vec.Sel, error) {
-	ls, err := FilterSel(t, a.L, sel)
+	ls, err := a.L.FilterSel(t, sel)
 	if err != nil {
 		return nil, err
 	}
 	if len(ls) == 0 {
 		return ls, nil
 	}
-	rs, err := FilterSel(t, a.R, ls)
+	rs, err := a.R.FilterSel(t, ls)
 	if err != nil {
 		vec.PutSel(ls)
 		return nil, err
@@ -107,13 +75,13 @@ func (a And) FilterSel(t *table.Table, sel vec.Sel) (vec.Sel, error) {
 	return rs, nil
 }
 
-// FilterSel implements SelFilterer.
+// FilterSel implements Predicate.
 func (o Or) FilterSel(t *table.Table, sel vec.Sel) (vec.Sel, error) {
-	ls, err := FilterSel(t, o.L, sel)
+	ls, err := o.L.FilterSel(t, sel)
 	if err != nil {
 		return nil, err
 	}
-	rs, err := FilterSel(t, o.R, sel)
+	rs, err := o.R.FilterSel(t, sel)
 	if err != nil {
 		vec.PutSel(ls)
 		return nil, err
@@ -124,10 +92,10 @@ func (o Or) FilterSel(t *table.Table, sel vec.Sel) (vec.Sel, error) {
 	return out, nil
 }
 
-// FilterSel implements SelFilterer: the complement of the inner
+// FilterSel implements Predicate: the complement of the inner
 // selection against sel itself, never the full table.
 func (n Not) FilterSel(t *table.Table, sel vec.Sel) (vec.Sel, error) {
-	ps, err := FilterSel(t, n.P, sel)
+	ps, err := n.P.FilterSel(t, sel)
 	if err != nil {
 		return nil, err
 	}
@@ -136,7 +104,7 @@ func (n Not) FilterSel(t *table.Table, sel vec.Sel) (vec.Sel, error) {
 	return out, nil
 }
 
-// FilterSel implements SelFilterer.
+// FilterSel implements Predicate.
 func (TruePred) FilterSel(t *table.Table, sel vec.Sel) (vec.Sel, error) {
 	return vec.CopyInto(vec.GetSel(len(sel)), sel), nil
 }

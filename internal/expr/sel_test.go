@@ -26,9 +26,14 @@ func selFixture(t *testing.T, n int, seed int64) *table.Table {
 		t.Fatal(err)
 	}
 	words := []string{"STAR", "GALAXY", "QSO"}
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
 	for r := 0; r < n; r++ {
+		x := rng.NormFloat64()
+		if r%50 < len(specials) {
+			x = specials[r%50]
+		}
 		row := table.Row{
-			rng.NormFloat64(),
+			x,
 			int64(rng.Intn(10)),
 			words[rng.Intn(len(words))],
 			rng.Float64() * 360,
@@ -48,6 +53,7 @@ func selPredicates() []Predicate {
 		Cmp{Op: vec.Lt, Left: x, Right: 0.3},
 		Cmp{Op: vec.Ge, Left: ColRef{Name: "i"}, Right: 5},
 		Between{Expr: x, Lo: -0.5, Hi: 0.5},
+		Between{Expr: ColRef{Name: "i"}, Lo: 2, Hi: 5}, // both endpoints present
 		Between{Expr: Arith{Op: Add, L: x, R: Const{V: 1}}, Lo: 0.8, Hi: 1.2},
 		StrEq{Col: "s", Value: "GALAXY"},
 		StrEq{Col: "s", Value: "GALAXY", Neg: true},
@@ -63,47 +69,28 @@ func selPredicates() []Predicate {
 	}
 }
 
-// TestFilterSelMatchesFilter asserts FilterSel(t, pred, sel) returns
-// exactly Filter(t, pred, sel) for every predicate type over random
-// selections, including the empty one.
+// TestFilterSelMatchesFilter asserts FilterSel and FilterRange select
+// exactly the rows the row-at-a-time reference selects, for every
+// predicate type over random selections (including the empty one and
+// gapless runs) and random windows.
 func TestFilterSelMatchesFilter(t *testing.T) {
 	tb := selFixture(t, 2000, 3)
+	n := tb.Len()
 	rng := rand.New(rand.NewSource(5))
-	sels := []vec.Sel{
-		{},
-		vec.NewSelAll(tb.Len()),
-	}
+	sels := []vec.Sel{{}, vec.NewSelAll(n), windowSel(100, 900)}
 	for _, p := range []float64{0.02, 0.3, 0.8} {
-		var s vec.Sel
-		for i := 0; i < tb.Len(); i++ {
+		s := vec.Sel{}
+		for i := 0; i < n; i++ {
 			if rng.Float64() < p {
 				s = append(s, int32(i))
 			}
 		}
 		sels = append(sels, s)
 	}
-	for pi, pred := range selPredicates() {
-		for si, sel := range sels {
-			got, err := FilterSel(tb, pred, sel)
-			if err != nil {
-				t.Fatalf("pred %d (%s) sel %d: %v", pi, pred, si, err)
-			}
-			want, err := pred.Filter(tb, sel)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want == nil { // "all rows" of the restricted selection
-				want = sel
-			}
-			if len(got) != len(want) {
-				t.Fatalf("pred %d (%s) sel %d: got %d rows, want %d", pi, pred, si, len(got), len(want))
-			}
-			for k := range got {
-				if got[k] != want[k] {
-					t.Fatalf("pred %d (%s) sel %d: row %d = %d, want %d", pi, pred, si, k, got[k], want[k])
-				}
-			}
-			vec.PutSel(got)
+	for _, pred := range selPredicates() {
+		for _, sel := range sels {
+			lo, hi := randWindow(rng, n)
+			checkKernels(t, tb, pred, lo, hi, sel)
 		}
 	}
 }
@@ -162,8 +149,11 @@ func TestFilterSelErrors(t *testing.T) {
 		Not{P: bad},
 		StrEq{Col: "x", Value: "GALAXY"},
 	} {
-		if _, err := FilterSel(tb, pred, sel); err == nil {
+		if _, err := pred.FilterSel(tb, sel); err == nil {
 			t.Errorf("FilterSel(%s) did not fail", pred)
+		}
+		if _, err := pred.FilterRange(tb, 0, tb.Len()); err == nil {
+			t.Errorf("FilterRange(%s) did not fail", pred)
 		}
 	}
 }

@@ -35,10 +35,10 @@ func TestPoolPartitionsAreIsolated(t *testing.T) {
 
 	// Warm tenant a, then issue the same predicate as tenant b: b must
 	// miss — partitions share nothing.
-	if _, _, err := p.For("a").Filter(tb, pred, opts); err != nil {
+	if _, _, err := filter(p.For("a"), tb, pred, opts); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := p.For("b").Filter(tb, pred, opts); err != nil {
+	if _, _, err := filter(p.For("b"), tb, pred, opts); err != nil {
 		t.Fatal(err)
 	}
 	if hits := p.For("a").Stats().Hits; hits != 0 {
@@ -48,7 +48,7 @@ func TestPoolPartitionsAreIsolated(t *testing.T) {
 		t.Fatalf("tenant b misses = %d, want 1", misses)
 	}
 	// Repeat as tenant a: exact hit inside a's partition only.
-	if _, _, err := p.For("a").Filter(tb, pred, opts); err != nil {
+	if _, _, err := filter(p.For("a"), tb, pred, opts); err != nil {
 		t.Fatal(err)
 	}
 	if hits := p.For("a").Stats().Hits; hits != 1 {
@@ -110,7 +110,7 @@ func TestPoolConcurrentAccess(t *testing.T) {
 			var firstErr error
 			for i := 0; i < 50; i++ {
 				pred := expr.Cmp{Op: vec.Lt, Left: expr.ColRef{Name: "x"}, Right: float64(i % 7 * 10)}
-				if _, _, err := p.For(tenant).Filter(tb, pred, opts); err != nil && firstErr == nil {
+				if _, _, err := filter(p.For(tenant), tb, pred, opts); err != nil && firstErr == nil {
 					firstErr = err
 				}
 			}

@@ -105,11 +105,11 @@ func TestRecyclerRefinementMatchesColdScan(t *testing.T) {
 			}
 			for round := 0; round < 2; round++ { // second round: exact hits
 				for _, pred := range []expr.Predicate{p, refined} {
-					got, _, err := r.Filter(tb, pred, opts)
+					got, _, err := filter(r, tb, pred, opts)
 					if err != nil {
 						t.Fatal(err)
 					}
-					coldSel, _, err := engine.FilterStats(tb, pred, opts)
+					coldSel, _, err := engine.Filter(tb, pred, nil, opts)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -160,7 +160,7 @@ func TestRecyclerConcurrentSameTable(t *testing.T) {
 	want := map[float64]vec.Sel{}
 	for _, cut := range []float64{-5, 0, 5} {
 		refined := expr.And{L: base, R: expr.Cmp{Op: vec.Gt, Left: expr.ColRef{Name: "y"}, Right: cut}}
-		sel, _, err := engine.FilterStats(tb, refined, opts)
+		sel, _, err := engine.Filter(tb, refined, nil, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,7 +173,7 @@ func TestRecyclerConcurrentSameTable(t *testing.T) {
 			for i := 0; i < 40; i++ {
 				cut := cuts[(g+i)%3]
 				refined := expr.And{L: base, R: expr.Cmp{Op: vec.Gt, Left: expr.ColRef{Name: "y"}, Right: cut}}
-				got, _, err := r.Filter(tb, refined, opts)
+				got, _, err := filter(r, tb, refined, opts)
 				if err != nil {
 					done <- err
 					return

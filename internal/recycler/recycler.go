@@ -24,7 +24,7 @@
 // version for an entry whose conjuncts are a subset of (or are implied
 // by, via interval containment) the query's. The residual conjuncts
 // then evaluate sel-natively over the cached positions through
-// engine.FilterSel — cost proportional to the cached selection (zone
+// engine.Filter — cost proportional to the cached selection (zone
 // maps still prune granules), never to the base table.
 package recycler
 
@@ -142,7 +142,7 @@ func keyPrefix(buf []byte, id, ver uint64) []byte {
 	return binary.BigEndian.AppendUint64(buf, ver)
 }
 
-// Prepared is the canonicalisation work of Filter factored out: the
+// Prepared is the canonicalisation work of FilterPrepared done ahead: the
 // canonical predicate, its keyed conjunct list, and the full binary
 // cache key for one (table ID, table version) identity. The plan cache
 // computes it once per cached statement so the per-query hit path does
@@ -198,26 +198,13 @@ func Prepare(id, ver uint64, pred expr.Predicate) Prepared {
 	return p
 }
 
-// Filter evaluates pred over all rows of t, serving repeated predicates
-// from the cache and refined predicates from cached supersets. The
-// returned selection is shared with the cache: callers must treat it as
-// read-only. The ScanStats report what evaluation actually ran — zero
-// for an exact hit. A nil or TRUE predicate returns (nil, …): "all
-// rows" is free to recompute and is never cached.
-func (r *Recycler) Filter(t *table.Table, pred expr.Predicate, opts engine.ExecOptions) (vec.Sel, engine.ScanStats, error) {
-	if isTrue(pred) {
-		return nil, engine.ScanStats{}, nil
-	}
-	// All work happens against one snapshot: the key's version and the
-	// cached positions describe the same immutable row prefix even when
-	// loads land mid-query.
-	snap := t.Snapshot()
-	prep := Prepare(snap.ID(), snap.Version(), pred)
-	return r.FilterPrepared(snap, &prep, opts)
-}
-
-// FilterPrepared is Filter with the canonicalisation already done.
-// snap must be a snapshot; prep is normally built for snap's exact
+// FilterPrepared evaluates a prepared predicate over all rows of snap,
+// serving repeated predicates from the cache and refined predicates
+// from cached supersets. The returned selection is shared with the
+// cache: callers must treat it as read-only. The ScanStats report what
+// evaluation actually ran — zero for an exact hit. A TRUE-equivalent
+// predicate returns (nil, …): "all rows" is free to recompute and is
+// never cached. snap must be a snapshot; prep is normally built for snap's exact
 // (ID, Version) identity — when a load raced in between (the plan was
 // version-checked against an older snapshot), the predicate is
 // re-prepared here so cached selections can never be served against a
@@ -237,7 +224,7 @@ func (r *Recycler) FilterPrepared(snap *table.Table, prep *Prepared, opts engine
 		// User-defined predicate shapes cannot be keyed safely — and an
 		// injected cache failure must degrade the same way: evaluate
 		// uncached (the cache is an optimisation, never a dependency).
-		sel, scan, err := engine.FilterStats(snap, prep.orig, opts)
+		sel, scan, err := engine.Filter(snap, prep.orig, nil, opts)
 		if err != nil {
 			return nil, scan, err
 		}
@@ -269,9 +256,9 @@ func (r *Recycler) FilterPrepared(snap *table.Table, prep *Prepared, opts engine
 	if super != nil {
 		// Refinement: the cached selection is a superset of the answer;
 		// only the residual conjuncts run, sel-natively, over it.
-		sel, scan, err = engine.FilterSel(snap, expr.JoinAnd(residual), super, opts)
+		sel, scan, err = engine.Filter(snap, expr.JoinAnd(residual), super, opts)
 	} else {
-		sel, scan, err = engine.FilterStats(snap, prep.canon, opts)
+		sel, scan, err = engine.Filter(snap, prep.canon, nil, opts)
 		sel = concrete(sel, snap.Len())
 	}
 	if err != nil {
@@ -305,7 +292,7 @@ func Exec(rec *Recycler, t *table.Table, q engine.Query, opts engine.ExecOptions
 		// inadmissible, stay on the fused path instead of building (and
 		// then rejecting) a huge selection every query. Projections
 		// materialise the selection either way, so they always route.
-		if upper := engine.EstimateScanRows(snap, q.Pred(), opts); !rec.Admissible(upper) {
+		if upper := engine.EstimateScanRows(snap, q.Pred(), nil, opts); !rec.Admissible(upper) {
 			return engine.RunOnOpts(snap, q, opts)
 		}
 	}

@@ -32,6 +32,14 @@ func lt(col string, v float64) expr.Predicate {
 	return expr.Cmp{Op: vec.Lt, Left: expr.ColRef{Name: col}, Right: v}
 }
 
+// filter evaluates pred over all rows of t through r the way Exec does:
+// snapshot, Prepare, FilterPrepared.
+func filter(r *Recycler, t *table.Table, pred expr.Predicate, opts engine.ExecOptions) (vec.Sel, engine.ScanStats, error) {
+	snap := t.Snapshot()
+	prep := Prepare(snap.ID(), snap.Version(), pred)
+	return r.FilterPrepared(snap, &prep, opts)
+}
+
 func TestNewValidation(t *testing.T) {
 	if _, err := New(0); err == nil {
 		t.Fatal("zero budget accepted")
@@ -45,14 +53,14 @@ func TestHitAndMiss(t *testing.T) {
 	tb := testTable(t)
 	r, _ := New(1 << 20)
 	pred := ge("x", 5)
-	s1, scan1, err := r.Filter(tb, pred, seqOpts)
+	s1, scan1, err := filter(r, tb, pred, seqOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if scan1.ScannedRows != tb.Len() {
 		t.Fatalf("cold scan touched %d rows, want %d", scan1.ScannedRows, tb.Len())
 	}
-	s2, scan2, err := r.Filter(tb, pred, seqOpts)
+	s2, scan2, err := filter(r, tb, pred, seqOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,10 +86,10 @@ func TestCommutedPredicateHits(t *testing.T) {
 	tb := testTable(t)
 	r, _ := New(1 << 20)
 	a, b := ge("x", 2), lt("x", 7)
-	if _, _, err := r.Filter(tb, expr.And{L: a, R: b}, seqOpts); err != nil {
+	if _, _, err := filter(r, tb, expr.And{L: a, R: b}, seqOpts); err != nil {
 		t.Fatal(err)
 	}
-	sel, _, err := r.Filter(tb, expr.And{L: b, R: a}, seqOpts)
+	sel, _, err := filter(r, tb, expr.And{L: b, R: a}, seqOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +104,7 @@ func TestCommutedPredicateHits(t *testing.T) {
 	// Redundant bounds normalise away: adding a looser x < 9 on top of
 	// x < 7 canonicalises to the same entry — a third lookup, second hit.
 	redundant := expr.And{L: expr.And{L: a, R: b}, R: lt("x", 9)}
-	if _, _, err := r.Filter(tb, redundant, seqOpts); err != nil {
+	if _, _, err := filter(r, tb, redundant, seqOpts); err != nil {
 		t.Fatal(err)
 	}
 	if st := r.Stats(); st.Entries != 1 || st.Hits != 2 {
@@ -108,11 +116,11 @@ func TestAppendInvalidates(t *testing.T) {
 	tb := testTable(t)
 	r, _ := New(1 << 20)
 	pred := ge("x", 5)
-	s1, _, _ := r.Filter(tb, pred, seqOpts)
+	s1, _, _ := filter(r, tb, pred, seqOpts)
 	if err := tb.AppendRow(table.Row{50.0}); err != nil {
 		t.Fatal(err)
 	}
-	s2, _, _ := r.Filter(tb, pred, seqOpts)
+	s2, _, _ := filter(r, tb, pred, seqOpts)
 	if len(s2) != len(s1)+1 {
 		t.Fatalf("append not reflected: %v -> %v", s1, s2)
 	}
@@ -144,8 +152,8 @@ func TestVersionKeysNeverAliasSameLength(t *testing.T) {
 	}
 	r, _ := New(1 << 20)
 	pred := ge("x", 5)
-	s1, _, _ := r.Filter(t1, pred, seqOpts)
-	s2, _, _ := r.Filter(t2, pred, seqOpts)
+	s1, _, _ := filter(r, t1, pred, seqOpts)
+	s2, _, _ := filter(r, t2, pred, seqOpts)
 	if len(s1) != 0 || len(s2) != 4 {
 		t.Fatalf("selections aliased: %v vs %v", s1, s2)
 	}
@@ -165,7 +173,7 @@ func TestVersionKeysNeverAliasSameLength(t *testing.T) {
 	if t1.Version() == v0 {
 		t.Fatal("rollback did not bump the version")
 	}
-	if _, _, err := r.Filter(t1, pred, seqOpts); err != nil {
+	if _, _, err := filter(r, t1, pred, seqOpts); err != nil {
 		t.Fatal(err)
 	}
 	if st := r.Stats(); st.Hits != 0 {
@@ -178,10 +186,10 @@ func TestSubsumptionRefinement(t *testing.T) {
 	r, _ := New(1 << 20)
 	base := ge("x", 2) // matches 2..9
 	refined := expr.And{L: base, R: lt("x", 5)}
-	if _, _, err := r.Filter(tb, base, seqOpts); err != nil {
+	if _, _, err := filter(r, tb, base, seqOpts); err != nil {
 		t.Fatal(err)
 	}
-	sel, scan, err := r.Filter(tb, refined, seqOpts)
+	sel, scan, err := filter(r, tb, refined, seqOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +205,7 @@ func TestSubsumptionRefinement(t *testing.T) {
 		t.Fatalf("residual scanned %d rows, want 8 (|cached sel|)", scan.ScannedRows)
 	}
 	// The refined result was itself admitted: repeating it is an exact hit.
-	if _, _, err := r.Filter(tb, refined, seqOpts); err != nil {
+	if _, _, err := filter(r, tb, refined, seqOpts); err != nil {
 		t.Fatal(err)
 	}
 	if st := r.Stats(); st.Hits != 1 {
@@ -213,10 +221,10 @@ func TestSubsumptionByImplication(t *testing.T) {
 	r, _ := New(1 << 20)
 	wide := expr.Between{Expr: expr.ColRef{Name: "x"}, Lo: 1, Hi: 8}
 	narrow := expr.Between{Expr: expr.ColRef{Name: "x"}, Lo: 3, Hi: 4}
-	if _, _, err := r.Filter(tb, wide, seqOpts); err != nil {
+	if _, _, err := filter(r, tb, wide, seqOpts); err != nil {
 		t.Fatal(err)
 	}
-	sel, scan, err := r.Filter(tb, narrow, seqOpts)
+	sel, scan, err := filter(r, tb, narrow, seqOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +239,7 @@ func TestSubsumptionByImplication(t *testing.T) {
 	}
 	// The reverse direction must NOT subsume: widening re-scans.
 	wider := expr.Between{Expr: expr.ColRef{Name: "x"}, Lo: 0, Hi: 9}
-	if _, _, err := r.Filter(tb, wider, seqOpts); err != nil {
+	if _, _, err := filter(r, tb, wider, seqOpts); err != nil {
 		t.Fatal(err)
 	}
 	if st := r.Stats(); st.SubsumedHits != 1 || st.Misses != 2 {
@@ -250,7 +258,7 @@ func TestByteBudgetEviction(t *testing.T) {
 		preds = append(preds, expr.Between{Expr: expr.ColRef{Name: "x"}, Lo: float64(i), Hi: float64(i + 2)})
 	}
 	for _, p := range preds {
-		if _, _, err := r.Filter(tb, p, seqOpts); err != nil {
+		if _, _, err := filter(r, tb, p, seqOpts); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -259,14 +267,14 @@ func TestByteBudgetEviction(t *testing.T) {
 		t.Fatalf("budget not enforced: %+v", st)
 	}
 	// The most recent entry survives...
-	if _, _, err := r.Filter(tb, preds[4], seqOpts); err != nil {
+	if _, _, err := filter(r, tb, preds[4], seqOpts); err != nil {
 		t.Fatal(err)
 	}
 	if r.Stats().Hits != 1 {
 		t.Fatal("resident entry not served")
 	}
 	// ...while the LRU one was evicted (its lookup recomputes).
-	if _, _, err := r.Filter(tb, preds[0], seqOpts); err != nil {
+	if _, _, err := filter(r, tb, preds[0], seqOpts); err != nil {
 		t.Fatal(err)
 	}
 	if r.Stats().Hits != 1 {
@@ -279,7 +287,7 @@ func TestAdmissionRejectsOversizedSelections(t *testing.T) {
 	// Budget 64: admission bound is 64/4 = 16 bytes = 4 rows.
 	r, _ := New(64)
 	big := ge("x", 0) // 10 rows = 40 bytes > 16
-	if _, _, err := r.Filter(tb, big, seqOpts); err != nil {
+	if _, _, err := filter(r, tb, big, seqOpts); err != nil {
 		t.Fatal(err)
 	}
 	st := r.Stats()
@@ -287,7 +295,7 @@ func TestAdmissionRejectsOversizedSelections(t *testing.T) {
 		t.Fatalf("oversized selection admitted: %+v", st)
 	}
 	small := ge("x", 7) // 3 rows = 12 bytes
-	if _, _, err := r.Filter(tb, small, seqOpts); err != nil {
+	if _, _, err := filter(r, tb, small, seqOpts); err != nil {
 		t.Fatal(err)
 	}
 	if st := r.Stats(); st.Entries != 1 {
@@ -298,13 +306,13 @@ func TestAdmissionRejectsOversizedSelections(t *testing.T) {
 func TestStaleVersionsEvictedEagerly(t *testing.T) {
 	tb := testTable(t)
 	r, _ := New(1 << 20)
-	if _, _, err := r.Filter(tb, ge("x", 5), seqOpts); err != nil {
+	if _, _, err := filter(r, tb, ge("x", 5), seqOpts); err != nil {
 		t.Fatal(err)
 	}
 	if err := tb.AppendRow(table.Row{99.0}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := r.Filter(tb, ge("x", 5), seqOpts); err != nil {
+	if _, _, err := filter(r, tb, ge("x", 5), seqOpts); err != nil {
 		t.Fatal(err)
 	}
 	st := r.Stats()
@@ -328,17 +336,17 @@ func TestStragglerInsertDoesNotEvictFresh(t *testing.T) {
 	if err := tb.AppendRow(table.Row{99.0}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := r.Filter(tb, pred, seqOpts); err != nil { // fresh entry
+	if _, _, err := filter(r, tb, pred, seqOpts); err != nil { // fresh entry
 		t.Fatal(err)
 	}
-	if _, _, err := r.Filter(old, pred, seqOpts); err != nil { // straggler
+	if _, _, err := filter(r, old, pred, seqOpts); err != nil { // straggler
 		t.Fatal(err)
 	}
 	st := r.Stats()
 	if st.Entries != 1 || st.Evictions != 0 {
 		t.Fatalf("straggler disturbed the fresh entry: %+v", st)
 	}
-	if _, _, err := r.Filter(tb, pred, seqOpts); err != nil {
+	if _, _, err := filter(r, tb, pred, seqOpts); err != nil {
 		t.Fatal(err)
 	}
 	if st := r.Stats(); st.Hits != 1 {
@@ -350,7 +358,7 @@ func TestTruePredicateBypasses(t *testing.T) {
 	tb := testTable(t)
 	r, _ := New(1 << 20)
 	for _, p := range []expr.Predicate{nil, expr.TruePred{}} {
-		sel, _, err := r.Filter(tb, p, seqOpts)
+		sel, _, err := filter(r, tb, p, seqOpts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -371,7 +379,7 @@ func TestUnkeyablePredicateBypasses(t *testing.T) {
 	tb := testTable(t)
 	r, _ := New(1 << 20)
 	p := opaque{ge("x", 5)}
-	s1, _, err := r.Filter(tb, p, seqOpts)
+	s1, _, err := filter(r, tb, p, seqOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +395,7 @@ func TestErrorNotCached(t *testing.T) {
 	tb := testTable(t)
 	r, _ := New(1 << 20)
 	bad := ge("missing", 1)
-	if _, _, err := r.Filter(tb, bad, seqOpts); err == nil {
+	if _, _, err := filter(r, tb, bad, seqOpts); err == nil {
 		t.Fatal("bad predicate succeeded")
 	}
 	if r.Stats().Entries != 0 {
@@ -398,7 +406,7 @@ func TestErrorNotCached(t *testing.T) {
 func TestReset(t *testing.T) {
 	tb := testTable(t)
 	r, _ := New(1 << 20)
-	_, _, _ = r.Filter(tb, ge("x", 5), seqOpts)
+	_, _, _ = filter(r, tb, ge("x", 5), seqOpts)
 	r.Reset()
 	st := r.Stats()
 	if st.Entries != 0 || st.Misses != 0 || st.Bytes != 0 {
@@ -418,8 +426,8 @@ func TestDistinctTablesDistinctKeys(t *testing.T) {
 	_ = tb.AppendBatch([]table.Row{{100.0}})
 	r, _ := New(1 << 20)
 	pred := ge("x", 5)
-	sa, _, _ := r.Filter(ta, pred, seqOpts)
-	sb, _, _ := r.Filter(tb, pred, seqOpts)
+	sa, _, _ := filter(r, ta, pred, seqOpts)
+	sb, _, _ := filter(r, tb, pred, seqOpts)
 	if len(sa) == len(sb) {
 		t.Fatalf("selections suspiciously identical: %v vs %v", sa, sb)
 	}

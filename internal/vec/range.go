@@ -87,7 +87,7 @@ func PutSel(s Sel) { ScratchPool.Put(s) }
 
 // SelectFloat64Range writes the rows i in [lo, hi) with data[i] op c
 // into dst and returns the filled prefix. NaN values never match any
-// operator except Ne, matching SelectFloat64.
+// operator except Ne (IEEE comparison semantics).
 func SelectFloat64Range(dst Sel, data []float64, lo, hi int, op CmpOp, c float64) Sel {
 	if hi < lo {
 		hi = lo
@@ -173,24 +173,8 @@ func SelectEqInt32Range(dst Sel, data []int32, lo, hi int, code int32, want bool
 	return dst[:k]
 }
 
-// SelectFuncRange writes the rows i in [lo, hi) for which pred returns
-// true into dst — the range shape of SelectFunc for predicates with no
-// specialised kernel (e.g. the cone's angular separation).
-func SelectFuncRange(dst Sel, lo, hi int, pred func(row int32) bool) Sel {
-	if hi < lo {
-		hi = lo
-	}
-	dst = grow(dst, hi-lo)
-	k := 0
-	for i := lo; i < hi; i++ {
-		dst[k] = int32(i)
-		k += b2i(pred(int32(i)))
-	}
-	return dst[:k]
-}
-
 // FillSelRange writes the full window [lo, hi) into dst — the
-// range-native shape of NewSelRange over reusable scratch.
+// "every row matched" result of a range kernel.
 func FillSelRange(dst Sel, lo, hi int) Sel {
 	if hi < lo {
 		hi = lo
@@ -203,7 +187,7 @@ func FillSelRange(dst Sel, lo, hi int) Sel {
 }
 
 // AndInto intersects two sorted selections into dst (neither may be
-// nil); the allocation-free shape of And for range-filtered inputs.
+// nil).
 func AndInto(dst, a, b Sel) Sel {
 	dst = grow(dst, min(len(a), len(b)))
 	k := 0

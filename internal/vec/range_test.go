@@ -16,7 +16,8 @@ func selEq(a, b Sel) bool {
 }
 
 // TestSelectFloat64RangeMatchesSelGather cross-checks every operator of
-// the range kernel against the sel-gather kernel over random windows.
+// the range kernel against the row-at-a-time reference over random
+// windows.
 func TestSelectFloat64RangeMatchesSelGather(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	data := make([]float64, 1000)
@@ -33,7 +34,7 @@ func TestSelectFloat64RangeMatchesSelGather(t *testing.T) {
 			if trial%5 == 0 {
 				c = 0.5 // exercise exact equality
 			}
-			want := SelectFloat64(data, NewSelRange(lo, hi), op, c)
+			want := selectRef(windowRef(lo, hi), func(i int32) bool { return cmpRef(op, data[i], c) })
 			got := SelectFloat64Range(nil, data, lo, hi, op, c)
 			if !selEq(want, got) {
 				t.Fatalf("op %s [%d,%d) c=%g: range %v != gather %v", op, lo, hi, c, got, want)
@@ -78,13 +79,13 @@ func TestRangeKernelsEmptyAndInvertedWindows(t *testing.T) {
 	if got := SelectFloat64Range(nil, data, 3, 1, Gt, 0); len(got) != 0 {
 		t.Fatalf("inverted window selected %v", got)
 	}
-	if got := SelectFuncRange(nil, 1, 1, func(int32) bool { return true }); len(got) != 0 {
-		t.Fatalf("empty func window selected %v", got)
+	if got := FillSelRange(nil, 1, 1); len(got) != 0 {
+		t.Fatalf("empty fill window selected %v", got)
 	}
 }
 
 // TestSetOpsInto cross-checks the into-scratch set operations against
-// the allocating originals, including disjoint and nested inputs.
+// the reference set operations, including disjoint and nested inputs.
 func TestSetOpsInto(t *testing.T) {
 	cases := []struct{ a, b Sel }{
 		{Sel{}, Sel{}},
@@ -95,46 +96,46 @@ func TestSetOpsInto(t *testing.T) {
 		{Sel{0, 2, 4, 6}, Sel{0, 2, 4, 6}}, // identical
 	}
 	for _, c := range cases {
-		if got, want := AndInto(nil, c.a, c.b), And(c.a, c.b, 10); !selEq(got, want) {
+		if got, want := AndInto(nil, c.a, c.b), andRef(c.a, c.b); !selEq(got, want) {
 			t.Errorf("AndInto(%v,%v) = %v, want %v", c.a, c.b, got, want)
 		}
-		if got, want := OrInto(nil, c.a, c.b), Or(c.a, c.b, 10); !selEq(got, want) {
+		if got, want := OrInto(nil, c.a, c.b), orRef(c.a, c.b); !selEq(got, want) {
 			t.Errorf("OrInto(%v,%v) = %v, want %v", c.a, c.b, got, want)
 		}
-		if got, want := DiffRangeInto(nil, 0, 10, c.b), Diff(NewSelRange(0, 10), c.b); !selEq(got, want) {
+		if got, want := DiffRangeInto(nil, 0, 10, c.b), diffRef(windowRef(0, 10), c.b); !selEq(got, want) {
 			t.Errorf("DiffRangeInto(0,10,%v) = %v, want %v", c.b, got, want)
 		}
 	}
 }
 
-// TestDiffEdgeCases pins vec.Diff on empty, full, and disjoint inputs.
+// TestDiffEdgeCases pins DiffInto on empty, full, and disjoint inputs.
 func TestDiffEdgeCases(t *testing.T) {
-	if got := Diff(Sel{}, Sel{1, 2}); len(got) != 0 {
-		t.Fatalf("Diff(empty, b) = %v", got)
+	if got := DiffInto(nil, Sel{}, Sel{1, 2}); len(got) != 0 {
+		t.Fatalf("DiffInto(empty, b) = %v", got)
 	}
-	if got := Diff(Sel{1, 2}, Sel{}); !selEq(got, Sel{1, 2}) {
-		t.Fatalf("Diff(a, empty) = %v", got)
+	if got := DiffInto(nil, Sel{1, 2}, Sel{}); !selEq(got, Sel{1, 2}) {
+		t.Fatalf("DiffInto(a, empty) = %v", got)
 	}
-	if got := Diff(Sel{1, 2, 3}, Sel{1, 2, 3}); len(got) != 0 {
-		t.Fatalf("Diff(a, a) = %v", got)
+	if got := DiffInto(nil, Sel{1, 2, 3}, Sel{1, 2, 3}); len(got) != 0 {
+		t.Fatalf("DiffInto(a, a) = %v", got)
 	}
-	if got := Diff(Sel{1, 3, 5}, Sel{0, 2, 6}); !selEq(got, Sel{1, 3, 5}) {
-		t.Fatalf("Diff disjoint = %v", got)
+	if got := DiffInto(nil, Sel{1, 3, 5}, Sel{0, 2, 6}); !selEq(got, Sel{1, 3, 5}) {
+		t.Fatalf("DiffInto disjoint = %v", got)
 	}
 }
 
-// TestNewSelRangeEdgeCases pins empty, inverted, and full ranges.
-func TestNewSelRangeEdgeCases(t *testing.T) {
-	if got := NewSelRange(4, 4); len(got) != 0 {
-		t.Fatalf("NewSelRange(4,4) = %v", got)
+// TestFillSelRangeEdgeCases pins empty, inverted, and full windows.
+func TestFillSelRangeEdgeCases(t *testing.T) {
+	if got := FillSelRange(nil, 4, 4); len(got) != 0 {
+		t.Fatalf("FillSelRange(4,4) = %v", got)
 	}
-	if got := NewSelRange(5, 3); len(got) != 0 {
-		t.Fatalf("NewSelRange(5,3) = %v", got)
+	if got := FillSelRange(nil, 5, 3); len(got) != 0 {
+		t.Fatalf("FillSelRange(5,3) = %v", got)
 	}
-	if got := NewSelRange(0, 3); !selEq(got, Sel{0, 1, 2}) {
-		t.Fatalf("NewSelRange(0,3) = %v", got)
+	if got := FillSelRange(nil, 2, 5); !selEq(got, Sel{2, 3, 4}) {
+		t.Fatalf("FillSelRange(2,5) = %v", got)
 	}
-	if got, want := NewSelRange(0, 6), NewSelAll(6); !selEq(got, Sel(want)) {
+	if got, want := FillSelRange(nil, 0, 6), NewSelAll(6); !selEq(got, want) {
 		t.Fatalf("full range %v != all %v", got, want)
 	}
 }

@@ -15,7 +15,7 @@ package vec
 
 // SelectFloat64Sel writes the positions p in sel with data[p] op c into
 // dst and returns the filled prefix. NaN values never match any
-// operator except Ne, matching SelectFloat64.
+// operator except Ne, matching SelectFloat64Range.
 func SelectFloat64Sel(dst Sel, data []float64, sel Sel, op CmpOp, c float64) Sel {
 	dst = grow(dst, len(sel))
 	k := 0
@@ -98,7 +98,8 @@ func CopyInto(dst, src Sel) Sel {
 }
 
 // DiffInto writes the sorted set difference a \ b into dst (neither may
-// be nil) — the allocation-free shape of Diff for pooled inputs.
+// be nil) — the complement of a selection-local result against its own
+// input (sel-native NOT).
 func DiffInto(dst, a, b Sel) Sel {
 	dst = grow(dst, len(a))
 	k := 0

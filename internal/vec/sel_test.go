@@ -18,7 +18,7 @@ func randomSel(rng *rand.Rand, n int, p float64) Sel {
 }
 
 // TestSelectSelMatchesSelectRestricted cross-checks every sel kernel
-// against the reference Select* functions restricted to the same
+// against the row-at-a-time reference restricted to the same
 // selection.
 func TestSelectSelMatchesSelectRestricted(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -34,18 +34,18 @@ func TestSelectSelMatchesSelectRestricted(t *testing.T) {
 		sel := randomSel(rng, n, p)
 		for op := Eq; op <= Ge; op++ {
 			got := SelectFloat64Sel(nil, data, sel, op, 0.25)
-			want := SelectFloat64(data, sel, op, 0.25)
+			want := selectRef(sel, func(i int32) bool { return cmpRef(op, data[i], 0.25) })
 			assertSelEqual(t, "SelectFloat64Sel", got, want)
 		}
 		gotB := SelectBetweenFloat64Sel(nil, data, sel, -0.5, 0.5)
-		wantB := SelectFunc(n, sel, func(i int32) bool {
+		wantB := selectRef(sel, func(i int32) bool {
 			return data[i] >= -0.5 && data[i] <= 0.5
 		})
 		assertSelEqual(t, "SelectBetweenFloat64Sel", gotB, wantB)
 		for _, want := range []bool{true, false} {
 			gotE := SelectEqInt32Sel(nil, codes, sel, 2, want)
 			w := want
-			wantE := SelectFunc(n, sel, func(i int32) bool { return (codes[i] == 2) == w })
+			wantE := selectRef(sel, func(i int32) bool { return (codes[i] == 2) == w })
 			assertSelEqual(t, "SelectEqInt32Sel", gotE, wantE)
 		}
 	}
@@ -58,7 +58,7 @@ func TestDiffIntoMatchesDiff(t *testing.T) {
 		a := randomSel(rng, 512, rng.Float64())
 		b := randomSel(rng, 512, rng.Float64())
 		got := DiffInto(nil, a, b)
-		want := Diff(a, b)
+		want := diffRef(a, b)
 		assertSelEqual(t, "DiffInto", got, want)
 	}
 }

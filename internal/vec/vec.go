@@ -1,6 +1,7 @@
 // Package vec provides the vectorised kernels underneath the SciBORQ
-// column store: typed value vectors, selection vectors, and the
-// filter/gather/arithmetic primitives the execution engine is built from.
+// column store: selection vectors, the range- and selection-native
+// filter kernels (range.go, sel.go) and the gathers the execution engine
+// is built from.
 //
 // The design follows the MonetDB/X100 column-at-a-time model the paper
 // assumes: operators consume whole columns (or selections over them) and
@@ -9,7 +10,9 @@
 package vec
 
 // Sel is a selection vector: a sorted list of row positions into a column.
-// A nil Sel means "all rows".
+// The filter kernels never return nil — an empty Sel means no match. Only
+// the gathers below, and the engine's scan entry points, read a nil Sel as
+// "all rows".
 type Sel []int32
 
 // NewSelAll returns a selection covering rows [0, n).
@@ -19,116 +22,6 @@ func NewSelAll(n int) Sel {
 		s[i] = int32(i)
 	}
 	return s
-}
-
-// NewSelRange returns a selection covering rows [lo, hi) — the base
-// selection of one morsel in the parallel executor.
-func NewSelRange(lo, hi int) Sel {
-	if hi < lo {
-		hi = lo
-	}
-	s := make(Sel, hi-lo)
-	for i := range s {
-		s[i] = int32(lo + i)
-	}
-	return s
-}
-
-// Len returns the number of selected rows, given the column length n
-// (needed because a nil Sel means all n rows).
-func (s Sel) Len(n int) int {
-	if s == nil {
-		return n
-	}
-	return len(s)
-}
-
-// And intersects two sorted selection vectors. Either may be nil (= all
-// rows of a column of length n).
-func And(a, b Sel, n int) Sel {
-	if a == nil {
-		return b
-	}
-	if b == nil {
-		return a
-	}
-	out := make(Sel, 0, min(len(a), len(b)))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	return out
-}
-
-// Or unions two sorted selection vectors. Either may be nil (= all rows),
-// in which case the result is all rows.
-func Or(a, b Sel, n int) Sel {
-	if a == nil || b == nil {
-		return nil
-	}
-	out := make(Sel, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
-}
-
-// Diff returns the sorted set difference a \ b of two sorted selection
-// vectors (neither may be nil).
-func Diff(a, b Sel) Sel {
-	out := make(Sel, 0, len(a)-min(len(a), len(b))+4)
-	j := 0
-	for _, v := range a {
-		for j < len(b) && b[j] < v {
-			j++
-		}
-		if j < len(b) && b[j] == v {
-			j++
-			continue
-		}
-		out = append(out, v)
-	}
-	return out
-}
-
-// Not complements a sorted selection vector with respect to [0, n).
-func Not(a Sel, n int) Sel {
-	if a == nil {
-		return Sel{}
-	}
-	out := make(Sel, 0, n-len(a))
-	j := 0
-	for i := int32(0); i < int32(n); i++ {
-		if j < len(a) && a[j] == i {
-			j++
-			continue
-		}
-		out = append(out, i)
-	}
-	return out
 }
 
 // CmpOp is a comparison operator used by the Select* kernels.
@@ -163,140 +56,8 @@ func (op CmpOp) String() string {
 	return "?"
 }
 
-func cmpFloat(op CmpOp, v, c float64) bool {
-	switch op {
-	case Eq:
-		return v == c
-	case Ne:
-		return v != c
-	case Lt:
-		return v < c
-	case Le:
-		return v <= c
-	case Gt:
-		return v > c
-	case Ge:
-		return v >= c
-	}
-	return false
-}
-
-func cmpInt(op CmpOp, v, c int64) bool {
-	switch op {
-	case Eq:
-		return v == c
-	case Ne:
-		return v != c
-	case Lt:
-		return v < c
-	case Le:
-		return v <= c
-	case Gt:
-		return v > c
-	case Ge:
-		return v >= c
-	}
-	return false
-}
-
-// SelectFloat64 returns the rows of data (restricted to sel) whose value
-// compares true against c under op.
-func SelectFloat64(data []float64, sel Sel, op CmpOp, c float64) Sel {
-	out := make(Sel, 0, 64)
-	if sel == nil {
-		for i, v := range data {
-			if cmpFloat(op, v, c) {
-				out = append(out, int32(i))
-			}
-		}
-		return out
-	}
-	for _, i := range sel {
-		if cmpFloat(op, data[i], c) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// SelectInt64 is SelectFloat64 for int64 columns.
-func SelectInt64(data []int64, sel Sel, op CmpOp, c int64) Sel {
-	out := make(Sel, 0, 64)
-	if sel == nil {
-		for i, v := range data {
-			if cmpInt(op, v, c) {
-				out = append(out, int32(i))
-			}
-		}
-		return out
-	}
-	for _, i := range sel {
-		if cmpInt(op, data[i], c) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// SelectRangeFloat64 selects rows with lo <= v < hi (half-open range);
-// the common shape of the paper's focal-area predicates.
-func SelectRangeFloat64(data []float64, sel Sel, lo, hi float64) Sel {
-	out := make(Sel, 0, 64)
-	if sel == nil {
-		for i, v := range data {
-			if v >= lo && v < hi {
-				out = append(out, int32(i))
-			}
-		}
-		return out
-	}
-	for _, i := range sel {
-		if v := data[i]; v >= lo && v < hi {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// SelectBool selects rows whose bool value equals want.
-func SelectBool(data []bool, sel Sel, want bool) Sel {
-	out := make(Sel, 0, 64)
-	if sel == nil {
-		for i, v := range data {
-			if v == want {
-				out = append(out, int32(i))
-			}
-		}
-		return out
-	}
-	for _, i := range sel {
-		if data[i] == want {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// SelectFunc selects rows (restricted to sel) for which pred returns true.
-func SelectFunc(n int, sel Sel, pred func(row int32) bool) Sel {
-	out := make(Sel, 0, 64)
-	if sel == nil {
-		for i := int32(0); i < int32(n); i++ {
-			if pred(i) {
-				out = append(out, i)
-			}
-		}
-		return out
-	}
-	for _, i := range sel {
-		if pred(i) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// GatherFloat64 materialises data[sel] into a fresh slice.
+// GatherFloat64 materialises data[sel] into a fresh slice; a nil sel
+// copies the whole column.
 func GatherFloat64(data []float64, sel Sel) []float64 {
 	if sel == nil {
 		out := make([]float64, len(data))
@@ -310,7 +71,8 @@ func GatherFloat64(data []float64, sel Sel) []float64 {
 	return out
 }
 
-// GatherInt64 materialises data[sel] into a fresh slice.
+// GatherInt64 materialises data[sel] into a fresh slice; a nil sel
+// copies the whole column.
 func GatherInt64(data []int64, sel Sel) []int64 {
 	if sel == nil {
 		out := make([]int64, len(data))
@@ -322,83 +84,4 @@ func GatherInt64(data []int64, sel Sel) []int64 {
 		out[k] = data[i]
 	}
 	return out
-}
-
-// GatherInt32 materialises data[sel] into a fresh slice.
-func GatherInt32(data []int32, sel Sel) []int32 {
-	if sel == nil {
-		out := make([]int32, len(data))
-		copy(out, data)
-		return out
-	}
-	out := make([]int32, len(sel))
-	for k, i := range sel {
-		out[k] = data[i]
-	}
-	return out
-}
-
-// SumFloat64 sums data over sel.
-func SumFloat64(data []float64, sel Sel) float64 {
-	var s float64
-	if sel == nil {
-		for _, v := range data {
-			s += v
-		}
-		return s
-	}
-	for _, i := range sel {
-		s += data[i]
-	}
-	return s
-}
-
-// SumInt64 sums data over sel.
-func SumInt64(data []int64, sel Sel) int64 {
-	var s int64
-	if sel == nil {
-		for _, v := range data {
-			s += v
-		}
-		return s
-	}
-	for _, i := range sel {
-		s += data[i]
-	}
-	return s
-}
-
-// MinMaxFloat64 returns the min and max of data over sel.
-// ok is false when the selection is empty.
-func MinMaxFloat64(data []float64, sel Sel) (lo, hi float64, ok bool) {
-	first := true
-	visit := func(v float64) {
-		if first {
-			lo, hi, first = v, v, false
-			return
-		}
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	if sel == nil {
-		for _, v := range data {
-			visit(v)
-		}
-	} else {
-		for _, i := range sel {
-			visit(data[i])
-		}
-	}
-	return lo, hi, !first
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

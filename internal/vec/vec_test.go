@@ -7,6 +7,63 @@ import (
 	"testing/quick"
 )
 
+// Row-at-a-time reference kernels: the oracles the branchless range and
+// sel kernels are checked against.
+
+// cmpRef reports v op c.
+func cmpRef(op CmpOp, v, c float64) bool {
+	switch op {
+	case Eq:
+		return v == c
+	case Ne:
+		return v != c
+	case Lt:
+		return v < c
+	case Le:
+		return v <= c
+	case Gt:
+		return v > c
+	case Ge:
+		return v >= c
+	}
+	return false
+}
+
+// selectRef returns the rows of sel for which keep reports true.
+func selectRef(sel Sel, keep func(row int32) bool) Sel {
+	out := Sel{}
+	for _, i := range sel {
+		if keep(i) {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// windowRef returns the rows [lo, hi).
+func windowRef(lo, hi int) Sel {
+	out := Sel{}
+	for i := lo; i < hi; i++ {
+		out = append(out, int32(i))
+	}
+	return out
+}
+
+// containsRef reports whether sorted s contains v.
+func containsRef(s Sel, v int32) bool {
+	i := sort.Search(len(s), func(k int) bool { return s[k] >= v })
+	return i < len(s) && s[i] == v
+}
+
+func andRef(a, b Sel) Sel  { return selectRef(a, func(v int32) bool { return containsRef(b, v) }) }
+func diffRef(a, b Sel) Sel { return selectRef(a, func(v int32) bool { return !containsRef(b, v) }) }
+
+func orRef(a, b Sel) Sel {
+	out := append(append(Sel{}, a...), diffRef(b, a)...)
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
 func TestNewSelAll(t *testing.T) {
 	s := NewSelAll(4)
 	want := Sel{0, 1, 2, 3}
@@ -15,82 +72,60 @@ func TestNewSelAll(t *testing.T) {
 	}
 }
 
-func TestSelLen(t *testing.T) {
-	if got := Sel(nil).Len(7); got != 7 {
-		t.Fatalf("nil Sel Len = %d, want 7", got)
-	}
-	if got := (Sel{1, 3}).Len(7); got != 2 {
-		t.Fatalf("Sel{1,3} Len = %d, want 2", got)
-	}
-}
-
 func TestAnd(t *testing.T) {
 	a := Sel{0, 2, 4, 6}
 	b := Sel{2, 3, 4, 5}
-	got := And(a, b, 8)
-	want := Sel{2, 4}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("And = %v, want %v", got, want)
+	if got, want := AndInto(nil, a, b), (Sel{2, 4}); !reflect.DeepEqual(got, want) {
+		t.Fatalf("AndInto = %v, want %v", got, want)
 	}
-	if got := And(nil, b, 8); !reflect.DeepEqual(got, b) {
-		t.Fatalf("And(nil, b) = %v, want %v", got, b)
-	}
-	if got := And(a, nil, 8); !reflect.DeepEqual(got, a) {
-		t.Fatalf("And(a, nil) = %v, want %v", got, a)
+	if got := AndInto(nil, Sel{}, b); len(got) != 0 {
+		t.Fatalf("AndInto(empty, b) = %v, want empty", got)
 	}
 }
 
 func TestOr(t *testing.T) {
 	a := Sel{0, 2}
 	b := Sel{1, 2, 5}
-	got := Or(a, b, 8)
-	want := Sel{0, 1, 2, 5}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Or = %v, want %v", got, want)
+	if got, want := OrInto(nil, a, b), (Sel{0, 1, 2, 5}); !reflect.DeepEqual(got, want) {
+		t.Fatalf("OrInto = %v, want %v", got, want)
 	}
-	if got := Or(nil, b, 8); got != nil {
-		t.Fatalf("Or(nil, b) = %v, want nil (all rows)", got)
+	if got := OrInto(nil, Sel{}, b); !reflect.DeepEqual(got, b) {
+		t.Fatalf("OrInto(empty, b) = %v, want %v", got, b)
 	}
 }
 
 func TestNot(t *testing.T) {
-	a := Sel{1, 3}
-	got := Not(a, 5)
-	want := Sel{0, 2, 4}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Not = %v, want %v", got, want)
+	if got, want := DiffRangeInto(nil, 0, 5, Sel{1, 3}), (Sel{0, 2, 4}); !reflect.DeepEqual(got, want) {
+		t.Fatalf("DiffRangeInto = %v, want %v", got, want)
 	}
-	if got := Not(nil, 3); len(got) != 0 {
-		t.Fatalf("Not(nil) = %v, want empty", got)
+	if got := DiffRangeInto(nil, 0, 3, Sel{0, 1, 2}); len(got) != 0 {
+		t.Fatalf("complement of the full window = %v, want empty", got)
 	}
 }
 
 func TestDiff(t *testing.T) {
 	a := Sel{0, 2, 4, 6, 8}
 	b := Sel{2, 6, 7}
-	got := Diff(a, b)
-	want := Sel{0, 4, 8}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Diff = %v, want %v", got, want)
+	if got, want := DiffInto(nil, a, b), (Sel{0, 4, 8}); !reflect.DeepEqual(got, want) {
+		t.Fatalf("DiffInto = %v, want %v", got, want)
 	}
-	if got := Diff(a, Sel{}); !reflect.DeepEqual(got, a) {
-		t.Fatalf("Diff(a, empty) = %v, want %v", got, a)
+	if got := DiffInto(nil, a, Sel{}); !reflect.DeepEqual(got, a) {
+		t.Fatalf("DiffInto(a, empty) = %v, want %v", got, a)
 	}
-	if got := Diff(a, a); len(got) != 0 {
-		t.Fatalf("Diff(a, a) = %v, want empty", got)
+	if got := DiffInto(nil, a, a); len(got) != 0 {
+		t.Fatalf("DiffInto(a, a) = %v, want empty", got)
 	}
-	// Diff must agree with the complement-then-intersect formulation
-	// the Not predicate previously used.
-	if got, want := Diff(a, b), And(Not(b, 9), a, 9); !reflect.DeepEqual(got, want) {
-		t.Fatalf("Diff = %v, And(Not) = %v", got, want)
+	// Against a full window the sel complement is the range complement.
+	if got, want := DiffInto(nil, windowRef(0, 9), b), DiffRangeInto(nil, 0, 9, b); !reflect.DeepEqual(got, want) {
+		t.Fatalf("DiffInto = %v, DiffRangeInto = %v", got, want)
 	}
 }
 
 func TestDeMorganProperty(t *testing.T) {
-	// not(a and b) == not(a) or not(b) over a fixed domain.
+	// not(a and b) == not(a) or not(b) over a fixed window.
 	f := func(am, bm uint16) bool {
 		const n = 16
-		var a, b Sel
+		a, b := Sel{}, Sel{}
 		for i := int32(0); i < n; i++ {
 			if am&(1<<uint(i)) != 0 {
 				a = append(a, i)
@@ -99,20 +134,9 @@ func TestDeMorganProperty(t *testing.T) {
 				b = append(b, i)
 			}
 		}
-		lhs := Not(And(a, b, n), n)
-		rhs := Or(Not(a, n), Not(b, n), n)
-		if rhs == nil {
-			rhs = NewSelAll(n)
-		}
-		if len(lhs) != len(rhs) {
-			return false
-		}
-		for i := range lhs {
-			if lhs[i] != rhs[i] {
-				return false
-			}
-		}
-		return true
+		lhs := DiffRangeInto(nil, 0, n, AndInto(nil, a, b))
+		rhs := OrInto(nil, DiffRangeInto(nil, 0, n, a), DiffRangeInto(nil, 0, n, b))
+		return reflect.DeepEqual(lhs, rhs)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -134,25 +158,18 @@ func TestSelectFloat64(t *testing.T) {
 		{Ge, 3, Sel{1, 2, 3}},
 	}
 	for _, c := range cases {
-		got := SelectFloat64(data, nil, c.op, c.c)
-		if !reflect.DeepEqual(got, c.want) {
-			t.Errorf("SelectFloat64(%v, %v) = %v, want %v", c.op, c.c, got, c.want)
+		if got := SelectFloat64Range(nil, data, 0, len(data), c.op, c.c); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("SelectFloat64Range(%v, %v) = %v, want %v", c.op, c.c, got, c.want)
+		}
+		if got := SelectFloat64Sel(nil, data, NewSelAll(len(data)), c.op, c.c); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("SelectFloat64Sel(%v, %v) = %v, want %v", c.op, c.c, got, c.want)
 		}
 	}
 }
 
 func TestSelectFloat64WithSel(t *testing.T) {
 	data := []float64{1, 5, 3, 5, 2}
-	got := SelectFloat64(data, Sel{1, 2, 4}, Ge, 3)
-	want := Sel{1, 2}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("got %v, want %v", got, want)
-	}
-}
-
-func TestSelectInt64(t *testing.T) {
-	data := []int64{10, 20, 30}
-	got := SelectInt64(data, nil, Gt, 15)
+	got := SelectFloat64Sel(nil, data, Sel{1, 2, 4}, Ge, 3)
 	want := Sel{1, 2}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("got %v, want %v", got, want)
@@ -160,34 +177,14 @@ func TestSelectInt64(t *testing.T) {
 }
 
 func TestSelectRangeFloat64(t *testing.T) {
+	// The BETWEEN kernels keep both endpoints, over a window and over a
+	// selection.
 	data := []float64{0, 1, 2, 3, 4}
-	got := SelectRangeFloat64(data, nil, 1, 3)
-	want := Sel{1, 2}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("got %v, want %v (half-open)", got, want)
+	if got, want := SelectBetweenFloat64Range(nil, data, 0, len(data), 1, 3), (Sel{1, 2, 3}); !reflect.DeepEqual(got, want) {
+		t.Fatalf("range: got %v, want %v", got, want)
 	}
-	got = SelectRangeFloat64(data, Sel{0, 2, 4}, 1, 5)
-	want = Sel{2, 4}
-	if !reflect.DeepEqual(got, want) {
+	if got, want := SelectBetweenFloat64Sel(nil, data, Sel{0, 2, 3, 4}, 2, 4), (Sel{2, 3, 4}); !reflect.DeepEqual(got, want) {
 		t.Fatalf("with sel: got %v, want %v", got, want)
-	}
-}
-
-func TestSelectBool(t *testing.T) {
-	data := []bool{true, false, true}
-	got := SelectBool(data, nil, true)
-	want := Sel{0, 2}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("got %v, want %v", got, want)
-	}
-}
-
-func TestSelectFunc(t *testing.T) {
-	data := []float64{1, 2, 3, 4}
-	got := SelectFunc(len(data), nil, func(i int32) bool { return data[i] > 2 })
-	want := Sel{2, 3}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("got %v, want %v", got, want)
 	}
 }
 
@@ -208,53 +205,21 @@ func TestGather(t *testing.T) {
 	if got := GatherInt64(i, Sel{2}); !reflect.DeepEqual(got, []int64{3}) {
 		t.Fatalf("GatherInt64 = %v", got)
 	}
-	x := []int32{5, 6, 7}
-	if got := GatherInt32(x, Sel{1}); !reflect.DeepEqual(got, []int32{6}) {
-		t.Fatalf("GatherInt32 = %v", got)
-	}
-}
-
-func TestSums(t *testing.T) {
-	f := []float64{1, 2, 3}
-	if got := SumFloat64(f, nil); got != 6 {
-		t.Fatalf("SumFloat64 = %v", got)
-	}
-	if got := SumFloat64(f, Sel{0, 2}); got != 4 {
-		t.Fatalf("SumFloat64 sel = %v", got)
-	}
-	i := []int64{1, 2, 3}
-	if got := SumInt64(i, nil); got != 6 {
-		t.Fatalf("SumInt64 = %v", got)
-	}
-	if got := SumInt64(i, Sel{1}); got != 2 {
-		t.Fatalf("SumInt64 sel = %v", got)
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	f := []float64{3, 1, 4, 1, 5}
-	lo, hi, ok := MinMaxFloat64(f, nil)
-	if !ok || lo != 1 || hi != 5 {
-		t.Fatalf("MinMax = %v %v %v", lo, hi, ok)
-	}
-	lo, hi, ok = MinMaxFloat64(f, Sel{0, 2})
-	if !ok || lo != 3 || hi != 4 {
-		t.Fatalf("MinMax sel = %v %v %v", lo, hi, ok)
-	}
-	if _, _, ok := MinMaxFloat64(f, Sel{}); ok {
-		t.Fatal("MinMax of empty selection reported ok")
-	}
 }
 
 func TestSelectResultSorted(t *testing.T) {
-	// All Select kernels must return sorted selections so And/Or merges work.
+	// Every kernel must return sorted selections so the And/Or merges work.
 	data := make([]float64, 100)
 	for i := range data {
 		data[i] = float64(i % 7)
 	}
-	got := SelectFloat64(data, nil, Eq, 3)
-	if !sort.SliceIsSorted(got, func(a, b int) bool { return got[a] < got[b] }) {
-		t.Fatal("selection not sorted")
+	for _, got := range []Sel{
+		SelectFloat64Range(nil, data, 0, len(data), Eq, 3),
+		SelectFloat64Sel(nil, data, NewSelAll(len(data)), Eq, 3),
+	} {
+		if !sort.SliceIsSorted(got, func(a, b int) bool { return got[a] < got[b] }) {
+			t.Fatal("selection not sorted")
+		}
 	}
 }
 

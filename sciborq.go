@@ -37,8 +37,9 @@
 //
 // Bounded queries execute impressions natively: each layer is a sorted
 // row-position view (impression.View) scanned directly against a base
-// snapshot through the same morsel machinery (engine.FilterSel), with
-// zone maps skipping granules no sampled position lands in. Loads
+// snapshot through the same scan loop as a base-table scan
+// (engine.Filter over the view's positions), with zone maps skipping
+// granules no sampled position lands in. Loads
 // running concurrently with bounded queries are safe — every
 // escalation rung describes the one snapshot taken for the query, and
 // layer views are clamped to it.
