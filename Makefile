@@ -22,13 +22,11 @@ cover:
 # (the morsel worker pool, the bounded executor built on it, the
 # pooled hash infrastructure shared across scan workers, the impression
 # views read by queries while loads mutate the samplers, the shared
-# recycler + the expr scratch-pool kernels it drives, the plan cache
-# hit/evicted/invalidated concurrently by queries and loads, the HTTP
-# server whose admission queue and tenant counters every request
-# pounds, and the durable segment store whose granule cache is touched
+# recycler + the expr scratch-pool kernels it drives, the HTTP server
+# whose admission queue and tenant counters every request pounds, and the durable segment store whose granule cache is touched
 # by scans while loads fold batches).
 race:
-	$(GO) test -race ./internal/engine/... ./internal/bounded/... ./internal/hashtab/... ./internal/impression/... ./internal/recycler/... ./internal/expr/... ./internal/server/... ./internal/plancache/... ./internal/wire/... ./internal/segment/... .
+	$(GO) test -race ./internal/engine/... ./internal/bounded/... ./internal/hashtab/... ./internal/impression/... ./internal/recycler/... ./internal/expr/... ./internal/server/... ./internal/wire/... ./internal/segment/... .
 
 # Crash-recovery suite under the race detector: the segment store's
 # WAL/torn-tail/fault-injection property tests, the DB-level restart
@@ -70,17 +68,14 @@ bench-smoke:
 	$(GO) -C bench test ./...
 	bash bench/run.sh -smoke
 
-# Allocation regression gate, asserted via testing.AllocsPerRun: a warm
-# plan-cache hit (map probe + catalog version check) must stay at
-# exactly 0 allocs/op at both the package level
-# (plancache.TestLookupZeroAlloc) and end to end through DB.CheckSQL
-# (TestFrontEndZeroAlloc), and so must the steady-state cone kernel on
-# pooled scratch (expr.TestConeKernelZeroAlloc).
+# Allocation regression gate, asserted via testing.AllocsPerRun: the
+# steady-state cone kernel on pooled scratch must stay at exactly 0
+# allocs/op (expr.TestConeKernelZeroAlloc).
 bench-alloc:
-	$(GO) test -run='ZeroAlloc' -v . ./internal/plancache/... ./internal/expr/...
+	$(GO) test -run='ZeroAlloc' -v ./internal/expr/...
 
 # Seeded, deterministic chaos suite under the race detector: >=100
-# injected faults (errors, panics, latency) across all six fault points
+# injected faults (errors, panics, latency) across five fault points
 # against a booted server with concurrent clients and ingest — over both
 # the HTTP and binary wire transports — plus the daemon's SIGTERM drain
 # test. A failure replays from the seed printed in the test log.

@@ -144,18 +144,6 @@ func BenchmarkReservoirR(b *testing.B) {
 	}
 }
 
-// BenchmarkReservoirX measures Vitter's skip-based Algorithm X.
-func BenchmarkReservoirX(b *testing.B) {
-	x, err := reservoir.NewX[int32](10_000, xrand.New(1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		x.Offer(int32(i))
-	}
-}
-
 // BenchmarkReservoirBiased measures Figure-6 offers including the f̆
 // weight evaluation.
 func BenchmarkReservoirBiased(b *testing.B) {
@@ -367,9 +355,7 @@ func BenchmarkAblationRecyclerOnOff(b *testing.B) {
 			b.Fatal(err)
 		}
 		for i := 0; i < b.N; i++ {
-			snap := sky.PhotoObjAll.Snapshot()
-			prep := recycler.Prepare(snap.ID(), snap.Version(), pred)
-			if _, _, err := rec.FilterPrepared(snap, &prep, opts); err != nil {
+			if _, _, err := rec.Filter(sky.PhotoObjAll.Snapshot(), pred, opts); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -102,49 +102,20 @@ func (db *DB) Exec(sql string) (*Result, error) {
 // selection is cached in (and served from) the tenant's own recycler
 // partition, so concurrent tenants cannot evict each other's warm
 // working sets; the empty tenant uses the shared default partition.
-//
-// The front end is lookup → parse → admit: a statement spelling the
-// plan cache has seen (for the table's current version) skips parsing
-// and predicate key encoding with zero allocation; anything else pays
-// one parse and is cached under its spelling. Results are bit-identical
-// either way — the plan holds exactly the Statement a fresh parse
-// produces.
 func (db *DB) ExecTenant(ctx context.Context, tenant, sql string) (*Result, error) {
-	if db.plans != nil {
-		if pl := db.plans.Lookup(tenant, sql); pl != nil {
-			return db.execStatement(ctx, tenant, pl.Statement, sql, &pl.Prep)
-		}
-	}
 	st, err := sqlparse.Parse(sql)
 	if err != nil {
 		return nil, err
 	}
-	if db.plans == nil {
-		return db.execStatement(ctx, tenant, st, sql, nil)
-	}
-	base, err := db.catalog.Get(st.Query.Table)
-	if err != nil {
-		return nil, err
-	}
-	pl := db.plans.Admit(tenant, sql, st, base.ID(), base.Version())
-	return db.execStatement(ctx, tenant, pl.Statement, sql, &pl.Prep)
+	return db.ExecStatementTenant(ctx, tenant, st, sql)
 }
 
-// ExecStatementTenant executes a pre-parsed statement for a tenant,
-// bypassing the plan cache entirely. This is the execution path for
-// wire-protocol prepared statements re-bound with fresh literals: the
-// rebound AST must not be admitted to the cache under the statement's
-// representative SQL spelling, or the cache would replay the wrong
-// literals for every later client sending that exact text.
+// ExecStatementTenant executes a parsed statement for a tenant under
+// ctx: ExecTenant without the parse. The serving layer parses each
+// request once, before admission, and executes it here; wire prepared
+// statements re-bound with fresh literals arrive here too. sql is the
+// text reported back in Result.SQL.
 func (db *DB) ExecStatementTenant(ctx context.Context, tenant string, st *sqlparse.Statement, sql string) (*Result, error) {
-	return db.execStatement(ctx, tenant, st, sql, nil)
-}
-
-// execStatement executes a pre-parsed statement for a tenant under ctx.
-// prep, when non-nil, carries the plan cache's canonicalised WHERE
-// predicate so the recycler path skips canonicalisation; nil means the
-// recycler prepares it per query.
-func (db *DB) execStatement(ctx context.Context, tenant string, st *sqlparse.Statement, sql string, prep *recycler.Prepared) (*Result, error) {
 	base, err := db.catalog.Get(st.Query.Table)
 	if err != nil {
 		return nil, err
@@ -175,14 +146,14 @@ func (db *DB) execStatement(ctx context.Context, tenant string, st *sqlparse.Sta
 		if err != nil {
 			return nil, err
 		}
-		res, err = boundedProjection(ex, st, opts, rec, prep)
+		res, err = boundedProjection(ex, st, opts, rec)
 		if err != nil {
 			return nil, err
 		}
 	default:
 		// Unbounded queries, grouped aggregates (no grouped estimator
 		// is wired yet) and WITHIN ERROR projections run exactly.
-		res, err = recycler.Exec(rec, base, q, opts, prep)
+		res, err = recycler.Exec(rec, base, q, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -221,11 +192,11 @@ func (db *DB) boundedExecutor(name string, base *table.Table) (*bounded.Executor
 // only the returned rows are ever copied — the impression itself is
 // never materialised. When the budget affords the base table, the
 // projection is the exact one.
-func boundedProjection(ex *bounded.Executor, st *sqlparse.Statement, opts engine.ExecOptions, rec *recycler.Recycler, prep *recycler.Prepared) (*engine.Result, error) {
+func boundedProjection(ex *bounded.Executor, st *sqlparse.Statement, opts engine.ExecOptions, rec *recycler.Recycler) (*engine.Result, error) {
 	q := st.Query
 	snap, positions, exact := ex.TimeLayer(q, st.Bounds.MaxTime)
 	if exact {
-		return recycler.Exec(rec, snap, q, opts, prep)
+		return recycler.Exec(rec, snap, q, opts)
 	}
 	sel, scan, err := engine.Filter(snap, q.Pred(), positions, opts)
 	if err != nil {

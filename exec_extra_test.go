@@ -77,3 +77,21 @@ func TestStatementReuse(t *testing.T) {
 		t.Fatalf("repeated exact query disagreed: %v vs %v", a, b)
 	}
 }
+
+// TestLimitZeroRefused: LIMIT 0 is a bound the user wrote, and the
+// engine reads Limit 0 as "no limit", so Exec must refuse it instead
+// of returning the whole table.
+func TestLimitZeroRefused(t *testing.T) {
+	db := openSky(t, 1000, Uniform)
+	res, err := db.Exec("SELECT ra FROM PhotoObjAll ORDER BY ra LIMIT 0")
+	if err == nil {
+		t.Fatalf("LIMIT 0 accepted, returned %d rows", res.Rows.Len())
+	}
+	if !strings.Contains(err.Error(), "LIMIT must be positive") {
+		t.Fatalf("LIMIT 0 refused with %v, want a LIMIT error", err)
+	}
+	res, err = db.Exec("SELECT ra FROM PhotoObjAll ORDER BY ra LIMIT 1")
+	if err != nil || res.Rows.Len() != 1 {
+		t.Fatalf("LIMIT 1 = %v, %v", res, err)
+	}
+}

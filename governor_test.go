@@ -8,9 +8,9 @@ import (
 	"sciborq/internal/xrand"
 )
 
-// govFixture builds a DB under a global memory governor with both
-// in-memory cache tiers populated: distinct statement spellings fill
-// the plan cache, and their WHERE selections fill the recycler.
+// govFixture builds a DB under a global memory governor with its
+// in-memory cache tier populated: distinct WHERE selections fill the
+// recycler.
 func govFixture(t *testing.T) *DB {
 	t.Helper()
 	db := Open(testCost(), WithSeed(5), WithMemoryBudget(1<<20))
@@ -39,8 +39,8 @@ func govFixture(t *testing.T) *DB {
 
 // TestGovernorShedsRealTiersInOrder drives the acceptance criterion
 // end to end against the real caches: under an injected pressure
-// signal the governor sheds plans → recycler — cheapest replacement
-// cost first — and every tier reports empty afterwards.
+// signal the governor sheds the recycler and the tier reports empty
+// afterwards.
 func TestGovernorShedsRealTiersInOrder(t *testing.T) {
 	db := govFixture(t)
 	g := db.Governor()
@@ -49,7 +49,7 @@ func TestGovernorShedsRealTiersInOrder(t *testing.T) {
 	}
 
 	s := g.Stats()
-	want := []string{"plancache.plans", "recycler"}
+	want := []string{"recycler"}
 	if len(s.TierUsages) != len(want) {
 		t.Fatalf("registered tiers = %v, want exactly %v", s.TierUsages, want)
 	}
@@ -106,13 +106,13 @@ func TestGovernorLoadPathCheck(t *testing.T) {
 }
 
 // TestGovernorTiersWithDataDir pins the whole registration: a durable
-// DB adds the granule cache to the two in-memory tiers, and nothing
-// else is registered.
+// DB adds the granule cache ahead of the in-memory recycler tier, and
+// nothing else is registered.
 func TestGovernorTiersWithDataDir(t *testing.T) {
 	db := Open(testCost(), WithMemoryBudget(1<<20), WithDataDir(t.TempDir()))
 	defer db.Close()
 	got := db.Governor().Stats().TierUsages
-	want := []string{"plancache.plans", "storage.granules", "recycler"}
+	want := []string{"storage.granules", "recycler"}
 	if len(got) != len(want) {
 		t.Fatalf("registered tiers = %v, want exactly %v", got, want)
 	}

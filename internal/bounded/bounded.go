@@ -235,7 +235,7 @@ func (r rung) run(q engine.Query, confidence float64, opts engine.ExecOptions, r
 		ests, err := estimate.AggregateOnSelOpts(*r.layer, q, confidence, opts)
 		return ests, -1, err
 	}
-	res, err := recycler.Exec(rec, r.snap, q, opts, nil)
+	res, err := recycler.Exec(rec, r.snap, q, opts)
 	if err != nil {
 		return nil, 0, err
 	}

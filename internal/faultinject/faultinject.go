@@ -1,6 +1,6 @@
 // Package faultinject is a zero-cost-when-disabled fault registry: the
 // serving stack declares named fault points (the morsel scan loop, the
-// recycler and plan-cache lookups, admission, Load, the query handler),
+// recycler lookup, admission, Load, the query handler, the WAL),
 // and a test arms a deterministic, seeded schedule of injections —
 // errors, panics, and latency — against them. The chaos suite drives a
 // booted server through such a schedule and asserts the resilience
@@ -39,9 +39,6 @@ const (
 	// lookup; an injected error degrades that query to the uncached
 	// scan path (the cache is an optimisation, never a dependency).
 	PointRecycler = "recycler.lookup"
-	// PointPlanCache fires at the top of every plan-cache lookup; an
-	// injected error degrades to a full parse.
-	PointPlanCache = "plancache.lookup"
 	// PointAdmission fires at the top of every admission Acquire.
 	PointAdmission = "server.admission"
 	// PointQuery fires in server.Serve — the one pipeline both transports

@@ -1,17 +1,16 @@
 // Package governor is the single memory authority for the serving
-// stack. The plan cache, the durable store's granule cache, and the
-// recycler each keep their own byte budget — correct in isolation, but
-// independent silos cannot answer "the process is near its memory
-// ceiling, who gives ground first?". The governor can: cache tiers
+// stack. The durable store's granule cache and the recycler each keep
+// their own byte budget — correct in isolation, but independent silos
+// cannot answer "the process is near its memory ceiling, who gives
+// ground first?". The governor can: cache tiers
 // register with it in shed-priority order, and when the sum of their
 // usage crosses the global budget it sheds tiers in that order until
 // the budget holds again.
 //
-// The shed order encodes replacement cost, cheapest first: plans (one
-// parse each), then hot granules (a refault each), then recycler
-// selections (a scan each — the most expensive state to rebuild, shed
-// last). This is the coordinated counterpart of
-// each cache's private LRU.
+// The shed order encodes replacement cost, cheapest first: hot granules
+// (a refault each), then recycler selections (a scan each — the most
+// expensive state to rebuild, shed last). This is the coordinated
+// counterpart of each cache's private LRU.
 //
 // Pressure also degrades quality before availability. The bounded
 // executor consults DegradeFactor at WITHIN TIME layer-pick time: under
@@ -79,7 +78,7 @@ type tier struct {
 
 // ShedEvent records one tier shed: which tier gave ground and how many
 // bytes it freed. The ordered log is how tests assert the priority
-// order (plans → granules → recycler).
+// order (granules → recycler).
 type ShedEvent struct {
 	Tier  string `json:"tier"`
 	Freed int64  `json:"freed_bytes"`
@@ -244,7 +243,7 @@ func (g *Governor) CheckNow() Level {
 }
 
 // ShedLog returns a copy of the ordered shed history — the record the
-// acceptance test checks for plans → granules → recycler priority.
+// acceptance test checks for granules → recycler priority.
 func (g *Governor) ShedLog() []ShedEvent {
 	g.mu.Lock()
 	defer g.mu.Unlock()

@@ -142,89 +142,52 @@ func keyPrefix(buf []byte, id, ver uint64) []byte {
 	return binary.BigEndian.AppendUint64(buf, ver)
 }
 
-// Prepared is the canonicalisation work of FilterPrepared done ahead: the
+// prepared is the canonicalisation work of one Filter call: the
 // canonical predicate, its keyed conjunct list, and the full binary
-// cache key for one (table ID, table version) identity. The plan cache
-// computes it once per cached statement so the per-query hit path does
-// no canonicalisation, key encoding, or allocation at all.
-type Prepared struct {
-	orig    expr.Predicate // as written; evaluated when unkeyable
-	canon   expr.Predicate
-	conj    []conjunct
-	key     string // full (id, version, predicate) key
-	id, ver uint64
-	keyable bool
-	trivial bool // TRUE-equivalent: nothing to cache or evaluate
+// cache key for one (table ID, table version) identity.
+type prepared struct {
+	canon expr.Predicate // nil when TRUE-equivalent: nothing to cache or evaluate
+	key   string         // full (id, version, predicate) key; "" when unkeyable
+	conj  []conjunct
 }
 
-// Canon returns the canonical form of the prepared predicate (nil when
-// the predicate is TRUE-equivalent).
-func (p *Prepared) Canon() expr.Predicate {
-	if p.trivial {
-		return nil
-	}
-	return p.canon
-}
-
-// Key returns the full binary cache key ("" when the predicate shape
-// cannot be keyed or is trivial).
-func (p *Prepared) Key() string {
-	if !p.keyable || p.trivial {
-		return ""
-	}
-	return p.key
-}
-
-// Prepare canonicalises pred and encodes its cache key for the table
+// prepare canonicalises pred and encodes its cache key for the table
 // identity (id, ver) — the values a snapshot of the target table
-// reports. The result is immutable and safe for concurrent use.
-func Prepare(id, ver uint64, pred expr.Predicate) Prepared {
-	p := Prepared{orig: pred, id: id, ver: ver}
+// reports.
+func prepare(id, ver uint64, pred expr.Predicate) prepared {
 	if isTrue(pred) {
-		p.trivial = true
-		return p
+		return prepared{}
 	}
-	p.canon = expr.Canonical(pred)
+	p := prepared{canon: expr.Canonical(pred)}
 	if isTrue(p.canon) {
-		p.trivial = true
-		return p
+		return prepared{}
 	}
-	keyBuf, keyable := expr.PredKey(keyPrefix(make([]byte, 0, 64), id, ver), p.canon)
-	p.keyable = keyable
-	if keyable {
+	if keyBuf, ok := expr.PredKey(keyPrefix(make([]byte, 0, 64), id, ver), p.canon); ok {
 		p.key = string(keyBuf)
 		p.conj = conjuncts(p.canon)
 	}
 	return p
 }
 
-// FilterPrepared evaluates a prepared predicate over all rows of snap,
-// serving repeated predicates from the cache and refined predicates
-// from cached supersets. The returned selection is shared with the
-// cache: callers must treat it as read-only. The ScanStats report what
-// evaluation actually ran — zero for an exact hit. A TRUE-equivalent
-// predicate returns (nil, …): "all rows" is free to recompute and is
-// never cached. snap must be a snapshot; prep is normally built for snap's exact
-// (ID, Version) identity — when a load raced in between (the plan was
-// version-checked against an older snapshot), the predicate is
-// re-prepared here so cached selections can never be served against a
-// longer row prefix than they describe.
-func (r *Recycler) FilterPrepared(snap *table.Table, prep *Prepared, opts engine.ExecOptions) (vec.Sel, engine.ScanStats, error) {
-	if prep.trivial {
+// Filter evaluates pred over all rows of snap, serving repeated
+// predicates from the cache and refined predicates from cached
+// supersets. The returned selection is shared with the cache: callers
+// must treat it as read-only. The ScanStats report what evaluation
+// actually ran — zero for an exact hit. A TRUE-equivalent predicate
+// returns (nil, …): "all rows" is free to recompute and is never
+// cached. snap must be a snapshot: its (ID, Version) identity keys the
+// cached selection, so a selection can never be served against a
+// longer row prefix than it describes.
+func (r *Recycler) Filter(snap *table.Table, pred expr.Predicate, opts engine.ExecOptions) (vec.Sel, engine.ScanStats, error) {
+	prep := prepare(snap.ID(), snap.Version(), pred)
+	if prep.canon == nil {
 		return nil, engine.ScanStats{}, nil
 	}
-	if prep.id != snap.ID() || prep.ver != snap.Version() {
-		fresh := Prepare(snap.ID(), snap.Version(), prep.orig)
-		prep = &fresh
-		if prep.trivial {
-			return nil, engine.ScanStats{}, nil
-		}
-	}
-	if !prep.keyable || faultinject.Fire(faultinject.PointRecycler) != nil {
+	if prep.key == "" || faultinject.Fire(faultinject.PointRecycler) != nil {
 		// User-defined predicate shapes cannot be keyed safely — and an
 		// injected cache failure must degrade the same way: evaluate
 		// uncached (the cache is an optimisation, never a dependency).
-		sel, scan, err := engine.Filter(snap, prep.orig, nil, opts)
+		sel, scan, err := engine.Filter(snap, pred, nil, opts)
 		if err != nil {
 			return nil, scan, err
 		}
@@ -276,10 +239,8 @@ func (r *Recycler) FilterPrepared(snap *table.Table, prep *Prepared, opts engine
 // selection. The query then executes over the snapshot the selection
 // describes via the prefiltered engine path, whose morsel merge layout
 // makes results bit-identical to an uncached scan. WHERE-less queries
-// and TRUE-equivalent predicates take the plain path. prep, when
-// non-nil, is the plan cache's pre-canonicalised predicate
-// (FilterPrepared re-prepares it if a load raced past its version).
-func Exec(rec *Recycler, t *table.Table, q engine.Query, opts engine.ExecOptions, prep *Prepared) (*engine.Result, error) {
+// and TRUE-equivalent predicates take the plain path.
+func Exec(rec *Recycler, t *table.Table, q engine.Query, opts engine.ExecOptions) (*engine.Result, error) {
 	snap := t.Snapshot()
 	if rec == nil || q.Where == nil {
 		return engine.RunOnOpts(snap, q, opts)
@@ -296,11 +257,7 @@ func Exec(rec *Recycler, t *table.Table, q engine.Query, opts engine.ExecOptions
 			return engine.RunOnOpts(snap, q, opts)
 		}
 	}
-	if prep == nil {
-		p := Prepare(snap.ID(), snap.Version(), q.Where)
-		prep = &p
-	}
-	sel, scan, err := rec.FilterPrepared(snap, prep, opts)
+	sel, scan, err := rec.Filter(snap, q.Where, opts)
 	if err != nil {
 		return nil, err
 	}

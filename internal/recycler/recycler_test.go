@@ -33,11 +33,9 @@ func lt(col string, v float64) expr.Predicate {
 }
 
 // filter evaluates pred over all rows of t through r the way Exec does:
-// snapshot, Prepare, FilterPrepared.
+// over a fresh snapshot.
 func filter(r *Recycler, t *table.Table, pred expr.Predicate, opts engine.ExecOptions) (vec.Sel, engine.ScanStats, error) {
-	snap := t.Snapshot()
-	prep := Prepare(snap.ID(), snap.Version(), pred)
-	return r.FilterPrepared(snap, &prep, opts)
+	return r.Filter(t.Snapshot(), pred, opts)
 }
 
 func TestNewValidation(t *testing.T) {

@@ -39,37 +39,6 @@ func TestRInvariants(t *testing.T) {
 	}
 }
 
-// Property: X holds the same invariants as R.
-func TestXInvariants(t *testing.T) {
-	f := func(capRaw, streamRaw uint16, seed uint64) bool {
-		capN := int(capRaw%512) + 1
-		stream := int(streamRaw % 4096)
-		x, err := NewX[int](capN, xrand.New(seed))
-		if err != nil {
-			return false
-		}
-		for i := 0; i < stream; i++ {
-			x.Offer(i)
-		}
-		want := capN
-		if stream < capN {
-			want = stream
-		}
-		if len(x.Items()) != want {
-			return false
-		}
-		for _, v := range x.Items() {
-			if v < 0 || v >= stream {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: sample distinctness — a reservoir never holds the same
 // stream position twice (each position is offered once).
 func TestRDistinctness(t *testing.T) {
@@ -140,34 +109,6 @@ func TestLastSeenInvariants(t *testing.T) {
 			ls.Offer(i)
 		}
 		return len(ls.Items()) == capN
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: ES holds at most cap items and only positive-weight ones.
-func TestESInvariants(t *testing.T) {
-	f := func(capRaw, streamRaw uint16, seed uint64) bool {
-		capN := int(capRaw%256) + 1
-		stream := int(streamRaw % 2048)
-		es, err := NewES[int](capN, xrand.New(seed))
-		if err != nil {
-			return false
-		}
-		for i := 0; i < stream; i++ {
-			w := float64(i%5) - 1 // some non-positive weights
-			es.Offer(i, w)
-		}
-		if len(es.Items()) > capN {
-			return false
-		}
-		for _, it := range es.Items() {
-			if it.Weight <= 0 {
-				return false
-			}
-		}
-		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)

@@ -1,8 +1,6 @@
 // Package reservoir implements the sampling algorithms of SciBORQ §3.3–§4:
 //
 //   - R: the classical reservoir algorithm (paper Figure 2, Vitter [24]).
-//   - X: Vitter's skip-based Algorithm X — identical distribution to R with
-//     O(expected skips) RNG calls; used on large ingests.
 //   - LastSeen: the recency-biased reservoir of Figure 3 — acceptance with
 //     fixed probability k/D so recently loaded tuples dominate.
 //   - Biased: the workload-biased reservoir of Figure 6 — acceptance
@@ -87,74 +85,6 @@ func (r *R[T]) Count() int64 { return r.cnt }
 
 // Cap returns the reservoir capacity n.
 func (r *R[T]) Cap() int { return r.cap }
-
-// X is Vitter's Algorithm X: statistically identical to R but it draws
-// one variate per *accepted* item by computing how many offers to skip.
-type X[T any] struct {
-	cap   int
-	cnt   int64
-	skip  int64 // offers to ignore before the next acceptance
-	items []T
-	rng   *xrand.RNG
-}
-
-// NewX returns a skip-based reservoir of capacity n.
-func NewX[T any](n int, rng *xrand.RNG) (*X[T], error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("reservoir: capacity must be positive, got %d", n)
-	}
-	if rng == nil {
-		return nil, fmt.Errorf("reservoir: nil rng")
-	}
-	return &X[T]{cap: n, items: make([]T, 0, n), rng: rng}, nil
-}
-
-// Offer presents one item.
-func (x *X[T]) Offer(item T) {
-	x.cnt++
-	if len(x.items) < x.cap {
-		x.items = append(x.items, item)
-		if len(x.items) == x.cap {
-			x.computeSkip()
-		}
-		return
-	}
-	if x.skip > 0 {
-		x.skip--
-		return
-	}
-	x.items[x.rng.Intn(x.cap)] = item
-	x.computeSkip()
-}
-
-// computeSkip draws the number of subsequent offers to reject, using the
-// inverse-CDF of the skip distribution: after cnt offers the next
-// acceptance happens at the smallest s >= 0 with
-// prod_{i=1..s+1} (1 - n/(cnt+i)) < u.
-func (x *X[T]) computeSkip() {
-	u := x.rng.Float64()
-	var s int64
-	prod := 1.0
-	cnt := float64(x.cnt)
-	n := float64(x.cap)
-	for {
-		prod *= 1 - n/(cnt+float64(s)+1)
-		if prod <= u || prod <= 0 {
-			break
-		}
-		s++
-	}
-	x.skip = s
-}
-
-// Items returns the current sample (live storage; do not mutate).
-func (x *X[T]) Items() []T { return x.items }
-
-// Count returns the number of items offered so far.
-func (x *X[T]) Count() int64 { return x.cnt }
-
-// Cap returns the capacity.
-func (x *X[T]) Cap() int { return x.cap }
 
 // LastSeen is the recency-focused impression builder of Figure 3. Once
 // the reservoir is full, each arriving tuple is accepted with the fixed

@@ -74,46 +74,6 @@ func TestRUniformInclusion(t *testing.T) {
 	}
 }
 
-func TestXMatchesRDistribution(t *testing.T) {
-	// Vitter's X must give the same uniform inclusion probabilities.
-	const n, streamN, trials = 20, 200, 3000
-	rates := inclusionRates(t, func(seed uint64) interface {
-		Offer(int)
-		Items() []int
-	} {
-		x, _ := NewX[int](n, xrand.New(seed))
-		return x
-	}, streamN, trials)
-	want := float64(n) / float64(streamN)
-	for i, got := range rates {
-		if math.Abs(got-want) > 0.025 {
-			t.Fatalf("position %d inclusion %v, want %v", i, got, want)
-		}
-	}
-}
-
-func TestXSmallStream(t *testing.T) {
-	x, _ := NewX[int](10, xrand.New(3))
-	for i := 0; i < 5; i++ {
-		x.Offer(i)
-	}
-	if len(x.Items()) != 5 {
-		t.Fatalf("underfull X has %d items", len(x.Items()))
-	}
-	if x.Cap() != 10 || x.Count() != 5 {
-		t.Fatal("metadata wrong")
-	}
-}
-
-func TestNewXValidation(t *testing.T) {
-	if _, err := NewX[int](-1, xrand.New(1)); err == nil {
-		t.Fatal("negative capacity accepted")
-	}
-	if _, err := NewX[int](5, nil); err == nil {
-		t.Fatal("nil rng accepted")
-	}
-}
-
 func TestNewLastSeenValidation(t *testing.T) {
 	r := xrand.New(1)
 	if _, err := NewLastSeen[int](0, 1, 10, false, r); err == nil {
@@ -352,67 +312,5 @@ func TestFaithfulBiasedSlotSkew(t *testing.T) {
 	}
 	if stale < n/4 {
 		t.Fatalf("expected upper slots to stay stale under faithful rule, got %d stale", stale)
-	}
-}
-
-func TestESValidation(t *testing.T) {
-	if _, err := NewES[int](0, xrand.New(1)); err == nil {
-		t.Fatal("capacity 0 accepted")
-	}
-	if _, err := NewES[int](3, nil); err == nil {
-		t.Fatal("nil rng accepted")
-	}
-}
-
-func TestESWeightedInclusion(t *testing.T) {
-	// With weights 9:1 on two halves, heavy items must dominate.
-	const n, streamN, trials = 50, 2000, 100
-	heavy, light := 0, 0
-	for tr := 0; tr < trials; tr++ {
-		es, _ := NewES[int](n, xrand.New(uint64(tr)+1))
-		for i := 0; i < streamN; i++ {
-			w := 1.0
-			if i%2 == 0 {
-				w = 9.0
-			}
-			es.Offer(i, w)
-		}
-		for _, it := range es.Items() {
-			if it.Item%2 == 0 {
-				heavy++
-			} else {
-				light++
-			}
-		}
-	}
-	if float64(heavy)/float64(light) < 4 {
-		t.Fatalf("ES weighting too weak: heavy=%d light=%d", heavy, light)
-	}
-}
-
-func TestESIgnoresNonPositiveWeights(t *testing.T) {
-	es, _ := NewES[int](5, xrand.New(3))
-	es.Offer(1, 0)
-	es.Offer(2, -4)
-	es.Offer(3, math.NaN())
-	if len(es.Items()) != 0 {
-		t.Fatalf("non-positive weights sampled: %v", es.Items())
-	}
-	es.Offer(4, 1)
-	if len(es.Items()) != 1 || es.Count() != 4 {
-		t.Fatalf("items=%d count=%d", len(es.Items()), es.Count())
-	}
-	if es.Cap() != 5 {
-		t.Fatal("cap wrong")
-	}
-}
-
-func TestESKeepsCapacity(t *testing.T) {
-	es, _ := NewES[int](10, xrand.New(4))
-	for i := 0; i < 1000; i++ {
-		es.Offer(i, 1)
-	}
-	if len(es.Items()) != 10 {
-		t.Fatalf("ES holds %d items", len(es.Items()))
 	}
 }

@@ -5,7 +5,9 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -182,5 +184,69 @@ func TestMaxRowsBoundary(t *testing.T) {
 				tc.maxRows, len(ok.Exact.Rows), ok.Exact.RowCount, ok.Exact.Truncated,
 				tc.want, rows, tc.truncated)
 		}
+	}
+}
+
+// TestNonFiniteEstimateRendersNull: a sampled MAX has no finite
+// confidence interval (HalfWidth = +Inf). encoding/json refuses
+// non-finite floats, and the refusal used to surface after the 200 was
+// already sent — an empty body. Non-finite numbers must render as
+// JSON null, and the body must decode.
+func TestNonFiniteEstimateRendersNull(t *testing.T) {
+	db, _ := newTestDB(t, 2)
+	_, ts := newTestServer(t, db, Config{MaxInFlight: 2})
+
+	body, _ := json.Marshal(queryRequest{SQL: "SELECT MAX(r) AS m FROM PhotoObjAll WITHIN TIME 1us"})
+	resp, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, body %q", resp.StatusCode, raw)
+	}
+	var got struct {
+		Bounded *struct {
+			Estimates []struct {
+				Value     *float64 `json:"value"`
+				HalfWidth *float64 `json:"half_width"`
+				RelError  *float64 `json:"rel_error"`
+				Exact     bool     `json:"exact"`
+			} `json:"estimates"`
+		} `json:"bounded"`
+	}
+	if err := json.Unmarshal(raw, &got); err != nil {
+		t.Fatalf("undecodable 200 body %q: %v", raw, err)
+	}
+	if got.Bounded == nil || len(got.Bounded.Estimates) != 1 {
+		t.Fatalf("want one bounded estimate, got %s", raw)
+	}
+	e := got.Bounded.Estimates[0]
+	if e.Exact {
+		t.Fatalf("a 1us budget answered exactly; the sampled path is not exercised: %s", raw)
+	}
+	if e.Value == nil {
+		t.Fatalf("sampled MAX has a finite value, rendered null: %s", raw)
+	}
+	if e.HalfWidth != nil || e.RelError != nil {
+		t.Fatalf("sampled MAX half_width/rel_error = %v/%v, want null", e.HalfWidth, e.RelError)
+	}
+}
+
+// TestWriteJSONEncodeFailureIs500: a body that cannot be encoded is
+// reported as a 500 JSON error before any status is sent.
+func TestWriteJSONEncodeFailureIs500(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, map[string]float64{"x": math.Inf(1)})
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500", rec.Code)
+	}
+	var bad errorResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &bad); err != nil || bad.Error.Code != "encode_error" {
+		t.Fatalf("body %q (%v), want an encode_error JSON error", rec.Body.String(), err)
 	}
 }

@@ -80,7 +80,6 @@ func chaosFixture(t *testing.T) (*sciborq.DB, *sciborq.DB, *skyserver.Generator)
 		sciborq.WithSeed(99),
 		sciborq.WithExecOptions(execOpts),
 		sciborq.WithRecyclerBudget(-1),
-		sciborq.WithPlanCacheBudget(-1),
 	)
 	if err := mirror.AttachTable(fact); err != nil {
 		t.Fatal(err)
@@ -129,7 +128,7 @@ func chaosSQL(c, i int) string {
 }
 
 // TestChaos drives the acceptance criterion: a seeded fault schedule —
-// well over 100 injections across all six fault points (errors, panics,
+// well over 100 injections across all five fault points (errors, panics,
 // latency) — against a booted server under 8 concurrent clients and a
 // concurrent ingest, asserting the resilience invariants afterwards:
 // the process is alive, every admission slot came back, the stats are
@@ -148,8 +147,6 @@ func TestChaos(t *testing.T) {
 		// Cache lookups: injected errors degrade to the uncached path (a
 		// 200, not an error); panics unwind into the recover middleware.
 		{Point: faultinject.PointRecycler, Faults: 20, MaxHit: 150,
-			Kinds: []faultinject.Kind{faultinject.KindError, faultinject.KindPanic}},
-		{Point: faultinject.PointPlanCache, Faults: 25, MaxHit: 400,
 			Kinds: []faultinject.Kind{faultinject.KindError, faultinject.KindPanic}},
 		// Admission: rejections, panics before any slot is owned, and
 		// latency spikes that stretch the queue.
@@ -229,7 +226,7 @@ func TestChaos(t *testing.T) {
 		t.Fatalf("only %d faults fired, want >= 100 (replay with seed %d)", fired, chaosSeed)
 	}
 	for _, pt := range []string{
-		faultinject.PointMorsel, faultinject.PointRecycler, faultinject.PointPlanCache,
+		faultinject.PointMorsel, faultinject.PointRecycler,
 		faultinject.PointAdmission, faultinject.PointQuery, faultinject.PointLoad,
 	} {
 		if plan.Hits(pt) == 0 {

@@ -21,9 +21,8 @@ type Request struct {
 	// was prepared from).
 	SQL string
 	// Stmt, when non-nil, is SQL already parsed and re-bound with fresh
-	// literals (a wire prepared statement): it skips the syntax check
-	// and executes past the plan cache, which must never learn a
-	// rebound AST under the representative spelling.
+	// literals (a wire prepared statement): Serve executes it as given
+	// instead of parsing SQL.
 	Stmt *sqlparse.Statement
 	// MaxTime bounds execution wall-clock (admission wait excluded);
 	// 0 means no server-side deadline.
@@ -43,7 +42,7 @@ type Failure struct {
 }
 
 // Serve is the one path a query takes, whichever transport carried it:
-// syntax check, memory gate, admission, the query fault point, the
+// parse, memory gate, admission, the query fault point, the
 // deadline, execution, tenant accounting, outcome classification.
 //
 // On success it calls respond with the admission slot still held — a
@@ -56,11 +55,12 @@ func (s *Server) Serve(ctx context.Context, req Request, respond func(res *scibo
 	if strings.TrimSpace(req.SQL) == "" {
 		return &Failure{Code: "bad_request", Msg: "empty SQL statement"}
 	}
-	// Reject malformed SQL before spending an admission slot on it.
-	// CheckSQL consults the plan cache first, so the hot serving path
-	// (a cached statement spelling) validates without parsing at all.
-	if req.Stmt == nil {
-		if err := s.db.CheckSQL(req.SQL); err != nil {
+	// Parse once, before admission: malformed SQL never spends an
+	// admission slot, and the statement parsed here is the one executed.
+	st := req.Stmt
+	if st == nil {
+		var err error
+		if st, err = sqlparse.Parse(req.SQL); err != nil {
 			return &Failure{Code: "parse_error", Msg: err.Error()}
 		}
 	}
@@ -101,12 +101,7 @@ func (s *Server) Serve(ctx context.Context, req Request, respond func(res *scibo
 	}
 
 	start := time.Now()
-	var res *sciborq.Result
-	if req.Stmt != nil {
-		res, err = s.db.ExecStatementTenant(ctx, req.Tenant, req.Stmt, req.SQL)
-	} else {
-		res, err = s.db.ExecTenant(ctx, req.Tenant, req.SQL)
-	}
+	res, err := s.db.ExecStatementTenant(ctx, req.Tenant, st, req.SQL)
 	elapsed := time.Since(start)
 
 	var fail *Failure

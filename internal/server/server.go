@@ -24,6 +24,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -38,7 +39,6 @@ import (
 
 	"sciborq"
 	"sciborq/internal/faultinject"
-	"sciborq/internal/plancache"
 	"sciborq/internal/recycler"
 )
 
@@ -213,12 +213,25 @@ type queryRequest struct {
 // estimateJSON is one aggregate estimate on the wire.
 type estimateJSON struct {
 	Name       string  `json:"name"`
-	Value      float64 `json:"value"`
-	HalfWidth  float64 `json:"half_width"`
+	Value      number  `json:"value"`
+	HalfWidth  number  `json:"half_width"`
 	Confidence float64 `json:"confidence"`
-	RelError   float64 `json:"rel_error"`
+	RelError   number  `json:"rel_error"`
 	Exact      bool    `json:"exact"`
 	SampleRows int     `json:"sample_rows"`
+}
+
+// number is a float64 that renders as JSON null when it is not finite.
+// A sampled MAX has no finite confidence interval (HalfWidth = +Inf),
+// and encoding/json refuses NaN and ±Inf outright.
+type number float64
+
+func (n number) MarshalJSON() ([]byte, error) {
+	f := float64(n)
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		return []byte("null"), nil
+	}
+	return json.Marshal(f)
 }
 
 // trailJSON is one escalation-ladder rung on the wire.
@@ -277,7 +290,6 @@ type statsResponse struct {
 	Storage    *sciborq.StorageStats     `json:"storage,omitempty"`
 	Wire       any                       `json:"wire,omitempty"`
 	Recycler   map[string]recyclerJSON   `json:"recycler"`
-	PlanCache  map[string]plancacheJSON  `json:"plancache"`
 	Tenants    map[string]tenantCounters `json:"tenants"`
 }
 
@@ -334,39 +346,21 @@ func toRecyclerJSON(st recycler.Stats) recyclerJSON {
 	}
 }
 
-// plancacheJSON is plancache.Stats on the wire. Residency fields
-// (entries/bytes/budget/evictions) are cache-wide and reported only on
-// the "total" entry; per-tenant entries carry the counters.
-type plancacheJSON struct {
-	Hits          int64   `json:"hits"`
-	Misses        int64   `json:"misses"`
-	Invalidations int64   `json:"invalidations"`
-	Evictions     int64   `json:"evictions,omitempty"`
-	Entries       int     `json:"entries,omitempty"`
-	Bytes         int64   `json:"bytes,omitempty"`
-	Budget        int64   `json:"budget,omitempty"`
-	HitRate       float64 `json:"hit_rate"`
-}
-
-func toPlancacheJSON(st plancache.Stats) plancacheJSON {
-	return plancacheJSON{
-		Hits:          st.Hits,
-		Misses:        st.Misses,
-		Invalidations: st.Invalidations,
-		Evictions:     st.Evictions,
-		Entries:       st.Entries,
-		Bytes:         st.Bytes,
-		Budget:        st.Budget,
-		HitRate:       st.HitRate(),
-	}
-}
-
+// writeJSON encodes v in full before sending the status, so a value
+// that fails to encode becomes a 500 with a JSON error body rather than
+// a 200 with an empty or truncated one.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		status = http.StatusInternalServerError
+		buf.Reset()
+		_ = enc.Encode(errorResponse{Error: errorBody{Code: "encode_error", Message: err.Error()}})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v) // the connection may be gone; nothing to do
+	_, _ = w.Write(buf.Bytes()) // the connection may be gone; nothing to do
 }
 
 func writeError(w http.ResponseWriter, status int, code, msg string) {
@@ -419,16 +413,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 		rec[tenant] = toRecyclerJSON(st)
 	}
-	pc := map[string]plancacheJSON{}
-	for tenant, st := range s.db.TenantPlanCacheStats() {
-		if tenant == "" {
-			tenant = "default"
-		}
-		pc[tenant] = toPlancacheJSON(st)
-	}
-	if agg := s.db.PlanCacheStats(); agg != (plancache.Stats{}) {
-		pc["total"] = toPlancacheJSON(agg)
-	}
 	s.mu.Lock()
 	tenants := make(map[string]tenantCounters, len(s.tenants))
 	for name, tc := range s.tenants {
@@ -447,9 +431,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			LastPanic:     lastPanic,
 			FaultsArmed:   faultinject.Enabled(),
 		},
-		Recycler:  rec,
-		PlanCache: pc,
-		Tenants:   tenants,
+		Recycler: rec,
+		Tenants:  tenants,
 	}
 	if gov := s.db.Governor(); gov != nil {
 		gov.CheckNow() // /stats is a natural pressure checkpoint
@@ -521,10 +504,10 @@ func (s *Server) render(req *queryRequest, res *sciborq.Result, elapsed, queued 
 		for _, e := range ans.Estimates {
 			b.Estimates = append(b.Estimates, estimateJSON{
 				Name:       e.Spec.Name(),
-				Value:      e.Value(),
-				HalfWidth:  e.Interval.HalfWidth,
+				Value:      number(e.Value()),
+				HalfWidth:  number(e.Interval.HalfWidth),
 				Confidence: e.Interval.Level,
-				RelError:   e.RelError(),
+				RelError:   number(e.RelError()),
 				Exact:      e.Exact,
 				SampleRows: e.SampleRows,
 			})

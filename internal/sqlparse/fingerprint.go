@@ -27,10 +27,12 @@ const (
 // Fingerprint appends the statement-shape fingerprint of sql to shape
 // and the values of its parameterisable numeric literals to lits,
 // returning the extended slices. Two statements with equal fingerprints
-// differ at most in numeric literal values, so they share one cached
-// plan-cache shape: ParseBound(template, lits) reproduces exactly what
-// Parse(sql) would build (see plancache). ok is false when sql cannot
-// be fingerprinted (a lexical error) — callers fall back to Parse.
+// differ at most in numeric literal values, so one is the other with
+// its literals rebound: ParseBound(template, lits) reproduces exactly
+// what Parse(sql) would build. Wire prepared statements rely on it —
+// Prepare counts a statement's parameters as its literal list, and
+// Execute binds fresh values through ParseBound. ok is false when sql
+// cannot be fingerprinted (a lexical error).
 //
 // Parameterisation covers plain numeric literals (those the parser
 // reads via ParseFloat) up to the first LIMIT or WITHIN keyword:

@@ -59,8 +59,8 @@ func checkDifferential(t *testing.T, sql string) (*Statement, bool) {
 }
 
 // checkRoundTrip verifies parse → render → parse reproduces the exact
-// AST (not just a rendering fixed point): the plan cache keys on the
-// canonical rendered form, so rendering must lose nothing.
+// AST (not just a rendering fixed point): Statement.String is the
+// statement's canonical text, so rendering must lose nothing.
 func checkRoundTrip(t *testing.T, sql string, st *Statement) {
 	t.Helper()
 	rendered := st.String()
@@ -76,7 +76,7 @@ func checkRoundTrip(t *testing.T, sql string, st *Statement) {
 	}
 }
 
-// checkFingerprint verifies the plan-cache parameterisation contract:
+// checkFingerprint verifies the prepared-statement binding contract:
 // every lexable statement fingerprints, and replaying the statement's
 // own literals through ParseBound reproduces Parse exactly.
 func checkFingerprint(t *testing.T, sql string, st *Statement) {
@@ -128,7 +128,8 @@ func TestDifferentialCorpus(t *testing.T) {
 }
 
 // TestFingerprintShapeSharing pins the parameterisation that lets
-// literal-variant statements share one cached plan shape.
+// literal-variant statements share one shape, so a prepared statement
+// can be re-executed with fresh literals.
 func TestFingerprintShapeSharing(t *testing.T) {
 	a, aLits, ok := Fingerprint(nil, nil, "SELECT COUNT(*) FROM t WHERE x > 5")
 	if !ok {
@@ -223,7 +224,7 @@ func maskedTokens(sql string) ([]maskedToken, bool) {
 // checkFingerprintInjective asserts the injectivity direction of the
 // fingerprint contract: equal shapes imply equal token sequences
 // (modulo parameterised literal values). A violation means one
-// statement can forge another's shared plan-cache shape.
+// statement can pass for a literal rebinding of another.
 func checkFingerprintInjective(t *testing.T, a, b string) {
 	t.Helper()
 	fpA, litsA, okA := Fingerprint(nil, nil, a)

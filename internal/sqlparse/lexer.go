@@ -6,15 +6,14 @@
 //	... WITHIN ERROR 0.05 CONFIDENCE 0.95   -- quality bound
 //	... WITHIN TIME 5ms                     -- runtime bound
 //
-// The front-end is built for the repeated-query serving path: the lexer
-// is a hand-rolled byte scanner that produces tokens on demand — token
-// text is a slice of the input, never a copy — classifying bytes through
-// precomputed 256-entry tables and recognising keywords through a
-// length-bucketed table with ASCII case folding, so lexing performs no
-// heap allocation at all. The parser pulls tokens through a two-token
+// Every request is parsed exactly once, so the front end is built to be
+// cheap: the lexer is a hand-rolled byte scanner that produces tokens on
+// demand — token text is a slice of the input, never a copy —
+// classifying bytes through precomputed 256-entry tables and
+// recognising keywords through a length-bucketed table with ASCII case
+// folding, so lexing performs no heap allocation at all. The parser pulls tokens through a two-token
 // window and recycles its state through a sync.Pool, keeping a steady-
-// state parse allocation down to the AST itself; the plan cache in
-// internal/plancache removes even that for repeated statement shapes.
+// state parse allocation down to the AST itself.
 package sqlparse
 
 import (

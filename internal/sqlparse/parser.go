@@ -42,11 +42,11 @@ func Parse(sql string) (*Statement, error) {
 
 // ParseBound re-parses sql substituting the i-th parameterisable numeric
 // literal (in token order, as enumerated by Fingerprint) with lits[i].
-// It is the binding half of plan-cache literal parameterisation: given a
-// cached statement shape's representative SQL and the literal values
-// extracted from a new statement of the same shape, it produces exactly
-// the Statement a direct Parse of the new statement would — same control
-// flow, same AST shape — without re-deriving any literal text.
+// It is the binding half of wire prepared statements: given a prepared
+// statement's SQL and fresh values for its literals, it produces exactly
+// the Statement a direct Parse of the statement spelled with those
+// values would — same control flow, same AST shape — without rendering
+// any literal text.
 func ParseBound(sql string, lits []float64) (*Statement, error) {
 	return parseWithLits(sql, lits)
 }
@@ -98,7 +98,7 @@ type parser struct {
 	nahead int   // 0 or 1 tokens buffered in ahead
 	lexErr error
 
-	// Literal replay (plan-cache shape binding): when lits is non-nil,
+	// Literal replay (prepared-statement binding): when lits is non-nil,
 	// parseNumber substitutes lits[litIdx] for each parameterisable
 	// numeric literal, in token order. litOn turns off at the first
 	// LIMIT/WITHIN keyword, mirroring Fingerprint's parameterisation
@@ -294,6 +294,11 @@ func (p *parser) parseSelect() (*Statement, error) {
 		n, err := p.parseInt()
 		if err != nil {
 			return nil, err
+		}
+		if n == 0 {
+			// The engine reads Limit 0 as "no limit"; refuse the bound
+			// rather than silently ignore it.
+			return nil, p.errorf("LIMIT must be positive, got 0")
 		}
 		st.Query.Limit = n
 	}

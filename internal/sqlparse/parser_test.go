@@ -203,6 +203,7 @@ func TestParseErrors(t *testing.T) {
 		"SELECT COUNT( FROM t",
 		"SELECT * FROM t LIMIT -3",
 		"SELECT * FROM t LIMIT 2.5",
+		"SELECT * FROM t LIMIT 0", // the engine would read 0 as "no limit"
 		"SELECT * FROM t WITHIN ERROR 1.5",
 		"SELECT * FROM t WITHIN ERROR 0.1 CONFIDENCE 2",
 		"SELECT * FROM t WITHIN TIME abc",

@@ -224,6 +224,9 @@ func (p *refParser) parseSelect() (*Statement, error) {
 		if err != nil {
 			return nil, err
 		}
+		if n == 0 {
+			return nil, p.errorf("LIMIT must be positive, got 0")
+		}
 		st.Query.Limit = n
 	}
 	for p.acceptKeyword("WITHIN") {

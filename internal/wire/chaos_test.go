@@ -72,7 +72,6 @@ func chaosFixture(t *testing.T) (*sciborq.DB, *sciborq.DB, *skyserver.Generator)
 		sciborq.WithSeed(99),
 		sciborq.WithExecOptions(execOpts),
 		sciborq.WithRecyclerBudget(-1),
-		sciborq.WithPlanCacheBudget(-1),
 	)
 	if err := mirror.AttachTable(fact); err != nil {
 		t.Fatal(err)
@@ -99,7 +98,7 @@ func chaosSQL(c, i int) string {
 // TestChaosWire replays the seeded fault schedule of the HTTP chaos
 // suite against the wire listener: 8 persistent binary sessions × 40
 // queries under concurrent ingest, with errors, panics, and latency
-// firing at all six fault points. Invariants: no session ever sees a
+// firing at all five fault points. Invariants: no session ever sees a
 // transport-level failure (every fault surfaces as a typed error frame
 // on a still-usable session), every admission slot comes back, recovered
 // panics never exceed injected ones, and once the faults are disarmed
@@ -114,8 +113,6 @@ func TestChaosWire(t *testing.T) {
 		{Point: faultinject.PointMorsel, Faults: 30, MaxHit: 1000,
 			Kinds: []faultinject.Kind{faultinject.KindError, faultinject.KindPanic}},
 		{Point: faultinject.PointRecycler, Faults: 20, MaxHit: 150,
-			Kinds: []faultinject.Kind{faultinject.KindError, faultinject.KindPanic}},
-		{Point: faultinject.PointPlanCache, Faults: 25, MaxHit: 400,
 			Kinds: []faultinject.Kind{faultinject.KindError, faultinject.KindPanic}},
 		{Point: faultinject.PointAdmission, Faults: 25, MaxHit: 250,
 			Kinds: []faultinject.Kind{faultinject.KindError, faultinject.KindPanic, faultinject.KindLatency}},
@@ -205,7 +202,7 @@ func TestChaosWire(t *testing.T) {
 		t.Fatalf("only %d faults fired, want >= 100 (replay with seed %d)", fired, chaosSeed)
 	}
 	for _, pt := range []string{
-		faultinject.PointMorsel, faultinject.PointRecycler, faultinject.PointPlanCache,
+		faultinject.PointMorsel, faultinject.PointRecycler,
 		faultinject.PointAdmission, faultinject.PointQuery, faultinject.PointLoad,
 	} {
 		if plan.Hits(pt) == 0 {

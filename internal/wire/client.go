@@ -171,7 +171,7 @@ func (c *Client) Prepare(sql string) (*Stmt, error) {
 }
 
 // Execute runs a prepared statement. With no lits the statement
-// re-executes verbatim (the plan-cache fast path); with exactly
+// re-executes verbatim; with exactly
 // NumParams lits the statement's numeric literals are rebound in token
 // order.
 func (c *Client) Execute(st *Stmt, lits ...float64) (*Response, error) {

@@ -249,10 +249,9 @@ func (c *countingConn) Write(p []byte) (int, error) {
 }
 
 // prepared is one session-scoped prepared statement. Only the SQL text
-// and its parameter count live here: verbatim re-execution rides the
-// plan cache (zero parse allocations once warm), and
-// literal-bound execution re-parses through ParseBound, which replays
-// the cached token walk rather than a cached AST.
+// and its parameter count live here: verbatim re-execution parses the
+// text once in Serve, like any query, and literal-bound execution
+// parses through ParseBound with the fresh literals.
 type prepared struct {
 	sql     string
 	nparams int
@@ -558,9 +557,8 @@ func (sess *session) handleExecute(payload []byte) bool {
 		return sess.writeError("bad_request", fmt.Sprintf("unknown statement id %d", id), 0) != nil
 	}
 	if nlits == 0 {
-		// Verbatim re-execution: the statement's own spelling goes back
-		// through ExecTenant, so a warm session hits the plan cache —
-		// zero parse allocations per execution.
+		// Verbatim re-execution: the statement's own spelling goes
+		// through Serve like a simple Query.
 		return sess.runQuery(st.sql, nil)
 	}
 	if nlits != st.nparams {
@@ -594,8 +592,7 @@ func (sess *session) handleCloseStmt(payload []byte) bool {
 // runQuery sends one statement through the shared serving pipeline
 // (server.Serve) under the session's context and renders the outcome:
 // the streamed result, or one Error frame. st non-nil means a
-// literal-rebound prepared statement, which Serve executes past the
-// plan cache.
+// literal-rebound prepared statement, which Serve executes as given.
 func (sess *session) runQuery(sql string, st *sqlparse.Statement) (fatal bool) {
 	var err error
 	fail := sess.s.cfg.Core.Serve(sess.ctx,

