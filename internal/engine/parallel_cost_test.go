@@ -42,10 +42,25 @@ func TestCalibrateParallelNotPessimistic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("calibration timing in -short mode")
 	}
-	seq := Calibrate(200_000, ExecOptions{Parallelism: 1})
-	par := Calibrate(200_000, ExecOptions{Parallelism: runtime.GOMAXPROCS(0)})
-	if par.NsPerRow <= 0 || seq.NsPerRow <= 0 {
-		t.Fatalf("calibration produced non-positive rates: seq=%v par=%v", seq, par)
+	// Calibration is wall-clock timing, so a neighbouring process that
+	// steals a core mid-probe inflates whichever side it lands on. The
+	// two sides are interleaved and each keeps its best of several
+	// rounds: the minimum is the estimate least disturbed by outside
+	// load, and it is taken the same way on both sides.
+	const rounds = 5
+	var seq, par CostModel
+	for r := 0; r < rounds; r++ {
+		s := Calibrate(200_000, ExecOptions{Parallelism: 1})
+		p := Calibrate(200_000, ExecOptions{Parallelism: runtime.GOMAXPROCS(0)})
+		if p.NsPerRow <= 0 || s.NsPerRow <= 0 {
+			t.Fatalf("calibration produced non-positive rates: seq=%v par=%v", s, p)
+		}
+		if r == 0 || s.NsPerRow < seq.NsPerRow {
+			seq = s
+		}
+		if r == 0 || p.NsPerRow < par.NsPerRow {
+			par = p
+		}
 	}
 	const slack = 1.5
 	if par.NsPerRow > seq.NsPerRow*slack {
