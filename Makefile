@@ -69,8 +69,9 @@ bench-smoke:
 	bash bench/run.sh -smoke
 
 # Allocation regression gate, asserted via testing.AllocsPerRun: the
-# steady-state cone kernel on pooled scratch must stay at exactly 0
-# allocs/op (expr.TestConeKernelZeroAlloc).
+# steady-state cone kernel and a two-conjunct FilterRange on pooled
+# scratch must stay at exactly 0 allocs/op (expr.TestConeKernelZeroAlloc,
+# expr.TestAndFilterRangeZeroAlloc).
 bench-alloc:
 	$(GO) test -run='ZeroAlloc' -v ./internal/expr/...
 

@@ -68,9 +68,7 @@ func buildBoundedBench(b *testing.B) *boundedBench {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for i := 0; i < benchBaseRows; i++ {
-		h.Offer(int32(i))
-	}
+	h.OfferRange(0, benchBaseRows)
 	if err := h.Refresh(); err != nil {
 		b.Fatal(err)
 	}

@@ -47,9 +47,7 @@ func fixture(t *testing.T, n int) (*table.Table, *impression.Hierarchy, *Executo
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < n; i++ {
-		h.Offer(int32(i))
-	}
+	h.OfferRange(0, int32(n))
 	if err := h.Refresh(); err != nil {
 		t.Fatal(err)
 	}

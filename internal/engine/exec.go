@@ -217,8 +217,9 @@ func runAggs(t *table.Table, q Query, pred expr.Predicate, parts []part, opts Ex
 
 // aggregate evaluates a global (ungrouped) aggregate query with the
 // fused morsel pipeline: each part folds per-aggregate moments over
-// the rows of it matching pred, and the partials merge in morsel
-// order. t is the query snapshot.
+// the rows of it matching pred, one argument column at a time, and the
+// partials merge in morsel order. COUNT(*) is the part's row count. t
+// is the query snapshot.
 func aggregate(t *table.Table, q Query, pred expr.Predicate, parts []part, opts ExecOptions) (*Result, error) {
 	args, err := aggArgs(t, q.Aggs)
 	if err != nil {
@@ -227,15 +228,20 @@ func aggregate(t *table.Table, q Query, pred expr.Predicate, parts []part, opts 
 	partials := make([][]stats.Moments, opts.morselCount(t.Len()))
 	scanned, err := scan(t, parts, pred, opts, func(p part, sel vec.Sel) error {
 		ms := make([]stats.Moments, len(q.Aggs))
-		forSel(sel, p.lo, p.hi, func(row int32) {
-			for i := range q.Aggs {
-				if args[i] == nil {
-					ms[i].Observe(1) // COUNT(*)
-				} else {
-					ms[i].Observe(args[i][row])
-				}
+		matched := len(sel)
+		if sel == nil {
+			matched = p.hi - p.lo
+		}
+		for i, vals := range args {
+			switch {
+			case vals == nil: // COUNT(*)
+				ms[i].ObserveRepeat(1, matched)
+			case sel == nil:
+				ms[i].ObserveAll(vals[p.lo:p.hi])
+			default:
+				ms[i].ObserveSel(vals, sel)
 			}
-		})
+		}
 		partials[p.m] = ms
 		return nil
 	})

@@ -70,32 +70,19 @@ func (s StrEq) FilterRange(t *table.Table, lo, hi int) (vec.Sel, error) {
 	return vec.SelectEqInt32Range(vec.GetSel(hi-lo), sc.Data, lo, hi, code, !s.Neg), nil
 }
 
-// FilterRange implements Predicate. Unlike the sel path — which
-// evaluates R only on L's survivors — both conjuncts evaluate over the
-// whole window with branchless kernels and intersect; for contiguous
-// windows the sequential scan beats the gather unless L is extremely
-// selective, in which case the len(ls)==0 shortcut skips R entirely.
+// FilterRange implements Predicate: L scans the window, then R refines
+// L's survivors in place through its sel kernel — the same shape as
+// And.FilterSel. Each conjunct reads only the rows still alive, so a
+// conjunction costs one window scan plus a gather over L's matches,
+// not a second full-window scan and an intersection merge.
 func (a And) FilterRange(t *table.Table, lo, hi int) (vec.Sel, error) {
 	ls, err := a.L.FilterRange(t, lo, hi)
-	if err != nil {
-		return nil, err
+	if err != nil || len(ls) == 0 {
+		return ls, err
 	}
-	if len(ls) == 0 {
-		return ls, nil
-	}
-	if len(ls) == hi-lo { // L matched the whole window
-		vec.PutSel(ls)
-		return a.R.FilterRange(t, lo, hi)
-	}
-	rs, err := a.R.FilterRange(t, lo, hi)
-	if err != nil {
-		vec.PutSel(ls)
-		return nil, err
-	}
-	out := vec.AndInto(vec.GetSel(min(len(ls), len(rs))), ls, rs)
+	rs, err := a.R.FilterSel(t, ls)
 	vec.PutSel(ls)
-	vec.PutSel(rs)
-	return out, nil
+	return rs, err
 }
 
 // FilterRange implements Predicate.

@@ -63,6 +63,13 @@ func rangePredicates() []Predicate {
 		Cone{RaCol: "ra", DecCol: "dec", Ra0: 185, Dec0: 30, Radius: 10},
 		And{L: Between{Expr: ColRef{Name: "ra"}, Lo: 140, Hi: 200}, R: StrEq{Col: "type", Value: "STAR"}},
 		And{L: TruePred{}, R: Cmp{Op: vec.Lt, Left: ColRef{Name: "dec"}, Right: 20}},
+		// L matches none, one, all but one and all rows of a window
+		// holding objID 41; R refines whatever survived.
+		And{L: Cmp{Op: vec.Lt, Left: ColRef{Name: "objID"}, Right: 0}, R: Cmp{Op: vec.Lt, Left: ColRef{Name: "dec"}, Right: 20}},
+		And{L: Cmp{Op: vec.Eq, Left: ColRef{Name: "objID"}, Right: 41}, R: Cmp{Op: vec.Lt, Left: ColRef{Name: "dec"}, Right: 60}},
+		And{L: Cmp{Op: vec.Ne, Left: ColRef{Name: "objID"}, Right: 41}, R: Between{Expr: ColRef{Name: "ra"}, Lo: 150, Hi: 200}},
+		And{L: Cmp{Op: vec.Ge, Left: ColRef{Name: "objID"}, Right: 0}, R: StrEq{Col: "type", Value: "QSO"}},
+		And{L: Between{Expr: ColRef{Name: "ra"}, Lo: 150, Hi: 200}, R: And{L: Cmp{Op: vec.Lt, Left: ColRef{Name: "r"}, Right: 20}, R: Not{P: StrEq{Col: "type", Value: "STAR"}}}},
 		Or{L: Cmp{Op: vec.Lt, Left: ColRef{Name: "ra"}, Right: 130}, R: Cmp{Op: vec.Gt, Left: ColRef{Name: "ra"}, Right: 230}},
 		Not{P: Between{Expr: ColRef{Name: "dec"}, Lo: 10, Hi: 50}},
 		Not{P: And{
@@ -97,6 +104,33 @@ func TestFilterRangeEquivalence(t *testing.T) {
 		for _, w := range windows {
 			checkKernels(t, tb, pred, w[0], w[1], randPositions(rng, n))
 		}
+	}
+}
+
+// TestAndFilterRangeZeroAlloc: a steady-state two-conjunct FilterRange
+// in the shape of the scan workload's aggregate filter (a BETWEEN window
+// refined by a comparison) allocates nothing on pooled scratch once the
+// pool is warm.
+func TestAndFilterRangeZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector")
+	}
+	const n = 4096
+	tb := rangeTestTable(t, n)
+	p := And{
+		L: Between{Expr: ColRef{Name: "ra"}, Lo: 150, Hi: 180},
+		R: Cmp{Op: vec.Lt, Left: ColRef{Name: "r"}, Right: 20},
+	}
+	run := func() {
+		sel, err := p.FilterRange(tb, 0, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vec.PutSel(sel)
+	}
+	run() // warm the pool
+	if allocs := testing.AllocsPerRun(100, run); allocs > 0 {
+		t.Fatalf("steady-state conjunction allocates %.1f objects/op, want 0", allocs)
 	}
 }
 

@@ -55,24 +55,15 @@ func (s StrEq) FilterSel(t *table.Table, sel vec.Sel) (vec.Sel, error) {
 }
 
 // FilterSel implements Predicate: evaluate L over sel, then R over
-// L's survivors only — on explicit selections the restricted evaluation
-// is strictly cheaper, unlike the contiguous-window case where the
-// sequential scan wins.
+// L's survivors only.
 func (a And) FilterSel(t *table.Table, sel vec.Sel) (vec.Sel, error) {
 	ls, err := a.L.FilterSel(t, sel)
-	if err != nil {
-		return nil, err
-	}
-	if len(ls) == 0 {
-		return ls, nil
+	if err != nil || len(ls) == 0 {
+		return ls, err
 	}
 	rs, err := a.R.FilterSel(t, ls)
-	if err != nil {
-		vec.PutSel(ls)
-		return nil, err
-	}
 	vec.PutSel(ls)
-	return rs, nil
+	return rs, err
 }
 
 // FilterSel implements Predicate.

@@ -145,6 +145,7 @@ func TestFilterSelErrors(t *testing.T) {
 	for _, pred := range []Predicate{
 		bad,
 		And{L: TruePred{}, R: bad},
+		And{L: Cmp{Op: vec.Gt, Left: ColRef{Name: "x"}, Right: 0}, R: bad}, // R fails after L matched part of the rows
 		Or{L: bad, R: TruePred{}},
 		Not{P: bad},
 		StrEq{Col: "x", Value: "GALAXY"},

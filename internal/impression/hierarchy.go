@@ -50,16 +50,26 @@ func (h *Hierarchy) Layers() []*Impression {
 	return out
 }
 
-// Offer presents one freshly loaded base row to the hierarchy: the
-// largest layer samples it directly; smaller layers are refreshed from
-// their parent every refreshEvery offers.
-func (h *Hierarchy) Offer(pos int32) {
+// OfferRange presents the freshly loaded base rows [lo, hi) to the
+// hierarchy under one hold of its lock: the largest layer samples them
+// directly; smaller layers are refreshed from their parent every
+// refreshEvery offers. The batch reaches layer 0 in chunks cut at those
+// refresh points, so samples and refreshes are exactly those of one
+// offer per row.
+func (h *Hierarchy) OfferRange(lo, hi int32) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.layers[0].Offer(pos)
-	h.sinceRefresh++
-	if h.sinceRefresh >= h.refreshEvery {
-		h.refreshLocked()
+	for lo < hi {
+		end := hi
+		if due := h.refreshEvery - h.sinceRefresh; int64(hi-lo) > due {
+			end = lo + int32(due)
+		}
+		h.layers[0].OfferRange(lo, end)
+		h.sinceRefresh += int64(end - lo)
+		if h.sinceRefresh >= h.refreshEvery {
+			h.refreshLocked()
+		}
+		lo = end
 	}
 }
 

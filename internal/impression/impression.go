@@ -289,12 +289,26 @@ func (im *Impression) Offered() int64 {
 	return im.offered
 }
 
-// Offer presents the base row at position pos to the impression; the
-// loader calls this for every appended row (construction during load,
-// §3.3).
-func (im *Impression) Offer(pos int32) {
+// Offer presents the base row at position pos to the impression.
+func (im *Impression) Offer(pos int32) { im.OfferRange(pos, pos+1) }
+
+// OfferRange presents the base rows [lo, hi) to the impression in
+// order, under one hold of the impression's lock; the loader calls it
+// for every appended batch (construction during load, §3.3). The
+// samples and versions are those of one Offer per row, but no query
+// can take a view between two rows of the batch — which for a
+// weight-bearing layer would rebuild the whole view once per
+// interleaving.
+func (im *Impression) OfferRange(lo, hi int32) {
 	im.mu.Lock()
 	defer im.mu.Unlock()
+	for pos := lo; pos < hi; pos++ {
+		im.offerLocked(pos)
+	}
+}
+
+// offerLocked offers one row; im.mu is held.
+func (im *Impression) offerLocked(pos int32) {
 	im.offered++
 	im.version++
 	im.viewOK = false

@@ -1,7 +1,9 @@
 package impression
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"sciborq/internal/column"
@@ -274,9 +276,7 @@ func TestHierarchyOfferAndRefresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < base.Len(); i++ {
-		h.Offer(int32(i))
-	}
+	h.OfferRange(0, int32(base.Len()))
 	if l0.Len() != 2000 {
 		t.Fatalf("layer0 len = %d", l0.Len())
 	}
@@ -292,6 +292,78 @@ func TestHierarchyOfferAndRefresh(t *testing.T) {
 		if !parent[s.Pos] {
 			t.Fatalf("layer1 holds position %d absent from layer0", s.Pos)
 		}
+	}
+}
+
+// TestOfferRangeMatchesPerRowOffers: for every policy, offering a
+// stream in batches — batches that straddle, start and end on the
+// refresh points — leaves the impressions and the hierarchy exactly
+// where one offer per row leaves them: the same samples, weights,
+// versions and offer counts on every layer after every batch, so the
+// smaller layers were refreshed at the same rows from the same parent.
+func TestOfferRangeMatchesPerRowOffers(t *testing.T) {
+	const rows, refreshEvery = 4500, 500
+	base := buildBase(t, rows, 21)
+	logger := focusedLogger(t)
+	configs := map[string]Config{
+		"uniform":  {Policy: Uniform},
+		"lastseen": {Policy: LastSeen, K: 100, D: 1000},
+		"biased":   {Policy: Biased, Logger: logger, Attrs: []string{"ra", "dec"}},
+	}
+	batches := []int32{1, 499, 500, 1, 998, 2, 1250, 3, 500, 746}
+	for name, cfg := range configs {
+		t.Run(name, func(t *testing.T) {
+			mk := func(size int, seed uint64) *Impression {
+				c := cfg
+				c.Name, c.Size, c.Seed = fmt.Sprintf("%s-%d", name, size), size, seed
+				im, err := New(base, c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return im
+			}
+			hier := func() *Hierarchy {
+				h, err := NewHierarchy([]*Impression{mk(800, 1), mk(80, 2), mk(8, 3)}, refreshEvery)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return h
+			}
+			perRow, ranged := hier(), hier()
+			single, batched := mk(400, 4), mk(400, 4)
+			lo := int32(0)
+			for _, n := range batches {
+				hi := min(lo+n, rows)
+				for pos := lo; pos < hi; pos++ {
+					perRow.OfferRange(pos, pos+1)
+					single.Offer(pos)
+				}
+				ranged.OfferRange(lo, hi)
+				batched.OfferRange(lo, hi)
+				assertSameImpression(t, hi, single, batched)
+				want, got := perRow.Layers(), ranged.Layers()
+				for i := range want {
+					assertSameImpression(t, hi, want[i], got[i])
+				}
+				lo = hi
+			}
+			if lo != rows {
+				t.Fatalf("batches cover %d rows, want %d", lo, rows)
+			}
+		})
+	}
+}
+
+// assertSameImpression fails unless got holds exactly want's samples,
+// version and offer count after the first end rows.
+func assertSameImpression(t *testing.T, end int32, want, got *Impression) {
+	t.Helper()
+	if want.Version() != got.Version() || want.Offered() != got.Offered() {
+		t.Fatalf("%s after %d rows: version/offered %d/%d, per-row %d/%d",
+			got.Name(), end, got.Version(), got.Offered(), want.Version(), want.Offered())
+	}
+	if ws, gs := want.Samples(), got.Samples(); !slices.Equal(ws, gs) {
+		t.Fatalf("%s after %d rows: %d samples differ from the per-row %d", got.Name(), end, len(gs), len(ws))
 	}
 }
 
@@ -325,9 +397,7 @@ func TestBiasedHierarchyInheritsFocus(t *testing.T) {
 	l0 := mk("l0", 4000, 1)
 	l1 := mk("l1", 400, 2)
 	h, _ := NewHierarchy([]*Impression{l0, l1}, 2000)
-	for i := 0; i < base.Len(); i++ {
-		h.Offer(int32(i))
-	}
+	h.OfferRange(0, int32(base.Len()))
 	if err := h.Refresh(); err != nil {
 		t.Fatal(err)
 	}

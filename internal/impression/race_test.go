@@ -2,14 +2,16 @@ package impression
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
 // TestConcurrentOfferViewRefresh hammers one hierarchy with concurrent
-// offers, view reads and refreshes (run under -race in CI). Every view
-// observed mid-stream must satisfy the contract: strictly ascending
-// positions within the offered range, size within the layer cap, and a
-// per-layer version that never goes backwards.
+// batch offers (OfferRange, batches crossing the refresh points), view
+// reads through Ascending and refreshes (run under -race in CI). Every
+// view observed mid-stream must satisfy the contract: strictly
+// ascending positions inside the rows offered so far, size within the
+// layer cap, and a per-layer version that never goes backwards.
 func TestConcurrentOfferViewRefresh(t *testing.T) {
 	const rows = 60_000
 	base := buildBase(t, rows, 3)
@@ -28,13 +30,19 @@ func TestConcurrentOfferViewRefresh(t *testing.T) {
 
 	done := make(chan struct{})
 	var wg sync.WaitGroup
+	// offering is the end of the batch being offered, stored before
+	// the offer starts: no view may hold a position at or beyond it.
+	var offering atomic.Int32
 
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		defer close(done)
-		for i := 0; i < rows; i++ {
-			h.Offer(int32(i))
+		for lo, size := int32(0), int32(1); lo < rows; size = size*7%2503 + 1 {
+			hi := min(lo+size, rows)
+			offering.Store(hi)
+			h.OfferRange(lo, hi)
+			lo = hi
 		}
 	}()
 
@@ -65,8 +73,9 @@ func TestConcurrentOfferViewRefresh(t *testing.T) {
 					return
 				default:
 				}
-				for _, im := range h.Layers() {
+				for _, im := range h.Ascending() {
 					v := im.View()
+					end := offering.Load()
 					if len(v.Positions) > im.Cap() {
 						t.Errorf("%s: view has %d positions, cap %d", im.Name(), len(v.Positions), im.Cap())
 						return
@@ -77,8 +86,8 @@ func TestConcurrentOfferViewRefresh(t *testing.T) {
 							return
 						}
 					}
-					if len(v.Positions) > 0 && int(v.Positions[len(v.Positions)-1]) >= rows {
-						t.Errorf("%s: position beyond offered range", im.Name())
+					if len(v.Positions) > 0 && v.Positions[len(v.Positions)-1] >= end {
+						t.Errorf("%s: position %d beyond the %d rows offered", im.Name(), v.Positions[len(v.Positions)-1], end)
 						return
 					}
 					if v.Weights != nil && (len(v.Weights) != len(v.Positions) || len(v.Pis) != len(v.Positions)) {

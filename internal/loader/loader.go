@@ -12,10 +12,11 @@ import (
 	"sciborq/internal/table"
 )
 
-// Sink receives the positions of freshly loaded rows. Both
-// *impression.Impression and *impression.Hierarchy satisfy it.
+// Sink receives the positions of freshly loaded rows, one batch
+// [lo, hi) at a time. Both *impression.Impression and
+// *impression.Hierarchy satisfy it.
 type Sink interface {
-	Offer(pos int32)
+	OfferRange(lo, hi int32)
 }
 
 var (
@@ -66,10 +67,7 @@ func (l *Loader) Attach(s Sink) error {
 // Backfill offers every existing base row to the sink — the paper's
 // second deployment mode, "extracted from an existing database" (§3.3).
 func (l *Loader) Backfill(s Sink) {
-	n := l.base.Len()
-	for i := 0; i < n; i++ {
-		s.Offer(int32(i))
-	}
+	s.OfferRange(0, int32(l.base.Len()))
 }
 
 // SetAppender routes subsequent batches through a (durable) appender
@@ -81,10 +79,10 @@ func (l *Loader) SetAppender(a Appender) {
 	l.app = a
 }
 
-// LoadBatch appends one nightly batch and streams its positions to all
-// sinks. The append is atomic; on error no sink sees any row. With an
-// Appender installed, the batch is durable (WAL-acknowledged) before
-// this returns.
+// LoadBatch appends one nightly batch and offers its positions to every
+// sink as one range. The append is atomic; on error no sink sees any
+// row. With an Appender installed, the batch is durable
+// (WAL-acknowledged) before this returns.
 func (l *Loader) LoadBatch(rows []table.Row) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -99,10 +97,8 @@ func (l *Loader) LoadBatch(rows []table.Row) error {
 		return fmt.Errorf("loader: %w", err)
 	}
 	end := l.base.Len()
-	for pos := start; pos < end; pos++ {
-		for _, s := range l.sinks {
-			s.Offer(int32(pos))
-		}
+	for _, s := range l.sinks {
+		s.OfferRange(int32(start), int32(end))
 	}
 	l.batches++
 	l.rows += int64(end - start)

@@ -15,7 +15,11 @@ func baseTable(t *testing.T) *table.Table {
 
 type recordingSink struct{ got []int32 }
 
-func (r *recordingSink) Offer(pos int32) { r.got = append(r.got, pos) }
+func (r *recordingSink) OfferRange(lo, hi int32) {
+	for pos := lo; pos < hi; pos++ {
+		r.got = append(r.got, pos)
+	}
+}
 
 func TestNewValidation(t *testing.T) {
 	if _, err := New(nil); err == nil {

@@ -133,7 +133,10 @@ func SelectFloat64Range(dst Sel, data []float64, lo, hi int, op CmpOp, c float64
 }
 
 // SelectBetweenFloat64Range writes the rows i in [lo, hi) with
-// blo <= data[i] <= bhi (inclusive, SQL BETWEEN) into dst.
+// blo <= data[i] <= bhi (inclusive, SQL BETWEEN) into dst. The two
+// bound tests combine with a bitwise AND rather than &&, whose
+// short-circuit compiles to a data-dependent branch; NaN fails both
+// tests either way.
 func SelectBetweenFloat64Range(dst Sel, data []float64, lo, hi int, blo, bhi float64) Sel {
 	if hi < lo {
 		hi = lo
@@ -144,7 +147,7 @@ func SelectBetweenFloat64Range(dst Sel, data []float64, lo, hi int, blo, bhi flo
 	for i := lo; i < hi; i++ {
 		dst[k] = int32(i)
 		v := d[i]
-		k += b2i(v >= blo && v <= bhi)
+		k += b2i(v >= blo) & b2i(v <= bhi)
 	}
 	return dst[:k]
 }
@@ -184,27 +187,6 @@ func FillSelRange(dst Sel, lo, hi int) Sel {
 		dst[k] = int32(lo + k)
 	}
 	return dst
-}
-
-// AndInto intersects two sorted selections into dst (neither may be
-// nil).
-func AndInto(dst, a, b Sel) Sel {
-	dst = grow(dst, min(len(a), len(b)))
-	k := 0
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		av, bv := a[i], b[j]
-		if av == bv {
-			dst[k] = av
-			k++
-			i++
-			j++
-			continue
-		}
-		i += b2i(av < bv)
-		j += b2i(av > bv)
-	}
-	return dst[:k]
 }
 
 // OrInto unions two sorted selections into dst (neither may be nil).

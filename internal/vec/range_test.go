@@ -96,9 +96,6 @@ func TestSetOpsInto(t *testing.T) {
 		{Sel{0, 2, 4, 6}, Sel{0, 2, 4, 6}}, // identical
 	}
 	for _, c := range cases {
-		if got, want := AndInto(nil, c.a, c.b), andRef(c.a, c.b); !selEq(got, want) {
-			t.Errorf("AndInto(%v,%v) = %v, want %v", c.a, c.b, got, want)
-		}
 		if got, want := OrInto(nil, c.a, c.b), orRef(c.a, c.b); !selEq(got, want) {
 			t.Errorf("OrInto(%v,%v) = %v, want %v", c.a, c.b, got, want)
 		}

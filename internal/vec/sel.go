@@ -57,14 +57,15 @@ func SelectFloat64Sel(dst Sel, data []float64, sel Sel, op CmpOp, c float64) Sel
 }
 
 // SelectBetweenFloat64Sel writes the positions p in sel with
-// blo <= data[p] <= bhi (inclusive, SQL BETWEEN) into dst.
+// blo <= data[p] <= bhi (inclusive, SQL BETWEEN) into dst, combining
+// the bound tests branch-free as SelectBetweenFloat64Range does.
 func SelectBetweenFloat64Sel(dst Sel, data []float64, sel Sel, blo, bhi float64) Sel {
 	dst = grow(dst, len(sel))
 	k := 0
 	for _, p := range sel {
 		dst[k] = p
 		v := data[p]
-		k += b2i(v >= blo && v <= bhi)
+		k += b2i(v >= blo) & b2i(v <= bhi)
 	}
 	return dst[:k]
 }

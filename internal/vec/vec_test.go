@@ -72,17 +72,6 @@ func TestNewSelAll(t *testing.T) {
 	}
 }
 
-func TestAnd(t *testing.T) {
-	a := Sel{0, 2, 4, 6}
-	b := Sel{2, 3, 4, 5}
-	if got, want := AndInto(nil, a, b), (Sel{2, 4}); !reflect.DeepEqual(got, want) {
-		t.Fatalf("AndInto = %v, want %v", got, want)
-	}
-	if got := AndInto(nil, Sel{}, b); len(got) != 0 {
-		t.Fatalf("AndInto(empty, b) = %v, want empty", got)
-	}
-}
-
 func TestOr(t *testing.T) {
 	a := Sel{0, 2}
 	b := Sel{1, 2, 5}
@@ -122,7 +111,9 @@ func TestDiff(t *testing.T) {
 }
 
 func TestDeMorganProperty(t *testing.T) {
-	// not(a and b) == not(a) or not(b) over a fixed window.
+	// not(a and b) == not(a) or not(b) over a fixed window; the
+	// conjunction is the sorted-intersection reference, since AND has
+	// no set kernel of its own (expr.And refines in place).
 	f := func(am, bm uint16) bool {
 		const n = 16
 		a, b := Sel{}, Sel{}
@@ -134,7 +125,7 @@ func TestDeMorganProperty(t *testing.T) {
 				b = append(b, i)
 			}
 		}
-		lhs := DiffRangeInto(nil, 0, n, AndInto(nil, a, b))
+		lhs := DiffRangeInto(nil, 0, n, andRef(a, b))
 		rhs := OrInto(nil, DiffRangeInto(nil, 0, n, a), DiffRangeInto(nil, 0, n, b))
 		return reflect.DeepEqual(lhs, rhs)
 	}
@@ -208,7 +199,8 @@ func TestGather(t *testing.T) {
 }
 
 func TestSelectResultSorted(t *testing.T) {
-	// Every kernel must return sorted selections so the And/Or merges work.
+	// Every kernel must return sorted selections: the Or merge, the Not
+	// complements and And's in-place refinement all rely on it.
 	data := make([]float64, 100)
 	for i := range data {
 		data[i] = float64(i % 7)
