@@ -69,11 +69,12 @@ bench-smoke:
 	bash bench/run.sh -smoke
 
 # Allocation regression gate, asserted via testing.AllocsPerRun: the
-# steady-state cone kernel and a two-conjunct FilterRange on pooled
-# scratch must stay at exactly 0 allocs/op (expr.TestConeKernelZeroAlloc,
-# expr.TestAndFilterRangeZeroAlloc).
+# steady-state cone kernel, a two-conjunct FilterRange and one part's
+# grouped fold (group ids, COUNT(*), AVG) on pooled scratch must stay at
+# exactly 0 allocs/op (expr.TestConeKernelZeroAlloc,
+# expr.TestAndFilterRangeZeroAlloc, engine.TestGroupFoldZeroAlloc).
 bench-alloc:
-	$(GO) test -run='ZeroAlloc' -v ./internal/expr/...
+	$(GO) test -run='ZeroAlloc' -v ./internal/expr/... ./internal/engine/...
 
 # Seeded, deterministic chaos suite under the race detector: >=100
 # injected faults (errors, panics, latency) across five fault points

@@ -457,22 +457,26 @@ func benchScanTable(b *testing.B) *table.Table {
 		xs := make([]float64, n)
 		vs := make([]float64, n)
 		gs := make([]int64, n)
+		fs := make([]int64, n)
 		state := uint64(0x9E3779B97F4A7C15)
 		for i := 0; i < n; i++ {
 			state = state*6364136223846793005 + 1442695040888963407
 			xs[i] = float64(state%1_000_003) / 1_000_003
 			vs[i] = float64(int64(state>>20)%2001-1000) / 7
 			gs[i] = int64(state>>61) % 8
+			fs[i] = int64(state>>40) % 256
 		}
 		tb := table.MustNew("scan", table.Schema{
 			{Name: "x", Type: column.Float64},
 			{Name: "v", Type: column.Float64},
 			{Name: "g", Type: column.Int64},
+			{Name: "f", Type: column.Int64},
 		})
 		if err := tb.AppendColumns([]column.Column{
 			column.NewFloat64From("x", xs),
 			column.NewFloat64From("v", vs),
 			column.NewInt64From("g", gs),
+			column.NewInt64From("f", fs),
 		}); err != nil {
 			panic(err)
 		}
@@ -507,28 +511,37 @@ func BenchmarkParallelFilteredAgg(b *testing.B) {
 }
 
 // BenchmarkParallelGroupBy measures the per-morsel hash-grouping path
-// (filter + GROUP BY + two aggregates over 1M rows) at 1/2/4/8 workers.
+// (filter + GROUP BY + two aggregates over 1M rows) at 1/2/4/8 workers:
+// 8 BIGINT keys under a ~90 % filter, and ("fields256_") the shape of
+// the scan workload's group class — 256 BIGINT keys, ~65 % of the rows
+// selected, COUNT(*) and AVG.
 func BenchmarkParallelGroupBy(b *testing.B) {
 	tb := benchScanTable(b)
-	q := engine.Query{
-		Table:   "scan",
-		Where:   expr.Cmp{Op: vec.Gt, Left: expr.ColRef{Name: "x"}, Right: 0.1},
-		GroupBy: "g",
-		Aggs: []engine.AggSpec{
-			{Func: engine.Count},
-			{Func: engine.Avg, Arg: expr.ColRef{Name: "v"}, Alias: "m"},
-		},
+	aggs := []engine.AggSpec{
+		{Func: engine.Count},
+		{Func: engine.Avg, Arg: expr.ColRef{Name: "v"}, Alias: "m"},
 	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
-			opts := engine.ExecOptions{Parallelism: workers}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := engine.RunOnOpts(tb, q, opts); err != nil {
-					b.Fatal(err)
+	arms := []struct {
+		prefix string
+		q      engine.Query
+	}{
+		{"", engine.Query{Table: "scan", GroupBy: "g", Aggs: aggs,
+			Where: expr.Cmp{Op: vec.Gt, Left: expr.ColRef{Name: "x"}, Right: 0.1}}},
+		{"fields256_", engine.Query{Table: "scan", GroupBy: "f", Aggs: aggs,
+			Where: expr.Cmp{Op: vec.Lt, Left: expr.ColRef{Name: "x"}, Right: 0.65}}},
+	}
+	for _, arm := range arms {
+		for _, workers := range []int{1, 2, 4, 8} {
+			b.Run(fmt.Sprintf("%sworkers%d", arm.prefix, workers), func(b *testing.B) {
+				opts := engine.ExecOptions{Parallelism: workers}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := engine.RunOnOpts(tb, arm.q, opts); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 

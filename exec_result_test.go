@@ -1,6 +1,7 @@
 package sciborq
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -136,5 +137,60 @@ func TestResultStringNaNEstimates(t *testing.T) {
 	}
 	if res.String() == "" {
 		t.Fatal("empty-selection bounded result rendered nothing")
+	}
+}
+
+// TestGroupByOrderByGroupKey orders grouped results by the GROUP BY
+// column itself: BIGINT keys as integers (−5 < 2 < 10 < 100, which a
+// string sort gets wrong), VARCHAR keys by their word, DESC and LIMIT
+// as for aggregate outputs.
+func TestGroupByOrderByGroupKey(t *testing.T) {
+	db := Open(testCost())
+	if _, err := db.CreateTable("K", Schema{
+		{Name: "g", Type: Int64},
+		{Name: "s", Type: String},
+		{Name: "x", Type: Float64},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	gs := []int64{10, -5, 2, 10, 100, -5, 2, 10}
+	ss := []string{"STAR", "QSO", "STAR", "GALAXY", "QSO", "STAR", "UNKNOWN", "GALAXY"}
+	rows := make([]Row, len(gs))
+	for i := range gs {
+		rows[i] = Row{gs[i], ss[i], float64(i)}
+	}
+	if err := db.Load("K", rows); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		sql  string
+		want [][]string // key, n per result row
+	}{
+		{"SELECT COUNT(*) AS n FROM K GROUP BY g ORDER BY g",
+			[][]string{{"-5", "2"}, {"2", "2"}, {"10", "3"}, {"100", "1"}}},
+		{"SELECT COUNT(*) AS n FROM K GROUP BY g ORDER BY g DESC LIMIT 2",
+			[][]string{{"100", "1"}, {"10", "3"}}},
+		{"SELECT COUNT(*) AS n FROM K WHERE x > 0 GROUP BY g ORDER BY g LIMIT 3",
+			[][]string{{"-5", "2"}, {"2", "2"}, {"10", "2"}}},
+		{"SELECT COUNT(*) AS n FROM K GROUP BY s ORDER BY s",
+			[][]string{{"GALAXY", "2"}, {"QSO", "2"}, {"STAR", "3"}, {"UNKNOWN", "1"}}},
+		{"SELECT COUNT(*) AS n FROM K GROUP BY s ORDER BY s DESC LIMIT 2",
+			[][]string{{"UNKNOWN", "1"}, {"STAR", "3"}}},
+	}
+	for _, c := range cases {
+		res, err := db.Exec(c.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", c.sql, err)
+		}
+		var got [][]string
+		for i := 0; i < res.Rows.Len(); i++ {
+			got = append(got, res.Rows.Table.RowStrings(int32(i)))
+		}
+		if fmt.Sprint(got) != fmt.Sprint(c.want) {
+			t.Fatalf("%s = %v, want %v", c.sql, got, c.want)
+		}
+	}
+	if _, err := db.Exec("SELECT COUNT(*) AS n FROM K GROUP BY g ORDER BY x"); err == nil {
+		t.Fatal("ORDER BY a column that is neither an aggregate output nor the group key was accepted")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 	"strconv"
+	"strings"
 
 	"sciborq/internal/column"
 	"sciborq/internal/expr"
@@ -143,19 +144,27 @@ func orderAndLimit(t *table.Table, sel vec.Sel, q Query) (vec.Sel, error) {
 		default:
 			return nil, fmt.Errorf("engine: ORDER BY %q: unsupported type %s", q.OrderBy, col.Type())
 		}
-		sorted := slices.Clone(sel)
-		slices.SortStableFunc(sorted, func(a, b int32) int {
+		return sortLimit(slices.Clone(sel), compare, q), nil
+	}
+	return sortLimit(sel, nil, q), nil
+}
+
+// sortLimit sorts sel in place by compare — stably, so equal keys keep
+// their input order, ascending or descending under q.Desc — unless
+// compare is nil, and cuts it to LIMIT.
+func sortLimit(sel vec.Sel, compare func(a, b int32) int, q Query) vec.Sel {
+	if compare != nil {
+		slices.SortStableFunc(sel, func(a, b int32) int {
 			if q.Desc {
 				return compare(b, a)
 			}
 			return compare(a, b)
 		})
-		sel = sorted
 	}
 	if q.Limit > 0 && len(sel) > q.Limit {
 		sel = sel[:q.Limit]
 	}
-	return sel, nil
+	return sel
 }
 
 // AggState carries the moments of one aggregate's input.
@@ -295,10 +304,9 @@ func resultFromStates(q Query, states []AggState) (*Result, error) {
 // It is shared with the estimate package, whose grouped estimates must
 // agree with the engine on group keys and first-seen order.
 type Grouping struct {
-	str   bool
 	i64   []int64           // BIGINT path: raw values
 	codes []int32           // VARCHAR path: per-row dictionary codes
-	dict  *column.StringCol // VARCHAR path: code -> string decoding
+	dict  *column.StringCol // VARCHAR path: code -> string decoding; nil for BIGINT
 }
 
 // GroupingFor resolves the GROUP BY column of t (a snapshot) to its
@@ -312,26 +320,94 @@ func GroupingFor(t *table.Table, name string) (Grouping, error) {
 	case *column.Int64Col:
 		return Grouping{i64: c.Data}, nil
 	case *column.StringCol:
-		return Grouping{str: true, codes: c.Data, dict: c}, nil
+		return Grouping{codes: c.Data, dict: c}, nil
 	default:
 		return Grouping{}, fmt.Errorf("engine: GROUP BY %q: unsupported type %s", name, col.Type())
 	}
 }
 
-// Key returns row's raw group key.
-func (g *Grouping) Key(row int32) int64 {
-	if g.str {
-		return int64(g.codes[row])
+// IDs maps each row of rows to its dense group id in tab, which assigns
+// ids to keys in first-seen order, and returns the ids in dst (grown to
+// len(rows); pooled scratch works). When the rows' keys span no more
+// values than there are rows — BIGINT max−min over the rows, VARCHAR
+// the dictionary size — a direct-mapped memo indexed by key−min sits in
+// front of tab, so only a key's first sighting is hashed; otherwise
+// every row probes tab. Both ways assign the same ids.
+func (g *Grouping) IDs(tab *hashtab.Int64Table, rows vec.Sel, dst []int32) []int32 {
+	if cap(dst) < len(rows) {
+		dst = make([]int32, len(rows))
 	}
-	return g.i64[row]
+	dst = dst[:len(rows)]
+	if len(rows) == 0 {
+		return dst
+	}
+	if g.dict != nil {
+		if span := g.dict.DictSize(); span <= len(rows) {
+			memoIDs(tab, g.codes, rows, 0, span, dst)
+		} else {
+			hashIDs(tab, g.codes, rows, dst)
+		}
+		return dst
+	}
+	lo, hi := g.i64[rows[0]], g.i64[rows[0]]
+	for _, r := range rows {
+		k := g.i64[r]
+		lo, hi = min(lo, k), max(hi, k)
+	}
+	// The span in uint64, where hi−lo cannot overflow: keys at both
+	// ends of int64 span 2^64−1, far wider than any part.
+	if span := uint64(hi) - uint64(lo); span <= uint64(len(rows)) {
+		memoIDs(tab, g.i64, rows, lo, int(span)+1, dst)
+	} else {
+		hashIDs(tab, g.i64, rows, dst)
+	}
+	return dst
+}
+
+// hashIDs probes tab for every row's key.
+func hashIDs[K int32 | int64](tab *hashtab.Int64Table, keys []K, rows vec.Sel, dst []int32) {
+	for i, r := range rows {
+		id, _ := tab.GetOrInsert(int64(keys[r]))
+		dst[i] = int32(id)
+	}
+}
+
+// memoIDs is hashIDs behind a pooled memo of the ids of the slots keys
+// lo .. lo+slots−1, which must cover every row's key: a key reaches tab
+// once, on its first sighting.
+func memoIDs[K int32 | int64](tab *hashtab.Int64Table, keys []K, rows vec.Sel, lo K, slots int, dst []int32) {
+	memo := vec.GetSel(slots)[:slots]
+	for i := range memo {
+		memo[i] = -1
+	}
+	for i, r := range rows {
+		k := keys[r]
+		id := memo[k-lo]
+		if id < 0 {
+			slot, _ := tab.GetOrInsert(int64(k))
+			id = int32(slot)
+			memo[k-lo] = id
+		}
+		dst[i] = id
+	}
+	vec.PutSel(memo)
 }
 
 // Render returns the output string for a group key.
 func (g *Grouping) Render(key int64) string {
-	if g.str {
+	if g.dict != nil {
 		return g.dict.Word(int32(key))
 	}
 	return strconv.FormatInt(key, 10)
+}
+
+// compare orders two group keys as their column does: BIGINT as int64,
+// VARCHAR by its word.
+func (g *Grouping) compare(a, b int64) int {
+	if g.dict != nil {
+		return strings.Compare(g.dict.Word(int32(a)), g.dict.Word(int32(b)))
+	}
+	return cmp.Compare(a, b)
 }
 
 // groupPartial is one morsel's hash-grouped partial state: a pooled
@@ -342,14 +418,57 @@ type groupPartial struct {
 	ms  []stats.Moments
 }
 
+// release returns the partial's pooled storage.
+func (p groupPartial) release() {
+	hashtab.PutTable(p.tab)
+	stats.PutMoments(p.ms)
+}
+
+// foldGroups folds one part's rows into a pooled partial in three
+// passes with no per-row call: group ids once (Grouping.IDs); COUNT(*)
+// from per-group row counts; one ObserveGrouped loop per argument
+// column. args holds each aggregate's argument column, nil for
+// COUNT(*).
+func foldGroups(grp *Grouping, args [][]float64, rows vec.Sel) groupPartial {
+	p := groupPartial{tab: hashtab.GetTable()}
+	ids := grp.IDs(p.tab, rows, vec.GetSel(len(rows)))
+	naggs, groups := len(args), p.tab.Len()
+	p.ms = stats.GetMoments(groups * naggs)[:groups*naggs]
+	clear(p.ms)
+	if groups == 0 { // an empty selection
+		vec.PutSel(ids)
+		return p
+	}
+	var counts vec.Sel
+	for i, vals := range args {
+		if vals != nil {
+			stats.ObserveGrouped(p.ms[i:], naggs, vals, rows, ids)
+			continue
+		}
+		if counts == nil {
+			counts = vec.GetSel(groups)[:groups]
+			clear(counts)
+			for _, id := range ids {
+				counts[id]++
+			}
+		}
+		for gid, n := range counts {
+			p.ms[gid*naggs+i].ObserveRepeat(1, int(n))
+		}
+	}
+	vec.PutSel(counts)
+	vec.PutSel(ids)
+	return p
+}
+
 // groupByAggregate evaluates a grouped aggregate query via per-morsel
 // hash grouping on the flat hashtab tables: each morsel assigns dense
-// local group ids and folds aggregates into a flat moments arena (no
-// string keys, no per-group slices); the coordinator merges partials in
-// ascending morsel order through a global id table, so the global
-// first-seen group order (and every floating-point merge) matches the
-// sequential scan order exactly. Zone-map-pruned morsels leave empty
-// partials, which merge as no-ops. t is the query snapshot.
+// local group ids and folds aggregates into a flat moments arena
+// (foldGroups); the coordinator merges partials in ascending morsel
+// order through a global id table, so the global first-seen group order
+// (and every floating-point merge) matches the sequential scan order
+// exactly. Zone-map-pruned morsels leave empty partials, which merge as
+// no-ops. t is the query snapshot.
 func groupByAggregate(t *table.Table, q Query, pred expr.Predicate, parts []part, opts ExecOptions) (*Result, error) {
 	grp, err := GroupingFor(t, q.GroupBy)
 	if err != nil {
@@ -362,95 +481,124 @@ func groupByAggregate(t *table.Table, q Query, pred expr.Predicate, parts []part
 	naggs := len(q.Aggs)
 	partials := make([]groupPartial, opts.morselCount(t.Len()))
 	scanned, err := scan(t, parts, pred, opts, func(pt part, sel vec.Sel) error {
-		p := groupPartial{tab: hashtab.GetTable(), ms: stats.GetMoments(0)}
-		forSel(sel, pt.lo, pt.hi, func(row int32) {
-			gid, fresh := p.tab.GetOrInsert(grp.Key(row))
-			if fresh {
-				for i := 0; i < naggs; i++ {
-					p.ms = append(p.ms, stats.Moments{})
-				}
-			}
-			base := int(gid) * naggs
-			for i := 0; i < naggs; i++ {
-				if args[i] == nil {
-					p.ms[base+i].Observe(1) // COUNT(*)
-				} else {
-					p.ms[base+i].Observe(args[i][row])
-				}
-			}
-		})
-		partials[pt.m] = p
+		if sel == nil {
+			sel = vec.FillSelRange(vec.GetSel(pt.hi-pt.lo), pt.lo, pt.hi)
+			defer vec.PutSel(sel)
+		}
+		partials[pt.m] = foldGroups(&grp, args, sel)
 		return nil
 	})
 	if err != nil {
 		// Release whatever partials completed before the error.
 		for _, p := range partials {
 			if p.tab != nil {
-				hashtab.PutTable(p.tab)
-				stats.PutMoments(p.ms)
+				p.release()
 			}
 		}
 		return nil, err
 	}
-	// Merge in ascending morsel order through a global dense id table;
-	// global ids are assigned in merge order, which is exactly the
-	// sequential scan's first-seen group order.
+	// Global ids assigned in ascending morsel order are exactly the
+	// sequential scan's first-seen group order. They are all assigned
+	// before the merge, so the merged arena is allocated once, at its
+	// final size; each group still merges its partials in morsel order.
+	total := 0
+	for _, p := range partials {
+		if p.tab != nil { // nil: a zone-map-pruned morsel, no partial state
+			total += p.tab.Len()
+		}
+	}
 	global := hashtab.NewInt64Table(0)
-	var gms []stats.Moments
+	toGlobal := make([]int32, 0, total)
+	for _, p := range partials {
+		if p.tab != nil {
+			for _, key := range p.tab.Keys() {
+				gid, _ := global.GetOrInsert(key)
+				toGlobal = append(toGlobal, int32(gid))
+			}
+		}
+	}
+	gms := make([]stats.Moments, global.Len()*naggs)
 	for _, p := range partials {
 		if p.tab == nil {
-			continue // zone-map-pruned morsel: no partial state
+			continue
 		}
-		for lid, key := range p.tab.Keys() {
-			gid, fresh := global.GetOrInsert(key)
-			if fresh {
-				for i := 0; i < naggs; i++ {
-					gms = append(gms, stats.Moments{})
-				}
-			}
-			gbase, lbase := int(gid)*naggs, lid*naggs
-			for i := 0; i < naggs; i++ {
+		for lid := range p.tab.Len() {
+			gbase, lbase := int(toGlobal[lid])*naggs, lid*naggs
+			for i := range naggs {
 				gms[gbase+i].Merge(p.ms[lbase+i])
 			}
 		}
-		hashtab.PutTable(p.tab)
-		stats.PutMoments(p.ms)
+		toGlobal = toGlobal[p.tab.Len():]
+		p.release()
+	}
+	res, err := groupedResult(&grp, global.Keys(), gms, q)
+	if err != nil {
+		return nil, err
+	}
+	res.ScannedRows, res.Stats = scanned.ScannedRows, scanned
+	return res, nil
+}
+
+// groupedResult assembles a grouped result column by column from the
+// global group keys (first-seen order) and their merged moments
+// [gid*naggs + agg]: every aggregate's output is computed per group,
+// the group ids are put in output order (groupOrder), and the rendered
+// key column and one DOUBLE column per aggregate are gathered in that
+// order.
+func groupedResult(grp *Grouping, keys []int64, gms []stats.Moments, q Query) (*Result, error) {
+	naggs := len(q.Aggs)
+	outs := make([][]float64, naggs)
+	for i, a := range q.Aggs {
+		outs[i] = make([]float64, len(keys))
+		for gid := range keys {
+			st := AggState{Spec: a, Moments: gms[gid*naggs+i]}
+			outs[i][gid] = st.Value()
+		}
+	}
+	order, err := groupOrder(grp, keys, outs, q)
+	if err != nil {
+		return nil, err
 	}
 	schema := make(table.Schema, 0, naggs+1)
+	chunks := make([]column.Column, 0, naggs+1)
+	keyCol := column.NewString(q.GroupBy)
+	for _, gid := range order {
+		keyCol.Append(grp.Render(keys[gid]))
+	}
 	schema = append(schema, table.ColumnDef{Name: q.GroupBy, Type: column.String})
-	for _, a := range q.Aggs {
+	chunks = append(chunks, keyCol)
+	for i, a := range q.Aggs {
 		schema = append(schema, table.ColumnDef{Name: a.Name(), Type: column.Float64})
+		chunks = append(chunks, column.NewFloat64From(a.Name(), vec.GatherFloat64(outs[i], order)))
 	}
 	out, err := table.New(resultName(q), schema)
 	if err != nil {
 		return nil, err
 	}
-	for gid, key := range global.Keys() {
-		row := make(table.Row, 0, naggs+1)
-		row = append(row, grp.Render(key))
-		for i, a := range q.Aggs {
-			st := AggState{Spec: a, Moments: gms[gid*naggs+i]}
-			row = append(row, st.Value())
-		}
-		if err := out.AppendRow(row); err != nil {
-			return nil, err
-		}
+	if err := out.AdoptColumns(chunks); err != nil {
+		return nil, err
 	}
-	return orderGrouped(out, q, scanned)
+	return &Result{Table: out}, nil
 }
 
-// orderGrouped applies ORDER BY / LIMIT to a grouped result table
-// through the projection path.
-func orderGrouped(out *table.Table, q Query, scan ScanStats) (*Result, error) {
-	if q.OrderBy == "" && q.Limit == 0 {
-		return &Result{Table: out, ScannedRows: scan.ScannedRows, Stats: scan}, nil
+// groupOrder returns the group ids of a grouped result in output order:
+// first-seen order, or under ORDER BY sorted (sortLimit) on the named
+// aggregate output — cmp.Compare, so NaN sorts below every number — or
+// on the raw GROUP BY key before it is rendered: BIGINT as int64,
+// VARCHAR by its word. Then cut to LIMIT.
+func groupOrder(grp *Grouping, keys []int64, outs [][]float64, q Query) (vec.Sel, error) {
+	var compare func(a, b int32) int
+	if q.OrderBy == q.GroupBy {
+		compare = func(a, b int32) int { return grp.compare(keys[a], keys[b]) }
+	} else if q.OrderBy != "" {
+		i := slices.IndexFunc(q.Aggs, func(a AggSpec) bool { return a.Name() == q.OrderBy })
+		if i < 0 {
+			return nil, fmt.Errorf("engine: ORDER BY %q must name an aggregate output or the GROUP BY column", q.OrderBy)
+		}
+		out := outs[i]
+		compare = func(a, b int32) int { return cmp.Compare(out[a], out[b]) }
 	}
-	q.Select = []string{"*"}
-	res, err := project(out, nil, q, scan)
-	if err != nil && q.OrderBy != "" {
-		return nil, fmt.Errorf("engine: ORDER BY %q must name an aggregate output: %w", q.OrderBy, err)
-	}
-	return res, err
+	return sortLimit(vec.NewSelAll(len(keys)), compare, q), nil
 }
 
 func resultName(q Query) string { return "result(" + q.Table + ")" }

@@ -12,7 +12,6 @@ import (
 	"sciborq/internal/expr"
 	"sciborq/internal/faultinject"
 	"sciborq/internal/table"
-	"sciborq/internal/vec"
 )
 
 // PanicError is a panic recovered inside the morsel runner, converted
@@ -406,19 +405,5 @@ func validateScalar(t *table.Table, s expr.Scalar) error {
 		return validateScalar(t, e.R)
 	default:
 		return nil
-	}
-}
-
-// forSel invokes fn for every selected row; a nil sel means all rows of
-// [lo, hi).
-func forSel(sel vec.Sel, lo, hi int, fn func(row int32)) {
-	if sel == nil {
-		for i := int32(lo); i < int32(hi); i++ {
-			fn(i)
-		}
-		return
-	}
-	for _, i := range sel {
-		fn(i)
 	}
 }

@@ -82,7 +82,7 @@ type Query struct {
 	Aggs    []AggSpec      // aggregate query when non-empty
 	Select  []string       // projection columns when Aggs is empty
 	GroupBy string         // optional grouping column (BIGINT or VARCHAR)
-	OrderBy string         // optional ordering column of the result
+	OrderBy string         // optional ordering column: a projected column, or an aggregate output or the GROUP BY column of a grouped query
 	Desc    bool           // descending order
 	Limit   int            // 0 = unlimited
 }

@@ -3,6 +3,7 @@ package estimate
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"sciborq/internal/engine"
 	"sciborq/internal/expr"
@@ -138,16 +139,7 @@ func GroupedAggregateOnSel(sl SelLayer, q engine.Query, level float64, opts engi
 		return nil, err
 	}
 	tab := hashtab.NewInt64Table(0)
-	var gBase, gSamp []vec.Sel
-	for i, bp := range selBase {
-		gid, fresh := tab.GetOrInsert(grp.Key(bp))
-		if fresh {
-			gBase = append(gBase, nil)
-			gSamp = append(gSamp, nil)
-		}
-		gBase[gid] = append(gBase[gid], bp)
-		gSamp[gid] = append(gSamp[gid], selSamp[i])
-	}
+	gBase, gSamp := partitionByGroup(grp.IDs(tab, selBase, nil), tab.Len(), selBase, selSamp)
 	// Share-weight sums describe the whole sample and are identical for
 	// every group and aggregate: one pass, not groups x aggs passes.
 	sumU, sumU2 := weightSums(sl)
@@ -167,6 +159,32 @@ func GroupedAggregateOnSel(sl SelLayer, q engine.Query, level float64, opts engi
 		out[gid] = ge
 	}
 	return out, nil
+}
+
+// partitionByGroup splits the matched rows selBase and their sample
+// indices selSamp by group id (ids aligned with selBase, groups
+// distinct ids) with one count, offset and scatter pass: each group's
+// rows keep their order, and all groups share two backing arrays.
+func partitionByGroup(ids []int32, groups int, selBase, selSamp vec.Sel) (gBase, gSamp []vec.Sel) {
+	off := make([]int, groups+1)
+	for _, id := range ids {
+		off[id+1]++
+	}
+	for g := 0; g < groups; g++ {
+		off[g+1] += off[g]
+	}
+	base, samp := make(vec.Sel, len(ids)), make(vec.Sel, len(ids))
+	next := slices.Clone(off[:groups])
+	for i, id := range ids {
+		j := next[id]
+		next[id]++
+		base[j], samp[j] = selBase[i], selSamp[i]
+	}
+	gBase, gSamp = make([]vec.Sel, groups), make([]vec.Sel, groups)
+	for g := range gBase {
+		gBase[g], gSamp[g] = base[off[g]:off[g+1]:off[g+1]], samp[off[g]:off[g+1]:off[g+1]]
+	}
+	return gBase, gSamp
 }
 
 // sampleIndices maps matched base positions back to their indices in

@@ -10,8 +10,7 @@
 // is two arrays: a power-of-two index of dense slot ids probed linearly
 // (one cache line covers 16 probes) and a densely appended key array in
 // first-seen order. Dense ids are the point: group-by partials index a
-// flat []stats.Moments by slot, so the per-row inner loop touches no
-// pointers at all.
+// flat []stats.Moments by slot.
 package hashtab
 
 import "sync"

@@ -95,6 +95,35 @@ func (m *Moments) ObserveSel(vals []float64, sel []int32) {
 	m.s1, m.s2, m.min, m.max = s1, s2, lo, hi
 }
 
+// ObserveGrouped adds vals[rows[j]] to ms[gids[j]*stride] for each j,
+// in order: the grouped fold, one argument column at a time. Each
+// accumulator sees its rows in the order Observe would, with the same
+// arithmetic, so the result is bit-identical to per-row Observe calls.
+// stride is the number of aggregates interleaved in ms (pass ms[i:]
+// to fold aggregate i of a [gid*stride + agg] arena); gids must be as
+// long as rows.
+func ObserveGrouped(ms []Moments, stride int, vals []float64, rows, gids []int32) {
+	gids = gids[:len(rows)]
+	for j, p := range rows {
+		v := vals[p]
+		m := &ms[int(gids[j])*stride]
+		if m.n == 0 {
+			m.start(v)
+		} else {
+			if v < m.min {
+				m.min = v
+			}
+			if v > m.max {
+				m.max = v
+			}
+		}
+		m.n++
+		d := v - m.k
+		m.s1 += d
+		m.s2 += d * d
+	}
+}
+
 // ObserveRepeat adds n copies of v at the cost of one.
 func (m *Moments) ObserveRepeat(v float64, n int) {
 	if n <= 0 {

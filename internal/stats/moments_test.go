@@ -218,3 +218,55 @@ func TestMomentsBulkMatchesPerValue(t *testing.T) {
 		t.Fatal("ObserveRepeat of zero copies changed the state")
 	}
 }
+
+// sameBits reports whether two accumulators hold bit-identical state
+// (NaN fields included, which == cannot compare).
+func sameBits(a, b Moments) bool {
+	bits := func(m Moments) [6]uint64 {
+		return [6]uint64{uint64(m.n), math.Float64bits(m.k), math.Float64bits(m.s1),
+			math.Float64bits(m.s2), math.Float64bits(m.min), math.Float64bits(m.max)}
+	}
+	return bits(a) == bits(b)
+}
+
+// TestObserveGroupedMatchesPerValue pins the grouped fold to per-row
+// Observe: over every precision input (NaN, ±Inf and offset 1e9
+// included), a random subset of rows spread over seven groups of a
+// three-aggregate arena leaves each group's accumulator, and every
+// accumulator it must not touch, bit-identical to observing the group's
+// rows one at a time.
+func TestObserveGroupedMatchesPerValue(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	const groups, stride, agg = 7, 3, 1
+	for name, vs := range momentsInputs() {
+		var rows, gids []int32
+		for i := range vs {
+			if rng.Intn(4) != 0 {
+				rows = append(rows, int32(i))
+				gids = append(gids, int32(rng.Intn(groups)))
+			}
+		}
+		want := make([]Moments, groups*stride)
+		for j, p := range rows {
+			want[int(gids[j])*stride+agg].Observe(vs[p])
+		}
+		got := make([]Moments, groups*stride)
+		ObserveGrouped(got[agg:], stride, vs, rows, gids)
+		for i := range want {
+			if !sameBits(got[i], want[i]) {
+				t.Fatalf("%s: arena slot %d = %+v, per-value %+v", name, i, got[i], want[i])
+			}
+		}
+		// Folding on into non-empty accumulators continues exactly as
+		// Observe does.
+		for j, p := range rows {
+			want[int(gids[j])*stride+agg].Observe(vs[p])
+		}
+		ObserveGrouped(got[agg:], stride, vs, rows, gids)
+		for i := range want {
+			if !sameBits(got[i], want[i]) {
+				t.Fatalf("%s (second fold): arena slot %d = %+v, per-value %+v", name, i, got[i], want[i])
+			}
+		}
+	}
+}

@@ -264,10 +264,12 @@ func (t *Table) ExtendWith(fn func(cols []column.Column) error) error {
 	return nil
 }
 
-// AdoptColumns replaces the table's column storage wholesale — the
-// recovery path: the segment store rebuilds mapped columns from disk
-// and installs them over the (empty or stale) in-memory ones. The new
-// columns must match the schema order and types. Bumps the version.
+// AdoptColumns replaces the table's column storage wholesale, without
+// copying it — the recovery path, where the segment store rebuilds
+// mapped columns from disk and installs them over the (empty or stale)
+// in-memory ones, and the engine's grouped results, assembled column by
+// column. The new columns must match the schema order and types. Bumps
+// the version.
 func (t *Table) AdoptColumns(cols []column.Column) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
