@@ -37,8 +37,9 @@ crash:
 	$(GO) test -race -run='^TestDurable' -v .
 	$(GO) test -race -run='^TestRestartRecoversDataDir$$' -v ./cmd/sciborqd
 
-# Short fuzz smoke over the SQL front-end (Parse never panics and
-# accepted statements round-trip through Statement.String), the wire
+# Short fuzz smoke over the SQL front-end (Parse never panics, accepted
+# statements round-trip through Statement.String, and their literal
+# slots are the lexer's and rebind through ParseBound), the wire
 # protocol (frame/page decoders never panic on arbitrary bytes, and
 # decoded frames re-encode losslessly), the cone kernel (it selects
 # exactly the rows the AngularSeparation reference selects), the
@@ -69,12 +70,13 @@ bench-smoke:
 	bash bench/run.sh -smoke
 
 # Allocation regression gate, asserted via testing.AllocsPerRun: the
-# steady-state cone kernel, a two-conjunct FilterRange and one part's
-# grouped fold (group ids, COUNT(*), AVG) on pooled scratch must stay at
-# exactly 0 allocs/op (expr.TestConeKernelZeroAlloc,
-# expr.TestAndFilterRangeZeroAlloc, engine.TestGroupFoldZeroAlloc).
+# steady-state cone kernel, a two-conjunct FilterRange, one part's
+# grouped fold (group ids, COUNT(*), AVG) on pooled scratch and the
+# workload logger's per-query LogPoints must stay at exactly 0 allocs/op
+# (expr.TestConeKernelZeroAlloc, expr.TestAndFilterRangeZeroAlloc,
+# engine.TestGroupFoldZeroAlloc, workload.TestLogPointsZeroAlloc).
 bench-alloc:
-	$(GO) test -run='ZeroAlloc' -v ./internal/expr/... ./internal/engine/...
+	$(GO) test -run='ZeroAlloc' -v ./internal/expr/... ./internal/engine/... ./internal/workload/...
 
 # Seeded, deterministic chaos suite under the race detector: >=100
 # injected faults (errors, panics, latency) across five fault points

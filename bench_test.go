@@ -163,7 +163,7 @@ func BenchmarkReservoirBiased(b *testing.B) {
 	weight := func(i int32) float64 {
 		return kd.Eval(vals[int(i)&(1<<16-1)]) * float64(hist.N)
 	}
-	sampler, err := reservoir.NewBiased[int32](10_000, weight, false, xrand.New(3))
+	sampler, err := reservoir.NewBiased[int32](10_000, weight, xrand.New(3))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -286,29 +286,6 @@ func BenchmarkExecTimeBounded(b *testing.B) {
 
 // --- Ablations (DESIGN.md §3) ----------------------------------------
 
-// BenchmarkAblationFaithfulVsCorrectedSlot quantifies the throughput
-// difference between the paper's verbatim shared-random victim slot and
-// the corrected independent slot (the distributional difference is
-// asserted in reservoir tests).
-func BenchmarkAblationFaithfulVsCorrectedSlot(b *testing.B) {
-	for _, faithful := range []bool{true, false} {
-		name := "corrected"
-		if faithful {
-			name = "faithful"
-		}
-		b.Run(name, func(b *testing.B) {
-			s, err := reservoir.NewBiased[int32](4096, func(int32) float64 { return 1 }, faithful, xrand.New(7))
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.Offer(int32(i))
-			}
-		})
-	}
-}
-
 // BenchmarkAblationBinnedBandwidth sweeps β to show the f̆ cost/fidelity
 // trade (cost only here; fidelity asserted in kde tests).
 func BenchmarkAblationBinnedBandwidth(b *testing.B) {
@@ -388,7 +365,7 @@ func BenchmarkImpressionOfferBiased(b *testing.B) {
 	}
 	logger, err := workload.NewLogger([]workload.AttrSpec{
 		{Name: "ra", Min: 120, Max: 240, Beta: 30},
-	}, false)
+	})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -697,59 +674,6 @@ func BenchmarkZoneMapPruning(b *testing.B) {
 			if b.N > 0 {
 				b.ReportMetric(float64(evaluated), "morsels-evaluated")
 				b.ReportMetric(float64(morsels), "morsels-total")
-			}
-		})
-	}
-}
-
-// BenchmarkAblationJointVsMarginalBias compares the per-offer cost of
-// the correlation-aware joint (2-D) bias against the marginal
-// (geometric-mean) bias; the cross-product suppression itself is
-// asserted in the impression tests.
-func BenchmarkAblationJointVsMarginalBias(b *testing.B) {
-	sky, err := skyserver.Generate(skyserver.DefaultConfig(1000))
-	if err != nil {
-		b.Fatal(err)
-	}
-	mkLogger := func(joint bool) *workload.Logger {
-		logger, err := workload.NewLogger([]workload.AttrSpec{
-			{Name: "ra", Min: 120, Max: 240, Beta: 30},
-			{Name: "dec", Min: 0, Max: 60, Beta: 30},
-		}, false)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if joint {
-			if err := logger.TrackJoint("ra", "dec", 30, 30); err != nil {
-				b.Fatal(err)
-			}
-		}
-		rng := xrand.New(12)
-		for i := 0; i < 400; i++ {
-			logger.LogPoints([]expr.Point{
-				{Attr: "ra", Value: 160 + rng.NormFloat64()*5},
-				{Attr: "dec", Value: 20 + rng.NormFloat64()*5},
-			})
-		}
-		return logger
-	}
-	for _, joint := range []bool{false, true} {
-		name := "marginal"
-		if joint {
-			name = "joint"
-		}
-		b.Run(name, func(b *testing.B) {
-			im, err := impression.New(sky.PhotoObjAll, impression.Config{
-				Name: name, Size: 256, Policy: impression.Biased,
-				Logger: mkLogger(joint), Attrs: []string{"ra", "dec"},
-				Joint: joint, Seed: 13,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				im.Offer(int32(i % 1000))
 			}
 		})
 	}

@@ -36,7 +36,7 @@ func clampedFixture(t *testing.T) (SelLayer, *table.Table) {
 	}
 	logger, err := workload.NewLogger([]workload.AttrSpec{
 		{Name: "ra", Min: 120, Max: 240, Beta: 30},
-	}, false)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -275,7 +275,7 @@ func biasedLayer(t *testing.T, N, n int, seed uint64) (SelLayer, *table.Table) {
 	}
 	logger, err := workload.NewLogger([]workload.AttrSpec{
 		{Name: "ra", Min: 120, Max: 240, Beta: 30},
-	}, false)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

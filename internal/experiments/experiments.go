@@ -40,7 +40,7 @@ func newFixture(baseRows int, seed uint64) (*fixture, error) {
 	logger, err := workload.NewLogger([]workload.AttrSpec{
 		{Name: "ra", Min: 120, Max: 240, Beta: 30},
 		{Name: "dec", Min: 0, Max: 60, Beta: 30},
-	}, false)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -332,7 +332,7 @@ func E4Adaptation(loads, rowsPerLoad, sampleSize, shiftAt int, seed uint64) (*E4
 	}
 	logger, err := workload.NewLogger([]workload.AttrSpec{
 		{Name: "ra", Min: 120, Max: 240, Beta: 30},
-	}, false)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -530,7 +530,7 @@ func E6LastSeen(stream, day, sampleSize int, ratios []float64, seed uint64) (*E6
 	mu, fu := profile(uni.Items())
 	out.Rows = append(out.Rows, E6Row{KOverD: 0, MeanAge: mu, FracLastDay: fu})
 	for i, ratio := range ratios {
-		ls, err := reservoir.NewLastSeen[int32](sampleSize, ratio*float64(day), float64(day), false, xrand.New(seed+uint64(i)+1))
+		ls, err := reservoir.NewLastSeen[int32](sampleSize, ratio*float64(day), float64(day), xrand.New(seed+uint64(i)+1))
 		if err != nil {
 			return nil, err
 		}

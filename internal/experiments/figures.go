@@ -50,7 +50,7 @@ func Figure4(queries, beta int, seed uint64) (*Figure4Result, error) {
 	logger, err := workload.NewLogger([]workload.AttrSpec{
 		{Name: "ra", Min: 120, Max: 240, Beta: beta},
 		{Name: "dec", Min: 0, Max: 60, Beta: beta},
-	}, true)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -58,12 +58,18 @@ func Figure4(queries, beta int, seed uint64) (*Figure4Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	// f̂ is the full-KDE reference over the raw predicate values, which
+	// the logger does not keep: collect them from the generated queries.
+	raw := map[string][]float64{}
 	for _, c := range gen.NextN(queries) {
 		logger.LogQuery(c)
+		for _, pt := range c.Points() {
+			raw[pt.Attr] = append(raw[pt.Attr], pt.Value)
+		}
 	}
 	res := &Figure4Result{Queries: queries}
 	for _, attr := range []string{"ra", "dec"} {
-		fa, err := figure4Attr(logger, attr)
+		fa, err := figure4Attr(logger, attr, raw[attr])
 		if err != nil {
 			return nil, err
 		}
@@ -72,12 +78,11 @@ func Figure4(queries, beta int, seed uint64) (*Figure4Result, error) {
 	return res, nil
 }
 
-func figure4Attr(logger *workload.Logger, attr string) (Figure4Attr, error) {
+func figure4Attr(logger *workload.Logger, attr string, raw []float64) (Figure4Attr, error) {
 	hist, err := logger.Histogram(attr)
 	if err != nil {
 		return Figure4Attr{}, err
 	}
-	raw := logger.RawValues(attr)
 	h, err := kde.SilvermanBandwidth(raw)
 	if err != nil {
 		return Figure4Attr{}, err
@@ -203,7 +208,7 @@ func Figure7(baseRows, sampleSize, beta int, seed uint64) (*Figure7Result, error
 	logger, err := workload.NewLogger([]workload.AttrSpec{
 		{Name: "ra", Min: 120, Max: 240, Beta: beta},
 		{Name: "dec", Min: 0, Max: 60, Beta: beta},
-	}, false)
+	})
 	if err != nil {
 		return nil, err
 	}

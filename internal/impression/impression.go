@@ -71,15 +71,6 @@ type Config struct {
 	Logger *workload.Logger
 	Attrs  []string
 
-	// Joint selects the multi-dimensional bias of the paper's future
-	// work (§6): with exactly two Attrs whose pair is jointly tracked
-	// on the Logger (workload.TrackJoint), the bias factor is the joint
-	// binned KDE f̆(x, y) — preserving the correlation between the
-	// attributes instead of multiplying marginals, so interest at
-	// (a₁, b₁) and (a₂, b₂) does not leak onto the phantom
-	// cross-products (a₁, b₂) and (a₂, b₁).
-	Joint bool
-
 	// LastSeen policy: acceptance probability K/D (Figure 3); D is
 	// tuned to the expected daily ingest.
 	K, D float64
@@ -162,7 +153,7 @@ func New(base *table.Table, cfg Config) (*Impression, error) {
 	case Uniform:
 		im.uni, err = reservoir.NewR[int32](cfg.Size, im.rng)
 	case LastSeen:
-		im.last, err = reservoir.NewLastSeen[int32](cfg.Size, cfg.K, cfg.D, false, im.rng)
+		im.last, err = reservoir.NewLastSeen[int32](cfg.Size, cfg.K, cfg.D, im.rng)
 	case Biased:
 		if cfg.Logger == nil || len(cfg.Attrs) == 0 {
 			return nil, fmt.Errorf("impression %q: biased policy needs a workload logger and attributes", cfg.Name)
@@ -176,17 +167,7 @@ func New(base *table.Table, cfg Config) (*Impression, error) {
 				return nil, fmt.Errorf("impression %q: %w", cfg.Name, err)
 			}
 		}
-		factor := im.biasFactor
-		if cfg.Joint {
-			if len(cfg.Attrs) != 2 {
-				return nil, fmt.Errorf("impression %q: joint bias needs exactly 2 attributes, got %d", cfg.Name, len(cfg.Attrs))
-			}
-			if _, err := cfg.Logger.LiveJoint(cfg.Attrs[0], cfg.Attrs[1]); err != nil {
-				return nil, fmt.Errorf("impression %q: %w", cfg.Name, err)
-			}
-			factor = im.jointBiasFactor
-		}
-		im.bias, err = reservoir.NewBiased[int32](cfg.Size, factor, false, im.rng)
+		im.bias, err = reservoir.NewBiased[int32](cfg.Size, im.biasFactor, im.rng)
 	default:
 		return nil, fmt.Errorf("impression %q: unknown policy %d", cfg.Name, cfg.Policy)
 	}
@@ -242,31 +223,6 @@ func (im *Impression) biasFactor(pos int32) float64 {
 	if !math.IsInf(logW, -1) && len(im.cfg.Attrs) > 0 {
 		w = math.Exp(logW / float64(len(im.cfg.Attrs)))
 	}
-	return (1-uniformMix)*w + uniformMix
-}
-
-// jointBiasFactor computes the acceptance weight from the joint binned
-// KDE: the smoothed expected number of workload predicate points in the
-// tuple's grid cell, f̆(x, y)·N·wx·wy — the same "how interesting is this
-// neighbourhood" scale as the 1-D factor, but correlation-aware.
-func (im *Impression) jointBiasFactor(pos int32) float64 {
-	xs, err := im.base.Float64(im.cfg.Attrs[0])
-	if err != nil || int(pos) >= len(xs) {
-		return 0
-	}
-	ys, err := im.base.Float64(im.cfg.Attrs[1])
-	if err != nil || int(pos) >= len(ys) {
-		return 0
-	}
-	h, err := im.cfg.Logger.LiveJoint(im.cfg.Attrs[0], im.cfg.Attrs[1])
-	if err != nil {
-		return 0
-	}
-	b, err := kde.NewBinned2D(h, nil)
-	if err != nil {
-		return 0
-	}
-	w := b.Eval(xs[pos], ys[pos]) * float64(h.N) * h.WidthX * h.WidthY
 	return (1-uniformMix)*w + uniformMix
 }
 

@@ -51,7 +51,7 @@ func focusedLogger(t *testing.T) *workload.Logger {
 	l, err := workload.NewLogger([]workload.AttrSpec{
 		{Name: "ra", Min: 120, Max: 240, Beta: 30},
 		{Name: "dec", Min: 0, Max: 60, Beta: 30},
-	}, false)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,7 +62,7 @@ func TestBiasedInvariants(t *testing.T) {
 		capN := int(capRaw%256) + 1
 		stream := int(streamRaw % 2048)
 		weight := func(v int) float64 { return 0.1 + float64(v%7) }
-		b, err := NewBiased[int](capN, weight, false, xrand.New(seed))
+		b, err := NewBiased[int](capN, weight, xrand.New(seed))
 		if err != nil {
 			return false
 		}
@@ -101,7 +101,7 @@ func TestLastSeenInvariants(t *testing.T) {
 		capN := int(capRaw%64) + 1
 		d := float64(dRaw%1000) + 1
 		k := float64(kRaw) * d / 65535 // k in [0, d]
-		ls, err := NewLastSeen[int](capN, k, d, false, xrand.New(seed))
+		ls, err := NewLastSeen[int](capN, k, d, xrand.New(seed))
 		if err != nil {
 			return false
 		}

@@ -7,12 +7,11 @@
 //     probability f̆(t)·N·n/cnt steered by the binned KDE over the
 //     workload's predicate set.
 //
-// Figures 3 and 6 of the paper reuse one random draw for both the
-// acceptance test and the victim slot, which conditions the slot on
-// acceptance and skews eviction toward low slots. Each sampler is
-// provided in a Faithful variant (paper pseudo-code, verbatim semantics)
-// and a corrected variant drawing an independent slot; the ablation bench
-// quantifies the difference and all experiments use the corrected form.
+// LastSeen and Biased draw the victim slot independently of the
+// acceptance draw: Figures 3 and 6 reuse one draw for both, which
+// conditions the slot on acceptance and confines eviction to the slots
+// below n times the acceptance probability, so the high slots would
+// never turn over.
 package reservoir
 
 import (
@@ -92,19 +91,17 @@ func (r *R[T]) Cap() int { return r.cap }
 // k <= n sets the desired fraction of fresh tuples — so old tuples decay
 // geometrically.
 type LastSeen[T any] struct {
-	cap      int
-	k, d     float64
-	cnt      int64
-	items    []T
-	rng      *xrand.RNG
-	faithful bool
-	hook     Hook[T]
+	cap   int
+	k, d  float64
+	cnt   int64
+	items []T
+	rng   *xrand.RNG
+	hook  Hook[T]
 }
 
 // NewLastSeen builds a Last Seen reservoir of capacity n with acceptance
-// probability k/D. faithful selects the verbatim Figure-3 victim rule
-// (slot = floor(n·rnd) with the same rnd as the acceptance test).
-func NewLastSeen[T any](n int, k, d float64, faithful bool, rng *xrand.RNG) (*LastSeen[T], error) {
+// probability k/D.
+func NewLastSeen[T any](n int, k, d float64, rng *xrand.RNG) (*LastSeen[T], error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("reservoir: capacity must be positive, got %d", n)
 	}
@@ -114,7 +111,7 @@ func NewLastSeen[T any](n int, k, d float64, faithful bool, rng *xrand.RNG) (*La
 	if rng == nil {
 		return nil, fmt.Errorf("reservoir: nil rng")
 	}
-	return &LastSeen[T]{cap: n, k: k, d: d, items: make([]T, 0, n), rng: rng, faithful: faithful}, nil
+	return &LastSeen[T]{cap: n, k: k, d: d, items: make([]T, 0, n), rng: rng}, nil
 }
 
 // SetHook installs the mutation observer (nil to remove).
@@ -130,21 +127,10 @@ func (l *LastSeen[T]) Offer(item T) {
 		}
 		return
 	}
-	rnd := l.rng.Float64()
-	if l.d*rnd >= l.k {
+	if l.d*l.rng.Float64() >= l.k {
 		return
 	}
-	var slot int
-	if l.faithful {
-		// Figure 3 verbatim: smp[floor(n*rnd)] := tpl. Given acceptance,
-		// rnd ∈ [0, k/D), so slots are confined to [0, n·k/D).
-		slot = int(float64(l.cap) * rnd)
-		if slot >= l.cap {
-			slot = l.cap - 1
-		}
-	} else {
-		slot = l.rng.Intn(l.cap)
-	}
+	slot := l.rng.Intn(l.cap)
 	victim := l.items[slot]
 	l.items[slot] = item
 	if l.hook != nil {
@@ -190,14 +176,13 @@ type Weighted[T any] struct {
 // (clamped to 1), where f̆ is the binned KDE over the predicate set, N is
 // the number of logged predicate values, and n the impression size.
 type Biased[T any] struct {
-	cap      int
-	cnt      int64
-	accepts  int64 // replacement acceptances (evictions) so far, K
-	items    []biasedItem[T]
-	rng      *xrand.RNG
-	weight   func(T) float64 // returns f̆(t)·N, the bias factor
-	faithful bool
-	hook     Hook[T]
+	cap     int
+	cnt     int64
+	accepts int64 // replacement acceptances (evictions) so far, K
+	items   []biasedItem[T]
+	rng     *xrand.RNG
+	weight  func(T) float64 // returns f̆(t)·N, the bias factor
+	hook    Hook[T]
 }
 
 // biasedItem records the acceptance metadata needed to reconstruct the
@@ -211,9 +196,8 @@ type biasedItem[T any] struct {
 }
 
 // NewBiased builds a biased reservoir of capacity n. weight must return
-// the bias factor f̆(t)·N for a tuple (>= 0). faithful selects the
-// verbatim Figure-6 victim rule.
-func NewBiased[T any](n int, weight func(T) float64, faithful bool, rng *xrand.RNG) (*Biased[T], error) {
+// the bias factor f̆(t)·N for a tuple (>= 0).
+func NewBiased[T any](n int, weight func(T) float64, rng *xrand.RNG) (*Biased[T], error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("reservoir: capacity must be positive, got %d", n)
 	}
@@ -223,7 +207,7 @@ func NewBiased[T any](n int, weight func(T) float64, faithful bool, rng *xrand.R
 	if rng == nil {
 		return nil, fmt.Errorf("reservoir: nil rng")
 	}
-	return &Biased[T]{cap: n, items: make([]biasedItem[T], 0, n), rng: rng, weight: weight, faithful: faithful}, nil
+	return &Biased[T]{cap: n, items: make([]biasedItem[T], 0, n), rng: rng, weight: weight}, nil
 }
 
 // Offer presents one item.
@@ -240,21 +224,11 @@ func (b *Biased[T]) Offer(item T) {
 		}
 		return
 	}
-	rnd := b.rng.Float64()
 	// Figure 6: accept iff cnt·rnd < n·N·f̆(t), i.e. rnd < n·w/cnt.
-	if float64(b.cnt)*rnd >= float64(b.cap)*w {
+	if float64(b.cnt)*b.rng.Float64() >= float64(b.cap)*w {
 		return
 	}
-	var slot int
-	if b.faithful {
-		// Figure 6 verbatim: smp[floor(rnd·n)] := tpl.
-		slot = int(rnd * float64(b.cap))
-		if slot >= b.cap {
-			slot = b.cap - 1
-		}
-	} else {
-		slot = b.rng.Intn(b.cap)
-	}
+	slot := b.rng.Intn(b.cap)
 	b.accepts++
 	p := float64(b.cap) * w / float64(b.cnt)
 	if p > 1 {

@@ -76,19 +76,19 @@ func TestRUniformInclusion(t *testing.T) {
 
 func TestNewLastSeenValidation(t *testing.T) {
 	r := xrand.New(1)
-	if _, err := NewLastSeen[int](0, 1, 10, false, r); err == nil {
+	if _, err := NewLastSeen[int](0, 1, 10, r); err == nil {
 		t.Fatal("capacity 0 accepted")
 	}
-	if _, err := NewLastSeen[int](5, -1, 10, false, r); err == nil {
+	if _, err := NewLastSeen[int](5, -1, 10, r); err == nil {
 		t.Fatal("negative k accepted")
 	}
-	if _, err := NewLastSeen[int](5, 11, 10, false, r); err == nil {
+	if _, err := NewLastSeen[int](5, 11, 10, r); err == nil {
 		t.Fatal("k > D accepted")
 	}
-	if _, err := NewLastSeen[int](5, 1, 0, false, r); err == nil {
+	if _, err := NewLastSeen[int](5, 1, 0, r); err == nil {
 		t.Fatal("D=0 accepted")
 	}
-	if _, err := NewLastSeen[int](5, 1, 10, false, nil); err == nil {
+	if _, err := NewLastSeen[int](5, 1, 10, nil); err == nil {
 		t.Fatal("nil rng accepted")
 	}
 }
@@ -100,7 +100,7 @@ func TestLastSeenRecencyBias(t *testing.T) {
 	const n, streamN, trials = 50, 5000, 200
 	oldCount, newCount := 0, 0
 	for tr := 0; tr < trials; tr++ {
-		ls, err := NewLastSeen[int](n, 500, 1000, false, xrand.New(uint64(tr)+1))
+		ls, err := NewLastSeen[int](n, 500, 1000, xrand.New(uint64(tr)+1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,50 +121,21 @@ func TestLastSeenRecencyBias(t *testing.T) {
 }
 
 func TestLastSeenAcceptProb(t *testing.T) {
-	ls, _ := NewLastSeen[int](10, 250, 1000, false, xrand.New(1))
+	ls, _ := NewLastSeen[int](10, 250, 1000, xrand.New(1))
 	if got := ls.AcceptProb(); got != 0.25 {
 		t.Fatalf("AcceptProb = %v", got)
 	}
 }
 
-func TestLastSeenFaithfulSlotSkew(t *testing.T) {
-	// The verbatim Figure-3 rule confines victims to slots
-	// [0, n·k/D): with k/D = 0.25 and n = 100, slots >= 25 never change
-	// after the fill phase. The corrected variant replaces everywhere.
-	const n = 100
-	faithful, _ := NewLastSeen[int](n, 250, 1000, true, xrand.New(7))
-	for i := 0; i < 100000; i++ {
-		faithful.Offer(i)
-	}
-	for slot := 30; slot < n; slot++ {
-		if faithful.Items()[slot] != slot {
-			t.Fatalf("faithful variant replaced slot %d; expected fill-phase item to survive", slot)
-		}
-	}
-	corrected, _ := NewLastSeen[int](n, 250, 1000, false, xrand.New(7))
-	for i := 0; i < 100000; i++ {
-		corrected.Offer(i)
-	}
-	surviving := 0
-	for slot := 0; slot < n; slot++ {
-		if corrected.Items()[slot] == slot {
-			surviving++
-		}
-	}
-	if surviving > n/2 {
-		t.Fatalf("corrected variant left %d fill-phase items in place", surviving)
-	}
-}
-
 func TestNewBiasedValidation(t *testing.T) {
 	w := func(int) float64 { return 1 }
-	if _, err := NewBiased[int](0, w, false, xrand.New(1)); err == nil {
+	if _, err := NewBiased[int](0, w, xrand.New(1)); err == nil {
 		t.Fatal("capacity 0 accepted")
 	}
-	if _, err := NewBiased[int](5, nil, false, xrand.New(1)); err == nil {
+	if _, err := NewBiased[int](5, nil, xrand.New(1)); err == nil {
 		t.Fatal("nil weight accepted")
 	}
-	if _, err := NewBiased[int](5, w, false, nil); err == nil {
+	if _, err := NewBiased[int](5, w, nil); err == nil {
 		t.Fatal("nil rng accepted")
 	}
 }
@@ -181,7 +152,7 @@ func TestBiasedFavoursHeavyItems(t *testing.T) {
 		return 1
 	}
 	for tr := 0; tr < trials; tr++ {
-		b, err := NewBiased[int](n, weight, false, xrand.New(uint64(tr)+1))
+		b, err := NewBiased[int](n, weight, xrand.New(uint64(tr)+1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,7 +181,7 @@ func TestBiasedZeroWeightNeverAccepted(t *testing.T) {
 		}
 		return 0
 	}
-	b, _ := NewBiased[int](10, weight, false, xrand.New(5))
+	b, _ := NewBiased[int](10, weight, xrand.New(5))
 	for i := 0; i < 10000; i++ {
 		b.Offer(i)
 	}
@@ -231,7 +202,7 @@ func TestBiasedNegativeAndNaNWeightsClamped(t *testing.T) {
 		}
 		return 1
 	}
-	b, _ := NewBiased[int](5, weight, false, xrand.New(5))
+	b, _ := NewBiased[int](5, weight, xrand.New(5))
 	for i := 0; i < 1000; i++ {
 		b.Offer(i)
 	}
@@ -243,7 +214,7 @@ func TestBiasedNegativeAndNaNWeightsClamped(t *testing.T) {
 }
 
 func TestBiasedRecordsSeqAndWeight(t *testing.T) {
-	b, _ := NewBiased[int](3, func(int) float64 { return 2 }, false, xrand.New(1))
+	b, _ := NewBiased[int](3, func(int) float64 { return 2 }, xrand.New(1))
 	b.Offer(7)
 	items := b.Items()
 	if items[0].Item != 7 || items[0].Weight != 2 || items[0].Seq != 1 {
@@ -252,7 +223,7 @@ func TestBiasedRecordsSeqAndWeight(t *testing.T) {
 }
 
 func TestBiasedAcceptProb(t *testing.T) {
-	b, _ := NewBiased[int](10, func(int) float64 { return 1 }, false, xrand.New(1))
+	b, _ := NewBiased[int](10, func(int) float64 { return 1 }, xrand.New(1))
 	if b.AcceptProb(0.5) != 1 {
 		t.Fatal("fill phase should accept with probability 1")
 	}
@@ -278,7 +249,7 @@ func TestBiasedUniformWeightMatchesR(t *testing.T) {
 	const n, streamN, trials = 20, 200, 3000
 	counts := make([]float64, streamN)
 	for tr := 0; tr < trials; tr++ {
-		b, _ := NewBiased[int](n, func(int) float64 { return 1 }, false, xrand.New(uint64(tr)+1))
+		b, _ := NewBiased[int](n, func(int) float64 { return 1 }, xrand.New(uint64(tr)+1))
 		for i := 0; i < streamN; i++ {
 			b.Offer(i)
 		}
@@ -292,25 +263,5 @@ func TestBiasedUniformWeightMatchesR(t *testing.T) {
 		if math.Abs(got-want) > 0.025 {
 			t.Fatalf("position %d inclusion %v, want %v", i, got, want)
 		}
-	}
-}
-
-func TestFaithfulBiasedSlotSkew(t *testing.T) {
-	// Figure-6 verbatim: victim slot floor(rnd·n) with rnd < n·w/cnt.
-	// As cnt grows the acceptance threshold shrinks, so victims
-	// concentrate near slot 0; high slots almost never change.
-	const n = 100
-	b, _ := NewBiased[int](n, func(int) float64 { return 1 }, true, xrand.New(11))
-	for i := 0; i < 100000; i++ {
-		b.Offer(i)
-	}
-	stale := 0
-	for slot := n / 2; slot < n; slot++ {
-		if b.Items()[slot].Item == slot {
-			stale++
-		}
-	}
-	if stale < n/4 {
-		t.Fatalf("expected upper slots to stay stale under faithful rule, got %d stale", stale)
 	}
 }

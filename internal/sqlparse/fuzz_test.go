@@ -76,16 +76,46 @@ func checkRoundTrip(t *testing.T, sql string, st *Statement) {
 	}
 }
 
-// checkFingerprint verifies the prepared-statement binding contract:
-// every lexable statement fingerprints, and replaying the statement's
-// own literals through ParseBound reproduces Parse exactly.
-func checkFingerprint(t *testing.T, sql string, st *Statement) {
-	t.Helper()
-	shape, lits, ok := Fingerprint(nil, nil, sql)
-	if !ok {
-		t.Fatalf("accepted statement %q did not fingerprint", sql)
+// lexLits is the test-side literal-slot oracle: the values of the plain
+// numeric literals (those ParseFloat reads) before the first LIMIT or
+// WITHIN keyword, from the lexer alone. ok is false on a lexical error.
+func lexLits(sql string) (lits []float64, ok bool) {
+	lx := lexer{input: sql}
+	for {
+		t, err := lx.next()
+		if err != nil {
+			return nil, false
+		}
+		if t.kind == tokEOF || t.kw == kwLimit || t.kw == kwWithin {
+			return lits, true
+		}
+		if t.kind == tokNumber {
+			if v, perr := strconv.ParseFloat(t.text, 64); perr == nil {
+				lits = append(lits, v)
+			}
+		}
 	}
-	_ = shape
+}
+
+// checkParams verifies the prepared-statement binding contract on an
+// accepted statement: the parser's slot count (the wire parameter
+// count) equals the lexer's count of plain numbers before the first
+// LIMIT/WITHIN, replaying the statement's own literals through
+// ParseBound reproduces Parse exactly, and a list one value too long or
+// too short is refused.
+func checkParams(t *testing.T, sql string, st *Statement) {
+	t.Helper()
+	n, err := Params(sql)
+	if err != nil {
+		t.Fatalf("accepted statement %q: Params failed: %v", sql, err)
+	}
+	lits, ok := lexLits(sql)
+	if !ok {
+		t.Fatalf("accepted statement %q did not lex", sql)
+	}
+	if n != len(lits) {
+		t.Fatalf("Params(%q) = %d, lexer counts %d literal slots %v", sql, n, len(lits), lits)
+	}
 	st2, err := ParseBound(sql, lits)
 	if err != nil {
 		t.Fatalf("ParseBound(%q, own lits) failed: %v", sql, err)
@@ -93,13 +123,22 @@ func checkFingerprint(t *testing.T, sql string, st *Statement) {
 	if !reflect.DeepEqual(st2, st) {
 		t.Fatalf("ParseBound with own literals diverged on %q:\n  Parse:      %#v\n  ParseBound: %#v", sql, st, st2)
 	}
+	extra := append(append([]float64(nil), lits...), 1)
+	if _, err := ParseBound(sql, extra); err == nil {
+		t.Fatalf("ParseBound(%q) accepted %d values for %d slots", sql, len(extra), n)
+	}
+	if n > 0 {
+		if _, err := ParseBound(sql, lits[:n-1]); err == nil {
+			t.Fatalf("ParseBound(%q) accepted %d values for %d slots", sql, n-1, n)
+		}
+	}
 }
 
 // FuzzParse fuzzes the SQL front-end for the full property set: Parse
 // never panics; accept/reject and ASTs match the retained reference of
 // the pre-rewrite parser; every accepted statement survives parse →
-// render → parse structurally intact; and literal replay through
-// Fingerprint/ParseBound reproduces Parse.
+// render → parse structurally intact; and its literal slots are the
+// lexer's, and rebinding them through ParseBound reproduces Parse.
 func FuzzParse(f *testing.F) {
 	for _, s := range fuzzSeeds {
 		f.Add(s)
@@ -110,12 +149,12 @@ func FuzzParse(f *testing.F) {
 			return // rejected by both: only the no-panic property applies
 		}
 		checkRoundTrip(t, sql, st)
-		checkFingerprint(t, sql, st)
+		checkParams(t, sql, st)
 	})
 }
 
 // TestDifferentialCorpus runs the differential, round-trip, and
-// fingerprint properties over the seed corpus under plain `go test`.
+// literal-slot properties over the seed corpus under plain `go test`.
 func TestDifferentialCorpus(t *testing.T) {
 	for _, sql := range fuzzSeeds {
 		st, ok := checkDifferential(t, sql)
@@ -123,163 +162,55 @@ func TestDifferentialCorpus(t *testing.T) {
 			continue
 		}
 		checkRoundTrip(t, sql, st)
-		checkFingerprint(t, sql, st)
+		checkParams(t, sql, st)
 	}
 }
 
-// TestFingerprintShapeSharing pins the parameterisation that lets
-// literal-variant statements share one shape, so a prepared statement
-// can be re-executed with fresh literals.
-func TestFingerprintShapeSharing(t *testing.T) {
-	a, aLits, ok := Fingerprint(nil, nil, "SELECT COUNT(*) FROM t WHERE x > 5")
-	if !ok {
-		t.Fatal("fingerprint failed")
+// TestParseBoundSlots pins which literals are slots and how binding
+// behaves: a prepared statement re-executes with fresh predicate values,
+// while LIMIT and WITHIN values stay part of the statement (the parser
+// validates them structurally) and a '-' sign stays with the statement.
+func TestParseBoundSlots(t *testing.T) {
+	cases := []struct {
+		sql   string
+		slots int
+		lits  []float64
+		want  string // "" means the binding must be refused
+	}{
+		{"SELECT COUNT(*) FROM t WHERE x > 5", 1, []float64{7}, "SELECT COUNT(*) FROM t WHERE x > 7"},
+		{"SELECT * FROM t WHERE x > 3 LIMIT 10", 1, []float64{4}, "SELECT * FROM t WHERE x > 4 LIMIT 10"},
+		{"SELECT COUNT(*) FROM t WHERE dec > -15.5", 1, []float64{2}, "SELECT COUNT(*) FROM t WHERE dec > -2"},
+		{"SELECT COUNT(*) FROM t WHERE ra BETWEEN 120 AND 240 WITHIN TIME 5ms", 2, []float64{1, 2},
+			"SELECT COUNT(*) FROM t WHERE ra BETWEEN 1 AND 2 WITHIN TIME 5ms"},
+		{"SELECT * FROM t LIMIT 5", 0, nil, "SELECT * FROM t LIMIT 5"},
+		{"SELECT * FROM t LIMIT 5", 0, []float64{9}, ""},
+		{"SELECT AVG(x) FROM t WITHIN ERROR 0.05", 0, []float64{0.5}, ""},
+		{"SELECT COUNT(*) FROM t WHERE x > 5", 1, []float64{7, 8}, ""},
+		{"SELECT COUNT(*) FROM t WHERE x > 5", 1, nil, ""},
 	}
-	b, bLits, ok := Fingerprint(nil, nil, "SELECT COUNT(*) FROM t WHERE x > 7")
-	if !ok {
-		t.Fatal("fingerprint failed")
-	}
-	if string(a) != string(b) {
-		t.Fatalf("literal variants have different shapes:\n  %q\n  %q", a, b)
-	}
-	if len(aLits) != 1 || aLits[0] != 5 || len(bLits) != 1 || bLits[0] != 7 {
-		t.Fatalf("literal extraction wrong: %v vs %v", aLits, bLits)
-	}
-	// Binding the second statement's literals into the first (the
-	// template) must reproduce the second statement's AST.
-	want := MustParse("SELECT COUNT(*) FROM t WHERE x > 7")
-	got, err := ParseBound("SELECT COUNT(*) FROM t WHERE x > 5", bLits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("cross-binding diverged:\n  got:  %#v\n  want: %#v", got, want)
-	}
-
-	// LIMIT and WITHIN literals are shape, not parameters: variants must
-	// NOT share a fingerprint (their values are validated structurally).
-	l1, _, _ := Fingerprint(nil, nil, "SELECT * FROM t LIMIT 5")
-	l2, _, _ := Fingerprint(nil, nil, "SELECT * FROM t LIMIT 9")
-	if string(l1) == string(l2) {
-		t.Fatal("LIMIT literals must stay part of the shape")
-	}
-	w1, _, _ := Fingerprint(nil, nil, "SELECT AVG(x) FROM t WITHIN ERROR 0.05")
-	w2, _, _ := Fingerprint(nil, nil, "SELECT AVG(x) FROM t WITHIN ERROR 0.5")
-	if string(w1) == string(w2) {
-		t.Fatal("WITHIN literals must stay part of the shape")
-	}
-	// Predicate literals before a LIMIT still parameterise.
-	p1, p1L, _ := Fingerprint(nil, nil, "SELECT * FROM t WHERE x > 3 LIMIT 10")
-	p2, p2L, _ := Fingerprint(nil, nil, "SELECT * FROM t WHERE x > 4 LIMIT 10")
-	if string(p1) != string(p2) {
-		t.Fatal("predicate literals before LIMIT must parameterise")
-	}
-	if len(p1L) != 1 || p1L[0] != 3 || len(p2L) != 1 || p2L[0] != 4 {
-		t.Fatalf("predicate literal extraction wrong: %v vs %v", p1L, p2L)
-	}
-}
-
-// maskedToken is one lexed token with parameterisable numeric literal
-// values masked out — the equivalence class Fingerprint is meant to
-// compute.
-type maskedToken struct {
-	kind tokKind
-	text string
-}
-
-// maskedTokens lexes sql into its fingerprint equivalence class,
-// mirroring Fingerprint's parameterisation window exactly; ok is false
-// on a lexical error.
-func maskedTokens(sql string) ([]maskedToken, bool) {
-	lx := lexer{input: sql}
-	paramOn := true
-	var out []maskedToken
-	for {
-		t, err := lx.next()
+	for _, c := range cases {
+		n, err := Params(c.sql)
+		if err != nil || n != c.slots {
+			t.Errorf("Params(%q) = %d, %v; want %d slots", c.sql, n, err, c.slots)
+		}
+		got, err := ParseBound(c.sql, c.lits)
+		if c.want == "" {
+			if err == nil {
+				t.Errorf("ParseBound(%q, %v) accepted", c.sql, c.lits)
+			}
+			continue
+		}
 		if err != nil {
-			return nil, false
+			t.Errorf("ParseBound(%q, %v): %v", c.sql, c.lits, err)
+			continue
 		}
-		if t.kind == tokEOF {
-			return out, true
+		if want := MustParse(c.want); !reflect.DeepEqual(got, want) {
+			t.Errorf("ParseBound(%q, %v) diverged from Parse(%q):\n  got:  %#v\n  want: %#v", c.sql, c.lits, c.want, got, want)
 		}
-		text := t.text
-		switch t.kind {
-		case tokNumber:
-			if paramOn {
-				if _, perr := strconv.ParseFloat(t.text, 64); perr == nil {
-					text = "?"
-				}
-			}
-		case tokString:
-			// Verbatim: string content is never parameterised.
-		default:
-			if t.kw == kwLimit || t.kw == kwWithin {
-				paramOn = false
-			}
-		}
-		out = append(out, maskedToken{kind: t.kind, text: text})
 	}
-}
-
-// checkFingerprintInjective asserts the injectivity direction of the
-// fingerprint contract: equal shapes imply equal token sequences
-// (modulo parameterised literal values). A violation means one
-// statement can pass for a literal rebinding of another.
-func checkFingerprintInjective(t *testing.T, a, b string) {
-	t.Helper()
-	fpA, litsA, okA := Fingerprint(nil, nil, a)
-	fpB, litsB, okB := Fingerprint(nil, nil, b)
-	if !okA || !okB || string(fpA) != string(fpB) {
-		return
+	if _, err := Params("SELECT FROM t"); err == nil {
+		t.Error("Params accepted a statement Parse refuses")
 	}
-	if len(litsA) != len(litsB) {
-		t.Fatalf("equal shapes with different literal counts: %q (%d) vs %q (%d)", a, len(litsA), b, len(litsB))
-	}
-	ta, _ := maskedTokens(a)
-	tb, _ := maskedTokens(b)
-	if !reflect.DeepEqual(ta, tb) {
-		t.Fatalf("fingerprint collision: %q and %q share shape %q but lex differently", a, b, fpA)
-	}
-}
-
-// FuzzFingerprintInjective fuzzes statement pairs for shape collisions.
-func FuzzFingerprintInjective(f *testing.F) {
-	f.Add("SELECT COUNT(*) FROM t WHERE s = 'a\x02\x1FAND\x1Ft2\x1F=\x1F\x02b'",
-		"SELECT COUNT(*) FROM t WHERE s = 'a' AND t2 = 'b'")
-	f.Add("SELECT * FROM t WHERE s = 'x'", "SELECT * FROM t WHERE s = 'x'")
-	for i := 1; i < len(fuzzSeeds); i++ {
-		f.Add(fuzzSeeds[i-1], fuzzSeeds[i])
-	}
-	f.Fuzz(func(t *testing.T, a, b string) {
-		checkFingerprintInjective(t, a, b)
-	})
-}
-
-// TestFingerprintStringInjection pins the fix for a cross-tenant shape
-// forgery: a string literal embedding the fingerprint control bytes
-// must not reproduce the fingerprint of a structurally different
-// statement (shape templates are shared across tenants, so a collision
-// would let one tenant's statement answer another tenant's query).
-func TestFingerprintStringInjection(t *testing.T) {
-	forged := "SELECT COUNT(*) FROM t WHERE s = 'a\x02\x1FAND\x1Ft2\x1F=\x1F\x02b'"
-	honest := "SELECT COUNT(*) FROM t WHERE s = 'a' AND t2 = 'b'"
-	fpF, litsF, ok := Fingerprint(nil, nil, forged)
-	if !ok {
-		t.Fatal("forged statement did not fingerprint")
-	}
-	fpH, litsH, ok := Fingerprint(nil, nil, honest)
-	if !ok {
-		t.Fatal("honest statement did not fingerprint")
-	}
-	if len(litsF) != 0 || len(litsH) != 0 {
-		t.Fatalf("unexpected literals: %v vs %v", litsF, litsH)
-	}
-	if string(fpF) == string(fpH) {
-		t.Fatalf("control-byte string literal forged the shape of a different statement: %q", fpF)
-	}
-	// String literals sharing concatenated bytes but split differently
-	// must also stay distinct (the length prefix disambiguates).
-	checkFingerprintInjective(t, forged, honest)
 }
 
 // TestFormatDurationSingleUnit pins the renderer to lexable spellings:

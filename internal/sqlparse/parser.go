@@ -37,18 +37,32 @@ type Statement struct {
 
 // Parse parses one SELECT statement.
 func Parse(sql string) (*Statement, error) {
-	return parseWithLits(sql, nil)
+	st, _, err := parse(sql, nil)
+	return st, err
 }
 
-// ParseBound re-parses sql substituting the i-th parameterisable numeric
-// literal (in token order, as enumerated by Fingerprint) with lits[i].
-// It is the binding half of wire prepared statements: given a prepared
-// statement's SQL and fresh values for its literals, it produces exactly
-// the Statement a direct Parse of the statement spelled with those
-// values would — same control flow, same AST shape — without rendering
-// any literal text.
+// Params parses sql and returns the number of literal slots ParseBound
+// fills: the plain numeric literals before the first LIMIT or WITHIN
+// keyword, in token order. It is the parameter count of a wire prepared
+// statement, and it fails exactly when Parse does.
+func Params(sql string) (int, error) {
+	_, n, err := parse(sql, nil)
+	return n, err
+}
+
+// ParseBound re-parses sql substituting its i-th literal slot (see
+// Params) with lits[i]. It is the binding half of wire prepared
+// statements: given a prepared statement's SQL and fresh values for its
+// slots, it produces exactly the Statement a direct Parse of the
+// statement spelled with those values would — same control flow, same
+// AST shape — without rendering any literal text. A list whose length
+// differs from the slot count is refused.
 func ParseBound(sql string, lits []float64) (*Statement, error) {
-	return parseWithLits(sql, lits)
+	st, n, err := parse(sql, lits)
+	if err == nil && n != len(lits) {
+		return nil, fmt.Errorf("sqlparse: statement has %d literal slots, got %d values", n, len(lits))
+	}
+	return st, err
 }
 
 // MustParse is Parse but panics on error; for tests and examples.
@@ -64,7 +78,9 @@ func MustParse(sql string) *Statement {
 // allocates only the statement's own AST.
 var parserPool = sync.Pool{New: func() any { return new(parser) }}
 
-func parseWithLits(sql string, lits []float64) (*Statement, error) {
+// parse parses sql, substituting lits for its literal slots (none when
+// lits is nil), and returns the statement with its slot count.
+func parse(sql string, lits []float64) (*Statement, int, error) {
 	p := parserPool.Get().(*parser)
 	p.init(sql, lits)
 	st, perr := p.parseSelect()
@@ -77,14 +93,15 @@ func parseWithLits(sql string, lits []float64) (*Statement, error) {
 		perr = p.errorf("unexpected trailing input %q", p.tok.text)
 		lexErr = p.lexErr // trailing scan may itself have failed
 	}
+	slots := p.litIdx
 	p.release()
 	if lexErr != nil {
-		return nil, lexErr
+		return nil, 0, lexErr
 	}
 	if perr != nil {
-		return nil, perr
+		return nil, 0, perr
 	}
-	return st, nil
+	return st, slots, nil
 }
 
 // parser is the recursive-descent statement parser over the on-demand
@@ -98,11 +115,12 @@ type parser struct {
 	nahead int   // 0 or 1 tokens buffered in ahead
 	lexErr error
 
-	// Literal replay (prepared-statement binding): when lits is non-nil,
-	// parseNumber substitutes lits[litIdx] for each parameterisable
-	// numeric literal, in token order. litOn turns off at the first
-	// LIMIT/WITHIN keyword, mirroring Fingerprint's parameterisation
-	// window.
+	// Literal slots (prepared-statement binding): parseNumber counts
+	// each plain numeric literal in litIdx and, while lits has a value
+	// for it, substitutes lits[litIdx]. litOn turns off at the first
+	// LIMIT/WITHIN keyword: the parser validates those clauses' values
+	// structurally (integer limits, (0,1) error bounds), so rebinding
+	// them could turn an accepted statement into a rejected one.
 	lits   []float64
 	litIdx int
 	litOn  bool
@@ -647,8 +665,9 @@ func (p *parser) parseCmpOp() (vec.CmpOp, error) {
 }
 
 // parseNumber parses a plain numeric literal (with optional leading -).
-// In literal-replay mode the parsed value is replaced by the next bound
-// literal; the sign stays with the statement shape (the '-' token).
+// Before the first LIMIT/WITHIN the literal is a slot: its value is
+// replaced by the next bound literal, if any; the sign stays with the
+// statement (the '-' token).
 func (p *parser) parseNumber() (float64, error) {
 	neg := false
 	// Signed literal: a '-' counts only when the second window token is
@@ -660,17 +679,16 @@ func (p *parser) parseNumber() (float64, error) {
 	if p.tok.kind != tokNumber {
 		return 0, p.errorf("expected number, got %q", p.tok.text)
 	}
-	substitute := p.lits != nil && p.litOn
+	slot := p.litOn
 	t := p.take()
 	v, err := strconv.ParseFloat(t.text, 64)
 	if err != nil {
 		return 0, p.errorf("bad number %q: %v", t.text, err)
 	}
-	if substitute {
-		if p.litIdx >= len(p.lits) {
-			return 0, p.errorf("literal binding underflow at %q", t.text)
+	if slot {
+		if p.litIdx < len(p.lits) {
+			v = p.lits[p.litIdx]
 		}
-		v = p.lits[p.litIdx]
 		p.litIdx++
 	}
 	if neg {

@@ -17,8 +17,8 @@ import (
 	"sciborq/internal/sqlparse"
 )
 
-// Config configures a wire listener. DB and Core are required: the
-// listener validates Prepare frames against DB and sends every query
+// Config configures a wire listener. DB and Core are required: DB is
+// the database Core serves, and the listener sends every query
 // through Core.Serve — the one admission / memory gate / deadline /
 // tenant accounting pipeline the HTTP handler uses — so /stats and the
 // resilience invariants span both transports.
@@ -516,15 +516,11 @@ func (sess *session) handlePrepare(payload []byte) bool {
 		return sess.writeError("bad_request",
 			fmt.Sprintf("session holds %d prepared statements; close some first", maxStmts), 0) != nil
 	}
-	if err := sess.s.cfg.DB.CheckSQL(sql); err != nil {
+	// The parameter count is the statement's literal-slot count — the
+	// exact slots ParseBound rebinds.
+	nparams, err := sqlparse.Params(sql)
+	if err != nil {
 		return sess.writeError("parse_error", err.Error(), 0) != nil
-	}
-	// The parameter count is the statement's parameterisable-literal
-	// count in token order — the exact slots ParseBound rebinds.
-	_, lits, ok := sqlparse.Fingerprint(nil, nil, sql)
-	nparams := 0
-	if ok {
-		nparams = len(lits)
 	}
 	sess.stmtSeq++
 	id := sess.stmtSeq

@@ -247,6 +247,18 @@ func TestWirePrepared(t *testing.T) {
 	if st.NumParams != 1 {
 		t.Fatalf("NumParams = %d, want 1", st.NumParams)
 	}
+	// Prepare refuses what Parse refuses, and LIMIT values are not
+	// parameters.
+	if _, err := c.Prepare("SELECT FROM PhotoObjAll"); !isCode(err, "parse_error") {
+		t.Fatalf("malformed prepare: %v", err)
+	}
+	lim, err := c.Prepare("SELECT ra FROM PhotoObjAll WHERE ra > 160 LIMIT 5")
+	if err != nil || lim.NumParams != 1 {
+		t.Fatalf("LIMIT prepare: %+v, %v; want 1 param", lim, err)
+	}
+	if err := c.CloseStmt(lim); err != nil {
+		t.Fatal(err)
+	}
 
 	// Every verbatim re-execution answers exactly like the first.
 	first, err := c.Execute(st)

@@ -24,22 +24,19 @@ type AttrSpec struct {
 }
 
 // Logger maintains, per interesting attribute, the Figure-5 histogram
-// over the predicate set, plus the raw logged values (used only by the
-// full-KDE reference in Figure 4 — a real deployment would keep just the
-// histograms).
+// over the predicate set. It keeps nothing else per query: the
+// histograms are the whole workload summary, so a long-running daemon
+// logging every query holds memory proportional to the attributes and
+// their bins, not to the number of queries.
 type Logger struct {
 	mu      sync.Mutex
 	hists   map[string]*stats.Histogram
-	joints  map[pairKey]*stats.Histogram2D
-	raw     map[string][]float64
-	keepRaw bool
 	queries int64
-	// gen counts histogram mutations; Live/LiveJoint cache one immutable
-	// clone per generation so the per-tuple bias path never reads a
-	// histogram another goroutine is writing.
-	gen        int64
-	snaps      map[string]histSnap
-	jointSnaps map[pairKey]jointSnap
+	// gen counts histogram mutations; Live caches one immutable clone
+	// per generation so the per-tuple bias path never reads a histogram
+	// another goroutine is writing.
+	gen   int64
+	snaps map[string]histSnap
 }
 
 // histSnap is one generation-stamped immutable histogram clone.
@@ -48,22 +45,12 @@ type histSnap struct {
 	h   *stats.Histogram
 }
 
-type jointSnap struct {
-	gen int64
-	h   *stats.Histogram2D
-}
-
-// NewLogger builds a logger for the given attributes. keepRaw retains
-// the raw predicate values for the f̂ reference estimator.
-func NewLogger(attrs []AttrSpec, keepRaw bool) (*Logger, error) {
+// NewLogger builds a logger for the given attributes.
+func NewLogger(attrs []AttrSpec) (*Logger, error) {
 	if len(attrs) == 0 {
 		return nil, fmt.Errorf("workload: logger needs at least one attribute")
 	}
-	l := &Logger{
-		hists:   make(map[string]*stats.Histogram, len(attrs)),
-		raw:     make(map[string][]float64),
-		keepRaw: keepRaw,
-	}
+	l := &Logger{hists: make(map[string]*stats.Histogram, len(attrs))}
 	for _, a := range attrs {
 		h, err := stats.NewHistogram(a.Min, a.Max, a.Beta)
 		if err != nil {
@@ -92,19 +79,11 @@ func (l *Logger) LogPoints(pts []expr.Point) {
 	defer l.mu.Unlock()
 	l.queries++
 	l.gen++
-	tracked := make([]point, 0, len(pts))
 	for _, pt := range pts {
-		h, ok := l.hists[pt.Attr]
-		if !ok {
-			continue
-		}
-		h.Observe(pt.Value)
-		tracked = append(tracked, point{attr: pt.Attr, value: pt.Value})
-		if l.keepRaw {
-			l.raw[pt.Attr] = append(l.raw[pt.Attr], pt.Value)
+		if h, ok := l.hists[pt.Attr]; ok {
+			h.Observe(pt.Value)
 		}
 	}
-	l.observeJointsLocked(tracked)
 }
 
 // Histogram returns a snapshot (clone) of the predicate-set histogram
@@ -144,16 +123,6 @@ func (l *Logger) Live(attr string) (*stats.Histogram, error) {
 	return s.h, nil
 }
 
-// RawValues returns a copy of the raw predicate values for attr
-// (empty unless keepRaw was set).
-func (l *Logger) RawValues(attr string) []float64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]float64, len(l.raw[attr]))
-	copy(out, l.raw[attr])
-	return out
-}
-
 // Queries returns the number of logged queries.
 func (l *Logger) Queries() int64 {
 	l.mu.Lock()
@@ -185,15 +154,5 @@ func (l *Logger) Decay(factor float64) {
 	l.gen++
 	for _, h := range l.hists {
 		h.Decay(factor)
-	}
-	for _, h := range l.joints {
-		h.Decay(factor)
-	}
-	if l.keepRaw {
-		// Raw values are reference-only; drop them on decay so the f̂
-		// reference follows the same recency horizon.
-		for k := range l.raw {
-			l.raw[k] = nil
-		}
 	}
 }

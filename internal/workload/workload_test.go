@@ -17,23 +17,23 @@ func raDecAttrs() []AttrSpec {
 }
 
 func TestNewLoggerValidation(t *testing.T) {
-	if _, err := NewLogger(nil, false); err == nil {
+	if _, err := NewLogger(nil); err == nil {
 		t.Fatal("empty attr list accepted")
 	}
-	if _, err := NewLogger([]AttrSpec{{Name: "a", Min: 0, Max: 1, Beta: 0}}, false); err == nil {
+	if _, err := NewLogger([]AttrSpec{{Name: "a", Min: 0, Max: 1, Beta: 0}}); err == nil {
 		t.Fatal("beta=0 accepted")
 	}
 	dup := []AttrSpec{
 		{Name: "a", Min: 0, Max: 1, Beta: 2},
 		{Name: "a", Min: 0, Max: 2, Beta: 2},
 	}
-	if _, err := NewLogger(dup, false); err == nil {
+	if _, err := NewLogger(dup); err == nil {
 		t.Fatal("duplicate attribute accepted")
 	}
 }
 
 func TestLogQueryExtractsConePoints(t *testing.T) {
-	l, err := NewLogger(raDecAttrs(), true)
+	l, err := NewLogger(raDecAttrs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,16 +52,13 @@ func TestLogQueryExtractsConePoints(t *testing.T) {
 	if hd.N != 1 || hd.Bins[hd.BinIndex(30)].Count != 1 {
 		t.Fatal("dec point not recorded")
 	}
-	if got := l.RawValues("ra"); len(got) != 1 || got[0] != 185 {
-		t.Fatalf("raw values = %v", got)
-	}
 	if l.Queries() != 1 {
 		t.Fatalf("queries = %d", l.Queries())
 	}
 }
 
 func TestLogQueryIgnoresUntrackedAttrs(t *testing.T) {
-	l, _ := NewLogger(raDecAttrs(), false)
+	l, _ := NewLogger(raDecAttrs())
 	l.LogQuery(expr.Cmp{Op: vec.Gt, Left: expr.ColRef{Name: "rmag"}, Right: 17})
 	ra, _ := l.Histogram("ra")
 	if ra.N != 0 {
@@ -73,7 +70,7 @@ func TestLogQueryIgnoresUntrackedAttrs(t *testing.T) {
 }
 
 func TestLogQueryNilAndCompound(t *testing.T) {
-	l, _ := NewLogger(raDecAttrs(), false)
+	l, _ := NewLogger(raDecAttrs())
 	l.LogQuery(nil)
 	if l.Queries() != 0 {
 		t.Fatal("nil query counted")
@@ -95,7 +92,7 @@ func TestLogQueryNilAndCompound(t *testing.T) {
 }
 
 func TestHistogramUnknownAttr(t *testing.T) {
-	l, _ := NewLogger(raDecAttrs(), false)
+	l, _ := NewLogger(raDecAttrs())
 	if _, err := l.Histogram("nope"); err == nil {
 		t.Fatal("unknown attribute accepted")
 	}
@@ -105,20 +102,50 @@ func TestHistogramUnknownAttr(t *testing.T) {
 }
 
 func TestHistogramSnapshotIsolation(t *testing.T) {
-	l, _ := NewLogger(raDecAttrs(), false)
+	l, _ := NewLogger(raDecAttrs())
 	snap, _ := l.Histogram("ra")
+	before, _ := l.Live("ra")
 	l.LogPoints([]expr.Point{{Attr: "ra", Value: 130}})
 	if snap.N != 0 {
 		t.Fatal("snapshot observed later writes")
+	}
+	if before.N != 0 {
+		t.Fatal("live snapshot observed a later write")
 	}
 	live, _ := l.Live("ra")
 	if live.N != 1 {
 		t.Fatal("live view missed write")
 	}
+	// One clone per generation: the per-row bias path calls Live for
+	// every offered tuple, so a quiescent workload must not re-clone.
+	if again, _ := l.Live("ra"); again != live {
+		t.Fatal("Live re-cloned without an intervening write")
+	}
+	l.LogPoints([]expr.Point{{Attr: "ra", Value: 131}})
+	afterWrite, _ := l.Live("ra")
+	if afterWrite == live || afterWrite.N != 2 || live.N != 1 {
+		t.Fatalf("write: fresh=%v N=%d, old N=%d", afterWrite != live, afterWrite.N, live.N)
+	}
+	l.Decay(0.5)
+	afterDecay, _ := l.Live("ra")
+	if afterDecay == afterWrite || afterDecay.N != 1 || afterWrite.N != 2 {
+		t.Fatalf("decay: fresh=%v N=%d, old N=%d", afterDecay != afterWrite, afterDecay.N, afterWrite.N)
+	}
+}
+
+// TestLogPointsZeroAlloc pins the logger's per-query footprint: logging
+// a query's points only bumps histogram bins, so a daemon that logs
+// every query holds no memory that grows with the query count.
+func TestLogPointsZeroAlloc(t *testing.T) {
+	l, _ := NewLogger(raDecAttrs())
+	pts := []expr.Point{{Attr: "ra", Value: 185}, {Attr: "dec", Value: 30}, {Attr: "rmag", Value: 17}}
+	if allocs := testing.AllocsPerRun(1000, func() { l.LogPoints(pts) }); allocs != 0 {
+		t.Fatalf("LogPoints allocated %v times per call, want 0", allocs)
+	}
 }
 
 func TestAttrsSorted(t *testing.T) {
-	l, _ := NewLogger(raDecAttrs(), false)
+	l, _ := NewLogger(raDecAttrs())
 	attrs := l.Attrs()
 	if len(attrs) != 2 || attrs[0] != "dec" || attrs[1] != "ra" {
 		t.Fatalf("attrs = %v", attrs)
@@ -126,7 +153,7 @@ func TestAttrsSorted(t *testing.T) {
 }
 
 func TestLoggerDecay(t *testing.T) {
-	l, _ := NewLogger(raDecAttrs(), true)
+	l, _ := NewLogger(raDecAttrs())
 	for i := 0; i < 100; i++ {
 		l.LogPoints([]expr.Point{{Attr: "ra", Value: 130}})
 	}
@@ -134,9 +161,6 @@ func TestLoggerDecay(t *testing.T) {
 	h, _ := l.Histogram("ra")
 	if h.N != 50 {
 		t.Fatalf("decayed N = %d", h.N)
-	}
-	if len(l.RawValues("ra")) != 0 {
-		t.Fatal("raw values survived decay")
 	}
 }
 
@@ -205,7 +229,7 @@ func TestGeneratorShift(t *testing.T) {
 func TestGeneratorFeedsLoggerFigure4Shape(t *testing.T) {
 	// End to end: 400 queries as in Figure 4, predicate set must be
 	// bimodal on ra.
-	l, _ := NewLogger(raDecAttrs(), false)
+	l, _ := NewLogger(raDecAttrs())
 	g, _ := NewGenerator(Figure4Focals(), xrand.New(9))
 	for _, c := range g.NextN(400) {
 		l.LogQuery(c)

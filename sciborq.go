@@ -316,7 +316,7 @@ func (db *DB) TenantRecyclerStats() map[string]recycler.Stats {
 }
 
 // CheckSQL reports whether sql is a well-formed statement without
-// executing it — the wire protocol's Prepare-time syntax check.
+// executing it.
 func (db *DB) CheckSQL(sql string) error {
 	_, err := sqlparse.Parse(sql)
 	return err
@@ -462,7 +462,7 @@ func (db *DB) TrackWorkload(tableName string, attrs ...Attr) error {
 	if _, dup := db.loggers[tableName]; dup {
 		return fmt.Errorf("sciborq: workload tracking already enabled for %q", tableName)
 	}
-	lg, err := workload.NewLogger(attrs, true)
+	lg, err := workload.NewLogger(attrs)
 	if err != nil {
 		return err
 	}
