@@ -21,12 +21,13 @@ cover:
 # Race-detector pass over the packages with concurrent execution paths
 # (the morsel worker pool, the bounded executor built on it, the
 # pooled hash infrastructure shared across scan workers, the impression
-# views read by queries while loads mutate the samplers, the shared
+# views read by queries while loads mutate the samplers, the loader
+# whose backfill registers a sink while batches land, the shared
 # recycler + the expr scratch-pool kernels it drives, the HTTP server
 # whose admission queue and tenant counters every request pounds, and the durable segment store whose granule cache is touched
 # by scans while loads fold batches).
 race:
-	$(GO) test -race ./internal/engine/... ./internal/bounded/... ./internal/hashtab/... ./internal/impression/... ./internal/recycler/... ./internal/expr/... ./internal/server/... ./internal/wire/... ./internal/segment/... .
+	$(GO) test -race ./internal/engine/... ./internal/bounded/... ./internal/hashtab/... ./internal/impression/... ./internal/loader/... ./internal/recycler/... ./internal/expr/... ./internal/server/... ./internal/wire/... ./internal/segment/... .
 
 # Crash-recovery suite under the race detector: the segment store's
 # WAL/torn-tail/fault-injection property tests, the DB-level restart

@@ -15,10 +15,11 @@
 // Impression layers execute as selection-vector scans over one shared
 // base snapshot (estimate.AggregateOnSelOpts over impression.View):
 // escalation never materialises a layer, so a dirty sample costs a
-// view refresh — one merge pass over the reservoir's deltas — instead
-// of a table copy. The exact base rung is the unbounded exact
-// execution itself (recycler.Exec), so a bounded exact answer is the
-// unbounded exact answer, bit for bit.
+// view refresh instead of a table copy: one merge pass over the
+// reservoir's deltas for a uniform-weight stream layer, a sort of the
+// sample for a biased or derived layer. The exact base rung is the
+// unbounded exact execution itself (recycler.Exec), so a bounded exact
+// answer is the unbounded exact answer, bit for bit.
 //
 // # Bounded execution under concurrent load
 //
@@ -195,7 +196,7 @@ type Answer struct {
 // snapshot: an impression layer evaluated as a selection-vector scan
 // (layer set), or the exact base rung (layer nil). Building rungs never
 // materialises an impression — a layer whose sample changed since the
-// last query costs a view refresh (one merge pass), not a table copy.
+// last query costs a view refresh (impression.View), not a table copy.
 type rung struct {
 	name  string
 	rows  int // sample rows (the Trail / layer-pick metric)

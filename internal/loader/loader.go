@@ -51,9 +51,10 @@ func New(base *table.Table) (*Loader, error) {
 	return &Loader{base: base}, nil
 }
 
-// Attach registers a sink. Rows already present in the base table are
-// NOT replayed: impressions attach before loading starts (the paper's
-// deployment) or are extracted from an existing database with Backfill.
+// Attach registers a sink for every later batch. Rows already present
+// in the base table are NOT replayed: attach before loading starts (the
+// paper's deployment), or use Backfill to take in the existing rows as
+// well.
 func (l *Loader) Attach(s Sink) error {
 	if s == nil {
 		return fmt.Errorf("loader: nil sink")
@@ -64,10 +65,20 @@ func (l *Loader) Attach(s Sink) error {
 	return nil
 }
 
-// Backfill offers every existing base row to the sink — the paper's
-// second deployment mode, "extracted from an existing database" (§3.3).
-func (l *Loader) Backfill(s Sink) {
+// Backfill offers every existing base row to the sink and registers it
+// for every later batch — the paper's second deployment mode,
+// "extracted from an existing database" (§3.3). Both happen under one
+// hold of the loader's lock, so no batch can land between the rows
+// offered and the registration.
+func (l *Loader) Backfill(s Sink) error {
+	if s == nil {
+		return fmt.Errorf("loader: nil sink")
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	s.OfferRange(0, int32(l.base.Len()))
+	l.sinks = append(l.sinks, s)
+	return nil
 }
 
 // SetAppender routes subsequent batches through a (durable) appender

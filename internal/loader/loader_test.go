@@ -1,7 +1,10 @@
 package loader
 
 import (
+	"slices"
+	"sync"
 	"testing"
+	"time"
 
 	"sciborq/internal/column"
 	"sciborq/internal/impression"
@@ -112,6 +115,72 @@ func TestBackfill(t *testing.T) {
 	l.Backfill(sink)
 	if len(sink.got) != 3 || sink.got[2] != 2 {
 		t.Fatalf("backfill saw %v", sink.got)
+	}
+}
+
+// gatedAppender holds a batch inside the loader: it reports that the
+// batch has entered, then appends it once released.
+type gatedAppender struct {
+	base    *table.Table
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (g *gatedAppender) LoadBatch(rows []table.Row) error {
+	close(g.entered)
+	<-g.release
+	return g.base.AppendBatch(rows)
+}
+
+// signalSink is a recordingSink that reports its first offer.
+type signalSink struct {
+	recordingSink
+	called chan struct{}
+	once   sync.Once
+}
+
+func (s *signalSink) OfferRange(lo, hi int32) {
+	s.once.Do(func() { close(s.called) })
+	s.recordingSink.OfferRange(lo, hi)
+}
+
+// TestBackfillDuringLoadLosesNoRow: a Backfill that starts while a
+// batch is inside the loader sees every row of that batch, either as an
+// existing row or as a loaded one, and every later batch. The batch is
+// released once Backfill has offered to the sink or after 50 ms,
+// whichever comes first, so a Backfill that reads the table without
+// waiting for the loader reads it before the batch lands.
+func TestBackfillDuringLoadLosesNoRow(t *testing.T) {
+	tb := baseTable(t)
+	l, _ := New(tb)
+	gate := &gatedAppender{base: tb, entered: make(chan struct{}), release: make(chan struct{})}
+	l.SetAppender(gate)
+	loaded := make(chan error, 1)
+	go func() { loaded <- l.LoadBatch([]table.Row{{1.0}, {2.0}}) }()
+	<-gate.entered
+	sink := &signalSink{called: make(chan struct{})}
+	backfilled := make(chan error, 1)
+	go func() { backfilled <- l.Backfill(sink) }()
+	select {
+	case <-sink.called:
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(gate.release)
+	if err := <-loaded; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-backfilled; err != nil {
+		t.Fatal(err)
+	}
+	l.SetAppender(nil)
+	if err := l.LoadBatch([]table.Row{{3.0}}); err != nil {
+		t.Fatal(err)
+	}
+	if want := []int32{0, 1, 2}; !slices.Equal(sink.got, want) {
+		t.Fatalf("sink saw %v, want %v", sink.got, want)
+	}
+	if err := l.Backfill(nil); err == nil {
+		t.Fatal("nil sink accepted")
 	}
 }
 

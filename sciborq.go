@@ -490,7 +490,9 @@ type ImpressionConfig struct {
 	// RefreshEvery controls how often smaller layers are rebuilt from
 	// their parent (offers between refreshes; 0 = default 4096).
 	RefreshEvery int64
-	// Backfill offers all pre-existing rows to the hierarchy.
+	// Backfill offers all pre-existing rows to the hierarchy, in the
+	// same step that registers it for later loads, so a concurrent Load
+	// lands either before the backfill or after the registration.
 	Backfill bool
 }
 
@@ -532,12 +534,13 @@ func (db *DB) BuildImpressions(tableName string, cfg ImpressionConfig) error {
 		return err
 	}
 	if cfg.Backfill {
-		db.loaders[tableName].Backfill(h)
+		if err := db.loaders[tableName].Backfill(h); err != nil {
+			return err
+		}
 		if err := h.Refresh(); err != nil {
 			return err
 		}
-	}
-	if err := db.loaders[tableName].Attach(h); err != nil {
+	} else if err := db.loaders[tableName].Attach(h); err != nil {
 		return err
 	}
 	db.hiers[tableName] = h
