@@ -72,12 +72,14 @@ bench-smoke:
 
 # Allocation regression gate, asserted via testing.AllocsPerRun: the
 # steady-state cone kernel, a two-conjunct FilterRange, one part's
-# grouped fold (group ids, COUNT(*), AVG) on pooled scratch and the
-# workload logger's per-query LogPoints must stay at exactly 0 allocs/op
+# grouped fold (group ids, COUNT(*), AVG) on pooled scratch, the
+# workload logger's per-query LogPoints and a layer scan's candidate
+# narrowing over a built value index must stay at exactly 0 allocs/op
 # (expr.TestConeKernelZeroAlloc, expr.TestAndFilterRangeZeroAlloc,
-# engine.TestGroupFoldZeroAlloc, workload.TestLogPointsZeroAlloc).
+# engine.TestGroupFoldZeroAlloc, workload.TestLogPointsZeroAlloc,
+# impression.TestNarrowZeroAlloc).
 bench-alloc:
-	$(GO) test -run='ZeroAlloc' -v ./internal/expr/... ./internal/engine/... ./internal/workload/...
+	$(GO) test -run='ZeroAlloc' -v ./internal/expr/... ./internal/engine/... ./internal/workload/... ./internal/impression/...
 
 # Seeded, deterministic chaos suite under the race detector: >=100
 # injected faults (errors, panics, latency) across five fault points

@@ -10,6 +10,7 @@ import (
 	"sciborq/internal/expr"
 	"sciborq/internal/impression"
 	"sciborq/internal/table"
+	"sciborq/internal/vec"
 	"sciborq/internal/xrand"
 )
 
@@ -22,7 +23,8 @@ import (
 // insertions/evictions (no sort, no copy) and the filtered AVG runs as
 // a zone-map-pruned selection-vector scan over the base snapshot. The
 // base is ra-clustered (as ingest-ordered sky scans are), so zone maps
-// skip the granules the BETWEEN predicate cannot match in.
+// skip the granules the BETWEEN predicate cannot match in. The cone
+// case runs the narrowed layer scan.
 
 const (
 	benchBaseRows  = 1 << 20
@@ -153,6 +155,32 @@ func BenchmarkBoundedQuery(b *testing.B) {
 				BaseRows: int64(snap.Len()),
 			}
 			ests, err := estimate.AggregateOnSelOpts(sl, q, 0.95, opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			checkBenchEstimate(b, ests)
+		}
+	})
+
+	// cone: a cone aggregate on the layer between two loads, the shape of
+	// an interactive sky exploration. The view's value index is built by
+	// the first query; each query then scans only the samples in the
+	// cone's declination band (impression.View.Narrow).
+	b.Run("cone", func(b *testing.B) {
+		b.ReportAllocs()
+		cq := q
+		cq.Where = expr.Cone{RaCol: "ra", DecCol: "dec", Ra0: 180, Dec0: 30, Radius: 3}
+		bounds := expr.BoundsOf(cq.Where)
+		for i := 0; i < b.N; i++ {
+			snap := bb.base.Snapshot()
+			v := bb.layer.View().Clamp(snap.Len())
+			sl := estimate.SelLayer{
+				Name: bb.layer.Name(), Base: snap, Positions: v.Positions,
+				Weights: v.Weights, CountWeights: v.Pis, ShareSums: v.ShareSums,
+				BaseRows: int64(snap.Len()), Scan: v.Narrow(bounds),
+			}
+			ests, err := estimate.AggregateOnSelOpts(sl, cq, 0.95, opts)
+			vec.PutSel(sl.Scan)
 			if err != nil {
 				b.Fatal(err)
 			}

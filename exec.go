@@ -188,9 +188,10 @@ func (db *DB) boundedExecutor(name string, base *table.Table) (*bounded.Executor
 // replacement for LIMIT-N: "the equivalent query with a LIMIT 100
 // clause will not return the first 100 results, but the 100 results
 // satisfying the impression" (§3.2). An impression layer executes as a
-// selection-vector scan over the base snapshot (engine.Filter), so
-// only the returned rows are ever copied — the impression itself is
-// never materialised. When the budget affords the base table, the
+// selection-vector scan over the base snapshot (engine.Filter) of the
+// positions TimeLayer narrowed to the rows the predicate's bounds
+// admit, so only the returned rows are ever copied — the impression
+// itself is never materialised. When the budget affords the base table, the
 // projection is the exact one.
 func boundedProjection(ex *bounded.Executor, st *sqlparse.Statement, opts engine.ExecOptions, rec *recycler.Recycler) (*engine.Result, error) {
 	q := st.Query

@@ -17,7 +17,9 @@
 // escalation never materialises a layer, so a dirty sample costs a
 // view refresh instead of a table copy: one merge pass over the
 // reservoir's deltas for a uniform-weight stream layer, a sort of the
-// sample for a biased or derived layer. The exact base rung is the
+// sample for a biased or derived layer. Each layer's scan visits only
+// the sampled rows the predicate's bounds admit (impression.View.Narrow),
+// and WITHIN TIME prices a layer by those rows. The exact base rung is the
 // unbounded exact execution itself (recycler.Exec), so a bounded exact
 // answer is the unbounded exact answer, bit for bit.
 //
@@ -44,11 +46,13 @@ package bounded
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
 	"sciborq/internal/engine"
 	"sciborq/internal/estimate"
+	"sciborq/internal/expr"
 	"sciborq/internal/impression"
 	"sciborq/internal/recycler"
 	"sciborq/internal/sqlparse"
@@ -201,23 +205,44 @@ type rung struct {
 	name  string
 	rows  int // sample rows (the Trail / layer-pick metric)
 	snap  *table.Table
+	view  impression.View // the layer's clamped view
 	layer *estimate.SelLayer
 }
 
 func (r rung) exact() bool { return r.layer == nil }
 
+// narrow restricts a layer rung's scan to the view positions the
+// query's necessary bounds admit (impression.View.Narrow); the sample,
+// and so every estimate, is unchanged. Release returns the scratch.
+func (r rung) narrow(bounds []expr.Bound) {
+	if !r.exact() {
+		r.layer.Scan = r.view.Narrow(bounds)
+	}
+}
+
+// release returns a narrowed scan's pooled scratch.
+func (r rung) release() {
+	if !r.exact() && r.layer.Scan != nil {
+		vec.PutSel(r.layer.Scan)
+		r.layer.Scan = nil
+	}
+}
+
 // scanRows predicts the pruning-aware rows evaluating q on this rung
-// touches, for the cost model: |impression| positions for layers (never
-// |base|), zone-pruned base rows for the exact rung.
+// touches, for the cost model: the narrowed (else all) sampled positions
+// for layers, never |base|; zone-pruned base rows for the exact rung.
 func (r rung) scanRows(q engine.Query, opts engine.ExecOptions) int {
 	return engine.EstimateScanRows(r.snap, q.Pred(), r.positions(), opts)
 }
 
-// positions returns the rows the rung scans: the layer's sampled
-// positions, nil (every row) for the exact rung.
+// positions returns the rows the rung scans: the layer's narrowed scan
+// or sampled positions, nil (every row) for the exact rung.
 func (r rung) positions() vec.Sel {
-	if r.exact() {
+	switch {
+	case r.exact():
 		return nil
+	case r.layer.Scan != nil:
+		return r.layer.Scan
 	}
 	return r.layer.Positions
 }
@@ -263,7 +288,7 @@ func (e *Executor) rungs() []rung {
 		for _, im := range e.hier.Ascending() {
 			v := im.View().Clamp(snap.Len())
 			out = append(out, rung{
-				name: im.Name(), rows: len(v.Positions), snap: snap,
+				name: im.Name(), rows: len(v.Positions), snap: snap, view: v,
 				layer: &estimate.SelLayer{
 					Name: im.Name(), Base: snap, Positions: v.Positions,
 					Weights: v.Weights, CountWeights: v.Pis, ShareSums: v.ShareSums,
@@ -329,9 +354,12 @@ func (e *Executor) errorBounded(q engine.Query, eps, confidence float64, opts en
 	}
 	start := time.Now()
 	ans := &Answer{}
+	bounds := expr.BoundsOf(q.Pred())
 	for _, l := range e.rungs() {
 		ls := time.Now()
+		l.narrow(bounds)
 		ests, _, err := l.run(q, confidence, opts, rec)
+		l.release()
 		if err != nil {
 			return nil, err
 		}
@@ -362,10 +390,13 @@ func (e *Executor) errorBounded(q engine.Query, eps, confidence float64, opts en
 // pickWithin is the WITHIN TIME layer choice, shared by bounded
 // aggregates and bounded projections: the largest rung whose PRUNED scan
 // fits budget under the executor's learned cost model, or — when even
-// the smallest rung does not fit — the smallest rung (best effort). Layer
-// rungs price |impression| positions minus the granules zone maps prove
-// empty (the same pruning the selection scan applies), so picks see
-// sample-sized costs, never base-sized ones.
+// the smallest rung does not fit — the smallest rung (best effort). Each
+// layer rung is narrowed once (rung.narrow) and prices the positions it
+// will visit, minus the granules zone maps prove empty (the same pruning
+// the selection scan applies), so picks see sample-sized costs, never
+// base-sized ones, and the learned rate stays one per visited row. The
+// pick keeps its narrowed scan for the caller to run and release; every
+// other rung's is released here.
 //
 // With a load probe installed (SetLoadProbe) the model prices live
 // contention: the per-row rate inflates by the in-flight query count
@@ -389,8 +420,10 @@ func (e *Executor) pickWithin(q engine.Query, budget time.Duration, opts engine.
 		}
 	}
 	maxRows := model.MaxRowsWithin(budget)
+	bounds := expr.BoundsOf(q.Pred())
 	pick = layers[0]
 	for i, l := range layers {
+		l.narrow(bounds)
 		n := l.scanRows(q, opts)
 		if i == 0 {
 			rows = n // smallest-layer fallback when nothing fits
@@ -399,16 +432,28 @@ func (e *Executor) pickWithin(q engine.Query, budget time.Duration, opts engine.
 			pick, rows = l, n
 		}
 	}
+	for _, l := range layers {
+		if l.layer != pick.layer {
+			l.release()
+		}
+	}
 	return pick, rows, model.Predict(rows), factor
 }
 
 // TimeLayer is where a WITHIN TIME projection of q runs: the base
 // snapshot every rung describes and, unless the exact base rung fits the
-// budget (exact), the sample positions of the impression layer
-// pickWithin chooses — the same pick a bounded aggregate gets.
+// budget (exact), the positions of the impression layer pickWithin
+// chooses — the same pick a bounded aggregate gets, narrowed to the rows
+// q's bounds admit, so the projection scans what the pick priced.
+// positions is owned by the caller.
 func (e *Executor) TimeLayer(q engine.Query, budget time.Duration) (snap *table.Table, positions vec.Sel, exact bool) {
 	pick, _, _, _ := e.pickWithin(q, budget, e.opts)
-	return pick.snap, pick.positions(), pick.exact()
+	positions = pick.positions()
+	if !pick.exact() && pick.layer.Scan != nil {
+		positions = slices.Clone(positions)
+		pick.release()
+	}
+	return pick.snap, positions, pick.exact()
 }
 
 // timeBounded evaluates on the rung pickWithin chooses and reports the
@@ -421,6 +466,7 @@ func (e *Executor) timeBounded(q engine.Query, b sqlparse.Bounds, opts engine.Ex
 	}
 	start := time.Now()
 	ests, scanned, err := pick.run(q, confidence, opts, rec)
+	pick.release()
 	if err != nil {
 		return nil, err
 	}

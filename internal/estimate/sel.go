@@ -24,8 +24,9 @@ import (
 
 // SelLayer describes one evaluation target: a sample of Base given by
 // sorted row positions with row-aligned weights — exactly the shape of
-// impression.View. A standalone weighted table is a SelLayer over
-// itself with positions 0..n-1.
+// impression.View — and, optionally, the narrowed subset of positions
+// its predicate scan visits. A standalone weighted table is a SelLayer
+// over itself with positions 0..n-1.
 type SelLayer struct {
 	Name string
 	// Base is the base table (typically an already-taken snapshot; the
@@ -34,6 +35,13 @@ type SelLayer struct {
 	// Positions are the sampled row positions, sorted ascending and
 	// within Base's snapshot length.
 	Positions vec.Sel
+	// Scan, when non-nil, is the ascending subset of Positions the
+	// predicate scan visits — typically impression.View.Narrow's
+	// candidates. It must hold every position that can satisfy the
+	// query's predicate: the rows it leaves out count as unmatched,
+	// while the estimators still describe the whole sample, so estimates
+	// equal those of a scan over Positions. nil visits every position.
+	Scan vec.Sel
 	// Weights are per-row ratio weights used by ratio estimators
 	// (AVG); nil means uniform.
 	Weights []float64
@@ -72,11 +80,19 @@ func (sl SelLayer) Validate() error {
 	return nil
 }
 
+// scan returns the positions the predicate scan visits.
+func (sl SelLayer) scan() vec.Sel {
+	if sl.Scan != nil {
+		return sl.Scan
+	}
+	return sl.Positions
+}
+
 // AggregateOnSelOpts evaluates the aggregates of q against the selection
 // layer. The predicate scan runs the engine's selection-vector morsel path, so
-// bounded execution over an impression pays |impression| rows — pruned
-// further by zone maps — at the configured parallelism, never a layer
-// materialisation.
+// bounded execution over an impression pays |impression| rows — or the
+// layer's narrowed Scan, pruned further by zone maps — at the configured
+// parallelism, never a layer materialisation.
 func AggregateOnSelOpts(sl SelLayer, q engine.Query, level float64, opts engine.ExecOptions) ([]Estimate, error) {
 	if err := sl.Validate(); err != nil {
 		return nil, err
@@ -88,7 +104,7 @@ func AggregateOnSelOpts(sl SelLayer, q engine.Query, level float64, opts engine.
 		return nil, fmt.Errorf("estimate: grouped bounded queries are not supported (run one query per group)")
 	}
 	snap := sl.Base.Snapshot()
-	selBase, _, err := engine.Filter(snap, q.Pred(), sl.Positions, opts)
+	selBase, _, err := engine.Filter(snap, q.Pred(), sl.scan(), opts)
 	if err != nil {
 		return nil, err
 	}
@@ -129,7 +145,7 @@ func GroupedAggregateOnSel(sl SelLayer, q engine.Query, level float64, opts engi
 		return nil, fmt.Errorf("estimate: grouped query has no aggregates")
 	}
 	snap := sl.Base.Snapshot()
-	selBase, _, err := engine.Filter(snap, q.Pred(), sl.Positions, opts)
+	selBase, _, err := engine.Filter(snap, q.Pred(), sl.scan(), opts)
 	if err != nil {
 		return nil, err
 	}
@@ -189,18 +205,25 @@ func partitionByGroup(ids []int32, groups int, selBase, selSamp vec.Sel) (gBase,
 
 // sampleIndices maps matched base positions back to their indices in
 // the sorted position vector — the alignment needed to look up
-// per-sample weights. When no weights exist (want false) it returns nil
-// and the estimators take the uniform path without the walk.
+// per-sample weights. Each lookup gallops from the previous match and
+// binary-searches the bracket it finds, so m matches in n positions
+// cost O(m log(n/m)), not a walk over the whole layer. When no weights
+// exist (want false) it returns nil and the estimators take the uniform
+// path without the lookups.
 func sampleIndices(positions, selBase vec.Sel, want bool) vec.Sel {
 	if !want {
 		return nil
 	}
 	out := make(vec.Sel, len(selBase))
-	j := 0
+	n, j := len(positions), 0
 	for i, bp := range selBase {
-		for j < len(positions) && positions[j] < bp {
-			j++
+		// positions[:lo] < bp; hi == n or positions[hi] >= bp.
+		lo, hi := j, j
+		for step := 1; hi < n && positions[hi] < bp; step <<= 1 {
+			lo, hi = hi+1, hi+step
 		}
+		k, _ := slices.BinarySearch(positions[lo:min(hi, n)], bp)
+		j = lo + k
 		out[i] = int32(j)
 	}
 	return out

@@ -340,3 +340,60 @@ func TestAggregateOnSelValidation(t *testing.T) {
 		}
 	}
 }
+
+// linearSampleIndices is the reference of sampleIndices: one walk over
+// the whole position vector.
+func linearSampleIndices(positions, selBase vec.Sel) vec.Sel {
+	out := make(vec.Sel, len(selBase))
+	j := 0
+	for i, bp := range selBase {
+		for j < len(positions) && positions[j] < bp {
+			j++
+		}
+		out[i] = int32(j)
+	}
+	return out
+}
+
+// TestSampleIndicesMatchesLinearWalk checks the galloping lookup
+// against the linear walk.
+func TestSampleIndicesMatchesLinearWalk(t *testing.T) {
+	positions := vec.Sel{2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233}
+	rng := rand.New(rand.NewSource(39))
+	var every, sparse vec.Sel
+	for p := int32(0); p < 5000; p += 1 + int32(rng.Intn(9)) {
+		every = append(every, p)
+		if rng.Intn(50) == 0 {
+			sparse = append(sparse, p)
+		}
+	}
+	for _, c := range []struct {
+		name               string
+		positions, selBase vec.Sel
+	}{
+		{"empty input", positions, vec.Sel{}},
+		{"empty positions", vec.Sel{}, vec.Sel{}},
+		{"every row matching", positions, positions},
+		{"first position", positions, vec.Sel{2}},
+		{"last position", positions, vec.Sel{233}},
+		{"first and last", positions, vec.Sel{2, 233}},
+		{"one match", positions, vec.Sel{34}},
+		{"adjacent run", positions, vec.Sel{5, 8, 13}},
+		{"random sparse", every, sparse},
+		{"random dense", every, every[len(every)/3:]},
+	} {
+		got := sampleIndices(c.positions, c.selBase, true)
+		want := linearSampleIndices(c.positions, c.selBase)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d indices, want %d", c.name, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: index %d = %d, want %d", c.name, i, got[i], want[i])
+			}
+		}
+	}
+	if sampleIndices(positions, positions, false) != nil {
+		t.Fatal("unweighted layer got sample indices")
+	}
+}

@@ -205,13 +205,6 @@ func b2i(b bool) int {
 	return 0
 }
 
-// inBox is pass 1 for one row: 1 when (ra, dec) may lie in the cone.
-func (k *coneKernel) inBox(ra, dec float64) int {
-	d := math.Abs(ra - k.ra0)
-	in := b2i(dec >= k.decLo) & b2i(dec <= k.decHi) & (b2i(d <= k.dRA) | b2i(d >= k.dRAWrap))
-	return in | b2i(!(math.Abs(dec) <= 90))
-}
-
 // sized returns dst with length n, reallocating only when the scratch
 // capacity is insufficient.
 func sized(dst vec.Sel, n int) vec.Sel {
@@ -221,6 +214,14 @@ func sized(dst vec.Sel, n int) vec.Sel {
 	return dst[:n]
 }
 
+// The box loops below are pass 1: a row (ra, dec) is kept when
+//
+//	decLo <= dec <= decHi && (|ra − ra0| <= dRA || |ra − ra0| >= dRAWrap)
+//
+// or its dec is off the sphere (!(|dec| <= 90)). The test is written
+// out in each loop over locals hoisted from the kernel: as a method it
+// is too large to inline, and the call per row dominated the pass.
+
 // boxRange writes the rows of [lo, hi) that pass the box into dst.
 func (k *coneKernel) boxRange(dst vec.Sel, lo, hi int) vec.Sel {
 	if hi < lo {
@@ -228,10 +229,12 @@ func (k *coneKernel) boxRange(dst vec.Sel, lo, hi int) vec.Sel {
 	}
 	dst = sized(dst, hi-lo)
 	ra, dec := k.ra[:hi], k.dec[:hi] // hoist the bound checks
+	ra0, decLo, decHi, dRA, dRAWrap := k.ra0, k.decLo, k.decHi, k.dRA, k.dRAWrap
 	n := 0
 	for i := lo; i < hi; i++ {
 		dst[n] = int32(i)
-		n += k.inBox(ra[i], dec[i])
+		d, de := math.Abs(ra[i]-ra0), dec[i]
+		n += b2i(de >= decLo)&b2i(de <= decHi)&(b2i(d <= dRA)|b2i(d >= dRAWrap)) | b2i(!(math.Abs(de) <= 90))
 	}
 	return dst[:n]
 }
@@ -239,10 +242,13 @@ func (k *coneKernel) boxRange(dst vec.Sel, lo, hi int) vec.Sel {
 // boxSel writes the rows of sel that pass the box into dst.
 func (k *coneKernel) boxSel(dst, sel vec.Sel) vec.Sel {
 	dst = sized(dst, len(sel))
+	ra, dec := k.ra, k.dec
+	ra0, decLo, decHi, dRA, dRAWrap := k.ra0, k.decLo, k.decHi, k.dRA, k.dRAWrap
 	n := 0
 	for _, p := range sel {
 		dst[n] = p
-		n += k.inBox(k.ra[p], k.dec[p])
+		d, de := math.Abs(ra[p]-ra0), dec[p]
+		n += b2i(de >= decLo)&b2i(de <= decHi)&(b2i(d <= dRA)|b2i(d >= dRAWrap)) | b2i(!(math.Abs(de) <= 90))
 	}
 	return dst[:n]
 }

@@ -398,7 +398,9 @@ func (im *Impression) Len() int {
 //
 // The returned slices are immutable: refreshes build new arrays, so a
 // View stays valid (describing the version it was taken at) while the
-// impression keeps sampling.
+// impression keeps sampling. Each refresh also starts a value index,
+// built per column on first use and shared by every copy of the view:
+// Narrow cuts a scan to the positions a predicate's bounds admit.
 type View struct {
 	// Version identifies the sample-set state the view describes.
 	Version uint64
@@ -416,6 +418,10 @@ type View struct {
 	// estimators do not walk the whole layer per query. nil when Pis is
 	// nil or the view was clamped.
 	ShareSums *stats.WeightSums
+
+	// index is the view's lazily built value index (Narrow), shared by
+	// every copy of the view.
+	index *valueIndex
 }
 
 // Clamp returns the view restricted to positions below n — the
@@ -501,7 +507,8 @@ func (im *Impression) rebuildViewLocked() {
 		ss := stats.SumInvWeights(pis)
 		sums = &ss
 	}
-	im.view = View{Positions: pos, Weights: weights, Pis: pis, ShareSums: sums}
+	im.view = View{Positions: pos, Weights: weights, Pis: pis, ShareSums: sums,
+		index: &valueIndex{base: im.base, positions: pos}}
 	im.viewFull = false
 	im.deltaAdd = im.deltaAdd[:0]
 	im.deltaDel = im.deltaDel[:0]
@@ -541,7 +548,7 @@ func (im *Impression) applyDeltasLocked() {
 			a++
 		}
 	}
-	im.view = View{Positions: merged}
+	im.view = View{Positions: merged, index: &valueIndex{base: im.base, positions: merged}}
 	im.deltaAdd = im.deltaAdd[:0]
 	im.deltaDel = im.deltaDel[:0]
 }
