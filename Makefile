@@ -43,7 +43,8 @@ crash:
 # slots are the lexer's and rebind through ParseBound), the wire
 # protocol (frame/page decoders never panic on arbitrary bytes, and
 # decoded frames re-encode losslessly), the cone kernel (it selects
-# exactly the rows the AngularSeparation reference selects), the
+# exactly the rows the AngularSeparation reference selects, a dec off
+# the sphere never), the
 # predicate kernels (FilterRange and FilterSel of an arbitrary predicate
 # tree select exactly the rows the row-at-a-time reference selects) and
 # WAL replay (arbitrary log bytes either decode or are refused, never
@@ -73,11 +74,12 @@ bench-smoke:
 # Allocation regression gate, asserted via testing.AllocsPerRun: the
 # steady-state cone kernel, a two-conjunct FilterRange, one part's
 # grouped fold (group ids, COUNT(*), AVG) on pooled scratch, the
-# workload logger's per-query LogPoints and a layer scan's candidate
-# narrowing over a built value index must stay at exactly 0 allocs/op
+# workload logger's per-query LogPoints, a layer scan's candidate
+# narrowing over a built value index and a hierarchy refresh once each
+# layer holds its sample array must stay at exactly 0 allocs/op
 # (expr.TestConeKernelZeroAlloc, expr.TestAndFilterRangeZeroAlloc,
 # engine.TestGroupFoldZeroAlloc, workload.TestLogPointsZeroAlloc,
-# impression.TestNarrowZeroAlloc).
+# impression.TestNarrowZeroAlloc, impression.TestRefreshZeroAlloc).
 bench-alloc:
 	$(GO) test -run='ZeroAlloc' -v ./internal/expr/... ./internal/engine/... ./internal/workload/... ./internal/impression/...
 

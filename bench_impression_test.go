@@ -3,6 +3,7 @@ package sciborq
 import (
 	"math"
 	"testing"
+	"time"
 
 	"sciborq/internal/column"
 	"sciborq/internal/engine"
@@ -71,9 +72,7 @@ func buildBoundedBench(b *testing.B) *boundedBench {
 		b.Fatal(err)
 	}
 	h.OfferRange(0, benchBaseRows)
-	if err := h.Refresh(); err != nil {
-		b.Fatal(err)
-	}
+	h.Refresh()
 	bb.layer = l0
 	bb.next = benchBaseRows
 	return bb
@@ -187,4 +186,50 @@ func BenchmarkBoundedQuery(b *testing.B) {
 			checkBenchEstimate(b, ests)
 		}
 	})
+}
+
+// BenchmarkHierarchyLoad measures loading with a biased 3-layer
+// hierarchy attached (100k/10k/1k rows over ra and dec): one op is a
+// fresh DB loaded with 1M rows in 20k-row DB.Load batches, so every
+// refresh of the smaller layers is on the clock. Generating the rows is
+// not. Reports ns/row.
+func BenchmarkHierarchyLoad(b *testing.B) {
+	const rows, batchRows = 1 << 20, 20_000
+	rng := xrand.New(2011)
+	batch := make([]Row, batchRows)
+	var loadNs int64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		db := Open(WithSeed(2011), WithCostModel(engine.CostModel{NsPerRow: 2, FixedNs: 5000}))
+		if _, err := db.CreateTable("PhotoObjAll", Schema{
+			{Name: "objID", Type: Int64}, {Name: "ra", Type: Float64},
+			{Name: "dec", Type: Float64}, {Name: "r", Type: Float64},
+		}); err != nil {
+			b.Fatal(err)
+		}
+		if err := db.TrackWorkload("PhotoObjAll",
+			Attr{Name: "ra", Min: 120, Max: 240, Beta: 30},
+			Attr{Name: "dec", Min: 0, Max: 60, Beta: 30}); err != nil {
+			b.Fatal(err)
+		}
+		if err := db.BuildImpressions("PhotoObjAll", ImpressionConfig{
+			Sizes: []int{100_000, 10_000, 1_000}, Policy: Biased, Attrs: []string{"ra", "dec"},
+		}); err != nil {
+			b.Fatal(err)
+		}
+		for lo := 0; lo < rows; lo += batchRows {
+			n := min(batchRows, rows-lo)
+			for j := range n {
+				batch[j] = Row{int64(lo + j), 120 + 120*rng.Float64(), 60 * rng.Float64(), 14 + 8*rng.Float64()}
+			}
+			b.StartTimer()
+			t0 := time.Now()
+			if err := db.Load("PhotoObjAll", batch[:n]); err != nil {
+				b.Fatal(err)
+			}
+			loadNs += time.Since(t0).Nanoseconds()
+			b.StopTimer()
+		}
+	}
+	b.ReportMetric(float64(loadNs)/float64(b.N*rows), "ns/row")
 }

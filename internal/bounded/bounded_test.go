@@ -48,9 +48,7 @@ func fixture(t *testing.T, n int) (*table.Table, *impression.Hierarchy, *Executo
 		t.Fatal(err)
 	}
 	h.OfferRange(0, int32(n))
-	if err := h.Refresh(); err != nil {
-		t.Fatal(err)
-	}
+	h.Refresh()
 	ex, err := NewExecutor(tb, h, engine.CostModel{NsPerRow: 10, FixedNs: 1000}, engine.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)

@@ -450,9 +450,7 @@ func E5Escalation(baseRows int, sizes []int, epss []float64, seed uint64) (*E5Re
 	for i := 0; i < f.db.PhotoObjAll.Len(); i++ {
 		layers[0].Offer(int32(i))
 	}
-	if err := h.Refresh(); err != nil {
-		return nil, err
-	}
+	h.Refresh()
 	ex, err := bounded.NewExecutor(f.db.PhotoObjAll, h, engine.DefaultCostModel(), engine.DefaultExecOptions())
 	if err != nil {
 		return nil, err

@@ -35,19 +35,21 @@ const (
 // workload: all objects within Radius degrees of (Ra0, Dec0) by angular
 // separation on the celestial sphere.
 //
-// FilterRange and FilterSel share one two-pass kernel whose
-// answer is, row for row, the reference AngularSeparation(Ra0, Dec0,
-// ra, dec) <= Radius — including NaN and ±Inf coordinates, negative
-// radii and radii of 90° and more:
+// A row matches when its dec is on the sphere (within [-90, 90]; NaN
+// and ±Inf are not) and AngularSeparation(Ra0, Dec0, ra, dec) <= Radius.
+// An off-sphere dec is not a sky position: it never matches, so every
+// match lies inside the declination band Bounds reports. FilterRange and
+// FilterSel share one two-pass kernel whose answer is, row for row, that
+// reference — including NaN and ±Inf right ascensions, negative radii
+// and radii of 90° and more:
 //
 //  1. A branchless box prefilter (write-then-advance, like the kernels
 //     of package vec) keeps a row only if its dec lies within
-//     Dec0 ± (Radius + m) and, for a cone that stays m clear of both
-//     poles (|Dec0| + Radius + m < 90), its RA offset d from Ra0 lies
-//     within the cone's widest RA extent dRA = asin(sin R / cos Dec0) + m
-//     on either side of the 0/360 wrap (d <= dRA || d >= 360 − dRA).
-//     Rows whose dec is off the sphere (outside [-90, 90], NaN or ±Inf)
-//     always survive: the box geometry only holds on the sphere.
+//     Dec0 ± (Radius + m) clamped to [-90, 90] (just [-90, 90] when the
+//     centre is off the sphere) and, for a cone that stays m clear of
+//     both poles (|Dec0| + Radius + m < 90), its RA offset d from Ra0
+//     lies within the cone's widest RA extent dRA = asin(sin R / cos
+//     Dec0) + m on either side of the 0/360 wrap (d <= dRA || d >= 360 − dRA).
 //  2. Survivors compute the haversine term a with cos(Dec0) hoisted and
 //     are accepted when a < sin²(R/2)·(1 − 1e-9), rejected when
 //     a > sin²(R/2)·(1 + 1e-9), and otherwise decided by calling
@@ -62,7 +64,7 @@ const (
 // decides the comparison; inside it the reference runs. Cones where the
 // bounds do not apply (a centre off the sphere, a radius that is not
 // positive or is 90° or more, a threshold that would underflow) run with
-// the box or the band switched off, never with a looser test.
+// the RA box or the band switched off, never with a looser test.
 type Cone struct {
 	RaCol, DecCol string
 	Ra0, Dec0     float64 // centre, degrees
@@ -104,8 +106,8 @@ func (c Cone) String() string {
 // |dec − Dec0| <= Radius, widened by coneMargin to absorb the rounding
 // of the computed separation, so the cone bounds its declination column.
 // (Right ascension wraps at 0/360 and shrinks with cos(dec), so it is
-// left unbounded.) A centre off the sphere bounds nothing, and rows with
-// declinations outside [-90, 90] are not sky positions the bound covers.
+// left unbounded.) A centre off the sphere bounds nothing; rows with
+// declinations outside [-90, 90] never match.
 func (c Cone) Bounds() []Bound {
 	lo, hi, ok := c.decBox()
 	if !ok {
@@ -151,8 +153,8 @@ type coneKernel struct {
 	ra, dec           []float64
 	ra0, dec0, radius float64
 	cosDec0           float64
-	// Pass 1: the declination box and the RA half-width; ±Inf switch
-	// the box off.
+	// Pass 1: the declination box, within [-90, 90], and the RA
+	// half-width; ±Inf switch the RA test off.
 	decLo, decHi float64
 	dRA, dRAWrap float64 // dRAWrap = 360 − dRA
 	// Pass 2: the haversine thresholds below/above which a row is
@@ -173,7 +175,7 @@ func (c Cone) kernel(t *table.Table) (coneKernel, error) {
 	k := coneKernel{
 		ra: ra, dec: dec, ra0: c.Ra0, dec0: c.Dec0, radius: c.Radius,
 		cosDec0: math.Cos(c.Dec0 * d2r),
-		decLo:   math.Inf(-1), decHi: math.Inf(1),
+		decLo:   -90, decHi: 90,
 		dRA: math.Inf(1), dRAWrap: math.Inf(-1),
 		accept: -1, reject: math.Inf(1),
 	}
@@ -181,7 +183,7 @@ func (c Cone) kernel(t *table.Table) (coneKernel, error) {
 	if !onSphere {
 		return k, nil
 	}
-	k.decLo, k.decHi = lo, hi
+	k.decLo, k.decHi = max(lo, -90), min(hi, 90)
 	if c.Radius >= 0 && math.Abs(c.Dec0)+c.Radius+coneMargin < 90 {
 		if x := math.Sin(c.Radius*d2r) / k.cosDec0; x < 1 {
 			k.dRA = math.Asin(x)/d2r + coneMargin
@@ -218,7 +220,7 @@ func sized(dst vec.Sel, n int) vec.Sel {
 //
 //	decLo <= dec <= decHi && (|ra − ra0| <= dRA || |ra − ra0| >= dRAWrap)
 //
-// or its dec is off the sphere (!(|dec| <= 90)). The test is written
+// which a NaN dec fails. The test is written
 // out in each loop over locals hoisted from the kernel: as a method it
 // is too large to inline, and the call per row dominated the pass.
 
@@ -234,7 +236,7 @@ func (k *coneKernel) boxRange(dst vec.Sel, lo, hi int) vec.Sel {
 	for i := lo; i < hi; i++ {
 		dst[n] = int32(i)
 		d, de := math.Abs(ra[i]-ra0), dec[i]
-		n += b2i(de >= decLo)&b2i(de <= decHi)&(b2i(d <= dRA)|b2i(d >= dRAWrap)) | b2i(!(math.Abs(de) <= 90))
+		n += b2i(de >= decLo) & b2i(de <= decHi) & (b2i(d <= dRA) | b2i(d >= dRAWrap))
 	}
 	return dst[:n]
 }
@@ -248,7 +250,7 @@ func (k *coneKernel) boxSel(dst, sel vec.Sel) vec.Sel {
 	for _, p := range sel {
 		dst[n] = p
 		d, de := math.Abs(ra[p]-ra0), dec[p]
-		n += b2i(de >= decLo)&b2i(de <= decHi)&(b2i(d <= dRA)|b2i(d >= dRAWrap)) | b2i(!(math.Abs(de) <= 90))
+		n += b2i(de >= decLo) & b2i(de <= decHi) & (b2i(d <= dRA) | b2i(d >= dRAWrap))
 	}
 	return dst[:n]
 }

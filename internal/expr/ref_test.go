@@ -79,9 +79,10 @@ func refMatch(p Predicate, t *table.Table, row int32) bool {
 		}
 		return (col.(*column.StringCol).Value(row) == q.Value) != q.Neg
 	case Cone:
-		// The oracle every cone kernel entry point must reproduce.
+		// The oracle every cone kernel entry point must reproduce: a
+		// dec off the sphere (outside [-90, 90], NaN, ±Inf) never matches.
 		ra, dec := refScalar(ColRef{Name: q.RaCol}, t, row), refScalar(ColRef{Name: q.DecCol}, t, row)
-		return AngularSeparation(q.Ra0, q.Dec0, ra, dec) <= q.Radius
+		return math.Abs(dec) <= 90 && AngularSeparation(q.Ra0, q.Dec0, ra, dec) <= q.Radius
 	case And:
 		return refMatch(q.L, t, row) && refMatch(q.R, t, row)
 	case Or:

@@ -2,7 +2,7 @@ package impression
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -11,10 +11,17 @@ import (
 // directly; every smaller layer ℓ+1 is refreshed exclusively from layer
 // ℓ — maintenance of small impressions touches only the impression one
 // layer below, never the base data, which is what gives them the "fast
-// reflexes" the paper asks for.
+// reflexes" the paper asks for. A refresh draws which of the parent's
+// sample slots the child keeps (Algorithm R over slot indices) and
+// builds only those samples, so it costs what the child keeps plus one
+// random draw per parent slot.
 type Hierarchy struct {
+	// mu serialises maintenance (OfferRange, Refresh). Queries never
+	// take it: the layer stack is fixed at NewHierarchy, and each layer
+	// guards its own samples.
 	mu           sync.Mutex
 	layers       []*Impression // descending size; layers[0] largest
+	ascending    []*Impression // layers smallest-first
 	refreshEvery int64
 	sinceRefresh int64
 }
@@ -38,24 +45,28 @@ func NewHierarchy(layers []*Impression, refreshEvery int64) (*Hierarchy, error) 
 				i, layers[i].Cap(), layers[i-1].Cap())
 		}
 	}
-	return &Hierarchy{layers: layers, refreshEvery: refreshEvery}, nil
+	layers = slices.Clone(layers)
+	ascending := slices.Clone(layers)
+	slices.Reverse(ascending)
+	return &Hierarchy{layers: layers, ascending: ascending, refreshEvery: refreshEvery}, nil
 }
 
-// Layers returns the layer stack, largest first.
-func (h *Hierarchy) Layers() []*Impression {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := make([]*Impression, len(h.layers))
-	copy(out, h.layers)
-	return out
-}
+// Layers returns the layer stack, largest first. The slice is shared:
+// callers must not modify it.
+func (h *Hierarchy) Layers() []*Impression { return h.layers }
 
 // OfferRange presents the freshly loaded base rows [lo, hi) to the
 // hierarchy under one hold of its lock: the largest layer samples them
 // directly; smaller layers are refreshed from their parent every
 // refreshEvery offers. The batch reaches layer 0 in chunks cut at those
-// refresh points, so samples and refreshes are exactly those of one
-// offer per row.
+// refresh points, so once the batch is offered, samples, versions and
+// random draws are exactly those of one offer per row. Only the last
+// refresh point of the batch builds the smaller layers' samples; the
+// earlier ones make their draws only, since the next one replaces what
+// they would build before the batch is done. Until a first refresh
+// point is reached, every batch ends with one refresh more, so a first
+// load shorter than refreshEvery does not leave the smaller layers
+// empty; it does not move the refresh points.
 func (h *Hierarchy) OfferRange(lo, hi int32) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -67,35 +78,35 @@ func (h *Hierarchy) OfferRange(lo, hi int32) {
 		h.layers[0].OfferRange(lo, end)
 		h.sinceRefresh += int64(end - lo)
 		if h.sinceRefresh >= h.refreshEvery {
-			h.refreshLocked()
+			h.sinceRefresh = 0
+			h.refreshLocked(int64(hi-end) < h.refreshEvery)
 		}
 		lo = end
+	}
+	if smallest := h.ascending[0]; smallest != h.layers[0] && smallest.Len() == 0 && h.layers[0].Len() > 0 {
+		h.refreshLocked(true)
 	}
 }
 
 // Refresh rebuilds all smaller layers from their parents immediately.
-func (h *Hierarchy) Refresh() error {
+func (h *Hierarchy) Refresh() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.refreshLocked()
+	h.sinceRefresh = 0
+	h.refreshLocked(true)
 }
 
-func (h *Hierarchy) refreshLocked() error {
-	h.sinceRefresh = 0
+// refreshLocked redraws every smaller layer from its parent, largest
+// first, building their samples only when build is set; h.mu is held.
+func (h *Hierarchy) refreshLocked(build bool) {
+	n := h.layers[0].Len()
 	for i := 1; i < len(h.layers); i++ {
-		if err := h.layers[i].ReplaceFrom(h.layers[i-1].Samples()); err != nil {
-			return fmt.Errorf("impression: refreshing layer %d: %w", i, err)
-		}
+		n = h.layers[i].refreshFrom(h.layers[i-1], n, build)
 	}
-	return nil
 }
 
 // Ascending returns the layers ordered smallest-first — the order in
 // which bounded query processing escalates (§3.2: "query evaluation
 // moves to an impression on a lower level, with a higher level of
-// detail").
-func (h *Hierarchy) Ascending() []*Impression {
-	out := h.Layers()
-	sort.SliceStable(out, func(a, b int) bool { return out[a].Cap() < out[b].Cap() })
-	return out
-}
+// detail"). The slice is shared: callers must not modify it.
+func (h *Hierarchy) Ascending() []*Impression { return h.ascending }

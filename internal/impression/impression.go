@@ -14,12 +14,15 @@
 //     histograms maintained by the workload logger.
 //
 // Hierarchies (see hierarchy.go) stack impressions of decreasing size;
-// each smaller layer is refreshed exclusively from the layer below it.
+// each smaller layer is refreshed exclusively from the layer below it,
+// by drawing which of the parent's sample slots it keeps and building
+// only those samples.
 package impression
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -111,14 +114,21 @@ type Impression struct {
 	last *reservoir.LastSeen[int32]
 	bias *reservoir.Biased[int32]
 
-	// derived holds the sample set of a layer rebuilt from its parent
+	// derived holds the sample set of a layer refreshed from its parent
 	// (hierarchy maintenance); when non-nil it shadows the stream
 	// samplers. A direct Offer clears it and resumes stream sampling.
-	derived []Sample
+	// Each sample's Pi is kept factored: its layer-0 inclusion, then
+	// the thinning rates of the refreshes it came through, thins[0]
+	// first, multiplied in that order when the sample is read.
+	// Refreshes reuse derived, thins and slots (the parent slots the
+	// last refresh drew): no reader holds them (samplesLocked copies).
+	derived []factored
+	thins   []float64
+	slots   []int32
 
 	// version identifies the sample-set state: it bumps on every Offer
-	// and ReplaceFrom, so any cache keyed by (impression, version) is
-	// never stale.
+	// and refresh, so any cache keyed by (impression, version) is never
+	// stale.
 	version uint64
 
 	// view is the last built selection view (immutable once returned);
@@ -271,7 +281,7 @@ func (im *Impression) offerLocked(pos int32) {
 	if im.derived != nil {
 		// Direct offers resume stream sampling; the stream reservoir
 		// diverged from the derived view, so deltas cannot bridge it.
-		im.derived = nil
+		im.derived, im.thins = nil, nil
 		im.markViewFullLocked()
 	}
 	switch im.cfg.Policy {
@@ -323,58 +333,30 @@ func (im *Impression) Samples() []Sample {
 }
 
 func (im *Impression) samplesLocked() []Sample {
-	if im.derived != nil {
-		out := make([]Sample, len(im.derived))
-		copy(out, im.derived)
-		return out
+	out := make([]Sample, im.lenLocked())
+	var slots [256]int32
+	var run [256]factored
+	for lo := 0; lo < len(out); lo += len(run) {
+		m := min(len(run), len(out)-lo)
+		for j := range m {
+			slots[j] = int32(lo + j)
+		}
+		im.gatherLocked(run[:m], slots[:m], 1)
+		for j, f := range run[:m] {
+			out[lo+j] = Sample{Pos: f.Pos, Weight: f.Weight, Pi: im.pi(f)}
+		}
 	}
-	switch im.cfg.Policy {
-	case Uniform:
-		items := im.uni.Items()
-		out := make([]Sample, len(items))
-		for i, p := range items {
-			out[i] = Sample{Pos: p, Weight: 1, Pi: 1}
-		}
-		return out
-	case LastSeen:
-		items := im.last.Items()
-		out := make([]Sample, len(items))
-		for i, p := range items {
-			out[i] = Sample{Pos: p, Weight: 1, Pi: 1}
-		}
-		return out
-	case Biased:
-		items := im.bias.Items()
-		out := make([]Sample, len(items))
-		// Estimation weights: the bias factor, clamp-corrected. The
-		// Figure-6 acceptance probability is min(1, n·w/cnt), so every
-		// tuple with w >= cnt/n is accepted identically — its effective
-		// weight is cnt/n, not w. Capping at cnt/n makes the weights
-		// proportional to the steady-state acceptance flux. The lower
-		// end is bounded by the defensive uniform mix λ, so importance
-		// ratios stay finite. (The survival-corrected per-tuple Pi in
-		// the reservoir is exact but its orders-of-magnitude dispersion
-		// destroys the Hájek estimator's effective sample size.)
-		cap := float64(im.offered) / float64(im.cfg.Size)
-		if cap < 1 {
-			cap = 1
-		}
-		for i, it := range items {
-			w := it.Weight
-			if w > cap {
-				w = cap
-			}
-			out[i] = Sample{Pos: it.Item, Weight: w, Pi: it.Pi}
-		}
-		return out
-	}
-	return nil
+	return out
 }
 
 // Len returns the current number of sampled rows.
 func (im *Impression) Len() int {
 	im.mu.Lock()
 	defer im.mu.Unlock()
+	return im.lenLocked()
+}
+
+func (im *Impression) lenLocked() int {
 	if im.derived != nil {
 		return len(im.derived)
 	}
@@ -383,10 +365,53 @@ func (im *Impression) Len() int {
 		return len(im.uni.Items())
 	case LastSeen:
 		return len(im.last.Items())
-	case Biased:
-		return len(im.bias.Items())
 	}
-	return 0
+	return im.bias.Len()
+}
+
+// posLocked returns the base-row position sampled in slot i.
+func (im *Impression) posLocked(i int) int32 {
+	if im.derived != nil {
+		return im.derived[i].Pos
+	}
+	switch im.cfg.Policy {
+	case Uniform:
+		return im.uni.Items()[i]
+	case LastSeen:
+		return im.last.Items()[i]
+	}
+	return im.bias.Item(i)
+}
+
+// weightCapLocked returns the clamp on a biased layer's estimation
+// weights. The Figure-6 acceptance probability is min(1, n·w/cnt), so
+// every tuple with w >= cnt/n is accepted identically — its effective
+// weight is cnt/n, not w. Capping at cnt/n makes the weights
+// proportional to the steady-state acceptance flux. The lower end is
+// bounded by the defensive uniform mix λ, so importance ratios stay
+// finite. (The survival-corrected per-tuple Pi in the reservoir is
+// exact but its orders-of-magnitude dispersion destroys the Hájek
+// estimator's effective sample size.)
+func (im *Impression) weightCapLocked() float64 {
+	return max(float64(im.offered)/float64(im.cfg.Size), 1)
+}
+
+// factored is a sample whose inclusion probability is not multiplied
+// out: Pi is inc.Pi() times the layer's thins (see pi).
+type factored struct {
+	Pos    int32
+	Weight float64
+	inc    reservoir.Inclusion
+}
+
+// pi multiplies out the inclusion probability of one of this layer's
+// samples, in the order the refreshes that thinned it ran.
+func (im *Impression) pi(f factored) float64 {
+	pi := f.inc.Pi()
+	for _, t := range im.thins {
+		pi *= t
+	}
+	return pi
 }
 
 // View is a stable, versioned selection view of an impression: the
@@ -396,8 +421,8 @@ func (im *Impression) Len() int {
 // restricted to Positions, so a changed sample never costs a table
 // copy.
 //
-// The returned slices are immutable: refreshes build new arrays, so a
-// View stays valid (describing the version it was taken at) while the
+// The returned slices are immutable: view refreshes build new arrays,
+// so a View stays valid (describing the version it was taken at) while the
 // impression keeps sampling. Each refresh also starts a value index,
 // built per column on first use and shared by every copy of the view:
 // Narrow cuts a scan to the positions a predicate's bounds admit.
@@ -448,7 +473,7 @@ func (v View) Clamp(n int) View {
 }
 
 // Version returns the current sample-set version. It bumps on every
-// Offer and ReplaceFrom, so consumers can detect staleness without
+// Offer and refresh, so consumers can detect staleness without
 // taking a view.
 func (im *Impression) Version() uint64 {
 	im.mu.Lock()
@@ -462,7 +487,10 @@ func (im *Impression) Version() uint64 {
 // view are applied as one merge pass over the previous sorted
 // positions (O(n + deltas), allocation limited to the new position
 // array) instead of re-sorting. Weight-bearing (biased) and derived
-// layers rebuild, since their weights move with every offer.
+// layers rebuild, since their weights move with every offer and every
+// refresh: a radix sort of packed pos<<32 | slot keys orders the slots
+// by position, and each slot's weights are gathered in that order, a
+// derived layer's Pi multiplied out as it is read.
 func (im *Impression) View() View {
 	im.mu.Lock()
 	defer im.mu.Unlock()
@@ -483,35 +511,96 @@ func (im *Impression) viewLocked() View {
 	return im.view
 }
 
-// rebuildViewLocked sorts the full sample set into a fresh view.
+// rebuildViewLocked builds a fresh view from the full sample set. It
+// sorts packed keys pos<<32 | slot, gathers positions from the keys,
+// and gathers the weights slot by slot in that order; positions are
+// unique, so this is the order of a sort of the samples by position.
 func (im *Impression) rebuildViewLocked() {
-	samples := im.samplesLocked() // fresh copy; safe to sort in place
-	sort.Slice(samples, func(a, b int) bool { return samples[a].Pos < samples[b].Pos })
-	pos := make(vec.Sel, len(samples))
-	uniform := true
-	for i, s := range samples {
-		pos[i] = s.Pos
-		if s.Weight != 1 || s.Pi != 1 {
-			uniform = false
-		}
+	n := im.lenLocked()
+	keys := make([]uint64, n)
+	var maxPos uint32
+	for i := range keys {
+		p := uint32(im.posLocked(i))
+		keys[i] = uint64(p)<<32 | uint64(i)
+		maxPos = max(maxPos, p)
+	}
+	keys = sortByPos(keys, make([]uint64, n), maxPos)
+	pos := make(vec.Sel, n)
+	for i, k := range keys {
+		pos[i] = int32(k >> 32)
 	}
 	var weights, pis []float64
 	var sums *stats.WeightSums
-	if !uniform {
-		weights = make([]float64, len(samples))
-		pis = make([]float64, len(samples))
-		for i, s := range samples {
-			weights[i] = s.Weight
-			pis[i] = s.Pi
+	if im.derived != nil || im.cfg.Policy == Biased {
+		weights, pis = make([]float64, n), make([]float64, n)
+		uniform := true
+		// Gather a run of samples at a time in position order, then
+		// multiply out each Pi. Samples still holding their fill-phase
+		// inclusion share one, and they sit together in position order,
+		// so the last one multiplied out is kept.
+		var slots [256]int32
+		var run [256]factored
+		var last reservoir.Inclusion
+		lastPi := math.NaN()
+		for lo := 0; lo < n; lo += len(run) {
+			m := min(len(run), n-lo)
+			for j := range m {
+				slots[j] = int32(uint32(keys[lo+j]))
+			}
+			im.gatherLocked(run[:m], slots[:m], 1)
+			for j, f := range run[:m] {
+				if f.inc != last || lastPi != lastPi {
+					last, lastPi = f.inc, im.pi(f)
+				}
+				pi := lastPi
+				weights[lo+j], pis[lo+j] = f.Weight, pi
+				if f.Weight != 1 || pi != 1 {
+					uniform = false
+				}
+			}
 		}
-		ss := stats.SumInvWeights(pis)
-		sums = &ss
+		if uniform {
+			weights, pis = nil, nil
+		} else {
+			ss := stats.SumInvWeights(pis)
+			sums = &ss
+		}
 	}
 	im.view = View{Positions: pos, Weights: weights, Pis: pis, ShareSums: sums,
 		index: &valueIndex{base: im.base, positions: pos}}
 	im.viewFull = false
 	im.deltaAdd = im.deltaAdd[:0]
 	im.deltaDel = im.deltaDel[:0]
+}
+
+// radixDigit is the width in bits of one sortByPos pass.
+const radixDigit = 11
+
+// sortByPos sorts keys packed as pos<<32 | slot, built in ascending slot
+// order, by position, where no position exceeds maxPos; buf is scratch
+// of keys' length. It returns the sorted keys, in keys or in buf. It is
+// a stable least-significant-digit radix sort over the position bits
+// alone, so the result equals a sort of the whole keys.
+func sortByPos(keys, buf []uint64, maxPos uint32) []uint64 {
+	var count [1 << radixDigit]int
+	for shift := 32; shift < 32+bits.Len32(maxPos); shift += radixDigit {
+		clear(count[:])
+		for _, k := range keys {
+			count[k>>shift&(1<<radixDigit-1)]++
+		}
+		sum := 0
+		for d, c := range count {
+			count[d] = sum
+			sum += c
+		}
+		for _, k := range keys {
+			d := k >> shift & (1<<radixDigit - 1)
+			buf[count[d]] = k
+			count[d]++
+		}
+		keys, buf = buf, keys
+	}
+	return keys
 }
 
 // applyDeltasLocked refreshes a uniform-weight view by merging the
@@ -577,41 +666,81 @@ func cancelCommon(a, b []int32) ([]int32, []int32) {
 	return outA, outB
 }
 
-// ReplaceFrom rebuilds this impression by subsampling the given parent
-// samples (the layer below in a hierarchy) uniformly without
-// replacement. The parent's focal point is inherited through its
+// refreshFrom redraws this layer as a uniform subsample without
+// replacement of its parent's n current samples (the layer below in a
+// hierarchy). The parent's focal point is inherited through its
 // composition (§3.1), and uniform thinning keeps the inclusion weights
-// valid: each chosen sample keeps weight parentWeight · n/len(parent),
-// its inclusion probability through both stages.
-func (im *Impression) ReplaceFrom(parent []Sample) error {
+// valid: each chosen sample keeps weight parentWeight · k/n, its
+// inclusion probability through both stages. Only the parent's slot
+// indices go through the draw — Algorithm R, with the Uint64n calls a
+// reservoir of samples would make — and only the k chosen samples are
+// built, under the parent's lock and then this layer's. When build is
+// false the refresh makes its draws and bumps the version but keeps the
+// samples it has: a later refresh replaces them before anyone is
+// promised this one. It returns k, the layer's new sample count.
+func (im *Impression) refreshFrom(parent *Impression, n int, build bool) int {
+	if build {
+		parent.mu.Lock()
+		defer parent.mu.Unlock()
+		n = parent.lenLocked()
+	}
 	im.mu.Lock()
 	defer im.mu.Unlock()
 	im.version++
 	im.viewOK = false
 	im.markViewFullLocked()
-	if len(parent) == 0 {
-		im.derived = []Sample{}
-		return nil
+	if !build {
+		reservoir.SkipSlots(im.cfg.Size, n, im.rng)
+		return min(im.cfg.Size, n)
 	}
-	r, err := reservoir.NewR[Sample](im.cfg.Size, im.rng)
-	if err != nil {
-		return err
+	if im.slots == nil {
+		im.slots = make([]int32, 0, im.cfg.Size+1)
 	}
-	for _, s := range parent {
-		r.Offer(s)
+	im.slots = reservoir.Slots(im.slots, im.cfg.Size, n, im.rng)
+	k := len(im.slots)
+	if im.derived == nil {
+		im.derived = make([]factored, 0, im.cfg.Size)
 	}
-	chosen := r.Items()
-	thin := float64(len(chosen)) / float64(len(parent))
-	if thin > 1 {
-		thin = 1
+	im.derived = im.derived[:0]
+	im.thins = append(im.thins[:0], parent.thins...)
+	if k == 0 {
+		return 0
 	}
-	derived := make([]Sample, len(chosen))
-	for i, s := range chosen {
-		// Uniform thinning multiplies inclusion probabilities by the
-		// thinning rate; ratio weights are scale-free, so they carry
-		// the same factor purely for interpretability.
-		derived[i] = Sample{Pos: s.Pos, Weight: s.Weight * thin, Pi: s.Pi * thin}
+	// Uniform thinning multiplies inclusion probabilities by the
+	// thinning rate; ratio weights are scale-free, so they carry the
+	// same factor purely for interpretability.
+	thin := float64(k) / float64(n)
+	im.thins = append(im.thins, thin)
+	im.derived = im.derived[:k]
+	parent.gatherLocked(im.derived, im.slots, thin)
+	return k
+}
+
+// gatherLocked writes the samples in the given slots to dst, Pi still
+// factored and Weight scaled by thin. Its loops are small enough that
+// the reads of many slots are in flight at once. A biased layer's
+// weights are clamped at weightCapLocked.
+func (im *Impression) gatherLocked(dst []factored, slots []int32, thin float64) {
+	switch {
+	case im.derived != nil:
+		for j, slot := range slots {
+			f := im.derived[slot]
+			f.Weight *= thin
+			dst[j] = f
+		}
+	case im.cfg.Policy == Biased:
+		wcap := im.weightCapLocked()
+		for j, slot := range slots {
+			pos, w, inc := im.bias.Slot(int(slot))
+			if w > wcap {
+				w = wcap
+			}
+			dst[j] = factored{Pos: pos, Weight: w * thin, inc: inc}
+		}
+	default:
+		for j, slot := range slots {
+			// Weight and Pi 1, thinned.
+			dst[j] = factored{Pos: im.posLocked(int(slot)), Weight: thin, inc: reservoir.Inclusion{PAccept: 1}}
+		}
 	}
-	im.derived = derived
-	return nil
 }

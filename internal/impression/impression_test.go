@@ -398,9 +398,7 @@ func TestBiasedHierarchyInheritsFocus(t *testing.T) {
 	l1 := mk("l1", 400, 2)
 	h, _ := NewHierarchy([]*Impression{l0, l1}, 2000)
 	h.OfferRange(0, int32(base.Len()))
-	if err := h.Refresh(); err != nil {
-		t.Fatal(err)
-	}
+	h.Refresh()
 	ra := sampled(t, l1, "ra")
 	focal := 0
 	for _, v := range ra {

@@ -411,3 +411,63 @@ func TestIndexBuildTouchesGranules(t *testing.T) {
 		}
 	}
 }
+
+// TestConeOffSphereRowNeverMatches: the three rows (190, 99), (10, 80)
+// and (10, 0) under fGetNearbyObjEq(10, 80, 3). (190, 99) lies 1° past
+// the pole, outside the band dec ∈ [76.99, 83.01] the cone bounds: it is
+// not a sky position and must not match, so a scan that skips it by that
+// band — a zone-map-pruned base scan (it is alone in the second
+// granule) or a narrowed layer scan — answers what a full scan does.
+func TestConeOffSphereRowNeverMatches(t *testing.T) {
+	n := column.ZoneRows + 1
+	ra, dec := make([]float64, n), make([]float64, n)
+	for i := range ra {
+		ra[i], dec[i] = 100, -60 // padding, far from the cone
+	}
+	ra[0], dec[0] = 10, 80
+	ra[1], dec[1] = 10, 0
+	ra[n-1], dec[n-1] = 190, 99
+	tb := table.MustNew("sky", table.Schema{
+		{Name: "ra", Type: column.Float64},
+		{Name: "dec", Type: column.Float64},
+	})
+	if err := tb.AppendColumns([]column.Column{
+		column.NewFloat64From("ra", ra),
+		column.NewFloat64From("dec", dec),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	cone := expr.Cone{RaCol: "ra", DecCol: "dec", Ra0: 10, Dec0: 80, Radius: 3}
+	full, err := cone.FilterRange(tb, 0, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(full) != 1 || full[0] != 0 {
+		t.Fatalf("full scan matches rows %v, want [0]", full)
+	}
+	res, err := engine.RunOnOpts(tb, engine.Query{Table: "sky", Where: cone, Aggs: []engine.AggSpec{{Func: engine.Count}}},
+		engine.DefaultExecOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := int(res.States[0].Moments.N()); got != len(full) {
+		t.Fatalf("pruned scan COUNT(*) = %d, full scan %d", got, len(full))
+	}
+	im, err := New(tb, Config{Name: "all", Size: n, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	im.OfferRange(0, int32(n))
+	v := im.View()
+	cand := v.Narrow(expr.BoundsOf(cone))
+	if cand == nil {
+		t.Fatal("the cone's band did not narrow the layer scan")
+	}
+	narrowed, err := cone.FilterSel(tb, cand)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(narrowed) != len(full) || narrowed[0] != full[0] {
+		t.Fatalf("narrowed scan matches rows %v, full scan %v", narrowed, full)
+	}
+}

@@ -17,6 +17,7 @@ package reservoir
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"sciborq/internal/xrand"
 )
@@ -84,6 +85,38 @@ func (r *R[T]) Count() int64 { return r.cnt }
 
 // Cap returns the reservoir capacity n.
 func (r *R[T]) Cap() int { return r.cap }
+
+// Slots draws which of the items 0..n-1 a reservoir of capacity k keeps:
+// Algorithm R over the indices themselves. It makes exactly the draws an
+// R of capacity k offered n items makes, and the result (length
+// min(k, n)) holds in slot j the index of the item R's slot j would
+// hold. dst's storage is reused when it has room for k+1 indices.
+func Slots(dst []int32, k, n int, rng *xrand.RNG) []int32 {
+	k = max(min(k, n), 0)
+	dst = slices.Grow(dst[:0], k+1)[:k+1]
+	for i := range k {
+		dst[i] = int32(i)
+	}
+	// The acceptance draws, a run at a time; slot k is a sentinel that
+	// takes every rejected offer, so placing one needs no branch.
+	var draws [256]uint64
+	for i := k; i < n; {
+		run := draws[:min(len(draws), n-i)]
+		rng.Uint64nRun(run, uint64(i+1))
+		for _, j := range run {
+			dst[min(j, uint64(k))] = int32(i)
+			i++
+		}
+	}
+	return dst[:k]
+}
+
+// SkipSlots advances rng past the draws Slots(dst, k, n, rng) makes,
+// without placing them.
+func SkipSlots(k, n int, rng *xrand.RNG) {
+	k = max(min(k, n), 0)
+	rng.SkipUint64nRun(n-k, uint64(k+1))
+}
 
 // LastSeen is the recency-focused impression builder of Figure 3. Once
 // the reservoir is full, each arriving tuple is accepted with the fixed
@@ -179,16 +212,22 @@ type Biased[T any] struct {
 	cap     int
 	cnt     int64
 	accepts int64 // replacement acceptances (evictions) so far, K
-	items   []biasedItem[T]
-	rng     *xrand.RNG
-	weight  func(T) float64 // returns f̆(t)·N, the bias factor
-	hook    Hook[T]
+	// logSurvive is log(1 − 1/n), the log-probability that an item
+	// survives one eviction.
+	logSurvive float64
+	// items holds the sampled items and meta their acceptance records,
+	// slot for slot, so a pass over the items alone (the sort keys of a
+	// view) does not read the records.
+	items  []T
+	meta   []biasedMeta
+	rng    *xrand.RNG
+	weight func(T) float64 // returns f̆(t)·N, the bias factor
+	hook   Hook[T]
 }
 
-// biasedItem records the acceptance metadata needed to reconstruct the
+// biasedMeta records the acceptance metadata needed to reconstruct an
 // item's inclusion probability.
-type biasedItem[T any] struct {
-	item    T
+type biasedMeta struct {
 	weight  float64 // bias factor at offer time
 	pAccept float64 // acceptance probability used (1 in the fill phase)
 	kAt     int64   // eviction counter right after this item entered
@@ -207,7 +246,8 @@ func NewBiased[T any](n int, weight func(T) float64, rng *xrand.RNG) (*Biased[T]
 	if rng == nil {
 		return nil, fmt.Errorf("reservoir: nil rng")
 	}
-	return &Biased[T]{cap: n, items: make([]biasedItem[T], 0, n), rng: rng, weight: weight}, nil
+	return &Biased[T]{cap: n, logSurvive: math.Log1p(-1 / float64(n)),
+		items: make([]T, 0, n), meta: make([]biasedMeta, 0, n), rng: rng, weight: weight}, nil
 }
 
 // Offer presents one item.
@@ -218,7 +258,8 @@ func (b *Biased[T]) Offer(item T) {
 		w = 0
 	}
 	if len(b.items) < b.cap {
-		b.items = append(b.items, biasedItem[T]{item: item, weight: w, pAccept: 1, kAt: b.accepts, seq: b.cnt})
+		b.items = append(b.items, item)
+		b.meta = append(b.meta, biasedMeta{weight: w, pAccept: 1, kAt: b.accepts, seq: b.cnt})
 		if b.hook != nil {
 			b.hook(item, nil)
 		}
@@ -234,8 +275,9 @@ func (b *Biased[T]) Offer(item T) {
 	if p > 1 {
 		p = 1
 	}
-	victim := b.items[slot].item
-	b.items[slot] = biasedItem[T]{item: item, weight: w, pAccept: p, kAt: b.accepts, seq: b.cnt}
+	victim := b.items[slot]
+	b.items[slot] = item
+	b.meta[slot] = biasedMeta{weight: w, pAccept: p, kAt: b.accepts, seq: b.cnt}
 	if b.hook != nil {
 		b.hook(item, &victim)
 	}
@@ -244,17 +286,45 @@ func (b *Biased[T]) Offer(item T) {
 // SetHook installs the mutation observer (nil to remove).
 func (b *Biased[T]) SetHook(h Hook[T]) { b.hook = h }
 
-// Items returns the current weighted sample. Pi is reconstructed as
-// pAccept · (1 − 1/n)^(K − k): the probability the item was accepted
-// times the probability it survived every later eviction.
+// Items returns the current weighted sample, slot by slot.
 func (b *Biased[T]) Items() []Weighted[T] {
 	out := make([]Weighted[T], len(b.items))
-	logSurvive := math.Log1p(-1 / float64(b.cap))
-	for i, it := range b.items {
-		pi := it.pAccept * math.Exp(float64(b.accepts-it.kAt)*logSurvive)
-		out[i] = Weighted[T]{Item: it.item, Weight: it.weight, Pi: pi, Seq: it.seq}
+	for i, m := range b.meta {
+		out[i] = Weighted[T]{Item: b.items[i], Weight: m.weight, Pi: b.inclusion(&m).Pi(), Seq: m.seq}
 	}
 	return out
+}
+
+// Len returns the number of items in the sample.
+func (b *Biased[T]) Len() int { return len(b.items) }
+
+// Item returns the item in slot i.
+func (b *Biased[T]) Item(i int) T { return b.items[i] }
+
+// Slot returns the item in slot i, its bias weight and its inclusion
+// probability in factored form; Items reports Pi = inc.Pi().
+func (b *Biased[T]) Slot(i int) (item T, weight float64, inc Inclusion) {
+	m := &b.meta[i]
+	return b.items[i], m.weight, b.inclusion(m)
+}
+
+func (b *Biased[T]) inclusion(m *biasedMeta) Inclusion {
+	return Inclusion{PAccept: m.pAccept, Evictions: b.accepts - m.kAt, LogSurvive: b.logSurvive}
+}
+
+// Inclusion is a sampled item's inclusion probability in factored form:
+// the probability it was accepted, times the probability it survived
+// each of the evictions that followed, exp(LogSurvive) apiece.
+type Inclusion struct {
+	PAccept    float64
+	Evictions  int64
+	LogSurvive float64
+}
+
+// Pi returns PAccept · exp(Evictions · LogSurvive); for a biased
+// reservoir of capacity n, LogSurvive is log(1 − 1/n).
+func (in Inclusion) Pi() float64 {
+	return in.PAccept * math.Exp(float64(in.Evictions)*in.LogSurvive)
 }
 
 // Count returns the number of items offered so far.

@@ -2,6 +2,7 @@ package reservoir
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"sciborq/internal/xrand"
@@ -262,6 +263,38 @@ func TestBiasedUniformWeightMatchesR(t *testing.T) {
 		got := counts[i] / trials
 		if math.Abs(got-want) > 0.025 {
 			t.Fatalf("position %d inclusion %v, want %v", i, got, want)
+		}
+	}
+}
+
+// TestSlotsMatchesR: Slots keeps, slot for slot, the indices an R of the
+// same capacity offered the items 0..n-1 keeps, and Slots and SkipSlots
+// leave the generator where R leaves it — below, at and far above the
+// capacity, across several draw runs.
+func TestSlotsMatchesR(t *testing.T) {
+	var dst []int32
+	for _, k := range []int{1, 2, 7, 100, 1000} {
+		for _, n := range []int{0, 1, k - 1, k, k + 1, 3 * k, 5000} {
+			for seed := uint64(1); seed <= 5; seed++ {
+				rngR, rngS := xrand.New(seed), xrand.New(seed)
+				r, err := NewR[int32](k, rngR)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range n {
+					r.Offer(int32(i))
+				}
+				dst = Slots(dst, k, n, rngS)
+				if !slices.Equal(dst, r.Items()) {
+					t.Fatalf("k=%d n=%d seed=%d: Slots %v, R %v", k, n, seed, dst, r.Items())
+				}
+				rngSkip := xrand.New(seed)
+				SkipSlots(k, n, rngSkip)
+				a, b, c := rngR.Uint64(), rngS.Uint64(), rngSkip.Uint64()
+				if a != b || a != c {
+					t.Fatalf("k=%d n=%d seed=%d: generators diverge after the draws", k, n, seed)
+				}
+			}
 		}
 	}
 }

@@ -8,7 +8,10 @@
 // math/rand's unspecified evolution across Go releases.
 package xrand
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // RNG is a xoshiro256** pseudo-random number generator.
 // The zero value is not valid; use New.
@@ -35,19 +38,24 @@ func New(seed uint64) *RNG {
 	return r
 }
 
-func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
+// step advances the xoshiro256** state (s0, s1, s2, s3) by one output;
+// it returns the output and the next state.
+func step(s0, s1, s2, s3 uint64) (out, n0, n1, n2, n3 uint64) {
+	out = bits.RotateLeft64(s1*5, 7) * 9
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	return out, s0, s1, s2, bits.RotateLeft64(s3, 45)
+}
 
 // Uint64 returns the next 64 uniformly distributed bits.
 func (r *RNG) Uint64() uint64 {
-	result := rotl(r.s[1]*5, 7) * 9
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = rotl(r.s[3], 45)
-	return result
+	var out uint64
+	out, r.s[0], r.s[1], r.s[2], r.s[3] = step(r.s[0], r.s[1], r.s[2], r.s[3])
+	return out
 }
 
 // Float64 returns a uniform float64 in [0, 1).
@@ -72,28 +80,57 @@ func (r *RNG) Uint64n(n uint64) uint64 {
 	// Rejection sampling over the multiply-shift range reduction.
 	for {
 		x := r.Uint64()
-		hi, lo := mul64(x, n)
+		hi, lo := bits.Mul64(x, n)
 		if lo >= n || lo >= (-n)%n {
 			return hi
 		}
 	}
 }
 
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask = 0xffffffff
-	aLo, aHi := a&mask, a>>32
-	bLo, bHi := b&mask, b>>32
-	t := aLo * bLo
-	lo = t & mask
-	c := t >> 32
-	t = aHi*bLo + c
-	mid := t & mask
-	hiPart := t >> 32
-	t = aLo*bHi + mid
-	lo |= (t & mask) << 32
-	hi = aHi*bHi + hiPart + (t >> 32)
-	return hi, lo
+// Uint64nRun fills dst with the draws of len(dst) consecutive Uint64n
+// calls whose bounds climb by one, dst[i] = Uint64n(n+i) — the draws of
+// a reservoir sampler's acceptance tests — keeping the generator state
+// in registers for the whole run. It panics if n == 0 and dst is not
+// empty.
+func (r *RNG) Uint64nRun(dst []uint64, n uint64) {
+	if n == 0 && len(dst) > 0 {
+		panic("xrand: Uint64nRun with n == 0")
+	}
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	for i := range dst {
+		m := n + uint64(i)
+		for {
+			var x uint64
+			x, s0, s1, s2, s3 = step(s0, s1, s2, s3)
+			hi, lo := bits.Mul64(x, m)
+			if lo >= m || lo >= (-m)%m {
+				dst[i] = hi
+				break
+			}
+		}
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
+}
+
+// SkipUint64nRun advances the generator past the draws a Uint64nRun of
+// count values from bound n makes, without making the values: whether
+// a draw is rejected depends on the low product word alone.
+func (r *RNG) SkipUint64nRun(count int, n uint64) {
+	if n == 0 && count > 0 {
+		panic("xrand: SkipUint64nRun with n == 0")
+	}
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	for i := range count {
+		m := n + uint64(i)
+		for {
+			var x uint64
+			x, s0, s1, s2, s3 = step(s0, s1, s2, s3)
+			if lo := x * m; lo >= m || lo >= (-m)%m {
+				break
+			}
+		}
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
 }
 
 // NormFloat64 returns a standard normal variate using the

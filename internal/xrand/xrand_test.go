@@ -2,6 +2,7 @@ package xrand
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -185,6 +186,24 @@ func TestUint64nProperty(t *testing.T) {
 	}
 }
 
+// refMul64 is the portable 128-bit product Uint64n used before
+// math/bits.Mul64: the reference TestMul64 holds the intrinsic to.
+func refMul64(a, b uint64) (hi, lo uint64) {
+	const mask = 0xffffffff
+	aLo, aHi := a&mask, a>>32
+	bLo, bHi := b&mask, b>>32
+	t := aLo * bLo
+	lo = t & mask
+	c := t >> 32
+	t = aHi*bLo + c
+	mid := t & mask
+	hiPart := t >> 32
+	t = aLo*bHi + mid
+	lo |= (t & mask) << 32
+	hi = aHi*bHi + hiPart + (t >> 32)
+	return hi, lo
+}
+
 func TestMul64(t *testing.T) {
 	cases := []struct {
 		a, b, hi, lo uint64
@@ -196,9 +215,49 @@ func TestMul64(t *testing.T) {
 		{math.MaxUint64, math.MaxUint64, math.MaxUint64 - 1, 1},
 	}
 	for _, c := range cases {
-		hi, lo := mul64(c.a, c.b)
+		hi, lo := bits.Mul64(c.a, c.b)
 		if hi != c.hi || lo != c.lo {
-			t.Fatalf("mul64(%d,%d) = (%d,%d), want (%d,%d)", c.a, c.b, hi, lo, c.hi, c.lo)
+			t.Fatalf("Mul64(%d,%d) = (%d,%d), want (%d,%d)", c.a, c.b, hi, lo, c.hi, c.lo)
+		}
+	}
+	edges := []uint64{0, 1, 2, 1<<32 - 1, 1 << 32, 1<<63 - 1, 1 << 63, math.MaxUint64}
+	r := New(5)
+	check := func(a, b uint64) {
+		hi, lo := bits.Mul64(a, b)
+		if wantHi, wantLo := refMul64(a, b); hi != wantHi || lo != wantLo {
+			t.Fatalf("Mul64(%d,%d) = (%d,%d), reference (%d,%d)", a, b, hi, lo, wantHi, wantLo)
+		}
+	}
+	for _, a := range edges {
+		for _, b := range edges {
+			check(a, b)
+		}
+		for i := 0; i < 1000; i++ {
+			check(a, r.Uint64())
+		}
+	}
+	for i := 0; i < 100000; i++ {
+		check(r.Uint64(), r.Uint64()>>(r.Uint64()%64))
+	}
+}
+
+// TestUint64nRunMatchesUint64n: a run draws what the same Uint64n calls
+// draw — small bounds, bounds near 2⁶⁴ where rejections are frequent —
+// and it and a skipped run leave the generator where they leave it.
+func TestUint64nRunMatchesUint64n(t *testing.T) {
+	for _, n := range []uint64{1, 2, 1000, 1 << 40, 1<<63 + 1, math.MaxUint64 - 300} {
+		a, b := New(n), New(n)
+		dst := make([]uint64, 257)
+		a.Uint64nRun(dst, n)
+		for i, got := range dst {
+			if want := b.Uint64n(n + uint64(i)); got != want {
+				t.Fatalf("bound %d: run draw %d = %d, Uint64n %d", n+uint64(i), i, got, want)
+			}
+		}
+		c := New(n)
+		c.SkipUint64nRun(len(dst), n)
+		if x := a.Uint64(); x != b.Uint64() || x != c.Uint64() {
+			t.Fatalf("n=%d: generators diverge after the run", n)
 		}
 	}
 }

@@ -537,9 +537,7 @@ func (db *DB) BuildImpressions(tableName string, cfg ImpressionConfig) error {
 		if err := db.loaders[tableName].Backfill(h); err != nil {
 			return err
 		}
-		if err := h.Refresh(); err != nil {
-			return err
-		}
+		h.Refresh()
 	} else if err := db.loaders[tableName].Attach(h); err != nil {
 		return err
 	}
