@@ -59,14 +59,13 @@ func (h *Hierarchy) Layers() []*Impression { return h.layers }
 // hierarchy under one hold of its lock: the largest layer samples them
 // directly; smaller layers are refreshed from their parent every
 // refreshEvery offers. The batch reaches layer 0 in chunks cut at those
-// refresh points, so once the batch is offered, samples, versions and
-// random draws are exactly those of one offer per row. Only the last
-// refresh point of the batch builds the smaller layers' samples; the
-// earlier ones make their draws only, since the next one replaces what
-// they would build before the batch is done. Until a first refresh
-// point is reached, every batch ends with one refresh more, so a first
-// load shorter than refreshEvery does not leave the smaller layers
-// empty; it does not move the refresh points.
+// refresh points, so samples, versions and random draws are exactly
+// those of one offer per row. A batch that leaves the smallest layer
+// empty while layer 0 is not gets one refresh more at its end, so a
+// first load shorter than refreshEvery does not leave the smaller
+// layers empty; it does not move the refresh points. The same rule
+// refreshes a hierarchy whose Refresh ran over an empty table, as
+// during a backfill.
 func (h *Hierarchy) OfferRange(lo, hi int32) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -79,12 +78,12 @@ func (h *Hierarchy) OfferRange(lo, hi int32) {
 		h.sinceRefresh += int64(end - lo)
 		if h.sinceRefresh >= h.refreshEvery {
 			h.sinceRefresh = 0
-			h.refreshLocked(int64(hi-end) < h.refreshEvery)
+			h.refreshLocked()
 		}
 		lo = end
 	}
 	if smallest := h.ascending[0]; smallest != h.layers[0] && smallest.Len() == 0 && h.layers[0].Len() > 0 {
-		h.refreshLocked(true)
+		h.refreshLocked()
 	}
 }
 
@@ -93,15 +92,14 @@ func (h *Hierarchy) Refresh() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.sinceRefresh = 0
-	h.refreshLocked(true)
+	h.refreshLocked()
 }
 
 // refreshLocked redraws every smaller layer from its parent, largest
-// first, building their samples only when build is set; h.mu is held.
-func (h *Hierarchy) refreshLocked(build bool) {
-	n := h.layers[0].Len()
+// first; h.mu is held.
+func (h *Hierarchy) refreshLocked() {
 	for i := 1; i < len(h.layers); i++ {
-		n = h.layers[i].refreshFrom(h.layers[i-1], n, build)
+		h.layers[i].refreshFrom(h.layers[i-1])
 	}
 }
 

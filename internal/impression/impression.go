@@ -535,13 +535,9 @@ func (im *Impression) rebuildViewLocked() {
 		weights, pis = make([]float64, n), make([]float64, n)
 		uniform := true
 		// Gather a run of samples at a time in position order, then
-		// multiply out each Pi. Samples still holding their fill-phase
-		// inclusion share one, and they sit together in position order,
-		// so the last one multiplied out is kept.
+		// multiply out each Pi.
 		var slots [256]int32
 		var run [256]factored
-		var last reservoir.Inclusion
-		lastPi := math.NaN()
 		for lo := 0; lo < n; lo += len(run) {
 			m := min(len(run), n-lo)
 			for j := range m {
@@ -549,10 +545,7 @@ func (im *Impression) rebuildViewLocked() {
 			}
 			im.gatherLocked(run[:m], slots[:m], 1)
 			for j, f := range run[:m] {
-				if f.inc != last || lastPi != lastPi {
-					last, lastPi = f.inc, im.pi(f)
-				}
-				pi := lastPi
+				pi := im.pi(f)
 				weights[lo+j], pis[lo+j] = f.Weight, pi
 				if f.Weight != 1 || pi != 1 {
 					uniform = false
@@ -667,35 +660,23 @@ func cancelCommon(a, b []int32) ([]int32, []int32) {
 }
 
 // refreshFrom redraws this layer as a uniform subsample without
-// replacement of its parent's n current samples (the layer below in a
+// replacement of its parent's current samples (the layer below in a
 // hierarchy). The parent's focal point is inherited through its
 // composition (§3.1), and uniform thinning keeps the inclusion weights
 // valid: each chosen sample keeps weight parentWeight · k/n, its
 // inclusion probability through both stages. Only the parent's slot
 // indices go through the draw — Algorithm R, with the Uint64n calls a
 // reservoir of samples would make — and only the k chosen samples are
-// built, under the parent's lock and then this layer's. When build is
-// false the refresh makes its draws and bumps the version but keeps the
-// samples it has: a later refresh replaces them before anyone is
-// promised this one. It returns k, the layer's new sample count.
-func (im *Impression) refreshFrom(parent *Impression, n int, build bool) int {
-	if build {
-		parent.mu.Lock()
-		defer parent.mu.Unlock()
-		n = parent.lenLocked()
-	}
+// built, under the parent's lock and then this layer's.
+func (im *Impression) refreshFrom(parent *Impression) {
+	parent.mu.Lock()
+	defer parent.mu.Unlock()
+	n := parent.lenLocked()
 	im.mu.Lock()
 	defer im.mu.Unlock()
 	im.version++
 	im.viewOK = false
 	im.markViewFullLocked()
-	if !build {
-		reservoir.SkipSlots(im.cfg.Size, n, im.rng)
-		return min(im.cfg.Size, n)
-	}
-	if im.slots == nil {
-		im.slots = make([]int32, 0, im.cfg.Size+1)
-	}
 	im.slots = reservoir.Slots(im.slots, im.cfg.Size, n, im.rng)
 	k := len(im.slots)
 	if im.derived == nil {
@@ -704,7 +685,7 @@ func (im *Impression) refreshFrom(parent *Impression, n int, build bool) int {
 	im.derived = im.derived[:0]
 	im.thins = append(im.thins[:0], parent.thins...)
 	if k == 0 {
-		return 0
+		return
 	}
 	// Uniform thinning multiplies inclusion probabilities by the
 	// thinning rate; ratio weights are scale-free, so they carry the
@@ -713,7 +694,6 @@ func (im *Impression) refreshFrom(parent *Impression, n int, build bool) int {
 	im.thins = append(im.thins, thin)
 	im.derived = im.derived[:k]
 	parent.gatherLocked(im.derived, im.slots, thin)
-	return k
 }
 
 // gatherLocked writes the samples in the given slots to dst, Pi still

@@ -97,25 +97,13 @@ func Slots(dst []int32, k, n int, rng *xrand.RNG) []int32 {
 	for i := range k {
 		dst[i] = int32(i)
 	}
-	// The acceptance draws, a run at a time; slot k is a sentinel that
-	// takes every rejected offer, so placing one needs no branch.
-	var draws [256]uint64
-	for i := k; i < n; {
-		run := draws[:min(len(draws), n-i)]
-		rng.Uint64nRun(run, uint64(i+1))
-		for _, j := range run {
-			dst[min(j, uint64(k))] = int32(i)
-			i++
-		}
+	// Slot k is a sentinel that takes every rejected offer, so placing
+	// one needs no branch: a branch on acceptance mispredicts about as
+	// often as offers are accepted.
+	for i := k; i < n; i++ {
+		dst[min(rng.Uint64n(uint64(i+1)), uint64(k))] = int32(i)
 	}
 	return dst[:k]
-}
-
-// SkipSlots advances rng past the draws Slots(dst, k, n, rng) makes,
-// without placing them.
-func SkipSlots(k, n int, rng *xrand.RNG) {
-	k = max(min(k, n), 0)
-	rng.SkipUint64nRun(n-k, uint64(k+1))
 }
 
 // LastSeen is the recency-focused impression builder of Figure 3. Once

@@ -38,24 +38,19 @@ func New(seed uint64) *RNG {
 	return r
 }
 
-// step advances the xoshiro256** state (s0, s1, s2, s3) by one output;
-// it returns the output and the next state.
-func step(s0, s1, s2, s3 uint64) (out, n0, n1, n2, n3 uint64) {
-	out = bits.RotateLeft64(s1*5, 7) * 9
-	t := s1 << 17
-	s2 ^= s0
-	s3 ^= s1
-	s1 ^= s2
-	s0 ^= s3
-	s2 ^= t
-	return out, s0, s1, s2, bits.RotateLeft64(s3, 45)
-}
+func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
 // Uint64 returns the next 64 uniformly distributed bits.
 func (r *RNG) Uint64() uint64 {
-	var out uint64
-	out, r.s[0], r.s[1], r.s[2], r.s[3] = step(r.s[0], r.s[1], r.s[2], r.s[3])
-	return out
+	result := rotl(r.s[1]*5, 7) * 9
+	t := r.s[1] << 17
+	r.s[2] ^= r.s[0]
+	r.s[3] ^= r.s[1]
+	r.s[1] ^= r.s[2]
+	r.s[0] ^= r.s[3]
+	r.s[2] ^= t
+	r.s[3] = rotl(r.s[3], 45)
+	return result
 }
 
 // Float64 returns a uniform float64 in [0, 1).
@@ -85,52 +80,6 @@ func (r *RNG) Uint64n(n uint64) uint64 {
 			return hi
 		}
 	}
-}
-
-// Uint64nRun fills dst with the draws of len(dst) consecutive Uint64n
-// calls whose bounds climb by one, dst[i] = Uint64n(n+i) — the draws of
-// a reservoir sampler's acceptance tests — keeping the generator state
-// in registers for the whole run. It panics if n == 0 and dst is not
-// empty.
-func (r *RNG) Uint64nRun(dst []uint64, n uint64) {
-	if n == 0 && len(dst) > 0 {
-		panic("xrand: Uint64nRun with n == 0")
-	}
-	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
-	for i := range dst {
-		m := n + uint64(i)
-		for {
-			var x uint64
-			x, s0, s1, s2, s3 = step(s0, s1, s2, s3)
-			hi, lo := bits.Mul64(x, m)
-			if lo >= m || lo >= (-m)%m {
-				dst[i] = hi
-				break
-			}
-		}
-	}
-	r.s = [4]uint64{s0, s1, s2, s3}
-}
-
-// SkipUint64nRun advances the generator past the draws a Uint64nRun of
-// count values from bound n makes, without making the values: whether
-// a draw is rejected depends on the low product word alone.
-func (r *RNG) SkipUint64nRun(count int, n uint64) {
-	if n == 0 && count > 0 {
-		panic("xrand: SkipUint64nRun with n == 0")
-	}
-	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
-	for i := range count {
-		m := n + uint64(i)
-		for {
-			var x uint64
-			x, s0, s1, s2, s3 = step(s0, s1, s2, s3)
-			if lo := x * m; lo >= m || lo >= (-m)%m {
-				break
-			}
-		}
-	}
-	r.s = [4]uint64{s0, s1, s2, s3}
 }
 
 // NormFloat64 returns a standard normal variate using the

@@ -240,24 +240,3 @@ func TestMul64(t *testing.T) {
 		check(r.Uint64(), r.Uint64()>>(r.Uint64()%64))
 	}
 }
-
-// TestUint64nRunMatchesUint64n: a run draws what the same Uint64n calls
-// draw — small bounds, bounds near 2⁶⁴ where rejections are frequent —
-// and it and a skipped run leave the generator where they leave it.
-func TestUint64nRunMatchesUint64n(t *testing.T) {
-	for _, n := range []uint64{1, 2, 1000, 1 << 40, 1<<63 + 1, math.MaxUint64 - 300} {
-		a, b := New(n), New(n)
-		dst := make([]uint64, 257)
-		a.Uint64nRun(dst, n)
-		for i, got := range dst {
-			if want := b.Uint64n(n + uint64(i)); got != want {
-				t.Fatalf("bound %d: run draw %d = %d, Uint64n %d", n+uint64(i), i, got, want)
-			}
-		}
-		c := New(n)
-		c.SkipUint64nRun(len(dst), n)
-		if x := a.Uint64(); x != b.Uint64() || x != c.Uint64() {
-			t.Fatalf("n=%d: generators diverge after the run", n)
-		}
-	}
-}
