@@ -162,24 +162,28 @@ func BenchmarkBoundedQuery(b *testing.B) {
 	})
 
 	// cone: a cone aggregate on the layer between two loads, the shape of
-	// an interactive sky exploration. The view's value index is built by
-	// the first query; each query then scans only the samples in the
-	// cone's declination band (impression.View.Narrow).
+	// an interactive sky exploration. The view's grid is built by the
+	// first query; each query then scans only the samples in the cells of
+	// the cone's box, with their sample indices, through the narrowing
+	// call a bounded rung makes (impression.View.Narrow of
+	// expr.BoxesOf).
 	b.Run("cone", func(b *testing.B) {
 		b.ReportAllocs()
 		cq := q
 		cq.Where = expr.Cone{RaCol: "ra", DecCol: "dec", Ra0: 180, Dec0: 30, Radius: 3}
-		bounds := expr.BoundsOf(cq.Where)
+		boxes := expr.BoxesOf(cq.Where)
 		for i := 0; i < b.N; i++ {
 			snap := bb.base.Snapshot()
 			v := bb.layer.View().Clamp(snap.Len())
 			sl := estimate.SelLayer{
 				Name: bb.layer.Name(), Base: snap, Positions: v.Positions,
 				Weights: v.Weights, CountWeights: v.Pis, ShareSums: v.ShareSums,
-				BaseRows: int64(snap.Len()), Scan: v.Narrow(bounds),
+				BaseRows: int64(snap.Len()),
 			}
+			sl.Scan, sl.ScanIdx = v.Narrow(boxes)
 			ests, err := estimate.AggregateOnSelOpts(sl, cq, 0.95, opts)
 			vec.PutSel(sl.Scan)
+			vec.PutSel(sl.ScanIdx)
 			if err != nil {
 				b.Fatal(err)
 			}

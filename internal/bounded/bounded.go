@@ -18,8 +18,9 @@
 // view refresh instead of a table copy: one merge pass over the
 // reservoir's deltas for a uniform-weight stream layer, a sort of the
 // sample for a biased or derived layer. Each layer's scan visits only
-// the sampled rows the predicate's bounds admit (impression.View.Narrow),
-// and WITHIN TIME prices a layer by those rows. The exact base rung is the
+// the sampled rows in the predicate's necessary boxes — a cone's box,
+// not its whole declination band — (impression.View.Narrow), and
+// WITHIN TIME prices a layer by those rows. The exact base rung is the
 // unbounded exact execution itself (recycler.Exec), so a bounded exact
 // answer is the unbounded exact answer, bit for bit.
 //
@@ -198,25 +199,45 @@ type Answer struct {
 
 // rung is one rung of the escalation ladder over the query's base
 // snapshot: an impression layer evaluated as a selection-vector scan
-// (layer set), or the exact base rung (layer nil). Building rungs never
-// materialises an impression — a layer whose sample changed since the
-// last query costs a view refresh (impression.View), not a table copy.
+// (im set), or the exact base rung (im nil). Building rungs never
+// materialises an impression, and a layer rung takes its view only when
+// opened — a layer whose sample changed since the last query costs a
+// view refresh (impression.View), not a table copy, and only once a
+// query reaches it.
 type rung struct {
 	name  string
-	rows  int // sample rows (the Trail / layer-pick metric)
+	rows  int // sample rows (the Trail / layer-pick metric), once open
 	snap  *table.Table
-	view  impression.View // the layer's clamped view
-	layer *estimate.SelLayer
+	im    *impression.Impression
+	view  impression.View    // the layer's clamped view, once open
+	layer *estimate.SelLayer // nil until open
 }
 
-func (r rung) exact() bool { return r.layer == nil }
+func (r rung) exact() bool { return r.im == nil }
 
-// narrow restricts a layer rung's scan to the view positions the
-// query's necessary bounds admit (impression.View.Narrow); the sample,
-// and so every estimate, is unchanged. Release returns the scratch.
-func (r rung) narrow(bounds []expr.Bound) {
+// open returns the rung with its layer's view taken and clamped to the
+// rung's snapshot; the base rung and an open rung return unchanged.
+func (r rung) open() rung {
+	if r.exact() || r.layer != nil {
+		return r
+	}
+	v := r.im.View().Clamp(r.snap.Len())
+	r.rows, r.view = len(v.Positions), v
+	r.layer = &estimate.SelLayer{
+		Name: r.name, Base: r.snap, Positions: v.Positions,
+		Weights: v.Weights, CountWeights: v.Pis, ShareSums: v.ShareSums,
+		BaseRows: int64(r.snap.Len()),
+	}
+	return r
+}
+
+// narrow restricts an open layer rung's scan to the view positions in
+// the query's necessary boxes (impression.View.Narrow), carrying their
+// sample indices; the sample, and so every estimate, is unchanged.
+// Release returns the scratch.
+func (r rung) narrow(boxes []expr.Box) {
 	if !r.exact() {
-		r.layer.Scan = r.view.Narrow(bounds)
+		r.layer.Scan, r.layer.ScanIdx = r.view.Narrow(boxes)
 	}
 }
 
@@ -224,7 +245,8 @@ func (r rung) narrow(bounds []expr.Bound) {
 func (r rung) release() {
 	if !r.exact() && r.layer.Scan != nil {
 		vec.PutSel(r.layer.Scan)
-		r.layer.Scan = nil
+		vec.PutSel(r.layer.ScanIdx)
+		r.layer.Scan, r.layer.ScanIdx = nil, nil
 	}
 }
 
@@ -278,23 +300,15 @@ func (r rung) run(q engine.Query, confidence float64, opts engine.ExecOptions, r
 }
 
 // rungs returns the evaluation ladder smallest-first, ending with the
-// exact base rung. All rungs share one base snapshot, so every rung of
-// an escalation describes the same row prefix even under concurrent
-// loads.
+// exact base rung; layer rungs are not yet open. All rungs share one
+// base snapshot, so every rung of an escalation describes the same row
+// prefix even under concurrent loads.
 func (e *Executor) rungs() []rung {
 	snap := e.base.Snapshot()
 	var out []rung
 	if e.hier != nil {
 		for _, im := range e.hier.Ascending() {
-			v := im.View().Clamp(snap.Len())
-			out = append(out, rung{
-				name: im.Name(), rows: len(v.Positions), snap: snap, view: v,
-				layer: &estimate.SelLayer{
-					Name: im.Name(), Base: snap, Positions: v.Positions,
-					Weights: v.Weights, CountWeights: v.Pis, ShareSums: v.ShareSums,
-					BaseRows: int64(snap.Len()),
-				},
-			})
+			out = append(out, rung{name: im.Name(), snap: snap, im: im})
 		}
 	}
 	return append(out, e.baseRung(snap))
@@ -354,10 +368,11 @@ func (e *Executor) errorBounded(q engine.Query, eps, confidence float64, opts en
 	}
 	start := time.Now()
 	ans := &Answer{}
-	bounds := expr.BoundsOf(q.Pred())
+	boxes := expr.BoxesOf(q.Pred())
 	for _, l := range e.rungs() {
 		ls := time.Now()
-		l.narrow(bounds)
+		l = l.open()
+		l.narrow(boxes)
 		ests, _, err := l.run(q, confidence, opts, rec)
 		l.release()
 		if err != nil {
@@ -420,13 +435,14 @@ func (e *Executor) pickWithin(q engine.Query, budget time.Duration, opts engine.
 		}
 	}
 	maxRows := model.MaxRowsWithin(budget)
-	bounds := expr.BoundsOf(q.Pred())
-	pick = layers[0]
+	boxes := expr.BoxesOf(q.Pred())
 	for i, l := range layers {
-		l.narrow(bounds)
+		l = l.open()
+		layers[i] = l
+		l.narrow(boxes)
 		n := l.scanRows(q, opts)
 		if i == 0 {
-			rows = n // smallest-layer fallback when nothing fits
+			pick, rows = l, n // smallest-layer fallback when nothing fits
 		}
 		if n <= maxRows && l.rows >= pick.rows {
 			pick, rows = l, n

@@ -7,9 +7,10 @@
 // impression.View. A standalone weighted table is a SelLayer whose
 // positions are 0..n-1 over that table. The predicate scan may visit a
 // narrowed subset of the positions (SelLayer.Scan, from
-// impression.View.Narrow) holding every row that can match; the
-// estimators still describe the whole sample, so the estimates are
-// those of a scan over every position.
+// impression.View.Narrow, with its sample indices in SelLayer.ScanIdx)
+// holding every row that can match; the estimators still describe the
+// whole sample, so the estimates are those of a scan over every
+// position.
 // Exact answers are not estimated here: the bounded executor's base
 // rung runs the engine's exact execution.
 //

@@ -42,6 +42,10 @@ type SelLayer struct {
 	// while the estimators still describe the whole sample, so estimates
 	// equal those of a scan over Positions. nil visits every position.
 	Scan vec.Sel
+	// ScanIdx are Scan's sample indices, Positions[ScanIdx[j]] ==
+	// Scan[j] (Narrow hands them out beside the scan): the estimators
+	// map each match to its weights through them. Set with Scan.
+	ScanIdx vec.Sel
 	// Weights are per-row ratio weights used by ratio estimators
 	// (AVG); nil means uniform.
 	Weights []float64
@@ -74,18 +78,24 @@ func (sl SelLayer) Validate() error {
 		return fmt.Errorf("estimate: selection layer %q has %d count weights for %d positions",
 			sl.Name, len(sl.CountWeights), len(sl.Positions))
 	}
+	if len(sl.ScanIdx) != len(sl.Scan) {
+		return fmt.Errorf("estimate: selection layer %q has %d sample indices for %d scanned positions",
+			sl.Name, len(sl.ScanIdx), len(sl.Scan))
+	}
 	if sl.BaseRows < 0 {
 		return fmt.Errorf("estimate: selection layer %q has negative base cardinality", sl.Name)
 	}
 	return nil
 }
 
-// scan returns the positions the predicate scan visits.
-func (sl SelLayer) scan() vec.Sel {
+// scan returns the positions the predicate scan visits and their
+// sample indices; nil indices mean the scan is Positions, whose index j
+// is j.
+func (sl SelLayer) scan() (scan, idx vec.Sel) {
 	if sl.Scan != nil {
-		return sl.Scan
+		return sl.Scan, sl.ScanIdx
 	}
-	return sl.Positions
+	return sl.Positions, nil
 }
 
 // AggregateOnSelOpts evaluates the aggregates of q against the selection
@@ -104,11 +114,12 @@ func AggregateOnSelOpts(sl SelLayer, q engine.Query, level float64, opts engine.
 		return nil, fmt.Errorf("estimate: grouped bounded queries are not supported (run one query per group)")
 	}
 	snap := sl.Base.Snapshot()
-	selBase, _, err := engine.Filter(snap, q.Pred(), sl.scan(), opts)
+	scan, idx := sl.scan()
+	selBase, _, err := engine.Filter(snap, q.Pred(), scan, opts)
 	if err != nil {
 		return nil, err
 	}
-	selSamp := sampleIndices(sl.Positions, selBase, sl.Weights != nil || sl.CountWeights != nil)
+	selSamp := sampleIndices(scan, idx, selBase, sl.Weights != nil || sl.CountWeights != nil)
 	sumU, sumU2 := weightSums(sl)
 	out := make([]Estimate, 0, len(q.Aggs))
 	for _, spec := range q.Aggs {
@@ -145,11 +156,12 @@ func GroupedAggregateOnSel(sl SelLayer, q engine.Query, level float64, opts engi
 		return nil, fmt.Errorf("estimate: grouped query has no aggregates")
 	}
 	snap := sl.Base.Snapshot()
-	selBase, _, err := engine.Filter(snap, q.Pred(), sl.scan(), opts)
+	scan, idx := sl.scan()
+	selBase, _, err := engine.Filter(snap, q.Pred(), scan, opts)
 	if err != nil {
 		return nil, err
 	}
-	selSamp := sampleIndices(sl.Positions, selBase, true)
+	selSamp := sampleIndices(scan, idx, selBase, true)
 	grp, err := engine.GroupingFor(snap, q.GroupBy)
 	if err != nil {
 		return nil, err
@@ -203,28 +215,37 @@ func partitionByGroup(ids []int32, groups int, selBase, selSamp vec.Sel) (gBase,
 	return gBase, gSamp
 }
 
-// sampleIndices maps matched base positions back to their indices in
-// the sorted position vector — the alignment needed to look up
-// per-sample weights. Each lookup gallops from the previous match and
-// binary-searches the bracket it finds, so m matches in n positions
-// cost O(m log(n/m)), not a walk over the whole layer. When no weights
-// exist (want false) it returns nil and the estimators take the uniform
-// path without the lookups.
-func sampleIndices(positions, selBase vec.Sel, want bool) vec.Sel {
+// sampleIndices maps matched base positions back to their sample
+// indices — the alignment needed to look up per-sample weights — by
+// walking the scanned positions the matches are a subset of: idx[j] is
+// scan[j]'s sample index, nil meaning j (the scan is Positions). A match
+// next to the previous one costs one comparison; a farther one gallops
+// from it and binary-searches the bracket it finds, so m matches in n
+// scanned positions cost O(m log(n/m)), never a walk over the whole
+// layer. When no weights exist (want false) it returns nil and the
+// estimators take the uniform path without the lookups.
+func sampleIndices(scan, idx, selBase vec.Sel, want bool) vec.Sel {
 	if !want {
 		return nil
 	}
 	out := make(vec.Sel, len(selBase))
-	n, j := len(positions), 0
+	n, j := len(scan), 0
 	for i, bp := range selBase {
-		// positions[:lo] < bp; hi == n or positions[hi] >= bp.
-		lo, hi := j, j
-		for step := 1; hi < n && positions[hi] < bp; step <<= 1 {
-			lo, hi = hi+1, hi+step
+		// scan[:j] < bp, and bp is in scan[j:].
+		if scan[j] < bp {
+			// scan[:lo] < bp; hi == n or scan[hi] >= bp.
+			lo, hi := j+1, j+1
+			for step := 1; hi < n && scan[hi] < bp; step <<= 1 {
+				lo, hi = hi+1, hi+step
+			}
+			k, _ := slices.BinarySearch(scan[lo:min(hi, n)], bp)
+			j = lo + k
 		}
-		k, _ := slices.BinarySearch(positions[lo:min(hi, n)], bp)
-		j = lo + k
 		out[i] = int32(j)
+		if idx != nil {
+			out[i] = idx[j]
+		}
+		j++
 	}
 	return out
 }

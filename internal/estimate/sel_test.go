@@ -321,6 +321,11 @@ func TestAggregateOnSelValidation(t *testing.T) {
 	if _, err := AggregateOnSelOpts(bad, q, 0.95, engine.DefaultExecOptions()); err == nil {
 		t.Error("unsorted positions accepted")
 	}
+	bad = sl
+	bad.Scan = sl.Positions[:4]
+	if _, err := AggregateOnSelOpts(bad, q, 0.95, engine.DefaultExecOptions()); err == nil {
+		t.Error("a scan without sample indices accepted")
+	}
 	if _, err := AggregateOnSelOpts(sl, engine.Query{Table: "base", Select: []string{"x"}}, 0.95, engine.DefaultExecOptions()); err == nil {
 		t.Error("aggregate-less query accepted")
 	}
@@ -355,8 +360,18 @@ func linearSampleIndices(positions, selBase vec.Sel) vec.Sel {
 	return out
 }
 
-// TestSampleIndicesMatchesLinearWalk checks the galloping lookup
-// against the linear walk.
+// narrowedScan returns the positions of every keep-th sample and their
+// sample indices: a narrowed scan as impression.View.Narrow hands it out.
+func narrowedScan(positions vec.Sel, keep int) (scan, idx vec.Sel) {
+	for j := 0; j < len(positions); j += keep {
+		scan, idx = append(scan, positions[j]), append(idx, int32(j))
+	}
+	return scan, idx
+}
+
+// TestSampleIndicesMatchesLinearWalk checks the galloping lookup, over
+// whole layers and over narrowed scans carrying their sample indices,
+// against the linear walk over the whole layer.
 func TestSampleIndicesMatchesLinearWalk(t *testing.T) {
 	positions := vec.Sel{2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233}
 	rng := rand.New(rand.NewSource(39))
@@ -367,22 +382,42 @@ func TestSampleIndicesMatchesLinearWalk(t *testing.T) {
 			sparse = append(sparse, p)
 		}
 	}
+	ends, endsIdx := vec.Sel{2, 233}, vec.Sel{0, 10}
+	scan, scanIdx := narrowedScan(every, 3)
+	var scanSparse vec.Sel
+	for i, p := range scan {
+		if i%7 == 2 {
+			scanSparse = append(scanSparse, p)
+		}
+	}
 	for _, c := range []struct {
-		name               string
-		positions, selBase vec.Sel
+		name                 string
+		positions, scan, idx vec.Sel
+		selBase              vec.Sel
 	}{
-		{"empty input", positions, vec.Sel{}},
-		{"empty positions", vec.Sel{}, vec.Sel{}},
-		{"every row matching", positions, positions},
-		{"first position", positions, vec.Sel{2}},
-		{"last position", positions, vec.Sel{233}},
-		{"first and last", positions, vec.Sel{2, 233}},
-		{"one match", positions, vec.Sel{34}},
-		{"adjacent run", positions, vec.Sel{5, 8, 13}},
-		{"random sparse", every, sparse},
-		{"random dense", every, every[len(every)/3:]},
+		{"empty input", positions, nil, nil, vec.Sel{}},
+		{"empty positions", vec.Sel{}, nil, nil, vec.Sel{}},
+		{"every row matching", positions, nil, nil, positions},
+		{"first position", positions, nil, nil, vec.Sel{2}},
+		{"last position", positions, nil, nil, vec.Sel{233}},
+		{"first and last", positions, nil, nil, vec.Sel{2, 233}},
+		{"one match", positions, nil, nil, vec.Sel{34}},
+		{"adjacent run", positions, nil, nil, vec.Sel{5, 8, 13}},
+		{"random sparse", every, nil, nil, sparse},
+		{"random dense", every, nil, nil, every[len(every)/3:]},
+		{"narrowed: empty scan", positions, vec.Sel{}, vec.Sel{}, vec.Sel{}},
+		{"narrowed: no match", positions, ends, endsIdx, vec.Sel{}},
+		{"narrowed: every candidate matching", every, scan, scanIdx, scan},
+		{"narrowed: first and last sample", positions, ends, endsIdx, ends},
+		{"narrowed: last sample", positions, ends, endsIdx, vec.Sel{233}},
+		{"narrowed: one match", every, scan, scanIdx, scan[len(scan)/2 : len(scan)/2+1]},
+		{"narrowed: random sparse", every, scan, scanIdx, scanSparse},
 	} {
-		got := sampleIndices(c.positions, c.selBase, true)
+		sc, idx := c.scan, c.idx
+		if sc == nil {
+			sc = c.positions
+		}
+		got := sampleIndices(sc, idx, c.selBase, true)
 		want := linearSampleIndices(c.positions, c.selBase)
 		if len(got) != len(want) {
 			t.Fatalf("%s: %d indices, want %d", c.name, len(got), len(want))
@@ -393,7 +428,7 @@ func TestSampleIndicesMatchesLinearWalk(t *testing.T) {
 			}
 		}
 	}
-	if sampleIndices(positions, positions, false) != nil {
+	if sampleIndices(positions, nil, positions, false) != nil {
 		t.Fatal("unweighted layer got sample indices")
 	}
 }

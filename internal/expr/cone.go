@@ -106,8 +106,9 @@ func (c Cone) String() string {
 // |dec − Dec0| <= Radius, widened by coneMargin to absorb the rounding
 // of the computed separation, so the cone bounds its declination column.
 // (Right ascension wraps at 0/360 and shrinks with cos(dec), so it is
-// left unbounded.) A centre off the sphere bounds nothing; rows with
-// declinations outside [-90, 90] never match.
+// left unbounded; BoxesOf pairs the band with the kernel's RA test.) A
+// centre off the sphere bounds nothing; rows with declinations outside
+// [-90, 90] never match.
 func (c Cone) Bounds() []Bound {
 	lo, hi, ok := c.decBox()
 	if !ok {
@@ -124,6 +125,34 @@ func (c Cone) decBox() (lo, hi float64, ok bool) {
 	}
 	r := c.Radius + coneMargin
 	return c.Dec0 - r, c.Dec0 + r, true
+}
+
+// raBox is the cone's pass-1 RA test |ra − Ra0| <= dRA || |ra − Ra0|
+// >= dRAWrap: dRA = asin(sin R / cos Dec0) + m and dRAWrap = 360 − dRA
+// for a non-negative radius m clear of both poles, dRA = +Inf and
+// dRAWrap = −Inf (the test off) otherwise. The kernel and BoxesOf both
+// take it from here, so the box a narrowed scan is cut to is the box
+// the kernel applies.
+func (c Cone) raBox() (dRA, dRAWrap float64) {
+	if c.Radius >= 0 && math.Abs(c.Dec0)+c.Radius+coneMargin < 90 {
+		if x := math.Sin(c.Radius*d2r) / math.Cos(c.Dec0*d2r); x < 1 {
+			dRA = math.Asin(x)/d2r + coneMargin
+			return dRA, 360 - dRA
+		}
+	}
+	return math.Inf(1), math.Inf(-1)
+}
+
+// box is the cone's pass-1 box as a two-column Box: the declination band
+// of Bounds by the RA test of raBox. ok is false when the RA test is off
+// or Ra0 is not finite; the band alone then bounds the cone.
+func (c Cone) box() (b Box, ok bool) {
+	lo, hi, onSphere := c.decBox()
+	dRA, wrap := c.raBox()
+	if !onSphere || math.IsInf(dRA, 1) || !(math.Abs(c.Ra0) <= math.MaxFloat64) {
+		return Box{}, false
+	}
+	return Box{Bound: Bound{Attr: c.DecCol, Lo: lo, Hi: hi}, Col: c.RaCol, Center: c.Ra0, Near: dRA, Far: wrap}, true
 }
 
 // AngularSeparation returns the great-circle angle in degrees between
@@ -184,12 +213,7 @@ func (c Cone) kernel(t *table.Table) (coneKernel, error) {
 		return k, nil
 	}
 	k.decLo, k.decHi = max(lo, -90), min(hi, 90)
-	if c.Radius >= 0 && math.Abs(c.Dec0)+c.Radius+coneMargin < 90 {
-		if x := math.Sin(c.Radius*d2r) / k.cosDec0; x < 1 {
-			k.dRA = math.Asin(x)/d2r + coneMargin
-			k.dRAWrap = 360 - k.dRA
-		}
-	}
+	k.dRA, k.dRAWrap = c.raBox()
 	// The band needs a positive radius, a normal sin²(R/2) and a term
 	// well below 1, where the separation is well-conditioned in a.
 	if s := math.Sin(c.Radius * d2r / 2); c.Radius > 0 && c.Radius < 90 && s*s > 1e-300 {

@@ -148,6 +148,39 @@ func BoundsOf(p Predicate) []Bound {
 	return nil
 }
 
+// Box is a necessary region of a predicate over one or two columns: a
+// row can satisfy the predicate only if its Attr value lies in [Lo, Hi]
+// and, when Col is set, its Col value v passes the offset test
+// |v − Center| <= Near || |v − Center| >= Far (0 <= Near <= Far),
+// computed as written. A one-column box is a Bound. A cone's box is its
+// kernel's pass-1 box: the declination band by the right-ascension
+// test, Near its half-width and Far 360 − Near across the 0/360 wrap.
+type Box struct {
+	Bound
+	Col               string
+	Center, Near, Far float64
+}
+
+// BoxesOf returns pred's necessary boxes: the bounds of BoundsOf, with a
+// cone's declination band replaced by its two-column box when the cone
+// has one. Zone maps, which prune by one column, take BoundsOf; a
+// layer's value index (impression.View.Narrow) takes the boxes.
+func BoxesOf(p Predicate) []Box {
+	switch p := p.(type) {
+	case Cone:
+		if b, ok := p.box(); ok {
+			return []Box{b}
+		}
+	case And:
+		return append(BoxesOf(p.L), BoxesOf(p.R)...)
+	}
+	var out []Box
+	for _, b := range BoundsOf(p) {
+		out = append(out, Box{Bound: b})
+	}
+	return out
+}
+
 // Bounds implements Bounder: the comparison constant bounds the column
 // from one side (both for equality). NOT-EQUAL excludes a point, which
 // bounds nothing.

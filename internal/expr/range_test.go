@@ -180,3 +180,52 @@ func TestBounds(t *testing.T) {
 		t.Fatalf("StrEq bounds = %v, want none", b)
 	}
 }
+
+// TestBoxes pins the boxes per predicate shape: a cone's box is its
+// kernel's pass-1 box — the band of Bounds by the very RA test the
+// kernel applies — while a cone without an RA test falls back to its
+// band, and every other shape reports its bounds.
+func TestBoxes(t *testing.T) {
+	tb := table.MustNew("sky", table.Schema{{Name: "ra", Type: column.Float64}, {Name: "dec", Type: column.Float64}})
+	for _, c := range []Cone{
+		{RaCol: "ra", DecCol: "dec", Ra0: 180, Dec0: 30, Radius: 3},
+		{RaCol: "ra", DecCol: "dec", Ra0: 0.5, Dec0: -60, Radius: 12},
+		{RaCol: "ra", DecCol: "dec", Ra0: -400, Dec0: 0, Radius: 0},
+	} {
+		b := BoxesOf(c)
+		k, err := c.kernel(tb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(b) != 1 || b[0].Bound != c.Bounds()[0] || b[0].Col != "ra" ||
+			b[0].Center != k.ra0 || b[0].Near != k.dRA || b[0].Far != k.dRAWrap {
+			t.Fatalf("%s: boxes %+v, kernel box ra0 %v dRA %v dRAWrap %v", c, b, k.ra0, k.dRA, k.dRAWrap)
+		}
+	}
+	for _, c := range []Cone{
+		{RaCol: "ra", DecCol: "dec", Ra0: 10, Dec0: 88, Radius: 4},
+		{RaCol: "ra", DecCol: "dec", Ra0: 10, Dec0: 0, Radius: 90},
+		{RaCol: "ra", DecCol: "dec", Ra0: 10, Dec0: 0, Radius: -1},
+		{RaCol: "ra", DecCol: "dec", Ra0: math.Inf(1), Dec0: 0, Radius: 3},
+		{RaCol: "ra", DecCol: "dec", Ra0: math.NaN(), Dec0: 0, Radius: 3},
+	} {
+		if b := BoxesOf(c); len(b) != 1 || b[0].Col != "" || b[0].Bound != c.Bounds()[0] {
+			t.Fatalf("%s: boxes %+v, want its band alone", c, b)
+		}
+	}
+	if b := BoxesOf(Cone{RaCol: "ra", DecCol: "dec", Ra0: 10, Dec0: 95, Radius: 3}); b != nil {
+		t.Fatalf("off-sphere Cone boxes = %+v, want none", b)
+	}
+	cone := Cone{RaCol: "ra", DecCol: "dec", Ra0: 180, Dec0: 30, Radius: 3}
+	x := Between{Expr: ColRef{Name: "x"}, Lo: 1, Hi: 2}
+	if b := BoxesOf(And{L: x, R: cone}); len(b) != 2 || b[0].Col != "" || b[0].Bound != x.Bounds()[0] || b[1].Col != "ra" {
+		t.Fatalf("And boxes = %+v", b)
+	}
+	or := Or{L: cone, R: Cone{RaCol: "ra", DecCol: "dec", Ra0: 10, Dec0: 40, Radius: 3}}
+	if b := BoxesOf(or); len(b) != 1 || b[0].Col != "" || b[0].Bound != or.Bounds()[0] {
+		t.Fatalf("Or of cones boxes = %+v, want the band hull", b)
+	}
+	if b := BoxesOf(Not{P: x}); b != nil {
+		t.Fatalf("Not boxes = %+v, want none", b)
+	}
+}

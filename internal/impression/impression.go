@@ -423,9 +423,10 @@ func (im *Impression) pi(f factored) float64 {
 //
 // The returned slices are immutable: view refreshes build new arrays,
 // so a View stays valid (describing the version it was taken at) while the
-// impression keeps sampling. Each refresh also starts a value index,
-// built per column on first use and shared by every copy of the view:
-// Narrow cuts a scan to the positions a predicate's bounds admit.
+// impression keeps sampling. Each refresh also starts a value index, a
+// grid over one or two columns built on first use and shared by every
+// copy of the view: Narrow cuts a scan to the positions a predicate's
+// boxes admit.
 type View struct {
 	// Version identifies the sample-set state the view describes.
 	Version uint64

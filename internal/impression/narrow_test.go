@@ -21,9 +21,13 @@ const narrowRows = 6400
 // narrowBase builds a table whose indexed column x holds what an index
 // can lose: NaN, ±Inf, duplicates (a quarter-step grid), a constant run,
 // and the extremes 0 and 1000, so the full-table layer's buckets are 5
-// wide and grid values land exactly on their edges. dec is on the sphere
-// except for NaN and ±Inf; c is constant; s is a string and g a group
-// key.
+// wide and grid values land exactly on their edges. ra holds the same
+// hazards for a cone's grid: ±Inf, NaN, −400 and 720 (both pass every
+// cone's RA test across the wrap, and they make the cells 80° or 160°
+// wide on the larger layers) and duplicates on a 5° grid, so multiples
+// of 80 lie exactly on cell edges; raw is ra with ±1e17 on some rows.
+// dec is on the sphere except for NaN and ±Inf; c is constant; s is a
+// string and g a group key.
 func narrowBase(t *testing.T) *table.Table {
 	t.Helper()
 	tb := table.MustNew("PhotoObjAll", table.Schema{
@@ -31,6 +35,7 @@ func narrowBase(t *testing.T) *table.Table {
 		{Name: "y", Type: column.Float64},
 		{Name: "ra", Type: column.Float64},
 		{Name: "dec", Type: column.Float64},
+		{Name: "raw", Type: column.Float64},
 		{Name: "c", Type: column.Float64},
 		{Name: "s", Type: column.String},
 		{Name: "g", Type: column.Int64},
@@ -62,11 +67,22 @@ func narrowBase(t *testing.T) *table.Table {
 		case 2:
 			dec = math.Inf(-1)
 		}
+		ra := r.Float64() * 360
+		switch {
+		case i%7 == 3:
+			ra = float64(r.Intn(73)) * 5
+		case i%29 == 4:
+			ra = []float64{math.Inf(1), math.Inf(-1), math.NaN(), -400, 720}[i/29%5]
+		}
+		raw := ra
+		if i%41 == 5 {
+			raw = []float64{1e17, -1e17}[i/41%2]
+		}
 		s := "a"
 		if i%3 == 0 {
 			s = "b"
 		}
-		rows = append(rows, table.Row{x, r.NormFloat64(), r.Float64() * 360, dec, 7.0, s, int64(i % 5)})
+		rows = append(rows, table.Row{x, r.NormFloat64(), ra, dec, raw, 7.0, s, int64(i % 5)})
 	}
 	if err := tb.AppendBatch(rows); err != nil {
 		t.Fatal(err)
@@ -137,10 +153,37 @@ func narrowPreds() []expr.Predicate {
 		expr.StrEq{Col: "s", Value: "b"},
 		expr.And{L: expr.StrEq{Col: "s", Value: "a"}, R: narrow},
 	)
-	for _, c := range [][3]float64{{180, 0, 10}, {30, 45, 5}, {300, -60, 12}, {10, 88, 4}, {200, -89.5, 3}, {90, 0, 0}} {
+	return append(out, narrowCones()...)
+}
+
+// narrowCones returns cones over the table of narrowBase: centres at and
+// across the 0/360 wrap, far outside [0, 360) and not finite, near the
+// poles (RA test off) and off the sphere, radius 0, negative, 90° and
+// more, over the wild raw column and with a constant column for either
+// coordinate.
+func narrowCones() []expr.Predicate {
+	var out []expr.Predicate
+	inf, nan := math.Inf(1), math.NaN()
+	for _, c := range [][3]float64{
+		{180, 0, 10}, {30, 45, 5}, {300, -60, 12}, {160, 20, 3}, {80, -5, 2.5},
+		{0, 10, 6}, {0.2, 60, 3}, {359.5, -20, 8}, {360, 0, 5}, {-0.5, 30, 20},
+		{10, 88, 4}, {200, -89.5, 3}, {100, 80, 9.995}, {45, -85, 5},
+		{90, 0, 0}, {240, 40, 0}, {50, 0, -1},
+		{120, 30, 90}, {120, 30, 135}, {10, -10, 200},
+		{-400, 0, 3}, {720, 15, 4}, {1e17, 0, 3}, {inf, 0, 3}, {-inf, 0, 3}, {nan, 0, 3}, {10, 95, 3},
+	} {
 		out = append(out, expr.Cone{RaCol: "ra", DecCol: "dec", Ra0: c[0], Dec0: c[1], Radius: c[2]})
 	}
-	return out
+	for _, c := range [][3]float64{{180, 0, 10}, {0, 10, 6}, {1e17, 0, 3}} {
+		out = append(out, expr.Cone{RaCol: "raw", DecCol: "dec", Ra0: c[0], Dec0: c[1], Radius: c[2]})
+	}
+	return append(out,
+		expr.Cone{RaCol: "ra", DecCol: "c", Ra0: 30, Dec0: 7, Radius: 5},
+		expr.Cone{RaCol: "c", DecCol: "dec", Ra0: 7, Dec0: 0, Radius: 5},
+		expr.Cone{RaCol: "c", DecCol: "dec", Ra0: 200, Dec0: 0, Radius: 5},
+		expr.And{L: expr.Cone{RaCol: "ra", DecCol: "dec", Ra0: 0, Dec0: 0, Radius: 8}, R: expr.Between{Expr: expr.ColRef{Name: "x"}, Lo: 100, Hi: 400}},
+		expr.Or{L: expr.Cone{RaCol: "ra", DecCol: "dec", Ra0: 10, Dec0: 0, Radius: 4}, R: expr.Cone{RaCol: "ra", DecCol: "dec", Ra0: 350, Dec0: 5, Radius: 4}},
+	)
 }
 
 // sameEstimates reports whether two estimate lists are bit-identical.
@@ -160,23 +203,57 @@ func sameEstimates(a, b []estimate.Estimate) bool {
 	return true
 }
 
-// checkCandidates checks that cand is a strictly ascending subset of
-// the view's positions holding every match.
-func checkCandidates(t *testing.T, label string, v View, cand, matches vec.Sel) {
+// inBoxes reports whether row p lies inside every box over DOUBLE
+// columns: the rows Narrow must keep, whichever box it narrows by. A NaN
+// box end bounds nothing, as in the index.
+func inBoxes(t *testing.T, snap *table.Table, boxes []expr.Box, p int32) bool {
 	t.Helper()
-	in := make(map[int32]bool, len(v.Positions))
-	for _, p := range v.Positions {
-		in[p] = true
+	for _, b := range boxes {
+		data, err := snap.Float64(b.Attr)
+		if err != nil {
+			continue
+		}
+		v := data[p]
+		if v != v || !(math.IsNaN(b.Lo) || v >= b.Lo) || !(math.IsNaN(b.Hi) || v <= b.Hi) {
+			return false
+		}
+		if b.Col == "" {
+			continue
+		}
+		if data, err = snap.Float64(b.Col); err != nil {
+			continue
+		}
+		if d := math.Abs(data[p] - b.Center); !(d <= b.Near || d >= b.Far) {
+			return false
+		}
+	}
+	return true
+}
+
+// checkCandidates checks that cand is a strictly ascending subset of the
+// view's positions, that idx holds their sample indices, and that it
+// keeps every view row inside the predicate's boxes — for a cone, every
+// row its kernel's pass-1 box passes — and so every match.
+func checkCandidates(t *testing.T, label string, snap *table.Table, v View, pred expr.Predicate, cand, idx, matches vec.Sel) {
+	t.Helper()
+	if len(idx) != len(cand) {
+		t.Fatalf("%s: %d sample indices for %d candidates", label, len(idx), len(cand))
 	}
 	got := make(map[int32]bool, len(cand))
 	for i, p := range cand {
 		if i > 0 && cand[i-1] >= p {
 			t.Fatalf("%s: candidates not strictly ascending at %d (%d after %d)", label, i, p, cand[i-1])
 		}
-		if !in[p] {
-			t.Fatalf("%s: candidate %d is not a view position", label, p)
+		if s := idx[i]; s < 0 || int(s) >= len(v.Positions) || v.Positions[s] != p {
+			t.Fatalf("%s: candidate %d has sample index %d, not a view position's", label, p, s)
 		}
 		got[p] = true
+	}
+	boxes := expr.BoxesOf(pred)
+	for _, p := range v.Positions {
+		if !got[p] && inBoxes(t, snap, boxes, p) {
+			t.Fatalf("%s: row %d inside the boxes %+v is not a candidate (%d candidates)", label, p, boxes, len(cand))
+		}
 	}
 	for _, p := range matches {
 		if !got[p] {
@@ -185,13 +262,12 @@ func checkCandidates(t *testing.T, label string, v View, cand, matches vec.Sel) 
 	}
 }
 
-// TestNarrowIsExact checks, for every view and predicate shape, that
-// the narrowed candidates are an ascending superset of the matches and
-// that ungrouped and grouped estimates over the narrowed scan are
-// bit-identical to those over the whole view.
-func TestNarrowIsExact(t *testing.T) {
-	tb := narrowBase(t)
-	snap := tb.Snapshot()
+// checkNarrowExact checks every (view, predicate) pair: the candidates
+// (checkCandidates), and ungrouped and grouped estimates over the
+// narrowed scan bit-identical to those over the whole view. It returns
+// how many pairs narrowed.
+func checkNarrowExact(t *testing.T, snap *table.Table, views map[string]View, preds []expr.Predicate) int {
+	t.Helper()
 	opts := engine.ExecOptions{Parallelism: 2, MorselRows: 1024}
 	y := expr.ColRef{Name: "y"}
 	aggs := []engine.AggSpec{
@@ -200,12 +276,12 @@ func TestNarrowIsExact(t *testing.T) {
 		{Func: engine.Avg, Arg: y, Alias: "m"},
 	}
 	narrowed := 0
-	for name, v := range narrowViews(t, tb) {
+	for name, v := range views {
 		sl := estimate.SelLayer{Name: name, Base: snap, Positions: v.Positions, Weights: v.Weights,
 			CountWeights: v.Pis, ShareSums: v.ShareSums, BaseRows: int64(snap.Len())}
-		for _, pred := range narrowPreds() {
+		for _, pred := range preds {
 			label := fmt.Sprintf("%s / %s", name, pred)
-			cand := v.Narrow(expr.BoundsOf(pred))
+			cand, idx := v.Narrow(expr.BoxesOf(pred))
 			if cand == nil {
 				continue
 			}
@@ -214,10 +290,10 @@ func TestNarrowIsExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkCandidates(t, label, v, cand, matches)
+			checkCandidates(t, label, snap, v, pred, cand, idx, matches)
 			nl := sl
-			nl.Scan = cand
-			q := engine.Query{Table: "PhotoObjAll", Where: pred, Aggs: aggs}
+			nl.Scan, nl.ScanIdx = cand, idx
+			q := engine.Query{Table: snap.Name(), Where: pred, Aggs: aggs}
 			want, err := estimate.AggregateOnSelOpts(sl, q, 0.95, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -247,12 +323,85 @@ func TestNarrowIsExact(t *testing.T) {
 				}
 			}
 			vec.PutSel(cand)
+			vec.PutSel(idx)
 		}
 	}
+	return narrowed
+}
+
+// TestNarrowIsExact checks, for every view and predicate shape, that
+// the narrowed candidates are an ascending subset of the view holding
+// every row inside the predicate's boxes, and that ungrouped and grouped
+// estimates over the narrowed scan are bit-identical to those over the
+// whole view. A second table puts a cone's RA-test edge between cells
+// narrower than a float's spacing.
+func TestNarrowIsExact(t *testing.T) {
+	tb := narrowBase(t)
+	narrowed := checkNarrowExact(t, tb.Snapshot(), narrowViews(t, tb), narrowPreds())
 	// The property means little unless most views and shapes narrow.
-	if narrowed < 250 {
+	if narrowed < 400 {
 		t.Fatalf("only %d (view, predicate) pairs narrowed", narrowed)
 	}
+	edge, cone := roundingEdgeBase(t)
+	im, err := New(edge, Config{Name: "all", Size: edge.Len(), Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	im.OfferRange(0, int32(edge.Len()))
+	v := im.View()
+	views := map[string]View{"edge": v, "edge/clamped": v.Clamp(edge.Len() / 2)}
+	if n := checkNarrowExact(t, edge.Snapshot(), views, []expr.Predicate{cone}); n != len(views) {
+		t.Fatalf("the edge cone narrowed %d of %d views", n, len(views))
+	}
+}
+
+// roundingEdgeBase finds a cone and a right ascension ra* that its
+// kernel's pass-1 box passes although ra* lies beyond the computed end
+// of the range the RA test allows (the test rounds its offset
+// ra − Ra0), and builds a table of rows at ra* and the floats around it
+// with dec at the cone's centre. Its grid's cells are narrower than the
+// floats' spacing, so a range not widened for the rounding leaves ra*
+// out.
+func roundingEdgeBase(t *testing.T) (*table.Table, expr.Cone) {
+	t.Helper()
+	for m := 0; m < 256; m++ {
+		cone := expr.Cone{RaCol: "ra", DecCol: "dec", Ra0: 0.3 + float64(m)*0x1p-55, Dec0: 20, Radius: 3}
+		b := expr.BoxesOf(cone)[0]
+		c := b.Center
+		for _, end := range [][2]float64{{c + b.Near, 1}, {c - b.Near, -1}, {c + b.Far, -1}, {c - b.Far, 1}} {
+			edge := math.Nextafter(end[0], end[1]*math.Inf(1))
+			if d := math.Abs(edge - c); !(d <= b.Near || d >= b.Far) {
+				continue
+			}
+			vals := []float64{edge}
+			for lo, hi := edge, edge; len(vals) < 9; {
+				lo, hi = math.Nextafter(lo, math.Inf(-1)), math.Nextafter(hi, math.Inf(1))
+				vals = append(vals, lo, hi)
+			}
+			tb := table.MustNew("Edge", table.Schema{
+				{Name: "ra", Type: column.Float64},
+				{Name: "dec", Type: column.Float64},
+				{Name: "y", Type: column.Float64},
+				{Name: "g", Type: column.Int64},
+			})
+			// A quarter of the rows lie in the cone's band, so the box
+			// narrows the view.
+			rows := make([]table.Row, 4096)
+			for i := range rows {
+				dec := -60.0
+				if i%4 == 0 {
+					dec = cone.Dec0
+				}
+				rows[i] = table.Row{vals[i%len(vals)], dec, float64(i % 13), int64(i % 3)}
+			}
+			if err := tb.AppendBatch(rows); err != nil {
+				t.Fatal(err)
+			}
+			return tb, cone
+		}
+	}
+	t.Fatal("no cone puts a pass-1 survivor beyond its computed RA range")
+	return nil, expr.Cone{}
 }
 
 // TestNarrowDeclines checks when Narrow leaves the scan to the whole
@@ -273,22 +422,29 @@ func TestNarrowDeclines(t *testing.T) {
 		expr.Cmp{Op: vec.Eq, Left: expr.ColRef{Name: "g"}, Right: 1}, // BIGINT
 		expr.Cmp{Op: vec.Eq, Left: expr.ColRef{Name: "missing"}, Right: 1},
 	} {
-		if cand := v.Narrow(expr.BoundsOf(pred)); cand != nil {
+		if cand, idx := v.Narrow(expr.BoxesOf(pred)); cand != nil || idx != nil {
 			t.Errorf("%s: narrowed to %d of %d rows, want the whole view", pred, len(cand), len(v.Positions))
 		}
 	}
-	if cand := views["empty"].Narrow(expr.BoundsOf(expr.Between{Expr: x, Lo: 0, Hi: 1})); cand != nil {
+	if cand, _ := views["empty"].Narrow(expr.BoxesOf(expr.Between{Expr: x, Lo: 0, Hi: 1})); cand != nil {
 		t.Errorf("empty view narrowed to %v", cand)
 	}
 	// An empty interval admits nothing: a non-nil, empty scan.
-	if cand := v.Narrow(expr.BoundsOf(expr.Between{Expr: x, Lo: 20, Hi: 10})); cand == nil || len(cand) != 0 {
-		t.Errorf("empty interval narrowed to %v, want an empty scan", cand)
+	for _, pred := range []expr.Predicate{
+		expr.Between{Expr: x, Lo: 20, Hi: 10},
+		expr.Cone{RaCol: "ra", DecCol: "dec", Ra0: 50, Dec0: 0, Radius: -1},
+	} {
+		if cand, idx := v.Narrow(expr.BoxesOf(pred)); cand == nil || len(cand) != 0 || len(idx) != 0 {
+			t.Errorf("%s: narrowed to %v, want an empty scan", pred, cand)
+		}
 	}
 }
 
 // TestNarrowConcurrentFirstQueries races the first Narrow calls on a
-// fresh view: every caller must see the index built once and get the
-// same candidates (run under -race by make race).
+// fresh view, half of them by a cone's two-column box and half by a
+// bound on x: every caller must see each grid built once and get the
+// same candidates and sample indices as the others of its shape (run
+// under -race by make race).
 func TestNarrowConcurrentFirstQueries(t *testing.T) {
 	tb := narrowBase(t)
 	im, err := New(tb, Config{Name: "L0", Size: 3000, Seed: 9})
@@ -297,24 +453,33 @@ func TestNarrowConcurrentFirstQueries(t *testing.T) {
 	}
 	im.OfferRange(0, narrowRows)
 	v := im.View()
-	bounds := expr.BoundsOf(expr.Cone{RaCol: "ra", DecCol: "dec", Ra0: 180, Dec0: 20, Radius: 8})
+	shapes := [][]expr.Box{
+		expr.BoxesOf(expr.Cone{RaCol: "ra", DecCol: "dec", Ra0: 180, Dec0: 20, Radius: 8}),
+		expr.BoxesOf(expr.Between{Expr: expr.ColRef{Name: "x"}, Lo: 100, Hi: 140}),
+	}
+	if shapes[0][0].Col != "ra" {
+		t.Fatalf("the cone's box %+v is not two-column", shapes[0])
+	}
 	const callers = 8
-	got := make([]vec.Sel, callers)
+	got := make([]string, callers)
 	var wg sync.WaitGroup
 	for i := range got {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got[i] = v.Clamp(narrowRows).Narrow(bounds)
+			cand, idx := v.Clamp(narrowRows).Narrow(shapes[i%len(shapes)])
+			if cand != nil {
+				got[i] = fmt.Sprint(cand, idx)
+			}
 		}()
 	}
 	wg.Wait()
-	if got[0] == nil {
-		t.Fatal("cone did not narrow the view")
-	}
-	for i := 1; i < callers; i++ {
-		if fmt.Sprint(got[i]) != fmt.Sprint(got[0]) {
-			t.Fatalf("caller %d got %d candidates, caller 0 got %d", i, len(got[i]), len(got[0]))
+	for i := range got {
+		if got[i] == "" {
+			t.Fatalf("caller %d's shape did not narrow the view", i)
+		}
+		if j := i % len(shapes); got[i] != got[j] {
+			t.Fatalf("caller %d got candidates %.60s…, caller %d %.60s…", i, got[i], j, got[j])
 		}
 	}
 }
@@ -323,7 +488,8 @@ func TestNarrowConcurrentFirstQueries(t *testing.T) {
 var raceEnabled bool
 
 // TestNarrowZeroAlloc is the allocation gate of the candidate path:
-// once a view's index is built, narrowing allocates nothing.
+// once a view's grid is built, narrowing a cone through its two-column
+// box allocates nothing, its scan and sample indices both pooled.
 func TestNarrowZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector")
@@ -335,11 +501,20 @@ func TestNarrowZeroAlloc(t *testing.T) {
 	}
 	im.OfferRange(0, narrowRows)
 	v := im.View()
-	bounds := expr.BoundsOf(expr.Cone{RaCol: "ra", DecCol: "dec", Ra0: 180, Dec0: 20, Radius: 8})
-	vec.PutSel(v.Narrow(bounds)) // build the index, warm the pools
-	allocs := testing.AllocsPerRun(200, func() {
-		vec.PutSel(v.Narrow(bounds))
-	})
+	boxes := expr.BoxesOf(expr.Cone{RaCol: "ra", DecCol: "dec", Ra0: 180, Dec0: 20, Radius: 8})
+	if len(boxes) != 1 || boxes[0].Col != "ra" {
+		t.Fatalf("the cone's boxes %+v are not one two-column box", boxes)
+	}
+	narrow := func() {
+		cand, idx := v.Narrow(boxes)
+		if cand == nil {
+			t.Fatal("the cone did not narrow the view")
+		}
+		vec.PutSel(cand)
+		vec.PutSel(idx)
+	}
+	narrow() // build the grid, warm the pools
+	allocs := testing.AllocsPerRun(200, narrow)
 	if allocs != 0 {
 		t.Fatalf("Narrow allocates %.1f times per call in steady state, want 0", allocs)
 	}
@@ -353,7 +528,7 @@ func TestBucketSpanHoldsItsValues(t *testing.T) {
 	r := xrand.New(7)
 	for _, c := range []struct{ min, max float64 }{{0, 1000}, {-90, 90}, {0.1, 0.7}, {-1e-3, 3e5}, {123.456, 123.457}} {
 		for _, n := range []int{1, 31, 3200, 100_000} {
-			ix := &bucketIndex{min: c.min, last: (n+bucketRows-1)/bucketRows - 1}
+			ix := &axis{min: c.min, last: (n+bucketRows-1)/bucketRows - 1}
 			ix.scale = float64(ix.last+1) / (c.max - c.min)
 			var vals []float64
 			for k := 0; k <= ix.last+1; k++ {
@@ -385,16 +560,16 @@ func (l *touchLog) Touch(lo, hi int) {
 }
 
 // TestIndexBuildTouchesGranules: on a durable table, building a view's
-// index reports its reads to the pager granule by granule, as a scan of
-// the view's positions does.
+// one-column grid and its two-column grid each report their reads to the
+// pager granule by granule, as a scan of the view's positions does.
 func TestIndexBuildTouchesGranules(t *testing.T) {
 	const rows = 2*column.ZoneRows + 1000
-	tb := table.MustNew("t", table.Schema{{Name: "x", Type: column.Float64}})
-	xs := make([]float64, rows)
+	tb := table.MustNew("t", table.Schema{{Name: "x", Type: column.Float64}, {Name: "dec", Type: column.Float64}})
+	xs, decs := make([]float64, rows), make([]float64, rows)
 	for i := range xs {
-		xs[i] = float64(i % 1000)
+		xs[i], decs[i] = float64(i%1000), float64(i%90)
 	}
-	if err := tb.AppendColumns([]column.Column{column.NewFloat64From("x", xs)}); err != nil {
+	if err := tb.AppendColumns([]column.Column{column.NewFloat64From("x", xs), column.NewFloat64From("dec", decs)}); err != nil {
 		t.Fatal(err)
 	}
 	pager := &touchLog{ranges: map[[2]int]bool{}}
@@ -404,10 +579,22 @@ func TestIndexBuildTouchesGranules(t *testing.T) {
 		t.Fatal(err)
 	}
 	im.OfferRange(0, rows)
-	vec.PutSel(im.View().Narrow(expr.BoundsOf(expr.Cmp{Op: vec.Lt, Left: expr.ColRef{Name: "x"}, Right: 10})))
-	for _, want := range [][2]int{{0, column.ZoneRows}, {column.ZoneRows, 2 * column.ZoneRows}, {2 * column.ZoneRows, rows}} {
-		if !pager.ranges[want] {
-			t.Errorf("index build did not touch rows %v (touched %v)", want, pager.ranges)
+	v := im.View()
+	for _, pred := range []expr.Predicate{
+		expr.Cmp{Op: vec.Lt, Left: expr.ColRef{Name: "x"}, Right: 10},
+		expr.Cone{RaCol: "x", DecCol: "dec", Ra0: 500, Dec0: 10, Radius: 3},
+	} {
+		clear(pager.ranges)
+		cand, idx := v.Narrow(expr.BoxesOf(pred))
+		if cand == nil {
+			t.Fatalf("%s did not narrow the view", pred)
+		}
+		vec.PutSel(cand)
+		vec.PutSel(idx)
+		for _, want := range [][2]int{{0, column.ZoneRows}, {column.ZoneRows, 2 * column.ZoneRows}, {2 * column.ZoneRows, rows}} {
+			if !pager.ranges[want] {
+				t.Errorf("%s: grid build did not touch rows %v (touched %v)", pred, want, pager.ranges)
+			}
 		}
 	}
 }
@@ -459,7 +646,8 @@ func TestConeOffSphereRowNeverMatches(t *testing.T) {
 	}
 	im.OfferRange(0, int32(n))
 	v := im.View()
-	cand := v.Narrow(expr.BoundsOf(cone))
+	cand, idx := v.Narrow(expr.BoxesOf(cone))
+	defer vec.PutSel(idx)
 	if cand == nil {
 		t.Fatal("the cone's band did not narrow the layer scan")
 	}
